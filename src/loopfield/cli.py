@@ -173,11 +173,13 @@ def _cmd_link(args) -> int:
 
 def _cmd_lk(args) -> int:
     scene_file = _load_scene_file(args.scene)
+    spec = scene_file.quadrature_spec()
     rows = []
     for name in _scene_names(scene_file, args.name):
         scene = scene_file.build_scene(name)
         if scene.spanning_mesh is None:
             raise SceneFormatError(f"scene {name!r} has no spanning surface")
+        scene.validate(spec)
         lk = combinatorial_lk(scene.curve_c, scene.spanning_mesh)
         rows.append([name, lk])
         print(f"{name}: Lk={lk}", file=sys.stderr)
@@ -498,11 +500,23 @@ def _check_threads_env() -> None:
         raise SceneFormatError(f"THREADS must be a positive integer, got {value!r}")
 
 
+def _join_points_value(argv: list[str]) -> list[str]:
+    """Join "--points VALUE" into "--points=VALUE": argparse would take a
+    VALUE whose first coordinate is negative for an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--points":
+            out[-1] = f"--points={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
         _check_threads_env()
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_points_value(sys.argv[1:] if argv is None else argv))
         if getattr(args, "command", None) is None:
             raise SceneFormatError("missing subcommand")
         return args.func(args)
@@ -512,6 +526,9 @@ def run(argv=None) -> int:
     except LoopfieldError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:  # input rejected by the library's own checks
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

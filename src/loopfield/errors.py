@@ -14,11 +14,13 @@ class DegeneratePatch(LoopfieldError, ValueError):
 
 
 class DegenerateIntersection(LoopfieldError):
-    """Segment/panel crossing too ambiguous to sign reliably.
+    """Segment crossing through a mesh that has no well-defined sign.
 
-    Raised when a crossing lands within tolerance of a panel edge or a
-    sample endpoint sits on the panel plane.  Callers should refine or
-    perturb their sampling; the library never guesses.
+    Raised when a crossing lies exactly on the surface's outer boundary,
+    or a sample endpoint lies exactly on a triangle's plane inside the
+    triangle.  Crossings through interior edges and nodes are well defined
+    and never raise.  Callers should refine or perturb their sampling;
+    the library never guesses.
     """
 
 

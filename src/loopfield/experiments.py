@@ -357,8 +357,7 @@ def unit_circle() -> Circle:
 
 
 def unit_disk_mesh(m: int = 15, n: int = 15):
-    """Spanning mesh of the unit circle; odd dimensions keep the shipped
-    crossing points interior to panels."""
+    """Spanning mesh of the unit circle."""
     return mesh_surface(Disk((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0)), m, n)
 
 
@@ -483,8 +482,8 @@ def symmetry_sweep(
 def default_catalog(mesh_m: int = 15, mesh_n: int = 15) -> list[LinkScene]:
     """Six shipped scenes with linking numbers -1, 0, 0, 1, 1, 2.
 
-    All spanning meshes are the unit disk in the xy-plane; crossing
-    points sit well inside panels for the default odd mesh dimensions.
+    All spanning meshes are the unit disk in the xy-plane; the counts
+    hold for every mesh size, odd or even.
     """
     circle = unit_circle()
     disk = unit_disk_mesh(mesh_m, mesh_n)

@@ -1,4 +1,4 @@
-"""Curves, surface patches, panel meshes, and transversal intersections.
+"""Curves, surface patches, panel meshes, and signed segment crossings.
 
 Conventions used throughout the package:
 
@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "SurfaceMesh",
     "mesh_surface",
     "mesh_boundary",
+    "segment_crossings",
     "segment_panel_intersection",
 ]
 
@@ -407,10 +409,6 @@ class SurfacePatch:
         """Unit normal if the patch is planar, else None."""
         return None
 
-    def diameter(self) -> float:
-        lo, hi = self.bounding_box()
-        return float(np.linalg.norm(hi - lo))
-
     def bounding_box(self):
         grid = np.linspace(0.0, 1.0, 17)
         pts = self.point(grid[:, None], grid[None, :]).reshape(-1, 3)
@@ -547,9 +545,6 @@ class Disk(SurfacePatch):
     def constant_normal(self):
         return self._a.copy()
 
-    def boundary_circle(self) -> Circle:
-        return Circle(self.center, self.radius, self.axis, "ccw")
-
     def bounding_box(self):
         ext = self.radius * np.sqrt(np.clip(1.0 - self._a**2, 0.0, 1.0))
         return self.center - ext, self.center + ext
@@ -652,7 +647,9 @@ class SurfaceMesh:
     Panel (i, j) is anchored at grid node (i/M, j/N) with edges given by
     grid-node differences; interior grid edges are traversed by exactly
     two adjacent cells in opposite directions, so they cancel from the
-    mesh boundary.
+    mesh boundary.  The counting route sees the mesh as the two triangles
+    of each cell's 0-2 diagonal (see segment_crossings), which tile it
+    without the gaps and overlaps of the panels on a curved patch.
     """
 
     def __init__(self, patch: SurfacePatch, m: int, n: int, nodes: np.ndarray):
@@ -663,7 +660,6 @@ class SurfaceMesh:
         bases = nodes[:-1, :-1, :]
         self._edges_a = _frozen(nodes[1:, :-1, :] - bases)
         self._edges_b = _frozen(nodes[:-1, 1:, :] - bases)
-        self._bases = _frozen(bases.copy())
         areas = np.cross(self._edges_a, self._edges_b)
         norms = np.linalg.norm(areas, axis=-1)
         if float(norms.min()) <= 1e-13 * float(norms.max()):
@@ -671,22 +667,6 @@ class SurfaceMesh:
                 f"mesh {m}x{n} has (near-)degenerate panels: min area {norms.min():g}"
             )
         self._areas = _frozen(areas)
-
-    @property
-    def base_points(self) -> np.ndarray:
-        return self._bases
-
-    @property
-    def edge_vectors_a(self) -> np.ndarray:
-        return self._edges_a
-
-    @property
-    def edge_vectors_b(self) -> np.ndarray:
-        return self._edges_b
-
-    @property
-    def area_vectors(self) -> np.ndarray:
-        return self._areas
 
     @property
     def cell_centers(self) -> np.ndarray:
@@ -708,7 +688,7 @@ class SurfaceMesh:
         return 0.5 * np.cross(d1, d2)
 
     def panel(self, i: int, j: int) -> Panel:
-        return Panel(self._bases[i, j], self._edges_a[i, j], self._edges_b[i, j])
+        return Panel(self.nodes[i, j], self._edges_a[i, j], self._edges_b[i, j])
 
     def panels(self):
         """Iterate panels row-major as Panel objects."""
@@ -801,34 +781,175 @@ def mesh_boundary(mesh: SurfaceMesh) -> PolyLine:
 
 
 # ---------------------------------------------------------------------------
-# Transversal segment/panel intersection
+# Signed segment crossings through a triangulated quad grid
 # ---------------------------------------------------------------------------
 
+# the broad phase's tree of boxes merges _FAN x _FAN boxes per level, and
+# its segments go down it in chunks that bound the temporary arrays
+_FAN = 4
+_SEGMENT_CHUNK = 1 << 12
 
-def _panel_frame(panel: Panel):
-    n = panel.area_vector
-    n_mag = float(np.linalg.norm(n))
-    len_a = float(np.linalg.norm(panel.edge_a))
-    len_b = float(np.linalg.norm(panel.edge_b))
-    # heights of the parallelogram over each edge; converts (alpha, beta)
-    # offsets into true in-plane distances from the edges
-    height_over_a = n_mag / len_a
-    height_over_b = n_mag / len_b
-    gram = np.array(
-        [[panel.edge_a @ panel.edge_a, panel.edge_a @ panel.edge_b],
-         [panel.edge_a @ panel.edge_b, panel.edge_b @ panel.edge_b]]
+# each cell (c0, c1, c2, c3) splits along its 0-2 diagonal
+_CELL_TRIANGLES = np.array([[0, 1, 2], [0, 2, 3]])
+
+# bound on the rounding error of a float triple product of differences,
+# as a multiple of its permanent (Shewchuk 1997, orient3d, (7 + 56u)u)
+_ORIENT_ERR = 8.0 * 2.0**-53
+
+
+def _dot(u, v):
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def _edge_orientations(tri, origin, direction):
+    """direction . ((A - origin) x (B - origin)) for edges AB, BC, CA, and
+    a bound on its rounding error."""
+    rel = tri - origin[:, None, :]
+    nxt = np.roll(rel, -1, axis=1)
+    d = direction[:, None, :]
+    r, q = np.abs(rel), np.abs(nxt)
+    abs_cross = r[..., [1, 2, 0]] * q[..., [2, 0, 1]] + r[..., [2, 0, 1]] * q[..., [1, 2, 0]]
+    permanent = _dot(np.abs(d), abs_cross)
+    return _dot(d, np.cross(rel, nxt)), _ORIENT_ERR * permanent
+
+
+def _candidate_pairs(p0s, p1s, cells):
+    """Segment and cell indices of every pair whose bounding boxes overlap.
+
+    `cells` holds the (m, n, 4, 3) cell corners.  The leaves of a tree of
+    boxes are the cells of the grid padded to a power of _FAN on each
+    side, and each level above merges _FAN x _FAN boxes.  Segments go down
+    it level by level in whole arrays, so the work follows the segments
+    near the mesh and grows with the logarithm of its size, whatever its
+    turn in space.  Box comparisons are exact, so no crossing is lost.
+    """
+    m, n = cells.shape[:2]
+    size = _FAN
+    while size < max(m, n):
+        size *= _FAN
+    # padding cells have empty boxes, which overlap nothing
+    lo, hi = np.full((size, size, 3), np.inf), np.full((size, size, 3), -np.inf)
+    lo[:m, :n], hi[:m, :n] = cells.min(axis=2), cells.max(axis=2)
+    levels = [(lo, hi)]
+    while len(lo) > 1:
+        shape = (len(lo) // _FAN, _FAN, len(lo) // _FAN, _FAN, 3)
+        lo, hi = lo.reshape(shape).min(axis=(1, 3)), hi.reshape(shape).max(axis=(1, 3))
+        levels.append((lo, hi))
+    di, dj = np.divmod(np.arange(_FAN * _FAN), _FAN)
+    seg_lo, seg_hi = np.minimum(p0s, p1s), np.maximum(p0s, p1s)
+    seg_ids, cell_ids = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for start in range(0, len(p0s), _SEGMENT_CHUNK):
+        seg = np.arange(start, min(start + _SEGMENT_CHUNK, len(p0s)))
+        i = j = np.zeros(len(seg), dtype=int)
+        for depth, (lo, hi) in enumerate(reversed(levels)):
+            if depth:
+                seg = np.repeat(seg, _FAN * _FAN)
+                i, j = (_FAN * i[:, None] + di).ravel(), (_FAN * j[:, None] + dj).ravel()
+            # axis by axis: np.all over a length-3 axis is several times slower
+            hit = np.ones(len(seg), dtype=bool)
+            for x in range(3):
+                hit &= (seg_lo[seg, x] <= hi[i, j, x]) & (seg_hi[seg, x] >= lo[i, j, x])
+            seg, i, j = seg[hit], i[hit], j[hit]
+        seg_ids.append(seg)
+        cell_ids.append(i * n + j)
+    return np.concatenate(seg_ids), np.concatenate(cell_ids)
+
+
+def _exact_side(p0, p1, a, b) -> tuple[int, int]:
+    """Exact sign of (p1 - p0) . ((a - p0) x (b - p0)), and the sign it
+    takes once the line p0 p1 moves by an infinitesimal e_x, then e_y,
+    then e_z: that of -e . ((b - a) x (p1 - p0)).
+
+    Both are antisymmetric in a and b, so the two triangles sharing an
+    edge always see it from opposite sides.
+    """
+    p0, p1, a, b = ([Fraction(x) for x in v] for v in (p0, p1, a, b))
+    d, u, v = ([x - y for x, y in zip(q, p0)] for q in (p1, a, b))
+    e = [x - y for x, y in zip(v, u)]
+    side = _sign(sum(d[i] * (u[i - 2] * v[i - 1] - u[i - 1] * v[i - 2]) for i in range(3)))
+    ties = (_sign(d[i - 2] * e[i - 1] - d[i - 1] * e[i - 2]) for i in range(3))
+    return side, next((t for t in ties if t), 0)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def segment_crossings(starts, ends, nodes, transversality_tol: float = 1e-9):
+    """Signed crossings of segments through a quad grid split into triangles.
+
+    `nodes` is an (m+1, n+1, 3) grid: cell (i, j) has the corners
+    nodes[i, j], nodes[i+1, j], nodes[i+1, j+1], nodes[i, j+1] and splits
+    along its 0-2 diagonal into two triangles, which tile the grid with no
+    gaps or overlaps.  A bounding-box broad phase picks the candidate
+    segment x cell pairs.  A segment crosses a triangle when its endpoints
+    lie strictly on opposite sides of the triangle's plane and its line
+    passes through the triangle, judged by the signs of the three edge
+    orientations (p1 - p0) . ((A - p0) x (B - p0)).  Each is computed in
+    floating point and, when its error bound does not fix the sign, again
+    in exact rational arithmetic.  An orientation of exactly zero (the
+    line meets an interior edge or node) takes the sign it has once the
+    line moves by an infinitesimal fixed vector, so such a crossing counts
+    exactly once.
+
+    Returns (signs, points), one entry per crossing, with sign the sign of
+    (end - start) . triangle normal.  Raises NonTransversal when a crossing
+    direction has |cos angle| < transversality_tol with the triangle's
+    normal, and DegenerateIntersection when a crossing lies exactly on the
+    grid's outer boundary or an endpoint lies exactly on a triangle's
+    plane inside the triangle.
+    """
+    p0s = np.asarray(starts, dtype=float).reshape(-1, 3)
+    p1s = np.asarray(ends, dtype=float).reshape(-1, 3)
+    m, n = nodes.shape[0] - 1, nodes.shape[1] - 1
+    cells = np.stack([nodes[:-1, :-1], nodes[1:, :-1], nodes[1:, 1:], nodes[:-1, 1:]], axis=2)
+    seg, cell = (np.repeat(ids, 2) for ids in _candidate_pairs(p0s, p1s, cells))
+    cells = cells.reshape(-1, 4, 3)
+    half = np.tile([0, 1], len(cell) // 2)
+    tri = cells[cell[:, None], _CELL_TRIANGLES[half]]
+
+    p0, p1 = p0s[seg], p1s[seg]
+    d = p1 - p0
+    a = tri[:, 0]
+    normal = np.cross(tri[:, 1] - a, tri[:, 2] - a)
+    s0, s1 = _dot(normal, p0 - a), _dot(normal, p1 - a)
+    for end, s in ((p0, s0), (p1, s1)):
+        k = np.flatnonzero(s == 0.0)
+        if np.any(np.all(_edge_orientations(tri[k], end[k], normal[k])[0] >= 0.0, axis=1)):
+            raise DegenerateIntersection(
+                "sample endpoint lies on a triangle's plane inside the triangle; "
+                "refine or perturb the sampling"
+            )
+
+    k = np.flatnonzero(np.sign(s0) * np.sign(s1) < 0.0)
+    w, err = _edge_orientations(tri[k], p0[k], d[k])
+    side, tie = np.sign(w).astype(int), np.zeros_like(w, dtype=int)
+    for r, e in zip(*np.nonzero(np.abs(w) <= err)):
+        q = k[r]
+        side[r, e], tie[r, e] = _exact_side(p0[q], p1[q], tri[q, e], tri[q, (e + 1) % 3])
+    closed = np.all(side >= 0, axis=1) | np.all(side <= 0, axis=1)
+    k, side, tie = k[closed], side[closed], tie[closed]
+    cos_angle = np.abs(_dot(d[k], normal[k])) / (
+        np.linalg.norm(d[k], axis=1) * np.linalg.norm(normal[k], axis=1)
     )
-    return n, n_mag, len_a, len_b, height_over_a, height_over_b, np.linalg.inv(gram)
-
-
-def _classify_crossing(alpha, beta, h_a, h_b, edge_tol):
-    """-1 outside, 0 degenerate (edge band), +1 strict interior."""
-    margin = min(alpha * h_a, (1.0 - alpha) * h_a, beta * h_b, (1.0 - beta) * h_b)
-    if margin > edge_tol:
-        return 1
-    if margin < -edge_tol:
-        return -1
-    return 0
+    if np.any(cos_angle < transversality_tol):
+        raise NonTransversal(
+            f"crossing direction nearly parallel to the surface (|cos| = {cos_angle.min():g})"
+        )
+    i, j = np.divmod(cell[k], n)
+    upper = half[k] == 1
+    # edges AB, BC, CA of each triangle on the outer boundary; the
+    # diagonal never is
+    rim = np.column_stack(
+        [~upper & (j == 0), np.where(upper, j == n - 1, i == m - 1), upper & (i == 0)]
+    )
+    if np.any(rim & (side == 0)):
+        raise DegenerateIntersection("crossing lies exactly on the surface's outer boundary")
+    side = np.where(side == 0, tie, side)
+    hit = np.all(side > 0, axis=1) | np.all(side < 0, axis=1)
+    k = k[hit]
+    tau = s0[k] / (s0[k] - s1[k])
+    return side[hit, 0], p0[k] + tau[:, None] * d[k]
 
 
 def segment_panel_intersection(
@@ -837,70 +958,23 @@ def segment_panel_intersection(
     panel: Panel,
     transversality_tol: float = 1e-9,
 ):
-    """Signed transversal crossing of an open segment with a panel interior.
+    """Signed transversal crossing of a segment with a panel.
 
-    Returns (sign, point) when the segment crosses the panel interior
-    transversally, where sign = sign((seg_end - seg_start) . area_vector);
-    returns None when there is no crossing.  Raises NonTransversal for a
-    glancing crossing (|cos angle| below transversality_tol) and
-    DegenerateIntersection when the crossing lands within
-    transversality_tol * max(edge lengths) of a panel edge or a segment
-    endpoint sits on the panel plane near the panel.
+    Returns (sign, point) when the segment crosses the panel, where
+    sign = sign((seg_end - seg_start) . area_vector); returns None when it
+    misses.  The panel is tested as the two triangles of its 0-2 diagonal
+    by segment_crossings, so a crossing on the diagonal counts once.
+    Raises NonTransversal for a glancing crossing (|cos angle| below
+    transversality_tol) and DegenerateIntersection when the crossing lies
+    exactly on one of the panel's four edges or an endpoint lies exactly
+    on the panel.
     """
     p0 = as_vec3(seg_start, "seg_start")
     p1 = as_vec3(seg_end, "seg_end")
-    d = p1 - p0
-    seg_len = float(np.linalg.norm(d))
-    if seg_len == 0.0:
+    if np.array_equal(p0, p1):
         raise ValueError("segment has zero length")
-
-    n, n_mag, len_a, len_b, h_a, h_b, gram_inv = _panel_frame(panel)
-    n_hat = n / n_mag
-    s0 = float((p0 - panel.base) @ n_hat)
-    s1 = float((p1 - panel.base) @ n_hat)
-    local_scale = max(len_a, len_b, seg_len)
-    plane_eps = 1e-13 * local_scale
-    edge_tol = transversality_tol * max(len_a, len_b)
-
-    def params_at(point):
-        rel = point - panel.base
-        rhs = np.array([rel @ panel.edge_a, rel @ panel.edge_b])
-        return gram_inv @ rhs
-
-    if abs(s0) <= plane_eps or abs(s1) <= plane_eps:
-        # an endpoint sits on the panel plane: ambiguous only near the panel
-        for s, point in ((s0, p0), (s1, p1)):
-            if abs(s) <= plane_eps:
-                alpha, beta = params_at(point - s * n_hat)
-                if -0.05 <= alpha <= 1.05 and -0.05 <= beta <= 1.05:
-                    raise DegenerateIntersection(
-                        "segment endpoint lies on the panel plane near the panel; "
-                        "refine or perturb the sampling"
-                    )
+    nodes = panel.corners()[[0, 3, 1, 2]].reshape(2, 2, 3)
+    signs, points = segment_crossings(p0, p1, nodes, transversality_tol)
+    if len(signs) == 0:
         return None
-
-    if s0 * s1 > 0.0:
-        return None
-
-    tau = s0 / (s0 - s1)
-    point = p0 + tau * d
-    alpha, beta = params_at(point)
-    if not (-0.05 <= alpha <= 1.05 and -0.05 <= beta <= 1.05):
-        return None
-
-    cos_angle = abs(float(d @ n_hat)) / seg_len
-    if cos_angle < transversality_tol:
-        raise NonTransversal(
-            f"crossing direction nearly parallel to panel (|cos| = {cos_angle:g})"
-        )
-
-    side = _classify_crossing(alpha, beta, h_a, h_b, edge_tol)
-    if side < 0:
-        return None
-    if side == 0:
-        raise DegenerateIntersection(
-            f"crossing within edge tolerance of the panel boundary "
-            f"(alpha={alpha:.6g}, beta={beta:.6g})"
-        )
-    sign = 1 if float(d @ panel.area_vector) > 0.0 else -1
-    return sign, point
+    return int(signs[0]), points[0]

@@ -4,7 +4,7 @@
   quadrature; with k_B = 1/(4*pi) it equals the circulation of the
   Biot-Savart field of one loop around the other.
 * combinatorial_lk counts signed transversal crossings of one loop
-  through a panel mesh spanning the other.
+  through a panel mesh spanning the other, split into triangles.
 
 The two routes share nothing beyond the geometric primitives: the first
 never intersects panels, the second never integrates.  Their agreement
@@ -14,21 +14,21 @@ on integer values is the package's core cross-validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import CurvesTooClose, DegenerateIntersection, NonTransversal
+from .errors import CurvesTooClose
 from .fields import FieldConstants
 from .geometry import (
     Circle,
-    CompositeCurve,
     Curve,
     PolyLine,
     SurfaceMesh,
     bounding_box_diagonal,
     mesh_boundary,
+    segment_crossings,
 )
 from .quadrature import QuadratureSpec, integrate_2d
 
@@ -85,10 +85,6 @@ def vector_area(curve: Curve, samples: int = 4096) -> np.ndarray:
     if isinstance(curve, Circle):
         sign = 1.0 if curve.orientation == "ccw" else -1.0
         return sign * math.pi * curve.radius**2 * (curve.axis / np.linalg.norm(curve.axis))
-    if isinstance(curve, CompositeCurve):
-        ts = np.linspace(curve.t_start, curve.t_end, samples + 1)
-        pts = curve.position(ts)
-        return 0.5 * np.cross(pts[:-1], pts[1:]).sum(axis=0)
     ts = np.linspace(curve.t_start, curve.t_end, samples + 1)
     pts = curve.position(ts)
     return 0.5 * np.cross(pts[:-1], pts[1:]).sum(axis=0)
@@ -208,7 +204,7 @@ def sample_closed_polyline(curve: Curve, max_edge: float) -> np.ndarray:
     """
     if max_edge <= 0.0:
         raise ValueError("max_edge must be positive")
-    verts: list[np.ndarray] = []
+    pieces: list[np.ndarray] = []
     for a, b in curve.smooth_pieces():
         probe = curve.position(np.linspace(a, b, 65))
         arc = float(np.linalg.norm(np.diff(probe, axis=0), axis=1).sum())
@@ -216,87 +212,12 @@ def sample_closed_polyline(curve: Curve, max_edge: float) -> np.ndarray:
         if count % 2 == 0:
             count += 1
         ts = np.linspace(a, b, count + 1)[:-1]
-        verts.extend(curve.position(ts))
-    pts = np.array(verts)
+        pieces.append(curve.position(ts))
+    pts = np.concatenate(pieces)
     # drop consecutive duplicates (piece joints)
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.linalg.norm(np.diff(pts, axis=0), axis=1) > 0.0
     return pts[keep]
-
-
-def _panel_crossings(p0s, p1s, base, edge_a, edge_b, area, tol):
-    """Signed crossings of many segments with one panel (vectorized).
-
-    Mirrors segment_panel_intersection but over arrays; raises on any
-    degenerate hit.
-    """
-    n_mag = float(np.linalg.norm(area))
-    n_hat = area / n_mag
-    len_a = float(np.linalg.norm(edge_a))
-    len_b = float(np.linalg.norm(edge_b))
-    h_a = n_mag / len_a  # in-plane distance per unit beta from the alpha edges
-    h_b = n_mag / len_b
-    edge_tol = tol * max(len_a, len_b)
-
-    s0 = (p0s - base) @ n_hat
-    s1 = (p1s - base) @ n_hat
-    seg_lens = np.linalg.norm(p1s - p0s, axis=1)
-    plane_eps = 1e-13 * max(len_a, len_b, float(seg_lens.max()))
-
-    on_plane = (np.abs(s0) <= plane_eps) | (np.abs(s1) <= plane_eps)
-    straddle = (s0 * s1 < 0.0) & ~on_plane
-    if not (np.any(straddle) or np.any(on_plane)):
-        return 0
-
-    gram = np.array([[edge_a @ edge_a, edge_a @ edge_b], [edge_a @ edge_b, edge_b @ edge_b]])
-    gram_inv = np.linalg.inv(gram)
-
-    def params(points):
-        rel = points - base
-        rhs = np.stack([rel @ edge_a, rel @ edge_b], axis=-1)
-        return rhs @ gram_inv.T
-
-    if np.any(on_plane):
-        idx = np.nonzero(on_plane)[0]
-        for k in idx:
-            for s, point in ((s0[k], p0s[k]), (s1[k], p1s[k])):
-                if abs(s) <= plane_eps:
-                    ab = params((point - s * n_hat)[None, :])[0]
-                    if -0.05 <= ab[0] <= 1.05 and -0.05 <= ab[1] <= 1.05:
-                        raise DegenerateIntersection(
-                            "sample endpoint lies on a panel plane near the panel; "
-                            "refine the sampling or perturb the mesh"
-                        )
-
-    idx = np.nonzero(straddle)[0]
-    if len(idx) == 0:
-        return 0
-    tau = s0[idx] / (s0[idx] - s1[idx])
-    points = p0s[idx] + tau[:, None] * (p1s[idx] - p0s[idx])
-    ab = params(points)
-    alpha, beta = ab[:, 0], ab[:, 1]
-    near = (alpha >= -0.05) & (alpha <= 1.05) & (beta >= -0.05) & (beta <= 1.05)
-    if not np.any(near):
-        return 0
-
-    d = p1s[idx] - p0s[idx]
-    cos_angle = np.abs(d @ n_hat) / seg_lens[idx]
-    if np.any(near & (cos_angle < tol)):
-        raise NonTransversal("sampled crossing nearly parallel to a panel")
-
-    margin = np.minimum.reduce(
-        [alpha * h_a, (1.0 - alpha) * h_a, beta * h_b, (1.0 - beta) * h_b]
-    )
-    interior = near & (margin > edge_tol)
-    band = near & ~interior & (margin >= -edge_tol)
-    if np.any(band):
-        raise DegenerateIntersection(
-            "sampled crossing within edge tolerance of a panel boundary"
-        )
-    if not np.any(interior):
-        return 0
-    signs = np.where((d[interior] @ area) > 0.0, 1, -1)
-    return int(signs.sum())
 
 
 def combinatorial_lk(
@@ -307,34 +228,19 @@ def combinatorial_lk(
     """Signed count of transversal crossings of curve_c through the mesh.
 
     The curve is traced by a closed polyline with edge length at most a
-    quarter of the smallest panel edge; each geometric crossing is then
-    interior to exactly one panel segment pair and contributes the sign
-    of (tangent . panel area vector).  Degenerate hits raise instead of
-    being silently perturbed.
+    quarter of the smallest panel edge, and segment_crossings tests it
+    against the two triangles of every mesh cell.  The triangles tile the
+    mesh, and a crossing through an interior edge or node is settled by
+    an infinitesimal shift of the segment's line, so each crossing counts
+    exactly once with the sign of (tangent . triangle normal).  Raises
+    DegenerateIntersection only when a crossing lies exactly on the mesh
+    boundary or a sample point lies exactly on the mesh, and
+    NonTransversal for a glancing crossing.
     """
     if not curve_c.closed:
         raise ValueError("curve_c must be closed")
-    max_edge = spanning_mesh.min_edge_length() / 4.0
-    pts = sample_closed_polyline(curve_c, max_edge)
-    p0s = pts
-    p1s = np.roll(pts, -1, axis=0)
-
-    # cull segments that cannot reach the mesh bounding box
-    lo, hi = spanning_mesh.bounding_box()
-    pad = max_edge
-    inside = ~(
-        np.any((p0s < lo - pad) & (p1s < lo - pad), axis=0 if False else 1)
-        | np.any((p0s > hi + pad) & (p1s > hi + pad), axis=1)
+    pts = sample_closed_polyline(curve_c, spanning_mesh.min_edge_length() / 4.0)
+    signs, _ = segment_crossings(
+        pts, np.roll(pts, -1, axis=0), spanning_mesh.nodes, transversality_tol
     )
-    p0s, p1s = p0s[inside], p1s[inside]
-    if len(p0s) == 0:
-        return 0
-
-    bases = spanning_mesh.base_points.reshape(-1, 3)
-    eas = spanning_mesh.edge_vectors_a.reshape(-1, 3)
-    ebs = spanning_mesh.edge_vectors_b.reshape(-1, 3)
-    areas = spanning_mesh.area_vectors.reshape(-1, 3)
-    total = 0
-    for base, ea, eb, area in zip(bases, eas, ebs, areas):
-        total += _panel_crossings(p0s, p1s, base, ea, eb, area, transversality_tol)
-    return total
+    return int(signs.sum())

@@ -197,7 +197,7 @@ def _c10_independence(catalog_rows) -> CriterionResult:
     count_ok = lk == 1
     # integral route must not intersect panels
     with _poisoned(
-        "loopfield.linking._panel_crossings", "integral route invoked panel intersection"
+        "loopfield.linking.segment_crossings", "integral route invoked panel intersection"
     ):
         value, _ = gauss_pair_integral(
             Circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), "ccw"), unit_circle()

@@ -212,7 +212,7 @@ def test_criterion_10_route_independence(monkeypatch):
     def no_intersections(*args, **kwargs):
         raise AssertionError("integral route called the intersector")
 
-    monkeypatch.setattr(linking, "_panel_crossings", no_intersections)
+    monkeypatch.setattr(linking, "segment_crossings", no_intersections)
     value, err = gauss_pair_integral(partner, unit_circle())
     monkeypatch.undo()
 

@@ -150,3 +150,59 @@ def test_shipped_similitude_scene():
     result = run_cli("similitude", "--scene", str(SCENES / "disk_sheet.json"))
     assert result.returncode == 0, result.stderr
     assert "passed=True" in result.stderr
+
+
+def _assert_usage_error(result):
+    assert result.returncode == 2, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
+def test_linelimit_bad_extents_are_usage_errors():
+    _assert_usage_error(run_cli("linelimit", "--n", "1"))
+    _assert_usage_error(run_cli("linelimit", "--n", "a"))
+
+
+def test_field_bad_point_is_usage_error():
+    _assert_usage_error(
+        run_cli("field", "--scene", str(SCENES / "hopf.json"), "--curve", "ring",
+                "--points", "1,2,x")
+    )
+
+
+def test_field_zero_length_segment_is_usage_error(tmp_path):
+    scene = {
+        "version": 1,
+        "curves": {
+            "stutter": {"kind": "polyline", "closed": True,
+                        "vertices": [[0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0]]},
+        },
+    }
+    path = tmp_path / "stutter.json"
+    path.write_text(json.dumps(scene))
+    _assert_usage_error(
+        run_cli("field", "--scene", str(path), "--curve", "stutter", "--points", "0,0,2")
+    )
+
+
+def _hopf_with_disk_radius(tmp_path, radius):
+    scene = json.loads((SCENES / "hopf.json").read_text())
+    scene["surfaces"]["ring_disk"]["radius"] = radius
+    path = tmp_path / "hopf_small_disk.json"
+    path.write_text(json.dumps(scene))
+    return str(path)
+
+
+def test_mesh_not_spanning_the_loop_is_usage_error(tmp_path):
+    path = _hopf_with_disk_radius(tmp_path, 0.8)
+    _assert_usage_error(run_cli("link", "--scene", path))
+    _assert_usage_error(run_cli("lk", "--scene", path))
+
+
+def test_field_points_may_start_with_a_minus():
+    args = ("field", "--scene", str(SCENES / "hopf.json"), "--curve", "ring")
+    spaced = run_cli(*args, "--points", "-0.5,0,1")
+    joined = run_cli(*args, "--points=-0.5,0,1")
+    assert spaced.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout
+    assert spaced.stdout.splitlines()[1].startswith("-0.5,0,1,")

@@ -247,6 +247,7 @@ def unit_panel():
 
 
 def test_axis_aligned_crossing(unit_panel):
+    # through the panel's diagonal, shared by its two triangles
     sign, point = segment_panel_intersection((0.5, 0.5, -1), (0.5, 0.5, 1), unit_panel)
     assert sign == 1
     assert np.allclose(point, [0.5, 0.5, 0])
@@ -274,8 +275,10 @@ def test_panel_orientation_flip_negates_sign(unit_panel):
 
 
 def test_edge_proximity_is_degenerate(unit_panel):
-    with pytest.raises(DegenerateIntersection):
-        segment_panel_intersection((0.0, 0.5, -1), (0.0, 0.5, 1), unit_panel)
+    # on each of the panel's own four edges, and at a corner
+    for x, y in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (1.0, 1.0)):
+        with pytest.raises(DegenerateIntersection):
+            segment_panel_intersection((x, y, -1), (x, y, 1), unit_panel)
 
 
 def test_endpoint_on_plane_is_degenerate(unit_panel):
@@ -300,3 +303,25 @@ def test_skew_panel_crossing():
     sign, point = segment_panel_intersection(mid - n, mid + n, panel)
     assert sign == 1
     assert np.allclose(point, mid, atol=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1 << 12, 7])
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 5), (8, 8), (13, 6), (17, 4)])
+def test_broad_phase_finds_every_overlapping_box(monkeypatch, chunk, m, n):
+    from loopfield import geometry
+
+    monkeypatch.setattr(geometry, "_SEGMENT_CHUNK", chunk)
+    rng = np.random.default_rng(m * 100 + n)
+    u, v = np.meshgrid(np.linspace(0, 1, m + 1), np.linspace(0, 1, n + 1), indexing="ij")
+    nodes = np.stack([u, v, 0.3 * np.sin(3 * u) * v], axis=-1) + 0.01 * rng.normal(size=(m + 1, n + 1, 3))
+    cells = np.stack([nodes[:-1, :-1], nodes[1:, :-1], nodes[1:, 1:], nodes[:-1, 1:]], axis=2)
+    starts = rng.uniform(-0.2, 1.2, (60, 3))
+    ends = starts + rng.normal(scale=0.15, size=(60, 3))
+    seg, cell = geometry._candidate_pairs(starts, ends, cells)
+    lo, hi = cells.min(axis=2).reshape(-1, 3), cells.max(axis=2).reshape(-1, 3)
+    s_lo, s_hi = np.minimum(starts, ends), np.maximum(starts, ends)
+    expected = np.all((s_lo[:, None] <= hi) & (s_hi[:, None] >= lo), axis=-1)
+    found = np.zeros_like(expected)
+    found[seg, cell] = True
+    assert len(seg) == expected.sum()
+    assert np.array_equal(found, expected)

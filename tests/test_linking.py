@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from loopfield import (
     Circle,
@@ -22,7 +23,7 @@ from loopfield import (
     mesh_surface,
     vector_area,
 )
-from loopfield.experiments import unit_circle, unit_disk_mesh, axis_leg_closed_form
+from loopfield.experiments import axis_leg_closed_form, default_catalog, unit_circle, unit_disk_mesh
 
 
 def hopf_partner():
@@ -188,14 +189,106 @@ def test_lk_is_surface_independent():
         assert combinatorial_lk(curve, disk) == combinatorial_lk(curve, dome)
 
 
-def test_degenerate_crossing_raises():
-    # vertical line through a panel corner node of the spanning square
-    square = mesh_surface(PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0)), 2, 2)
-    through_node = PolyLine(
-        [(0.5, 0.5, -1), (0.5, 0.5, 1), (3, 0.5, 1), (3, 0.5, -1)], closed=True
+def _unit_square_mesh():
+    return mesh_surface(PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0)), 2, 2)
+
+
+def _vertical_loop(x, y):
+    """Up through (x, y, 0), back down at (3, 0.5), outside every mesh here."""
+    return PolyLine([(x, y, -1), (x, y, 1), (3, 0.5, 1), (3, 0.5, -1)], closed=True)
+
+
+def test_crossing_through_interior_node_counts_once():
+    # vertical line through the centre node of the spanning square, where
+    # four cells and two diagonals meet
+    assert combinatorial_lk(_vertical_loop(0.5, 0.5), _unit_square_mesh()) == 1
+    assert combinatorial_lk(_vertical_loop(0.5, 0.5).reversed(), _unit_square_mesh()) == -1
+
+
+@pytest.mark.parametrize(
+    "x, y", [(1.0, 0.3), (0.3, 0.0), (1.0, 1.0), (0.0, 0.7), (0.7, 1.0), (0.0, 0.5)]
+)
+def test_crossing_on_the_outer_boundary_raises(x, y):
+    # undefined whichever side an infinitesimal shift of the line picks
+    with pytest.raises(DegenerateIntersection):
+        combinatorial_lk(_vertical_loop(x, y), _unit_square_mesh())
+
+
+def test_sample_point_on_the_mesh_raises():
+    # the vertex at z = 0 is a sample point lying inside a triangle
+    loop = PolyLine(
+        [(0.3, 0.2, -1), (0.3, 0.2, 0), (0.3, 0.2, 1), (3, 0.5, 1), (3, 0.5, -1)],
+        closed=True,
     )
     with pytest.raises(DegenerateIntersection):
-        combinatorial_lk(through_node, square)
+        combinatorial_lk(loop, _unit_square_mesh())
+
+
+def test_crossing_in_a_former_panel_gap_counts_once():
+    # the parallelogram panels of a disk mesh left a gap at this point
+    assert combinatorial_lk(_vertical_loop(-0.441779, 0.679083), unit_disk_mesh(15, 15)) == 1
+
+
+@pytest.mark.parametrize("surface", ["disk", "dome"])
+def test_vertical_lines_inside_the_rim_count_once(surface):
+    mesh = unit_disk_mesh(15, 15) if surface == "disk" else mesh_surface(DomeCap(0.35), 15, 15)
+    rng = np.random.default_rng(20261018)
+    radius = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 300))
+    phi = rng.uniform(0.0, 2.0 * math.pi, 300)
+    counts = [
+        combinatorial_lk(_vertical_loop(r * math.cos(p), r * math.sin(p)), mesh)
+        for r, p in zip(radius, phi)
+    ]
+    assert counts == [1] * 300
+
+
+CATALOG_LK = {
+    "hopf": 1,
+    "hopf_reversed": -1,
+    "unlinked_far": 0,
+    "zero_wind": 0,
+    "double_wind": 2,
+    "axis_rect_8": 1,
+}
+
+
+@pytest.mark.parametrize("m", range(2, 33))
+def test_catalog_counts_on_every_mesh_size(m):
+    # even sizes put grid lines, and for axis_rect_8 the centre node, on
+    # the crossing points
+    for scene in default_catalog(m, m):
+        lk = combinatorial_lk(scene.curve_c, scene.spanning_mesh)
+        assert lk == CATALOG_LK[scene.name], scene.name
+
+
+def _moved_catalog(seed, m):
+    """Catalog loops and an m x m disk spanning the ring, moved rigidly and
+    scaled by a seeded motion, rebuilt from the moved centers, axes and
+    vertices."""
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rot *= np.linalg.det(rot)  # a proper rotation
+    scale = rng.uniform(0.1, 10.0)
+    shift = rng.uniform(-5.0, 5.0, 3)
+
+    def point(p):
+        return scale * (rot @ np.asarray(p, dtype=float)) + shift
+
+    def moved(curve):
+        if isinstance(curve, Circle):
+            return Circle(
+                point(curve.center), scale * curve.radius, rot @ curve.axis, curve.orientation
+            )
+        return PolyLine([point(v) for v in curve.vertices], closed=True)
+
+    disk = mesh_surface(Disk(point((0, 0, 0)), scale, rot @ np.array([0.0, 0.0, 1.0])), m, m)
+    return [(scene.name, moved(scene.curve_c), disk) for scene in default_catalog(m, m)]
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 24))
+def test_catalog_counts_survive_rigid_motion_and_scaling(seed, m):
+    for name, curve, disk in _moved_catalog(seed, m):
+        assert combinatorial_lk(curve, disk) == CATALOG_LK[name], name
 
 
 def test_scene_mesh_boundary_validation():
