@@ -1,7 +1,8 @@
 """Biot-Savart fields, dipole sheets, and dual-route linking numbers.
 
 The package computes static fields of current loops and charged sheets
-by deterministic adaptive quadrature, counts signed crossings through
+(straight segments in closed form, everything else by deterministic
+adaptive quadrature), counts signed crossings through
 spanning surfaces, and ships experiment drivers that verify the
 dipole/loop similitude and the circulation law A = Lk at desk scale.
 """
@@ -49,6 +50,7 @@ from .fields import (
     dipole_mesh_field,
     dipole_panel_field,
     dipole_sheet_field_exact,
+    segment_field,
     taylor_probe,
 )
 from .linking import (

@@ -18,7 +18,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -251,6 +250,7 @@ class PolyLine(Curve):
         self.vertices = _frozen(verts)
         self.closed = bool(closed)
         self._starts = _frozen(starts)
+        self._ends = _frozen(ends)
         self._dirs = _frozen(chords / lengths[:, None])
         self._lengths = _frozen(lengths)
         cum = np.concatenate(([0.0], np.cumsum(lengths)))
@@ -261,6 +261,11 @@ class PolyLine(Curve):
     @property
     def segment_count(self) -> int:
         return len(self._lengths)
+
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end points of the straight segments, (k, 3) each, in
+        traversal order; the ends are the vertices themselves."""
+        return self._starts, self._ends
 
     def _segment_index(self, t: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._cum, t, side="right") - 1
@@ -861,9 +866,15 @@ def _exact_side(p0, p1, a, b) -> tuple[int, int]:
     then e_z: that of -e . ((b - a) x (p1 - p0)).
 
     Both are antisymmetric in a and b, so the two triangles sharing an
-    edge always see it from opposite sides.
+    edge always see it from opposite sides.  Every binary float is an
+    integer times a power of two, so all twelve coordinates are scaled by
+    one common power of two to Python ints; both expressions are
+    homogeneous, which leaves their signs unchanged.
     """
-    p0, p1, a, b = ([Fraction(x) for x in v] for v in (p0, p1, a, b))
+    ratios = [float(x).as_integer_ratio() for v in (p0, p1, a, b) for x in v]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    p0, p1, a, b = ints[0:3], ints[3:6], ints[6:9], ints[9:12]
     d, u, v = ([x - y for x, y in zip(q, p0)] for q in (p1, a, b))
     e = [x - y for x, y in zip(v, u)]
     side = _sign(sum(d[i] * (u[i - 2] * v[i - 1] - u[i - 1] * v[i - 2]) for i in range(3)))
@@ -887,7 +898,7 @@ def segment_crossings(starts, ends, nodes, transversality_tol: float = 1e-9):
     passes through the triangle, judged by the signs of the three edge
     orientations (p1 - p0) . ((A - p0) x (B - p0)).  Each is computed in
     floating point and, when its error bound does not fix the sign, again
-    in exact rational arithmetic.  An orientation of exactly zero (the
+    in exact integer arithmetic.  An orientation of exactly zero (the
     line meets an interior edge or node) takes the sign it has once the
     line moves by an infinitesimal fixed vector, so such a crossing counts
     exactly once.

@@ -2,7 +2,9 @@
 
 * gauss_linking evaluates the Gauss double line integral with adaptive
   quadrature; with k_B = 1/(4*pi) it equals the circulation of the
-  Biot-Savart field of one loop around the other.
+  Biot-Savart field of one loop around the other.  When that loop is a
+  polyline, its field is summed in closed form and only the circulation
+  is integrated.
 * combinatorial_lk counts signed transversal crossings of one loop
   through a panel mesh spanning the other, split into triangles.
 
@@ -20,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CurvesTooClose
-from .fields import FieldConstants
+from .fields import FieldConstants, per_piece_spec, segment_field
 from .geometry import (
     Circle,
     Curve,
@@ -30,7 +32,7 @@ from .geometry import (
     mesh_boundary,
     segment_crossings,
 )
-from .quadrature import QuadratureSpec, integrate_2d
+from .quadrature import QuadratureSpec, integrate_1d, integrate_2d
 
 __all__ = [
     "LinkScene",
@@ -149,40 +151,46 @@ def gauss_pair_integral(
 
         (dm x (l(s) - m(t))) . dl / |l(s) - m(t)|^3
 
-    over the full parameter rectangle, split at tangent breakpoints of
-    both curves so every quadrature cell sees a smooth integrand.  No
-    closedness is required, which lets limit studies integrate over
-    sub-arcs.  Returns (value, error_estimate).
+    over the full parameter rectangle.  When curve_c is a PolyLine, the
+    inner integral is its field in closed form (segment_field), and the
+    result is the circulation k_B * integral of B_C . dl, one 1-D
+    quadrature over curve_l's smooth pieces.  Otherwise the rectangle is
+    split at tangent breakpoints of both curves so every 2-D quadrature
+    cell sees a smooth integrand.  No closedness is required, which lets
+    limit studies integrate over sub-arcs.  Returns (value,
+    error_estimate), the estimate being the quadrature's.
     """
-    pieces_t = curve_c.smooth_pieces()
     pieces_s = curve_l.smooth_pieces()
-    n_cells = len(pieces_t) * len(pieces_s)
-    cell_spec = QuadratureSpec(
-        nodes_per_cell=spec.nodes_per_cell,
-        abs_tol=spec.abs_tol / n_cells,
-        rel_tol=spec.rel_tol,
-        max_depth=spec.max_depth,
-        min_distance_guard=spec.min_distance_guard,
-    )
+    if isinstance(curve_c, PolyLine):
+        segments = curve_c.segments()
+        piece_spec = per_piece_spec(spec, len(pieces_s))
 
-    def integrand(tt, ss):
-        m = curve_c.position(tt[:, 0])
-        dm = curve_c.tangent(tt[:, 0])
-        l = curve_l.position(ss[0, :])
-        dl = curve_l.tangent(ss[0, :])
-        rel = l[None, :, :] - m[:, None, :]
-        inv_r3 = np.einsum("ijk,ijk->ij", rel, rel) ** -1.5
-        num = np.einsum("ijk,jk->ij", np.cross(dm[:, None, :], rel), dl)
-        return num * inv_r3
+        def circulation(ss):
+            field = segment_field(*segments, curve_l.position(ss))
+            return np.einsum("ij,ij->i", field, curve_l.tangent(ss))
 
-    total = 0.0
-    err_total = 0.0
-    for a, b in pieces_t:
-        for c, d in pieces_s:
-            value, err = integrate_2d(integrand, ((a, b), (c, d)), cell_spec)
-            total += float(value)
-            err_total += err
-    return consts.k_B * total, abs(consts.k_B) * err_total
+        parts = [integrate_1d(circulation, piece, piece_spec) for piece in pieces_s]
+    else:
+        pieces_t = curve_c.smooth_pieces()
+        cell_spec = per_piece_spec(spec, len(pieces_t) * len(pieces_s))
+
+        def integrand(tt, ss):
+            m = curve_c.position(tt[:, 0])
+            dm = curve_c.tangent(tt[:, 0])
+            l = curve_l.position(ss[0, :])
+            dl = curve_l.tangent(ss[0, :])
+            rel = l[None, :, :] - m[:, None, :]
+            inv_r3 = np.einsum("ijk,ijk->ij", rel, rel) ** -1.5
+            num = np.einsum("ijk,jk->ij", np.cross(dm[:, None, :], rel), dl)
+            return num * inv_r3
+
+        parts = [
+            integrate_2d(integrand, (piece_t, piece_s), cell_spec)
+            for piece_t in pieces_t
+            for piece_s in pieces_s
+        ]
+    values, errors = zip(*parts)
+    return consts.k_B * sum(map(float, values)), abs(consts.k_B) * sum(errors)
 
 
 def gauss_linking(
@@ -196,14 +204,19 @@ def gauss_linking(
 
 
 def sample_closed_polyline(curve: Curve, max_edge: float) -> np.ndarray:
-    """Vertices of a closed polyline tracing the curve with edges <= max_edge.
+    """Vertices of a closed polyline tracing the curve.
 
-    Piece subdivision counts are forced odd so that the midpoint of a
-    symmetric leg is never a sample endpoint; crossings then fall in
-    segment interiors for the shipped scenes.
+    A closed PolyLine is returned as its own vertices, whatever max_edge:
+    its legs are already straight, and segment_crossings counts a whole
+    leg as exactly as its pieces.  Other curves are sampled with piece
+    subdivision counts forced odd, so that the midpoint of a symmetric
+    leg is never a sample endpoint; crossings then fall in segment
+    interiors for the shipped scenes.  Their edges are at most max_edge.
     """
     if max_edge <= 0.0:
         raise ValueError("max_edge must be positive")
+    if isinstance(curve, PolyLine) and curve.closed:
+        return curve.vertices.copy()
     pieces: list[np.ndarray] = []
     for a, b in curve.smooth_pieces():
         probe = curve.position(np.linspace(a, b, 65))
@@ -227,12 +240,13 @@ def combinatorial_lk(
 ) -> int:
     """Signed count of transversal crossings of curve_c through the mesh.
 
-    The curve is traced by a closed polyline with edge length at most a
-    quarter of the smallest panel edge, and segment_crossings tests it
-    against the two triangles of every mesh cell.  The triangles tile the
-    mesh, and a crossing through an interior edge or node is settled by
-    an infinitesimal shift of the segment's line, so each crossing counts
-    exactly once with the sign of (tangent . triangle normal).  Raises
+    The curve is traced by a closed polyline (a polyline's own legs, or
+    chords of at most a quarter of the smallest panel edge), and
+    segment_crossings tests it against the two triangles of every mesh
+    cell.  The triangles tile the mesh, and a crossing through an
+    interior edge or node is settled by an infinitesimal shift of the
+    segment's line, so each crossing counts exactly once with the sign of
+    (tangent . triangle normal).  Raises
     DegenerateIntersection only when a crossing lies exactly on the mesh
     boundary or a sample point lies exactly on the mesh, and
     NonTransversal for a glancing crossing.

@@ -190,7 +190,9 @@ def _poisoned(target: str, message: str):
 
 def _c10_independence(catalog_rows) -> CriterionResult:
     # counting route must not integrate
-    with _poisoned("loopfield.linking.integrate_2d", "combinatorial route invoked quadrature"):
+    with _poisoned(
+        "loopfield.linking.integrate_1d", "combinatorial route invoked quadrature"
+    ), _poisoned("loopfield.linking.integrate_2d", "combinatorial route invoked quadrature"):
         lk = combinatorial_lk(
             Circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), "ccw"), unit_disk_mesh()
         )

@@ -18,6 +18,7 @@ from loopfield import (
     FieldConstants,
     PlanarRect,
     QuadratureSpec,
+    RectLoop,
     cross_projection_identity,
     taylor_probe,
 )
@@ -204,19 +205,22 @@ def test_criterion_10_route_independence(monkeypatch):
     def no_integrals(*args, **kwargs):
         raise AssertionError("combinatorial route called the integrator")
 
+    monkeypatch.setattr(linking, "integrate_1d", no_integrals)
     monkeypatch.setattr(linking, "integrate_2d", no_integrals)
     lk = combinatorial_lk(partner, unit_disk_mesh())
     monkeypatch.undo()
 
-    # the integral route must never intersect panels
+    # the integral route must never intersect panels, with a circle source
+    # (2-D quadrature) or a polygon source (closed-form field, 1-D quadrature)
     def no_intersections(*args, **kwargs):
         raise AssertionError("integral route called the intersector")
 
     monkeypatch.setattr(linking, "segment_crossings", no_intersections)
     value, err = gauss_pair_integral(partner, unit_circle())
+    rect_value, rect_err = gauss_pair_integral(RectLoop(8), unit_circle())
     monkeypatch.undo()
 
-    ok = lk == 1 and abs(value - lk) <= 1e-4 + err
+    ok = lk == 1 and abs(value - lk) <= 1e-4 + err and abs(rect_value - 1.0) <= 1e-4 + rect_err
     _report(
         "criterion-10 route independence", ok, f"lk={lk} gauss={value:.10f}"
     )

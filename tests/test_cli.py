@@ -206,3 +206,14 @@ def test_field_points_may_start_with_a_minus():
     assert spaced.returncode == 0, spaced.stderr
     assert spaced.stdout == joined.stdout
     assert spaced.stdout.splitlines()[1].startswith("-0.5,0,1,")
+
+
+def test_python_dash_m_loopfield_runs_the_cli():
+    env = os.environ.copy()
+    env.pop("THREADS", None)
+    argv = ["lk", "--scene", str(SCENES / "hopf.json")]
+    result = subprocess.run(
+        [sys.executable, "-m", "loopfield", *argv], capture_output=True, text=True, env=env, cwd=REPO
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == run_cli(*argv).stdout

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from loopfield import (
     Circle,
+    CompositeCurve,
     DegenerateBase,
     DipoleSheetSpec,
     FieldConstants,
@@ -22,8 +24,10 @@ from loopfield import (
     dipole_panel_field,
     dipole_sheet_field_exact,
     mesh_surface,
+    segment_field,
     taylor_probe,
 )
+from loopfield.linking import gauss_pair_integral
 
 UNIT = FieldConstants(k_E=1.0, k_B=1.0)
 
@@ -112,6 +116,130 @@ def test_rigid_motion_equivariance():
     b = biot_savart(loop, x)
     b_moved = biot_savart(moved, rot @ x + shift)
     assert np.allclose(b_moved, rot @ b, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form straight segments
+# ---------------------------------------------------------------------------
+
+
+def _mp_segment_field(start, end, x):
+    """integral of d x (x - r) / |x - r|^3 dl along start -> end, by mpmath
+    quadrature at 40 digits on the same binary inputs, split at the foot
+    of the perpendicular."""
+    with mpmath.workdps(40):
+        a, b, p = ([mpmath.mpf(float(c)) for c in v] for v in (start, end, x))
+        chord = [bi - ai for ai, bi in zip(a, b)]
+        length = mpmath.sqrt(mpmath.fsum(c * c for c in chord))
+        d = [c / length for c in chord]
+        rel = [pi - ai for ai, pi in zip(a, p)]
+        foot = mpmath.fsum(di * ri for di, ri in zip(d, rel))
+        # d x (x - r) = d x (x - start) for every r on the segment
+        cross = [
+            d[1] * rel[2] - d[2] * rel[1],
+            d[2] * rel[0] - d[0] * rel[2],
+            d[0] * rel[1] - d[1] * rel[0],
+        ]
+
+        def inv_r3(s):
+            return mpmath.fsum((ri - s * di) ** 2 for ri, di in zip(rel, d)) ** -1.5
+
+        cuts = [0, foot, length] if 0 < foot < length else [0, length]
+        integral = mpmath.quad(inv_r3, cuts)
+        return np.array([float(c * integral) for c in cross])
+
+
+def _segment_field_rel_error(start, end, points):
+    got = segment_field(start, end, points)
+    assert got.shape == (len(points), 3)
+    refs = [_mp_segment_field(start, end, x) for x in points]
+    return max(np.linalg.norm(g - r) / np.linalg.norm(r) for g, r in zip(got, refs))
+
+
+_SEG_START = np.array([0.3, -0.2, 0.1])
+_SEG_END = np.array([1.1, 0.4, -0.5])
+
+
+def _unit_normals(rng, count):
+    """Unit vectors perpendicular to the test segment."""
+    d = (_SEG_END - _SEG_START) / np.linalg.norm(_SEG_END - _SEG_START)
+    n = np.cross(d, rng.normal(size=(count, 3)))
+    return n / np.linalg.norm(n, axis=1)[:, None]
+
+
+def test_segment_field_far_from_the_segment():
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=(12, 3))
+    radius = rng.uniform(10.0, 100.0, 12)
+    mid = 0.5 * (_SEG_START + _SEG_END)
+    points = mid + radius[:, None] * u / np.linalg.norm(u, axis=1)[:, None]
+    assert _segment_field_rel_error(_SEG_START, _SEG_END, points) <= 1e-14
+
+
+def test_segment_field_beside_the_interior():
+    chord = _SEG_END - _SEG_START
+    fractions = np.array([0.05, 0.37, 0.5, 0.93])
+    points = _SEG_START + fractions[:, None] * chord + 1e-6 * _unit_normals(
+        np.random.default_rng(12), 4
+    )
+    assert _segment_field_rel_error(_SEG_START, _SEG_END, points) <= 1e-9
+
+
+def test_segment_field_off_the_extended_line():
+    # rounding the direction by one ulp tilts the line by about 1e-16, which
+    # moves these points by that much against their 1e-9 offset
+    chord = _SEG_END - _SEG_START
+    beyond = np.array([[1.5], [-0.8], [4.0], [1.0 + 1e-6]])
+    points = _SEG_START + beyond * chord + 1e-9 * _unit_normals(np.random.default_rng(13), 4)
+    assert _segment_field_rel_error(_SEG_START, _SEG_END, points) <= 1e-6
+
+
+@pytest.mark.parametrize("length, distance", [(1e4, 1.0), (1.0, 1e-4)])
+def test_segment_field_of_a_long_segment(length, distance):
+    rng = np.random.default_rng(14)
+    d = rng.normal(size=3)
+    d /= np.linalg.norm(d)
+    start = np.array([0.2, -0.1, 0.3])
+    end = start + length * d
+    n = np.cross(d, rng.normal(size=(3, 3)))
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    points = start + np.array([[0.01], [0.5], [0.77]]) * (end - start) + distance * n
+    assert _segment_field_rel_error(start, end, points) <= 1e-9
+
+
+def _pentagon():
+    return PolyLine(
+        [(0.0, 0.0, 0.0), (1.0, 0.1, 0.0), (1.2, 0.9, 0.3), (0.4, 1.3, 0.1), (-0.2, 0.6, -0.2)],
+        closed=True,
+    )
+
+
+def _as_composite(polyline):
+    """The same polyline as a composite of one-segment polylines, which
+    biot_savart and gauss_pair_integral integrate by quadrature."""
+    starts, ends = polyline.segments()
+    return CompositeCurve([PolyLine([a, b]) for a, b in zip(starts, ends)])
+
+
+@pytest.mark.parametrize("x", [(0.5, 0.5, 0.4), (0.1, -0.3, 0.2), (2.0, 1.0, -1.0), (0.6, 0.7, 0.0)])
+def test_polyline_field_matches_quadrature(x):
+    pentagon = _pentagon()
+    closed_form = biot_savart(pentagon, x)
+    quadrature = biot_savart(_as_composite(pentagon), x)
+    assert np.allclose(closed_form, quadrature, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_polyline_gauss_integral_matches_quadrature_within_the_estimate(closed):
+    # a ring 0.3 around the pentagon's first edge links it once; the open
+    # pentagon gives a value that is not an integer
+    pentagon = PolyLine(_pentagon().vertices, closed=closed)
+    ring = Circle((0.5, 0.05, 0.0), 0.3, (1.0, 0.1, 0.0), "ccw")
+    closed_form, err_cf = gauss_pair_integral(pentagon, ring)
+    quadrature, err_q = gauss_pair_integral(_as_composite(pentagon), ring)
+    assert abs(closed_form - quadrature) <= err_cf + err_q
+    if closed:
+        assert abs(abs(closed_form) - 1.0) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

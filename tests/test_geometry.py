@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -325,3 +326,54 @@ def test_broad_phase_finds_every_overlapping_box(monkeypatch, chunk, m, n):
     found[seg, cell] = True
     assert len(seg) == expected.sum()
     assert np.array_equal(found, expected)
+
+
+def _fraction_side(p0, p1, a, b):
+    """The reference for geometry._exact_side: the same two signs in
+    fractions.Fraction arithmetic."""
+    p0, p1, a, b = ([Fraction(float(x)) for x in v] for v in (p0, p1, a, b))
+    d, u, v = ([x - y for x, y in zip(q, p0)] for q in (p1, a, b))
+    e = [x - y for x, y in zip(v, u)]
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    side = sign(sum(d[i] * (u[i - 2] * v[i - 1] - u[i - 1] * v[i - 2]) for i in range(3)))
+    ties = [sign(d[i - 2] * e[i - 1] - d[i - 1] * e[i - 2]) for i in range(3)]
+    return side, next((t for t in ties if t), 0)
+
+
+def test_exact_side_matches_fractions_on_near_degenerate_lines():
+    # lines through grid nodes and through points on grid edges, of meshes
+    # that are moved and scaled (some not at all, so that orientations are
+    # exactly zero and the tie-break decides), against each edge at the node
+    from loopfield import geometry
+
+    rng = np.random.default_rng(20261018)
+    exact_zero = 0
+    for trial in range(40):
+        mesh = mesh_surface(
+            Disk((0, 0, 0), 1.0, (0, 0, 1)) if trial % 2 else PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+            6,
+            6,
+        )
+        nodes = mesh.nodes
+        if trial >= 8:
+            rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            scale = 10.0 ** rng.uniform(-8, 8)
+            nodes = scale * nodes @ rot.T + rng.uniform(-1e3, 1e3, 3)
+        for _ in range(25):
+            i, j = rng.integers(1, 6, 2)
+            node = nodes[i, j]
+            neighbours = [nodes[i + 1, j], nodes[i, j + 1], nodes[i + 1, j + 1], nodes[i - 1, j]]
+            through = node if rng.uniform() < 0.5 else node + rng.uniform() * (neighbours[0] - node)
+            direction = np.cross(nodes[i + 1, j] - node, nodes[i, j + 1] - node)
+            if trial >= 4:
+                direction = direction + 0.3 * np.linalg.norm(direction) * rng.normal(size=3)
+            p0, p1 = through - direction, through + 0.7 * direction
+            for other in neighbours:
+                for a, b in ((node, other), (other, node)):
+                    expected = _fraction_side(p0, p1, a, b)
+                    assert geometry._exact_side(p0, p1, a, b) == expected
+                    exact_zero += expected[0] == 0
+    assert exact_zero >= 100

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from loopfield import (
     Circle,
@@ -262,8 +262,8 @@ def test_catalog_counts_on_every_mesh_size(m):
 
 
 def _moved_catalog(seed, m):
-    """Catalog loops and an m x m disk spanning the ring, moved rigidly and
-    scaled by a seeded motion, rebuilt from the moved centers, axes and
+    """Catalog loops, the ring and an m x m disk spanning it, moved rigidly
+    and scaled by a seeded motion, rebuilt from the moved centers, axes and
     vertices."""
     rng = np.random.default_rng(seed)
     rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -282,13 +282,33 @@ def _moved_catalog(seed, m):
         return PolyLine([point(v) for v in curve.vertices], closed=True)
 
     disk = mesh_surface(Disk(point((0, 0, 0)), scale, rot @ np.array([0.0, 0.0, 1.0])), m, m)
-    return [(scene.name, moved(scene.curve_c), disk) for scene in default_catalog(m, m)]
+    return [
+        (scene.name, moved(scene.curve_c), moved(scene.curve_l), disk)
+        for scene in default_catalog(m, m)
+    ]
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 24))
 def test_catalog_counts_survive_rigid_motion_and_scaling(seed, m):
-    for name, curve, disk in _moved_catalog(seed, m):
+    for name, curve, _, disk in _moved_catalog(seed, m):
         assert combinatorial_lk(curve, disk) == CATALOG_LK[name], name
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_polygon_gauss_routes_survive_rigid_motion_and_scaling(seed):
+    # a polygon source takes the closed-form route and the ring source the
+    # 2-D quadrature route; both land on Lk and agree with each other
+    for name, polygon, ring, _ in _moved_catalog(seed, 2):
+        if not isinstance(polygon, PolyLine):
+            continue
+        scene = LinkScene(polygon, ring, name=name)
+        a_cl, e_cl = gauss_linking(scene)
+        a_lc, e_lc = gauss_linking(scene.swapped())
+        lk = CATALOG_LK[name]
+        assert abs(a_cl - lk) <= 1e-4, name
+        assert abs(a_lc - lk) <= 1e-4, name
+        assert abs(a_cl - a_lc) <= e_cl + e_lc, name
 
 
 def test_scene_mesh_boundary_validation():
