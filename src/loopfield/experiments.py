@@ -86,6 +86,9 @@ class ConvergenceReport:
     fitted_order: float
     passed: bool
     notes: list[str] = field(default_factory=list)
+    # per-point probe rows: ProbeRow for curl_vanishing, (kind, ProbeRow)
+    # for maxwell_probe
+    point_rows: list = field(default_factory=list)
 
 
 def _fit_order(rows: Sequence[ReportRow]) -> float:
@@ -259,9 +262,9 @@ def curl_vanishing(
     rows = [
         ReportRow(r.step, r.curl_norm, 0.0, r.curl_norm) for r in probe_rows
     ]
-    report = ConvergenceReport(_sorted_rows(rows), _fit_order(rows), passed)
-    report.point_rows = probe_rows
-    return report
+    return ConvergenceReport(
+        _sorted_rows(rows), _fit_order(rows), passed, point_rows=probe_rows
+    )
 
 
 def maxwell_probe(
@@ -316,9 +319,9 @@ def maxwell_probe(
         ReportRow(row.step, row.curl_norm, 0.0, max(row.curl_norm, row.div_norm))
         for _, row in probe_rows
     ]
-    report = ConvergenceReport(_sorted_rows(rows), _fit_order(rows), passed, notes)
-    report.point_rows = probe_rows
-    return report
+    return ConvergenceReport(
+        _sorted_rows(rows), _fit_order(rows), passed, notes, probe_rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +404,7 @@ def line_limit_study(
     lk_ok = all(r.lk == 1 for r in detail)
     passed = monotone_tail and leg_converges and total_ok and lk_ok
     rows = _sorted_rows(rows)
-    report = LineLimitReport(rows, _fit_order(rows), passed)
-    report.detail = detail
-    return report
+    return LineLimitReport(rows, _fit_order(rows), passed, detail=detail)
 
 
 # ---------------------------------------------------------------------------

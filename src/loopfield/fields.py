@@ -32,6 +32,7 @@ from .geometry import (
     SurfacePatch,
     as_vec3,
     bounding_box_diagonal,
+    cross,
 )
 from .quadrature import QuadratureSpec, integrate_1d, integrate_2d
 
@@ -114,7 +115,7 @@ def segment_field(starts, ends, points) -> np.ndarray:
     n1 = np.sqrt(np.einsum("pij,pij->pi", r1, r1))
     n2 = np.sqrt(np.einsum("pij,pij->pi", r2, r2))
     t1, t2 = -np.einsum("pij,ij->pi", r1, d), -np.einsum("pij,ij->pi", r2, d)
-    perp = np.cross(d, r1)
+    perp = cross(d, r1)
     rho2 = np.einsum("pij,pij->pi", perp, perp)
     inside = (t1 < 0.0) & (t2 > 0.0)
     num = np.where(inside, t2 * n1 - t1 * n2, length * (t1 + t2))
@@ -150,8 +151,8 @@ def biot_savart(
         m = curve.position(ts)
         dm = curve.tangent(ts)
         rel = x - m
-        inv_r3 = np.sum(rel * rel, axis=-1) ** -1.5
-        return np.cross(dm, rel) * inv_r3[:, None]
+        inv_r3 = (rel * rel).sum(axis=-1) ** -1.5
+        return cross(dm, rel) * inv_r3[:, None]
 
     pieces = curve.smooth_pieces()
     piece_spec = per_piece_spec(spec, len(pieces))
@@ -181,10 +182,9 @@ def coulomb_surface_field(
         )
 
     def integrand(u, v):
-        p = patch.point(u, v)
-        jac = np.linalg.norm(np.cross(patch.du(u, v), patch.dv(u, v)), axis=-1)
+        p, jac = patch.element(u, v)
         rel = x - p
-        inv_r3 = np.sum(rel * rel, axis=-1) ** -1.5
+        inv_r3 = (rel * rel).sum(axis=-1) ** -1.5
         return rel * (jac * inv_r3)[..., None]
 
     value, _ = integrate_2d(integrand, ((0.0, 1.0), (0.0, 1.0)), spec)

@@ -29,6 +29,7 @@ from .geometry import (
     PolyLine,
     SurfaceMesh,
     bounding_box_diagonal,
+    cross,
     mesh_boundary,
     segment_crossings,
 )
@@ -173,15 +174,24 @@ def gauss_pair_integral(
     else:
         pieces_t = curve_c.smooth_pieces()
         cell_spec = per_piece_spec(spec, len(pieces_t) * len(pieces_s))
+        # cells in one column of the tree share their t nodes, cells in one
+        # row their s nodes; keyed by the nodes' exact bytes, a hit returns
+        # what evaluation would
+        seen_c: dict = {}
+        seen_l: dict = {}
+
+        def on_curve(curve, seen, ts):
+            key = ts.tobytes()
+            if key not in seen:
+                seen[key] = curve.position(ts), curve.tangent(ts)
+            return seen[key]
 
         def integrand(tt, ss):
-            m = curve_c.position(tt[:, 0])
-            dm = curve_c.tangent(tt[:, 0])
-            l = curve_l.position(ss[0, :])
-            dl = curve_l.tangent(ss[0, :])
+            m, dm = on_curve(curve_c, seen_c, tt[:, 0])
+            l, dl = on_curve(curve_l, seen_l, ss[0, :])
             rel = l[None, :, :] - m[:, None, :]
             inv_r3 = np.einsum("ijk,ijk->ij", rel, rel) ** -1.5
-            num = np.einsum("ijk,jk->ij", np.cross(dm[:, None, :], rel), dl)
+            num = np.einsum("ijk,jk->ij", cross(dm[:, None, :], rel), dl)
             return num * inv_r3
 
         parts = [

@@ -63,15 +63,14 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _magnitude(value) -> float:
-    return float(np.max(np.abs(value)))
+    return float(np.abs(value).max())
 
 
 def _cell_1d(f, a: float, b: float, rule) -> np.ndarray | float:
     nodes, weights = rule
     half = 0.5 * (b - a)
     xs = 0.5 * (a + b) + half * nodes
-    ys = np.asarray(f(xs), dtype=float)
-    return half * np.tensordot(weights, ys, axes=(0, 0))
+    return half * (weights @ np.asarray(f(xs), dtype=float))
 
 
 def _refine_1d(f, a, b, coarse, tol, rule, depth, max_depth, floor, sink):
@@ -123,8 +122,9 @@ def _cell_2d(f, rect, rule) -> np.ndarray | float:
     xs = 0.5 * (a + b) + half_x * nodes
     ys = 0.5 * (c + d) + half_y * nodes
     vals = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
-    partial = np.tensordot(weights, vals, axes=(0, 0))
-    return half_x * half_y * np.tensordot(weights, partial, axes=(0, 0))
+    # the inner product contracts the x axis of a scalar cell and the y
+    # axis of a vector one; both axes carry the same weights
+    return half_x * half_y * (weights @ (weights @ vals))
 
 
 def _split4(rect):

@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from loopfield import (
     Circle,
@@ -16,12 +19,15 @@ from loopfield import (
     PlanarRect,
     PolyLine,
     RectLoop,
+    ShiftedPatch,
+    SurfacePatch,
     as_vec3,
     eval_curve,
     mesh_boundary,
     mesh_surface,
     segment_panel_intersection,
 )
+from loopfield.geometry import cross
 
 
 def test_vec3_rejects_nan_and_bad_shape():
@@ -137,8 +143,112 @@ def test_polyline_distance_exact():
 
 
 # ---------------------------------------------------------------------------
+# Cross product
+# ---------------------------------------------------------------------------
+
+_FLOATS = st.floats(-1e100, 1e100, allow_nan=False, width=64)
+
+# the broadcast shapes of the integrands: a 2-D cell, a 1-D cell, and
+# points against segments
+_CROSS_SHAPES = st.one_of(
+    st.just(((8, 1, 3), (1, 8, 3))),
+    st.just(((8, 3), (8, 3))),
+    st.tuples(st.integers(1, 5), st.integers(1, 6)).map(lambda pk: ((*pk, 3), (pk[1], 3))),
+)
+
+
+@given(
+    _CROSS_SHAPES.flatmap(
+        lambda shapes: st.tuples(*(hnp.arrays(np.float64, s, elements=_FLOATS) for s in shapes))
+    )
+)
+def test_cross_is_bitwise_np_cross(pair):
+    a, b = pair
+    ours, reference = cross(a, b), np.cross(a, b)
+    assert ours.shape == reference.shape
+    assert ours.tobytes() == reference.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Patches and meshes
 # ---------------------------------------------------------------------------
+
+
+class Dome(SurfacePatch):
+    """The unit disk lifted to z = h (1 - rho^2), with exact derivatives."""
+
+    def __init__(self, height: float):
+        self._disk = Disk((0, 0, 0), 1.0, (0, 0, 1))
+        self._height = height
+
+    def point(self, u, v):
+        p = self._disk.point(u, v)
+        p[..., 2] = self._height * (1.0 - p[..., 0] ** 2 - p[..., 1] ** 2)
+        return p
+
+    def _lifted(self, u, v, d):
+        p = self._disk.point(u, v)
+        d[..., 2] = -2.0 * self._height * (p[..., 0] * d[..., 0] + p[..., 1] * d[..., 1])
+        return d
+
+    def du(self, u, v):
+        return self._lifted(u, v, self._disk.du(u, v))
+
+    def dv(self, u, v):
+        return self._lifted(u, v, self._disk.dv(u, v))
+
+
+_UNIT_NODES = 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0)
+
+
+def _corner_cells(width):
+    """The 8 x 8 Gauss nodes of the four corner cells of the given width."""
+    for cu in (0.0, 1.0 - width):
+        for cv in (0.0, 1.0 - width):
+            yield (cu + width * _UNIT_NODES)[:, None], (cv + width * _UNIT_NODES)[None, :]
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        PlanarRect((0.1, -0.2, 0.3), (1.0, 0.2, 0.0), (0.3, 0.8, 0.5)),
+        Disk((0.1, -0.2, 0.3), 1.7, (0.3, 0.4, 1.0)),
+        ShiftedPatch(Disk((0.1, -0.2, 0.3), 1.7, (0.3, 0.4, 1.0)), -0.05),
+        ShiftedPatch(PlanarRect((0, 0, 0), (1, 0, 0), (0, 0.8, 0)), 0.01),
+        Dome(0.35),
+        ShiftedPatch(Dome(0.35), 0.02),
+    ],
+    ids=["rect", "disk", "shifted_disk", "shifted_rect", "dome", "shifted_dome"],
+)
+def test_element_is_point_and_area_element(patch):
+    # whole square, then corner cells down to where the Disk's area element
+    # is 3e-3 of its peak; nearer the corners |du x dv| itself loses digits
+    cells = [(_UNIT_NODES[:, None], _UNIT_NODES[None, :])]
+    for width in (1.0 / 4, 1.0 / 64):
+        cells.extend(_corner_cells(width))
+    for u, v in cells:
+        point, area = patch.element(u, v)
+        reference = np.linalg.norm(np.cross(patch.du(u, v), patch.dv(u, v)), axis=-1)
+        np.testing.assert_allclose(point, patch.point(u, v), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(np.broadcast_to(area, reference.shape), reference, rtol=1e-13, atol=0.0)
+
+
+def test_disk_area_element_keeps_its_digits_at_the_corners():
+    # 4 R^2 sx sy - R^2 x^2 y^2 / (sx sy) at 40 digits; 2^-20 from a corner
+    # |du x dv| of the float derivatives is off by about 1e-9
+    radius = 1.7
+    disk = Disk((0.1, -0.2, 0.3), radius, (0.3, 0.4, 1.0))
+
+    def exact(u, v):
+        x, y = 2 * mpmath.mpf(u) - 1, 2 * mpmath.mpf(v) - 1
+        sx, sy = mpmath.sqrt(1 - x * x / 2), mpmath.sqrt(1 - y * y / 2)
+        return float(radius**2 * (4 * sx * sy - x * x * y * y / (sx * sy)))
+
+    with mpmath.workdps(40):
+        for u, v in _corner_cells(2.0**-20):
+            _, area = disk.element(u, v)
+            reference = np.array([[exact(a, b) for b in v[0]] for a in u[:, 0]])
+            np.testing.assert_allclose(area, reference, rtol=1e-14, atol=0.0)
 
 
 def test_mesh_single_panel_identity():

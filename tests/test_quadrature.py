@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from loopfield import NoConvergence, QuadratureSpec, integrate_1d, integrate_2d
+from loopfield import (
+    Circle,
+    Disk,
+    NoConvergence,
+    PlanarRect,
+    QuadratureSpec,
+    fields,
+    integrate_1d,
+    integrate_2d,
+    linking,
+)
 
 
 def test_polynomial():
@@ -104,3 +114,49 @@ def test_invalid_inputs():
 def test_guard_resolution():
     assert QuadratureSpec().resolve_guard(2.0) == 2e-6
     assert QuadratureSpec(min_distance_guard=0.5).resolve_guard(100.0) == 0.5
+
+
+# Cells (integrand calls) of reference integrals under the default spec.
+# Only a change to the refinement rule may move these counts: cheaper
+# cells, cached curve nodes or a closed-form Jacobian must leave the tree
+# as it is.
+_UNIT_RING = Circle((0, 0, 0), 1.0, (0, 0, 1))
+_REFERENCE_CELLS = {
+    "hopf_pair": (
+        lambda: linking.gauss_pair_integral(Circle((1.1, 0, 0), 0.7, (0, 1, 0)), _UNIT_RING),
+        277,
+    ),
+    "rect_sheet": (
+        lambda: fields.coulomb_surface_field(
+            PlanarRect((0, 0, 0), (1, 0, 0), (0, 0.8, 0)), 1.0, (0.3, 0.48, 0.01)
+        ),
+        597,
+    ),
+    "disk_axis": (
+        lambda: fields.coulomb_surface_field(Disk((0, 0, 0), 1.0, (0, 0, 1)), 1.0, (0, 0, 0.03)),
+        405,
+    ),
+    "circle_field": (lambda: fields.biot_savart(_UNIT_RING, (1.01, 0, 0)), 79),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CELLS))
+def test_reference_integrals_keep_their_cell_counts(monkeypatch, name):
+    calls = [0]
+
+    def counting(integrate):
+        def wrapped(f, *args, **kwargs):
+            def counted(*xs):
+                calls[0] += 1
+                return f(*xs)
+
+            return integrate(counted, *args, **kwargs)
+
+        return wrapped
+
+    for module in (fields, linking):
+        for attr in ("integrate_1d", "integrate_2d"):
+            monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
+    run, cells = _REFERENCE_CELLS[name]
+    run()
+    assert calls[0] == cells
