@@ -15,7 +15,6 @@ stated with k_E = k_B = 1 while linking experiments want k_B = 1/(4*pi).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -82,11 +81,6 @@ def _guard_distance(spec: QuadratureSpec, *objects) -> float:
     return spec.resolve_guard(bounding_box_diagonal(objects))
 
 
-def per_piece_spec(spec: QuadratureSpec, pieces: int) -> QuadratureSpec:
-    """The spec for one of `pieces` integrals that share spec.abs_tol."""
-    return dataclasses.replace(spec, abs_tol=spec.abs_tol / pieces)
-
-
 def segment_field(starts, ends, points) -> np.ndarray:
     """Closed-form field of straight segments, without the prefactor k_B.
 
@@ -133,9 +127,9 @@ def biot_savart(
 
     A PolyLine source (RectLoop and mesh_boundary output included) is
     summed in closed form by segment_field; any other curve is integrated,
-    k_B * dl x (x - r) / |x - r|^3, piecewise between its smoothness
-    breakpoints.  Raises NearSingular when x is within the guard distance
-    of the curve.
+    k_B * dl x (x - r) / |x - r|^3, in one quadrature whose first cells
+    are its smooth pieces.  Raises NearSingular when x is within the
+    guard distance of the curve.
     """
     x = as_vec3(x, "x")
     guard = _guard_distance(spec, curve)
@@ -154,13 +148,8 @@ def biot_savart(
         inv_r3 = (rel * rel).sum(axis=-1) ** -1.5
         return cross(dm, rel) * inv_r3[:, None]
 
-    pieces = curve.smooth_pieces()
-    piece_spec = per_piece_spec(spec, len(pieces))
-    total = np.zeros(3)
-    for a, b in pieces:
-        value, _ = integrate_1d(integrand, (a, b), piece_spec)
-        total += value
-    return consts.k_B * total
+    value, _ = integrate_1d(integrand, curve.smooth_cuts(), spec)
+    return consts.k_B * value
 
 
 def coulomb_surface_field(

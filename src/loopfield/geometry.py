@@ -153,10 +153,10 @@ class Curve:
         """Interior parameters where the tangent may jump (none by default)."""
         return np.empty(0)
 
-    def smooth_pieces(self) -> list[tuple[float, float]]:
-        """Parameter sub-intervals on which the curve is smooth."""
+    def smooth_cuts(self) -> tuple[float, ...]:
+        """Increasing parameters t_start, ..., t_end; the curve is smooth between them."""
         cuts = [self.t_start, *np.asarray(self.breakpoints(), float), self.t_end]
-        return [(float(a), float(b)) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+        return tuple(float(b) for a, b in zip([-math.inf, *cuts], cuts) if b > a)
 
     def reversed(self) -> "Curve":
         raise NotImplementedError
@@ -774,58 +774,16 @@ def mesh_surface(patch: SurfacePatch, m: int, n: int) -> SurfaceMesh:
 def mesh_boundary(mesh: SurfaceMesh) -> PolyLine:
     """Outer boundary of the mesh as a closed polyline in induced orientation.
 
-    Every cell contributes its four directed grid-node edges; edges shared
-    by two cells cancel exactly (index bookkeeping, no float comparisons),
-    leaving the outer boundary.  Requires the patch map to be injective on
-    the closed unit square, which holds for all shipped patch kinds.
+    The perimeter of the (m+1) x (n+1) node grid from node (0, 0): along
+    i at j = 0, along j at i = m, back along i at j = n and back along j
+    at i = 0.  These are the cell edges (i, j) -> (i+1, j) -> (i+1, j+1)
+    -> (i, j+1) that no second cell cancels.  Requires the patch map to be
+    injective on the closed unit square, which holds for all shipped
+    patch kinds.
     """
-    m, n = mesh.m, mesh.n
-    ncols = n + 1
-
-    def node_id(i, j):
-        return i * ncols + j
-
-    net: dict[tuple[int, int], int] = {}
-
-    def add(a, b):
-        key, direction = ((a, b), 1) if a < b else ((b, a), -1)
-        net[key] = net.get(key, 0) + direction
-
-    for i in range(m):
-        for j in range(n):
-            a = node_id(i, j)
-            b = node_id(i + 1, j)
-            c = node_id(i + 1, j + 1)
-            d = node_id(i, j + 1)
-            add(a, b)
-            add(b, c)
-            add(c, d)
-            add(d, a)
-
-    successor: dict[int, int] = {}
-    for (a, b), count in net.items():
-        if count == 0:
-            continue
-        if abs(count) != 1:
-            raise DegeneratePatch("mesh has a non-manifold edge")
-        src, dst = (a, b) if count > 0 else (b, a)
-        if src in successor:
-            raise DegeneratePatch("mesh boundary is not a single loop")
-        successor[src] = dst
-
-    start = node_id(0, 0)
-    if start not in successor:
-        raise DegeneratePatch("mesh corner node is not on the boundary")
-    order = [start]
-    cur = successor[start]
-    while cur != start:
-        order.append(cur)
-        cur = successor[cur]
-    if len(order) != len(successor):
-        raise DegeneratePatch("mesh boundary is not a single loop")
-
-    flat_nodes = mesh.nodes.reshape(-1, 3)
-    return PolyLine(flat_nodes[order], closed=True)
+    nodes = mesh.nodes
+    perimeter = (nodes[:-1, 0], nodes[-1, :-1], nodes[:0:-1, -1], nodes[0, :0:-1])
+    return PolyLine(np.concatenate(perimeter), closed=True)
 
 
 # ---------------------------------------------------------------------------

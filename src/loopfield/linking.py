@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CurvesTooClose
-from .fields import FieldConstants, per_piece_spec, segment_field
+from .fields import FieldConstants, segment_field
 from .geometry import (
     Circle,
     Curve,
@@ -155,25 +155,22 @@ def gauss_pair_integral(
     over the full parameter rectangle.  When curve_c is a PolyLine, the
     inner integral is its field in closed form (segment_field), and the
     result is the circulation k_B * integral of B_C . dl, one 1-D
-    quadrature over curve_l's smooth pieces.  Otherwise the rectangle is
-    split at tangent breakpoints of both curves so every 2-D quadrature
-    cell sees a smooth integrand.  No closedness is required, which lets
-    limit studies integrate over sub-arcs.  Returns (value,
-    error_estimate), the estimate being the quadrature's.
+    quadrature over curve_l's smooth pieces.  Otherwise it is one 2-D
+    quadrature whose first cells are the products of both curves' smooth
+    pieces, so every cell sees a smooth integrand.  No closedness is
+    required, which lets limit studies integrate over sub-arcs.  Returns
+    (value, error_estimate), the estimate being the quadrature's.
     """
-    pieces_s = curve_l.smooth_pieces()
+    cuts_s = curve_l.smooth_cuts()
     if isinstance(curve_c, PolyLine):
         segments = curve_c.segments()
-        piece_spec = per_piece_spec(spec, len(pieces_s))
 
         def circulation(ss):
             field = segment_field(*segments, curve_l.position(ss))
             return np.einsum("ij,ij->i", field, curve_l.tangent(ss))
 
-        parts = [integrate_1d(circulation, piece, piece_spec) for piece in pieces_s]
+        value, err = integrate_1d(circulation, cuts_s, spec)
     else:
-        pieces_t = curve_c.smooth_pieces()
-        cell_spec = per_piece_spec(spec, len(pieces_t) * len(pieces_s))
         # cells in one column of the tree share their t nodes, cells in one
         # row their s nodes; keyed by the nodes' exact bytes, a hit returns
         # what evaluation would
@@ -194,13 +191,8 @@ def gauss_pair_integral(
             num = np.einsum("ijk,jk->ij", cross(dm[:, None, :], rel), dl)
             return num * inv_r3
 
-        parts = [
-            integrate_2d(integrand, (piece_t, piece_s), cell_spec)
-            for piece_t in pieces_t
-            for piece_s in pieces_s
-        ]
-    values, errors = zip(*parts)
-    return consts.k_B * sum(map(float, values)), abs(consts.k_B) * sum(errors)
+        value, err = integrate_2d(integrand, (curve_c.smooth_cuts(), cuts_s), spec)
+    return consts.k_B * float(value), abs(consts.k_B) * err
 
 
 def gauss_linking(
@@ -228,7 +220,8 @@ def sample_closed_polyline(curve: Curve, max_edge: float) -> np.ndarray:
     if isinstance(curve, PolyLine) and curve.closed:
         return curve.vertices.copy()
     pieces: list[np.ndarray] = []
-    for a, b in curve.smooth_pieces():
+    cuts = curve.smooth_cuts()
+    for a, b in zip(cuts[:-1], cuts[1:]):
         probe = curve.position(np.linspace(a, b, 65))
         arc = float(np.linalg.norm(np.diff(probe, axis=0), axis=1).sum())
         count = max(int(math.ceil(1.02 * arc / max_edge)), 1)

@@ -1,11 +1,13 @@
 """Deterministic adaptive Gauss-Legendre quadrature in one and two dimensions.
 
-Composite Gauss-Legendre with dyadic refinement: a cell is accepted when
-the difference between its one-cell value and the sum over its children
-falls below the distributed tolerance.  Vector-valued integrands share a
-single cell tree (refinement is driven by the worst component), results
-are reduced in a fixed order, and identical inputs always reproduce
-bit-identical output.
+One globally adaptive routine serves both, as QUADPACK's QAG (Piessens et
+al. 1983) and Berntsen, Espelid & Genz (1991) do.  A cell is a tuple of
+one or two intervals; the pieces between the caller's breakpoints are the
+first cells.  A heap keeps the cells, worst error |sum of children -
+one-cell value| first, and splits the worst until the summed error meets
+max(abs_tol, rel_tol * |total|) for the whole integral, or the rounding
+floor.  Vector integrands share one cell tree, and the value is summed
+over the leaves in cell order, so identical inputs give identical bits.
 
 The quadrature never inspects geometry; singularity guards live in the
 callers (fields, linking).
@@ -13,15 +15,21 @@ callers (fields, linking).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
+from operator import add, itemgetter, lt
 
 import numpy as np
 
 from .errors import NoConvergence
 
 __all__ = ["QuadratureSpec", "integrate_1d", "integrate_2d"]
+
+# differences at the rounding level of a sum carry no information
+_ROUNDING = 8.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -55,125 +63,116 @@ class QuadratureSpec:
 
 
 @lru_cache(maxsize=32)
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_rule(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(order)
+    if dim == 2:
+        # the order^2 tensor-product weights contract both axes in one product
+        weights = np.outer(weights, weights).ravel()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
-def _magnitude(value) -> float:
-    return float(np.abs(value).max())
-
-
-def _cell_1d(f, a: float, b: float, rule) -> np.ndarray | float:
-    nodes, weights = rule
+def _rule_1d(f, cell, nodes, weights):
+    ((a, b),) = cell
     half = 0.5 * (b - a)
     xs = 0.5 * (a + b) + half * nodes
     return half * (weights @ np.asarray(f(xs), dtype=float))
 
 
-def _refine_1d(f, a, b, coarse, tol, rule, depth, max_depth, floor, sink):
+def _split_1d(cell):
+    ((a, b),) = cell
     mid = 0.5 * (a + b)
-    left = _cell_1d(f, a, mid, rule)
-    right = _cell_1d(f, mid, b, rule)
-    fine = left + right
-    err = _magnitude(fine - coarse)
-    if err <= tol or err <= floor:
-        sink[0] += err
-        return fine
-    if depth >= max_depth:
-        raise NoConvergence(
-            f"1-D quadrature on [{a:g}, {b:g}]: error {err:g} > tolerance {tol:g} "
-            f"at max depth {max_depth}"
-        )
-    child_tol = 0.5 * tol
-    vl = _refine_1d(f, a, mid, left, child_tol, rule, depth + 1, max_depth, floor, sink)
-    vr = _refine_1d(f, mid, b, right, child_tol, rule, depth + 1, max_depth, floor, sink)
-    return vl + vr
+    return ((a, mid),), ((mid, b),)
+
+
+def _rule_2d(f, cell, nodes, weights):
+    (a, b), (c, d) = cell
+    half_x, half_y = 0.5 * (b - a), 0.5 * (d - c)
+    xs, ys = 0.5 * (a + b) + half_x * nodes, 0.5 * (c + d) + half_y * nodes
+    vals = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
+    return half_x * half_y * (weights @ vals.reshape(weights.size, *vals.shape[2:]))
+
+
+def _split_2d(cell):
+    (a, b), (c, d) = cell
+    mx, my = 0.5 * (a + b), 0.5 * (c + d)
+    return ((a, mx), (c, my)), ((a, mx), (my, d)), ((mx, b), (c, my)), ((mx, b), (my, d))
+
+
+def _magnitude(value) -> float:
+    # largest |component|, NaN unless all are finite; cheaper than numpy's max
+    parts = abs(value).reshape(-1).tolist()
+    return max(parts) if sum(parts) < math.inf else math.nan
+
+
+def _pieces(axis) -> list[tuple[float, float]]:
+    cuts = tuple(map(float, axis))
+    # any comparison with NaN is false, so increasing cuts are not NaN
+    if len(cuts) < 2 or not all(map(lt, cuts, cuts[1:])) or math.inf in map(abs, cuts):
+        raise ValueError(f"breakpoints must be finite and increasing, got {axis}")
+    return list(zip(cuts, cuts[1:]))
+
+
+def _integrate(f, axes, spec: QuadratureSpec):
+    """Integrate f over the product of the axes' breakpoint ranges."""
+    cells = list(product(*map(_pieces, axes)))
+    nodes, weights = _gauss_rule(spec.nodes_per_cell, len(axes))
+    cell_rule, split = (_rule_1d, _split_1d) if len(axes) == 1 else (_rule_2d, _split_2d)
+    heap: list = []
+
+    def push(cell, coarse, depth) -> float:
+        kids = split(cell)
+        values = [cell_rule(f, kid, nodes, weights) for kid in kids]
+        fine = sum(values[1:], values[0])
+        err = _magnitude(fine - coarse)
+        if not err < math.inf:
+            raise NoConvergence(f"quadrature cell {cell}: non-finite integrand")
+        # distinct cells break ties between equal errors deterministically
+        heapq.heappush(heap, (-err, cell, depth, kids, values, fine))
+        return err
+
+    err_sum = math.fsum(push(cell, cell_rule(f, cell, nodes, weights), 1) for cell in cells)
+    # the goal, and |total| in it, are refreshed only when the leaf count
+    # has doubled and before any stop, so no split pays for a numpy sum
+    goal, refresh_at = 0.0, 0
+    while True:
+        if len(heap) >= refresh_at or err_sum <= goal:
+            total = reduce(add, map(itemgetter(5), sorted(heap, key=itemgetter(1))))
+            mag = _magnitude(total)
+            err_sum = -math.fsum(map(itemgetter(0), heap))
+            goal = max(spec.abs_tol, spec.rel_tol * mag, _ROUNDING * mag * math.sqrt(len(heap)))
+            if err_sum <= goal:
+                return total, err_sum
+            refresh_at = 2 * len(heap)
+        neg_err, cell, depth, kids, values, _ = heapq.heappop(heap)
+        if depth >= spec.max_depth:
+            raise NoConvergence(
+                f"quadrature cell {cell} at max depth {spec.max_depth}: "
+                f"error {err_sum:g} > tolerance {goal:g}"
+            )
+        err_sum += neg_err
+        for kid, value in zip(kids, values):
+            err_sum += push(kid, value, depth + 1)
 
 
 def integrate_1d(f, interval, spec: QuadratureSpec = QuadratureSpec()):
     """Integrate f over [a, b]; returns (value, error_estimate).
 
-    f must accept a 1-D array of parameters and return either a matching
-    1-D array (scalar integrand) or an (n, 3) array (vector integrand,
-    integrated componentwise on a shared cell tree).
+    interval is (a, b) or increasing breakpoints (a, t1, ..., b), whose
+    pieces are the first cells.  f must accept a 1-D array of parameters
+    and return a matching 1-D array (scalar integrand) or an (n, 3) array
+    (vector integrand, integrated componentwise on a shared cell tree).
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
-        raise ValueError(f"invalid interval [{a}, {b}]")
-    rule = _gauss_rule(spec.nodes_per_cell)
-    root = _cell_1d(f, a, b, rule)
-    tol = max(spec.abs_tol, spec.rel_tol * _magnitude(root))
-    # refinement differences at the rounding level of the whole integral
-    # carry no information; stop there regardless of the leaf tolerance
-    floor = 8.0 * np.finfo(float).eps * _magnitude(root)
-    sink = [0.0]
-    value = _refine_1d(f, a, b, root, tol, rule, 1, spec.max_depth, floor, sink)
-    return value, sink[0]
-
-
-def _cell_2d(f, rect, rule) -> np.ndarray | float:
-    (a, b), (c, d) = rect
-    nodes, weights = rule
-    half_x = 0.5 * (b - a)
-    half_y = 0.5 * (d - c)
-    xs = 0.5 * (a + b) + half_x * nodes
-    ys = 0.5 * (c + d) + half_y * nodes
-    vals = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
-    # the inner product contracts the x axis of a scalar cell and the y
-    # axis of a vector one; both axes carry the same weights
-    return half_x * half_y * (weights @ (weights @ vals))
-
-
-def _split4(rect):
-    (a, b), (c, d) = rect
-    mx = 0.5 * (a + b)
-    my = 0.5 * (c + d)
-    return (
-        ((a, mx), (c, my)),
-        ((a, mx), (my, d)),
-        ((mx, b), (c, my)),
-        ((mx, b), (my, d)),
-    )
-
-
-def _refine_2d(f, rect, coarse, tol, rule, depth, max_depth, floor, sink):
-    children = _split4(rect)
-    fine_parts = [_cell_2d(f, child, rule) for child in children]
-    fine = fine_parts[0] + fine_parts[1] + fine_parts[2] + fine_parts[3]
-    err = _magnitude(fine - coarse)
-    if err <= tol or err <= floor:
-        sink[0] += err
-        return fine
-    if depth >= max_depth:
-        raise NoConvergence(
-            f"2-D quadrature on {rect}: error {err:g} > tolerance {tol:g} "
-            f"at max depth {max_depth}"
-        )
-    child_tol = 0.25 * tol
-    total = None
-    for child, part in zip(children, fine_parts):
-        v = _refine_2d(f, child, part, child_tol, rule, depth + 1, max_depth, floor, sink)
-        total = v if total is None else total + v
-    return total
+    return _integrate(f, (interval,), spec)
 
 
 def integrate_2d(f, rect, spec: QuadratureSpec = QuadratureSpec()):
     """Integrate f over [a,b] x [c,d]; returns (value, error_estimate).
 
-    f must accept broadcastable parameter arrays (n,1) and (1,n) and
-    return an (n,n) array, or (n,n,3) for vector integrands.
+    Each axis of rect is (a, b) or increasing breakpoints, and the
+    products of the two axes' pieces are the first cells.  f must accept
+    broadcastable parameter arrays (n,1) and (1,n) and return an (n,n)
+    array, or (n,n,3) for vector integrands.
     """
-    (a, b), (c, d) = (float(rect[0][0]), float(rect[0][1])), (float(rect[1][0]), float(rect[1][1]))
-    if not all(map(math.isfinite, (a, b, c, d))) or a >= b or c >= d:
-        raise ValueError(f"invalid rectangle {rect}")
-    rule = _gauss_rule(spec.nodes_per_cell)
-    box = ((a, b), (c, d))
-    root = _cell_2d(f, box, rule)
-    tol = max(spec.abs_tol, spec.rel_tol * _magnitude(root))
-    floor = 8.0 * np.finfo(float).eps * _magnitude(root)
-    sink = [0.0]
-    value = _refine_2d(f, box, root, tol, rule, 1, spec.max_depth, floor, sink)
-    return value, sink[0]
+    return _integrate(f, rect, spec)

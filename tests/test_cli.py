@@ -1,8 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import mpmath
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -109,6 +112,25 @@ def test_field_subcommand():
     assert lines[0] == "point_x,point_y,point_z,field_x,field_y,field_z"
     first = [float(v) for v in lines[1].split(",")]
     assert abs(first[5] - 0.5) <= 1e-9
+
+
+def test_field_beside_the_wire():
+    # 1e-3 outside the hopf ring, in its plane, where the field is -z
+    result = run_cli(
+        "field", "--scene", str(SCENES / "hopf.json"), "--curve", "ring",
+        "--points=1.001,0,0",
+    )
+    assert result.returncode == 0, result.stderr
+    row = [float(v) for v in result.stdout.strip().splitlines()[1].split(",")]
+    with mpmath.workdps(40):
+        rho = mpmath.mpf(row[0])
+        big, small = (1 + rho) ** 2, (1 - rho) ** 2
+        m = 4 * rho / big
+        b_z = 2 / (4 * mpmath.pi) / mpmath.sqrt(big) * (
+            mpmath.ellipk(m) + (1 - rho * rho) / small * mpmath.ellipe(m)
+        )
+    assert row[3:5] == [0.0, 0.0]
+    assert abs(row[5] - float(b_z)) <= 10 * (1e-8 * abs(float(b_z)) + 1e-10 / (4 * math.pi))
 
 
 def test_field_requires_exactly_one_object():

@@ -243,6 +243,63 @@ def test_polyline_gauss_integral_matches_quadrature_within_the_estimate(closed):
 
 
 # ---------------------------------------------------------------------------
+# Near the wire: one tolerance for the whole integral
+# ---------------------------------------------------------------------------
+
+
+def _circle_field_closed_form(x, k_b):
+    """Field of the unit circle about +z (ccw) from K and E at 40 digits."""
+    with mpmath.workdps(40):
+        rho = mpmath.sqrt(mpmath.mpf(x[0]) ** 2 + mpmath.mpf(x[1]) ** 2)
+        z = mpmath.mpf(x[2])
+        big = (1 + rho) ** 2 + z * z
+        small = (1 - rho) ** 2 + z * z
+        m = 4 * rho / big
+        kk, ee = mpmath.ellipk(m), mpmath.ellipe(m)
+        scale = 2 * mpmath.mpf(k_b) / mpmath.sqrt(big)
+        b_z = scale * (kk + (1 - rho * rho - z * z) / small * ee)
+        b_rho = scale * z / rho * (-kk + (1 + rho * rho + z * z) / small * ee)
+        return np.array([float(b_rho * x[0] / rho), float(b_rho * x[1] / rho), float(b_z)])
+
+
+def _within_tolerance(field, expected, consts, spec=QuadratureSpec()):
+    magnitude = float(np.abs(expected).max())
+    bound = 10.0 * (spec.rel_tol * magnitude + abs(consts.k_B) * spec.abs_tol)
+    return float(np.abs(field - expected).max()) <= bound
+
+
+# 4e-5 is the nearest the default max_depth reaches: a cell at depth 18
+# spans 2 pi / 2^17, about 4.8e-5
+@pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4, 4e-5])
+def test_circle_field_near_the_wire(d):
+    consts = FieldConstants()
+    ring = unit_circle()
+    c, s = math.cos(0.3), math.sin(0.3)
+    for x in ((1.0 + d, 0.0, 0.0), (1.0 - d, 0.0, 0.0), (c, s, d), (c * (1 + d), s * (1 + d), 0.0)):
+        expected = _circle_field_closed_form(x, consts.k_B)
+        assert _within_tolerance(biot_savart(ring, x, consts), expected, consts), x
+
+
+def test_composite_square_field_near_a_joint_and_a_leg():
+    # guard 1e-6 x the diagonal; the nearest distance tried is 10x that
+    consts = FieldConstants()
+    square = unit_square_loop()
+    composite = _as_composite(square)
+    nearest = 10.0 * QuadratureSpec().resolve_guard(math.sqrt(2.0))
+    for d in (1e-2, 1e-3, 1e-4, nearest):
+        r = d / math.sqrt(2.0)
+        points = (
+            (1.0 + r, -r, 0.0),  # outside the joint at (1, 0, 0)
+            (1.0, 1.0, d),  # above the joint at (1, 1, 0)
+            (0.3, -d, 0.0),  # beside a leg, outside
+            (0.0 + d, 0.6, 0.0),  # beside a leg, inside
+        )
+        for x in points:
+            expected = consts.k_B * segment_field(*square.segments(), x)[0]
+            assert _within_tolerance(biot_savart(composite, x, consts), expected, consts), (d, x)
+
+
+# ---------------------------------------------------------------------------
 # Coulomb sheets
 # ---------------------------------------------------------------------------
 

@@ -288,20 +288,32 @@ def test_disk_mesh_area_converges_to_pi():
 
 
 def test_interior_edges_cancel_by_multiset():
-    # brute-force edge-multiset oracle, independent of mesh_boundary
+    # brute-force edge-multiset oracle, independent of mesh_boundary: the
+    # directed edges left after shared ones cancel are exactly the
+    # consecutive vertex pairs of mesh_boundary's closed loop
     disk = Disk((0.5, 0, 0), 2.0, (1, 1, 1))
-    mesh = mesh_surface(disk, 5, 7)
+    for m, n in ((1, 1), (1, 3), (3, 1), (2, 2), (5, 7), (6, 4)):
+        _check_boundary_edges(mesh_surface(disk, m, n))
+
+
+def _check_boundary_edges(mesh):
+    m, n = mesh.m, mesh.n
     counts = {}
-    for i in range(mesh.m):
-        for j in range(mesh.n):
+    for i in range(m):
+        for j in range(n):
             a, b, c, d = (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)
             for u, v in ((a, b), (b, c), (c, d), (d, a)):
                 key = (min(u, v), max(u, v))
                 counts[key] = counts.get(key, 0) + (1 if (u, v) == key else -1)
-    boundary = {k for k, v in counts.items() if v != 0}
-    interior = {k for k, v in counts.items() if v == 0}
-    assert len(boundary) == 2 * (mesh.m + mesh.n)
-    assert len(interior) == 2 * mesh.m * mesh.n - mesh.m - mesh.n
+    assert set(counts.values()) <= {-1, 0, 1}
+    boundary = {(u, v) if k > 0 else (v, u) for (u, v), k in counts.items() if k != 0}
+    interior = {key for key, k in counts.items() if k == 0}
+    assert len(boundary) == 2 * (m + n)
+    assert len(interior) == 2 * m * n - m - n
+    index = {mesh.nodes[i, j].tobytes(): (i, j) for i in range(m + 1) for j in range(n + 1)}
+    loop = [index[vertex.tobytes()] for vertex in mesh_boundary(mesh).vertices]
+    assert len(loop) == len(boundary)
+    assert set(zip(loop, loop[1:] + loop[:1])) == boundary
 
 
 def test_boundary_1x1_matches_rect_vertices():
