@@ -44,12 +44,14 @@ from .fields import (
     DipoleSheetSpec,
     FieldConstants,
     biot_savart,
+    circle_field,
     coulomb_surface_field,
     cross_projection_identity,
     differential_probe,
     dipole_mesh_field,
     dipole_panel_field,
     dipole_sheet_field_exact,
+    polygon_sheet_field,
     segment_field,
     taylor_probe,
 )

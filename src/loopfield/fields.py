@@ -11,6 +11,12 @@ a loop equals the (signed) number of times the loop links the curve.
 Electric fields use E = k_E * integral of sigma * (x - p) / |x - p|^3.
 Both prefactors are explicit because the dipole/loop similitude is
 stated with k_E = k_B = 1 while linking experiments want k_B = 1/(4*pi).
+
+Straight segments, circles and flat polygon sheets have closed forms
+(segment_field, circle_field, polygon_sheet_field), which biot_savart and
+coulomb_surface_field use for PolyLine and Circle sources and for flat
+polygon patches; composite curves, disks and curved patches are
+integrated by adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 
 from .errors import DegenerateBase, NearSingular, NotUnit
 from .geometry import (
+    Circle,
     Curve,
     Panel,
     PolyLine,
@@ -39,6 +46,8 @@ __all__ = [
     "FieldConstants",
     "DipoleSheetSpec",
     "segment_field",
+    "circle_field",
+    "polygon_sheet_field",
     "biot_savart",
     "coulomb_surface_field",
     "dipole_sheet_field_exact",
@@ -117,6 +126,126 @@ def segment_field(starts, ends, points) -> np.ndarray:
     return np.einsum("pij,pi->pj", perp, num / den)
 
 
+# c_n <= sqrt(eps) a_n: the next AGM step moves a_n by under eps a_n / 4,
+# and the next term of T by under eps / 8 of the last one
+_AGM_TOL = math.sqrt(float(np.finfo(float).eps))
+
+
+def circle_field(circle: Circle, points) -> np.ndarray:
+    """Closed-form field of a circle, without the prefactor k_B.
+
+    Returns the (p, 3) values of  closed integral of  dl x (x - r) / |x - r|^3
+    at the p points x.  In the circle's frame (radius R, axial height z,
+    distance rho from the axis, A = (R + rho)^2 + z^2, Q = (R - rho)^2 + z^2,
+    m = 4 R rho / A, k_c^2 = Q / A), with T = sum over n >= 1 of
+    2^(n-1) c_n^2 from the arithmetic-geometric mean of 1 and k_c
+    (a_0 = 1, b_0 = k_c, c_(n+1) = c_n^2 / (4 a_(n+1))), K = pi / (2 a_inf)
+    and E = K (1 - m/2 - T),
+
+        B_rho = 2 z sqrt(A) K (m^2/4 - (1 - m/2) T) / (rho Q)
+        B_z   = 2 K (2 R^2 (R^2 - rho^2 + z^2) / A - (R^2 - rho^2 - z^2) T) / (sqrt(A) Q)
+
+    for the counterclockwise circle about its axis; "cw" negates both.
+    These are the textbook K, E forms with -K + c E and K + c_z E
+    rearranged so that T carries the parts that cancel: near the axis and
+    far away, where m is small, the textbook forms lose digits like 1/m^2,
+    and here no step loses more than a small factor.  k_c^2 comes from Q
+    itself, never from 1 - m, so the AGM keeps its digits beside the wire,
+    and it runs until c_n <= sqrt(eps) a_n at every point.  Raises
+    ValueError for a point on the circle.
+    """
+    x = np.asarray(points, dtype=float).reshape(-1, 3)
+    axis = circle.axis / np.linalg.norm(circle.axis)
+    rel = x - circle.center
+    z = rel @ axis
+    radial = rel - z[:, None] * axis
+    rho = np.sqrt(np.einsum("ij,ij->i", radial, radial))
+    r = circle.radius
+    big = (r + rho) ** 2 + z * z
+    small = (r - rho) ** 2 + z * z
+    if not np.all(small > 0.0):
+        # the AGM of 1 and 0 never converges
+        raise ValueError("points must not lie on the circle")
+    m = 4.0 * r * rho / big
+    kc = np.sqrt(small / big)
+    # a_1, b_1 and c_1 = (1 - k_c) / 2, written without the cancelling difference
+    a, b, c = 0.5 * (1.0 + kc), np.sqrt(kc), m / (2.0 * (1.0 + kc))
+    t, weight = c * c, 1.0
+    while np.any(c > _AGM_TOL * a):
+        a, b, c = 0.5 * (a + b), np.sqrt(a * b), c * c / (2.0 * (a + b))
+        weight *= 2.0
+        t = t + weight * c * c
+    k = 0.5 * math.pi / a
+    root = np.sqrt(big)
+    g = k * (0.25 * m * m - (1.0 - 0.5 * m) * t)
+    b_rho_over_rho = np.divide(
+        2.0 * z * root * g, rho * rho * small, out=np.zeros_like(rho), where=rho > 0.0
+    )
+    square_gap = (r - rho) * (r + rho)
+    b_z = 2.0 * k * (2.0 * r * r * (square_gap + z * z) / big - (square_gap - z * z) * t) / (
+        root * small
+    )
+    sign = 1.0 if circle.orientation == "ccw" else -1.0
+    return sign * (b_rho_over_rho[:, None] * radial + b_z[:, None] * axis)
+
+
+def polygon_sheet_field(vertices, points) -> np.ndarray:
+    """Closed-form Coulomb field of a uniformly charged flat polygon,
+    without the prefactor k_E sigma.
+
+    Returns the (p, 3) values of  integral of  (x - y) / |x - y|^3 dA  over
+    the polygon with the given (k, 3) vertices, at the p points x.  With n
+    the unit normal about which the vertices turn counterclockwise and h
+    the height of x above the plane, the field is  Omega n + sum over
+    edges of nu_e I_e:
+
+    * Omega is the solid angle, signed like h.  It is summed over the
+      fan triangles (P, a, b) that join the foot P of x to each edge a -> b,
+      each by the atan2 form of Van Oosterom & Strackee (1983):
+      Omega_e = 2 sign(h) atan2(l_e s_e, |R_a||R_b| + R_a.R_b + |h| (|R_a| + |R_b|)),
+      with R = x - vertex, l_e the edge length and s_e the signed distance
+      of P from the edge's line.  Fanning from P rather than from a vertex
+      puts no fan edge across the polygon, so only the polygon's own edges
+      meet the cancelling |R_a||R_b| + R_a.R_b, which is taken as
+      l_e^2 q^2 / (|R_a||R_b| - R_a.R_b) when R_a.R_b < 0 (q the distance
+      of x from the edge's line).
+    * nu_e is the edge's outward in-plane normal and I_e the integral of
+      dl / |x - y| along it, log1p(2 l / (|R_a| + |R_b| - l)).  The gap
+      |R_a| + |R_b| - l = (|R_a| + t_a) + (|R_b| - t_b), t the positions of
+      the ends along the edge seen from x, adds two one-signed gaps, each
+      R + t taken as q^2 / (R - t) where t < 0, as in segment_field.
+
+    Points must not lie on the polygon.
+    """
+    verts = np.asarray(vertices, dtype=float).reshape(-1, 3)
+    x = np.asarray(points, dtype=float).reshape(-1, 3)
+    ends = np.roll(verts, -1, axis=0)
+    spokes = verts[1:] - verts[0]
+    normal = cross(spokes[:-1], spokes[1:]).sum(axis=0)
+    normal = normal / np.linalg.norm(normal)
+    chords = ends - verts
+    length = np.sqrt(np.einsum("ij,ij->i", chords, chords))
+    d = chords / length[:, None]
+    height = (x - verts[0]) @ normal
+    r_a, r_b = x[:, None, :] - verts, x[:, None, :] - ends
+    n_a = np.sqrt(np.einsum("pij,pij->pi", r_a, r_a))
+    n_b = np.sqrt(np.einsum("pij,pij->pi", r_b, r_b))
+    t_a, t_b = -np.einsum("pij,ij->pi", r_a, d), -np.einsum("pij,ij->pi", r_b, d)
+    perp = cross(d, r_a)
+    q2 = np.einsum("pij,pij->pi", perp, perp)
+    # solid angle over the fan from the foot of x
+    dot = np.einsum("pij,pij->pi", r_a, r_b)
+    both = n_a * n_b
+    opening = np.where(dot >= 0.0, both + dot, length * length * q2 / (both + np.abs(dot)))
+    spread = opening + np.abs(height)[:, None] * (n_a + n_b)
+    omega = 2.0 * np.sign(height) * np.arctan2(length * (perp @ normal), spread).sum(axis=1)
+    # in-plane part from the edges
+    gap_a = np.where(t_a >= 0.0, n_a + t_a, q2 / (n_a + np.abs(t_a)))
+    gap_b = np.where(t_b <= 0.0, n_b - t_b, q2 / (n_b + np.abs(t_b)))
+    line = np.log1p(2.0 * length / (gap_a + gap_b))
+    return omega[:, None] * normal + line @ cross(d, normal)
+
+
 def biot_savart(
     curve: Curve,
     x,
@@ -126,10 +255,10 @@ def biot_savart(
     """Magnetic field of an oriented curve at point x.
 
     A PolyLine source (RectLoop and mesh_boundary output included) is
-    summed in closed form by segment_field; any other curve is integrated,
-    k_B * dl x (x - r) / |x - r|^3, in one quadrature whose first cells
-    are its smooth pieces.  Raises NearSingular when x is within the
-    guard distance of the curve.
+    summed in closed form by segment_field, and a Circle by circle_field;
+    any other curve is integrated, k_B * dl x (x - r) / |x - r|^3, in one
+    quadrature whose first cells are its smooth pieces.  Raises
+    NearSingular when x is within the guard distance of the curve.
     """
     x = as_vec3(x, "x")
     guard = _guard_distance(spec, curve)
@@ -140,6 +269,8 @@ def biot_savart(
         )
     if isinstance(curve, PolyLine):
         return consts.k_B * segment_field(*curve.segments(), x)[0]
+    if isinstance(curve, Circle):
+        return consts.k_B * circle_field(curve, x)[0]
 
     def integrand(ts):
         m = curve.position(ts)
@@ -159,7 +290,15 @@ def coulomb_surface_field(
     consts: FieldConstants = FieldConstants(),
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> np.ndarray:
-    """Electric field of a uniformly charged surface at point x."""
+    """Electric field of a uniformly charged surface at point x.
+
+    A flat polygon patch (SurfacePatch.polygon() is not None: PlanarRect,
+    and a ShiftedPatch of one) is summed in closed form by
+    polygon_sheet_field; any other patch is integrated,
+    k_E * sigma * (x - p) |du x dv| / |x - p|^3, in one 2-D quadrature over
+    the unit square.  Raises NearSingular when x is within the guard
+    distance of the sheet.
+    """
     x = as_vec3(x, "x")
     if sigma == 0.0:
         return np.zeros(3)
@@ -169,6 +308,9 @@ def coulomb_surface_field(
         raise NearSingular(
             f"field point at distance {dist:g} from the sheet (guard {guard:g})"
         )
+    vertices = patch.polygon()
+    if vertices is not None:
+        return consts.k_E * sigma * polygon_sheet_field(vertices, x)[0]
 
     def integrand(u, v):
         p, jac = patch.element(u, v)
@@ -191,7 +333,7 @@ def dipole_sheet_field_exact(
 
     The patch is displaced by +/- separation/2 along its pointwise unit
     normal and carries +/- sigma; the result is the sum of the two
-    Coulomb fields.
+    Coulomb fields, both in closed form when the patch is a flat polygon.
     """
     x = as_vec3(x, "x")
     if dp.sigma == 0.0 or dp.separation == 0.0:

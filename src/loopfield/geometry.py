@@ -64,6 +64,19 @@ def as_vec3(value, name: str = "vector") -> np.ndarray:
     return arr.copy()
 
 
+def _as_points(value) -> tuple[np.ndarray, bool]:
+    """Finite (n, 3) points from one point or an (n, 3) array, and whether
+    one point was given."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape == (3,):
+        return as_vec3(arr, "point")[None, :], True
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"points must have shape (3,) or (n, 3), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("points must have finite components")
+    return arr, False
+
+
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b over the last axis of two broadcastable float arrays.
 
@@ -164,7 +177,8 @@ class Curve:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def distance_to(self, point) -> float:
+    def distance_to(self, point):
+        """Distance from a point, or the (n,) distances from (n, 3) points."""
         raise NotImplementedError
 
     def _check_param(self, t) -> None:
@@ -235,11 +249,13 @@ class Circle(Curve):
         ext = self.radius * np.sqrt(np.clip(1.0 - self._a**2, 0.0, 1.0))
         return self.center - ext, self.center + ext
 
-    def distance_to(self, point) -> float:
-        rel = as_vec3(point, "point") - self.center
-        z = float(rel @ self._a)
-        rho = float(np.linalg.norm(rel - z * self._a))
-        return math.hypot(rho - self.radius, z)
+    def distance_to(self, point):
+        pts, single = _as_points(point)
+        rel = pts - self.center
+        z = rel @ self._a
+        rho = np.linalg.norm(rel - z[:, None] * self._a, axis=1)
+        dist = np.hypot(rho - self.radius, z)
+        return float(dist[0]) if single else dist
 
 
 class PolyLine(Curve):
@@ -316,13 +332,14 @@ class PolyLine(Curve):
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    def distance_to(self, point) -> float:
-        p = as_vec3(point, "point")
-        rel = p - self._starts
-        proj = np.einsum("ij,ij->i", rel, self._dirs)
+    def distance_to(self, point):
+        pts, single = _as_points(point)
+        p = pts[:, None, :]
+        proj = np.einsum("pij,ij->pi", p - self._starts, self._dirs)
         proj = np.clip(proj, 0.0, self._lengths)
-        closest = self._starts + proj[:, None] * self._dirs
-        return float(np.linalg.norm(p - closest, axis=1).min())
+        closest = self._starts + proj[..., None] * self._dirs
+        dist = np.linalg.norm(p - closest, axis=2).min(axis=1)
+        return float(dist[0]) if single else dist
 
 
 class RectLoop(PolyLine):
@@ -402,8 +419,10 @@ class CompositeCurve(Curve):
     def bounding_box(self):
         return _merge_boxes(p.bounding_box() for p in self.parts)
 
-    def distance_to(self, point) -> float:
-        return min(p.distance_to(point) for p in self.parts)
+    def distance_to(self, point):
+        pts, single = _as_points(point)
+        dist = np.min([p.distance_to(pts) for p in self.parts], axis=0)
+        return float(dist[0]) if single else dist
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +458,11 @@ class SurfacePatch:
 
     def constant_normal(self) -> Optional[np.ndarray]:
         """Unit normal if the patch is planar, else None."""
+        return None
+
+    def polygon(self) -> Optional[np.ndarray]:
+        """(k, 3) vertices, counterclockwise about du x dv, if the patch is
+        a flat polygon, else None."""
         return None
 
     def bounding_box(self):
@@ -503,15 +527,15 @@ class PlanarRect(SurfacePatch):
     def constant_normal(self):
         return self._normal.copy()
 
-    def boundary_polyline(self) -> PolyLine:
+    def polygon(self):
         c, a, b = self.corner, self.edge_a, self.edge_b
-        return PolyLine([c, c + a, c + a + b, c + b], closed=True)
+        return np.array([c, c + a, c + a + b, c + b])
+
+    def boundary_polyline(self) -> PolyLine:
+        return PolyLine(self.polygon(), closed=True)
 
     def bounding_box(self):
-        corners = np.array(
-            [self.corner, self.corner + self.edge_a, self.corner + self.edge_b,
-             self.corner + self.edge_a + self.edge_b]
-        )
+        corners = self.polygon()
         return corners.min(axis=0), corners.max(axis=0)
 
     def distance_to(self, point) -> float:
@@ -647,6 +671,12 @@ class ShiftedPatch(SurfacePatch):
 
     def constant_normal(self):
         return None if self._const_n is None else self._const_n.copy()
+
+    def polygon(self):
+        base = self.base.polygon()
+        if base is None or self._const_n is None:
+            return None
+        return base + self.offset * self._const_n
 
     def bounding_box(self):
         if self._const_n is not None:

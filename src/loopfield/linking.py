@@ -46,34 +46,37 @@ __all__ = [
 ]
 
 
+# one zoom: 33 samples over the best sample's wider neighbouring gap on
+# each side; the middle one is the best sample itself, exactly
+_ZOOM = np.linspace(-1.0, 1.0, 33)
+
+
 def curve_min_distance(curve_a: Curve, curve_b: Curve, coarse: int = 192) -> float:
     """Closest approach between two curves.
 
-    Coarse double sampling followed by local window zooms; deterministic
-    and accurate far beyond guard-checking needs.
+    A scan of curve_a's parameter (coarse samples plus its smooth cuts,
+    where a polyline's corners sit) against curve_b's exact distance,
+    then five zooms of 33 samples centred on the best sample.  Every
+    value is an exact distance from a point of curve_a, so the result
+    never undercuts the true closest approach; deterministic and accurate
+    far beyond guard-checking needs.
     """
-    ta = np.linspace(curve_a.t_start, curve_a.t_end, coarse)
-    tb = np.linspace(curve_b.t_start, curve_b.t_end, coarse)
-    for _ in range(6):
-        pa = curve_a.position(ta)
-        pb = curve_b.position(tb)
-        diff = pa[:, None, :] - pb[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        i, j = np.unravel_index(np.argmin(d2), d2.shape)
-        best = math.sqrt(float(d2[i, j]))
-        span_a = (ta[-1] - ta[0]) / (len(ta) - 1)
-        span_b = (tb[-1] - tb[0]) / (len(tb) - 1)
-        ta = np.linspace(
-            max(ta[i] - 2 * span_a, curve_a.t_start),
-            min(ta[i] + 2 * span_a, curve_a.t_end),
-            33,
-        )
-        tb = np.linspace(
-            max(tb[j] - 2 * span_b, curve_b.t_start),
-            min(tb[j] + 2 * span_b, curve_b.t_end),
-            33,
-        )
-    return best
+    lo, hi = curve_a.param_interval
+    span = hi - lo
+
+    def along_a(ts):
+        # a window over an end of a closed curve continues past its seam
+        ts = lo + np.mod(ts - lo, span) if curve_a.closed else np.clip(ts, lo, hi)
+        return curve_b.distance_to(curve_a.position(ts))
+
+    ts = np.union1d(np.linspace(lo, hi, coarse), curve_a.smooth_cuts())
+    dist = along_a(ts)
+    for _ in range(5):
+        k = int(np.argmin(dist))
+        width = max(ts[k] - ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)] - ts[k])
+        ts = ts[k] + width * _ZOOM
+        dist = along_a(ts)
+    return float(dist.min())
 
 
 def vector_area(curve: Curve, samples: int = 4096) -> np.ndarray:
@@ -122,9 +125,7 @@ class LinkScene:
 
     def _validate_mesh(self, scale: float) -> None:
         boundary = mesh_boundary(self.spanning_mesh)
-        worst = max(
-            self.curve_l.distance_to(v) for v in boundary.vertices
-        )
+        worst = float(self.curve_l.distance_to(boundary.vertices).max())
         if worst > 1e-6 * scale:
             raise ValueError(
                 f"mesh boundary strays {worst:g} from curve_l "

@@ -133,6 +133,42 @@ def test_field_beside_the_wire():
     assert abs(row[5] - float(b_z)) <= 10 * (1e-8 * abs(float(b_z)) + 1e-10 / (4 * math.pi))
 
 
+def test_field_near_the_guard():
+    # 2e-5 outside the hopf ring, about 7x its guard of 2.8e-6; quadrature
+    # stopped at about 4e-5, the circle's closed form reaches the guard
+    result = run_cli(
+        "field", "--scene", str(SCENES / "hopf.json"), "--curve", "ring",
+        "--points=1.00002,0,0",
+    )
+    assert result.returncode == 0, result.stderr
+    row = [float(v) for v in result.stdout.strip().splitlines()[1].split(",")]
+    with mpmath.workdps(40):
+        rho = mpmath.mpf(row[0])
+        big, small = (1 + rho) ** 2, (1 - rho) ** 2
+        m = 4 * rho / big
+        b_z = 2 / (4 * mpmath.pi) / mpmath.sqrt(big) * (
+            mpmath.ellipk(m) + (1 - rho * rho) / small * mpmath.ellipe(m)
+        )
+    assert row[3:5] == [0.0, 0.0]
+    assert abs(row[5] - float(b_z)) <= 1e-12 * abs(float(b_z))
+
+
+def test_circle_and_sheet_commands_need_no_quadrature(monkeypatch, tmp_path):
+    # the unit circle and the square sheets are closed form; a silent
+    # fallback to quadrature would raise here
+    from loopfield import cli, fields
+
+    def poisoned(*args, **kwargs):
+        raise AssertionError("quadrature reached")
+
+    monkeypatch.setattr(fields, "integrate_1d", poisoned)
+    monkeypatch.setattr(fields, "integrate_2d", poisoned)
+    out = str(tmp_path / "out.csv")
+    assert cli.run(["maxwell", "--scene", str(SCENES / "square_sheet.json"), "--out", out]) == 0
+    assert cli.run(["maxwell", "--out", out]) == 0
+    assert cli.run(["curl", "--out", out]) == 0
+
+
 def test_field_requires_exactly_one_object():
     result = run_cli(
         "field", "--scene", str(SCENES / "hopf.json"),

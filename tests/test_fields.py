@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from loopfield import (
     Circle,
@@ -16,7 +17,9 @@ from loopfield import (
     PlanarRect,
     PolyLine,
     QuadratureSpec,
+    SurfacePatch,
     biot_savart,
+    circle_field,
     coulomb_surface_field,
     cross_projection_identity,
     differential_probe,
@@ -24,6 +27,7 @@ from loopfield import (
     dipole_panel_field,
     dipole_sheet_field_exact,
     mesh_surface,
+    polygon_sheet_field,
     segment_field,
     taylor_probe,
 )
@@ -243,23 +247,33 @@ def test_polyline_gauss_integral_matches_quadrature_within_the_estimate(closed):
 
 
 # ---------------------------------------------------------------------------
-# Near the wire: one tolerance for the whole integral
+# Closed-form circles; near the wire, one tolerance for the whole integral
 # ---------------------------------------------------------------------------
 
+_EPS = float(np.finfo(float).eps)
 
-def _circle_field_closed_form(x, k_b):
-    """Field of the unit circle about +z (ccw) from K and E at 40 digits."""
+
+def _circle_field_closed_form(x, k_b, radius=1.0):
+    """Field of the circle of the given radius about +z through the origin
+    (ccw), from K and E at 40 digits on the same binary inputs."""
     with mpmath.workdps(40):
+        r = mpmath.mpf(radius)
         rho = mpmath.sqrt(mpmath.mpf(x[0]) ** 2 + mpmath.mpf(x[1]) ** 2)
         z = mpmath.mpf(x[2])
-        big = (1 + rho) ** 2 + z * z
-        small = (1 - rho) ** 2 + z * z
-        m = 4 * rho / big
+        big = (r + rho) ** 2 + z * z
+        small = (r - rho) ** 2 + z * z
+        m = 4 * r * rho / big
         kk, ee = mpmath.ellipk(m), mpmath.ellipe(m)
         scale = 2 * mpmath.mpf(k_b) / mpmath.sqrt(big)
-        b_z = scale * (kk + (1 - rho * rho - z * z) / small * ee)
-        b_rho = scale * z / rho * (-kk + (1 + rho * rho + z * z) / small * ee)
+        b_z = scale * (kk + (r * r - rho * rho - z * z) / small * ee)
+        if rho == 0:
+            return np.array([0.0, 0.0, float(b_z)])
+        b_rho = scale * z / rho * (-kk + (r * r + rho * rho + z * z) / small * ee)
         return np.array([float(b_rho * x[0] / rho), float(b_rho * x[1] / rho), float(b_z)])
+
+
+def _relative_error(got, expected):
+    return float(np.linalg.norm(got - expected) / np.linalg.norm(expected))
 
 
 def _within_tolerance(field, expected, consts, spec=QuadratureSpec()):
@@ -268,16 +282,53 @@ def _within_tolerance(field, expected, consts, spec=QuadratureSpec()):
     return float(np.abs(field - expected).max()) <= bound
 
 
-# 4e-5 is the nearest the default max_depth reaches: a cell at depth 18
-# spans 2 pi / 2^17, about 4.8e-5
-@pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4, 4e-5])
+# the nearest distance is 10x the guard, 1e-6 x the ring's bounding-box diagonal
+@pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4, 4e-5, 10 * 1e-6 * 2 * math.sqrt(2)])
 def test_circle_field_near_the_wire(d):
     consts = FieldConstants()
     ring = unit_circle()
     c, s = math.cos(0.3), math.sin(0.3)
-    for x in ((1.0 + d, 0.0, 0.0), (1.0 - d, 0.0, 0.0), (c, s, d), (c * (1 + d), s * (1 + d), 0.0)):
+    for x, conditioning in (
+        ((1.0 + d, 0.0, 0.0), 0.0),
+        ((1.0 - d, 0.0, 0.0), 0.0),
+        ((1.0, 0.0, -d), 0.0),
+        # off the x-z plane rho rounds by about an ulp, which moves the
+        # point by that much against its distance d from the wire
+        ((c, s, d), 4 * _EPS / d),
+        ((c * (1 + d), s * (1 + d), 0.0), 4 * _EPS / d),
+    ):
         expected = _circle_field_closed_form(x, consts.k_B)
-        assert _within_tolerance(biot_savart(ring, x, consts), expected, consts), x
+        assert _relative_error(biot_savart(ring, x, consts), expected) <= 1e-12 + conditioning, x
+
+
+def test_circle_field_near_the_axis_and_far_away():
+    radius = 1.5
+    ring = Circle((0, 0, 0), radius, (0, 0, 1), "ccw")
+    points = [
+        (rho * radius, 0.0, z * radius)
+        for rho in (0.0, 1e-9, 1e-6, 1e-3)
+        for z in (-0.7, 0.0, 0.4, 2.0)
+    ]
+    points += [1e3 * radius * np.array(u) for u in ((1, 0, 0), (0, 0, 1), (0.6, 0, 0.8), (-0.8, 0, -0.6))]
+    got = circle_field(ring, points)
+    for x, b in zip(points, got):
+        assert _relative_error(b, _circle_field_closed_form(x, 1.0, radius)) <= 1e-12, x
+    assert np.array_equal(circle_field(ring.reversed(), points), -got)
+    with pytest.raises(ValueError):
+        circle_field(ring, [(0.0, 0.0, 1.0), (0.0, radius, 0.0)])
+
+
+def test_circle_field_matches_quadrature_within_the_estimate():
+    # the same circle as a one-part composite takes the quadrature route
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+    circle = Circle((0.3, -0.2, 0.5), 0.8, (0.2, -0.4, 0.9), "cw")
+    on_wire = circle.position(1.1)
+    outward = (on_wire - circle.center) / 0.8
+    points = [(0.1, 0.4, -0.3), (1.5, 0.2, 0.9), circle.center, on_wire + 1e-3 * outward]
+    for x in points:
+        closed_form = biot_savart(circle, x, UNIT, spec)
+        quadrature = biot_savart(CompositeCurve([circle]), x, UNIT, spec)
+        assert _within_tolerance(quadrature, closed_form, UNIT, spec), x
 
 
 def test_composite_square_field_near_a_joint_and_a_leg():
@@ -348,6 +399,88 @@ def test_sheet_guard():
     patch = PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0))
     with pytest.raises(NearSingular):
         coulomb_surface_field(patch, 1.0, (0.5, 0.5, 0.0), UNIT)
+
+
+def _rectangle_field_40_digits(width, depth, x):
+    """Field of the unit-charged rectangle [0, width] x [0, depth] in z = 0,
+    summed over its corners at 40 digits: with u, v the corner's offsets
+    from x and r its distance, E_z sums +-atan(u v / (z r)) and E_x, E_y
+    sum +-log(v + r), +-log(u + r)."""
+    with mpmath.workdps(40):
+        px, py, pz = (mpmath.mpf(float(c)) for c in x)
+        field = [mpmath.mpf(0)] * 3
+        for i, u in enumerate((-px, mpmath.mpf(width) - px)):
+            for j, v in enumerate((-py, mpmath.mpf(depth) - py)):
+                sign = (-1) ** (i + j)
+                r = mpmath.sqrt(u * u + v * v + pz * pz)
+                field[0] += sign * mpmath.log(v + r)
+                field[1] += sign * mpmath.log(u + r)
+                if pz != 0:
+                    field[2] += sign * mpmath.atan(u * v / (pz * r))
+        return np.array([float(c) for c in field])
+
+
+def test_sheet_field_matches_40_digits_near_edges_corners_and_the_interior():
+    patch = PlanarRect((0, 0, 0), (1, 0, 0), (0, 0.8, 0))
+    points = [
+        (0.3, 0.5, 1e-6),  # above the interior
+        (0.5, 0.4, -1e-6),
+        (1e-6, 0.4, 1e-6),  # inside an edge
+        (1.0 + 1e-6, 0.4, 0.0),  # beside an edge, in the plane
+        (0.5, -1e-6, 1e-3),
+        (1e-6, 1e-6, 1e-6),  # inside a corner
+        (-1e-6, -1e-6, 1e-6),  # outside a corner
+        (1.0 + 1e-6, 0.8 + 2e-6, -0.3),
+        (0.5, 0.4, 0.3),
+    ]
+    # the points at 1e-6 lie inside the guard, 1e-6 x the diagonal, which
+    # the closed form itself does not need
+    for x, e in zip(points, polygon_sheet_field(patch.polygon(), points)):
+        assert _relative_error(e, _rectangle_field_40_digits(1.0, 0.8, x)) <= 1e-12, x
+    x = points[-1]
+    assert np.array_equal(coulomb_surface_field(patch, 1.0, x, UNIT), polygon_sheet_field(patch.polygon(), x)[0])
+
+
+def test_sheet_field_far_away():
+    # the edges' in-plane terms, each about l / r, cancel to about A / r^2,
+    # so far away the in-plane part keeps about eps r / l relative
+    patch = PlanarRect((0, 0, 0), (1, 0, 0), (0, 0.8, 0))
+    for x in ((0.5, 0.4, 2e3), (2e3, 1e3, 0.5), (1e3, -1e3, 1e3), (2e3, 0.4, 0.0)):
+        r = float(np.linalg.norm(x))
+        expected = _rectangle_field_40_digits(1.0, 0.8, x)
+        got = coulomb_surface_field(patch, 1.0, x, UNIT)
+        assert _relative_error(got, expected) <= 1e-12 + 8 * _EPS * r / 0.8, x
+
+
+class QuadratureOnlyPatch(SurfacePatch):
+    """A patch with its base's points, area element and distance, but no
+    polygon, so that its field takes the quadrature route."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def element(self, u, v):
+        return self.base.element(u, v)
+
+    def distance_to(self, point):
+        return self.base.distance_to(point)
+
+    def bounding_box(self):
+        return self.base.bounding_box()
+
+
+def test_sheet_field_matches_quadrature_within_the_estimate():
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+    consts = FieldConstants(k_E=1.0)
+    patch = PlanarRect((0.2, -0.1, 0.3), (0.9, 0.3, -0.2), (-0.1, 0.6, 0.5))
+    normal = patch.constant_normal()
+    inside = patch.point(0.3, 0.7)
+    for x in (inside + 1e-2 * normal, inside - 0.4 * normal, (2.0, 1.0, -1.0), patch.point(1.2, 0.5)):
+        closed_form = coulomb_surface_field(patch, 1.0, x, consts, spec)
+        quadrature = coulomb_surface_field(QuadratureOnlyPatch(patch), 1.0, x, consts, spec)
+        assert np.abs(quadrature - closed_form).max() <= 10 * (
+            spec.rel_tol * np.abs(closed_form).max() + spec.abs_tol
+        ), x
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +575,49 @@ def test_dipole_sheet_converges_to_panel_form():
     order = np.polyfit(np.log([0.08, 0.04, 0.02]), np.log(rels), 1)[0]
     assert order >= 0.9
     assert rels[0] > rels[1] > rels[2]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.01, 100.0),
+    orientation=st.sampled_from(["ccw", "cw"]),
+)
+def test_closed_forms_move_with_rigid_motions_and_scalings(seed, scale, orientation):
+    # B of a loop scales as 1 / length; the sheet field is scale-free
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    if np.linalg.det(rot) < 0:
+        rot[:, 0] = -rot[:, 0]
+    shift = rng.uniform(-3.0, 3.0, 3)
+
+    def move(p):
+        return scale * (rot @ np.asarray(p, dtype=float)) + shift
+
+    circle = Circle((0.1, -0.2, 0.3), 0.7, (0.3, 0.5, 0.8), orientation)
+    moved_circle = Circle(move(circle.center), scale * 0.7, rot @ circle.axis, orientation)
+    patch = PlanarRect((0.1, 0.0, -0.2), (0.8, 0.1, 0.0), (0.2, 0.6, 0.3))
+    moved_patch = PlanarRect(move(patch.corner), scale * rot @ patch.edge_a, scale * rot @ patch.edge_b)
+    points = rng.uniform(-1.5, 1.5, (4, 3))
+    moved_points = np.array([move(p) for p in points])
+    b, b_moved = circle_field(circle, points), circle_field(moved_circle, moved_points)
+    assert np.allclose(b_moved * scale, b @ rot.T, rtol=0.0, atol=1e-11 * np.abs(b).max())
+    e = polygon_sheet_field(patch.polygon(), points)
+    e_moved = polygon_sheet_field(moved_patch.polygon(), moved_points)
+    assert np.allclose(e_moved, e @ rot.T, rtol=0.0, atol=1e-11 * np.abs(e).max())
+
+
+def test_dipole_sheet_is_h_times_the_boundary_loop_field_to_second_order():
+    # both sides in closed form: the two-sheet field is a central difference
+    # in h, so it leaves h B(boundary) by O(h^3), O(h^2) relative
+    patch = PlanarRect((0.0, 0.0, 0.0), (1.0, 0.2, 0.0), (0.3, 0.9, 0.1))
+    x = (0.4, 0.3, 0.6)
+    loop = biot_savart(patch.boundary_polyline(), x, UNIT)
+    deviations = []
+    for h in (1e-2, 1e-3, 1e-4):
+        dipole = dipole_sheet_field_exact(patch, DipoleSheetSpec(1.0, h), x, UNIT)
+        deviations.append(np.linalg.norm(dipole - h * loop) / (h * np.linalg.norm(loop)))
+    for coarse, fine in zip(deviations[:-1], deviations[1:]):
+        assert 80.0 <= coarse / fine <= 120.0, deviations
 
 
 def test_mesh_field_far_additivity():

@@ -142,6 +142,21 @@ def test_polyline_distance_exact():
     assert line.distance_to((-1.0, 1.0, 0.0)) == pytest.approx(math.sqrt(2))
 
 
+def test_distance_to_takes_many_points():
+    circle = Circle((1, 2, 3), 0.7, (0, 1, 1))
+    line = PolyLine([(0, 0, 0), (2, 0, 0), (2, 1, 1)])
+    curves = (circle, line, CompositeCurve([line, PolyLine([(2, 1, 1), (1, 2, 3)])]))
+    points = np.random.default_rng(5).uniform(-2.0, 4.0, (7, 3))
+    for curve in curves:
+        many = curve.distance_to(points)
+        assert many.shape == (7,)
+        assert np.array_equal(many, [curve.distance_to(p) for p in points])
+        assert isinstance(curve.distance_to(points[0]), float)
+        for bad in (np.zeros((2, 2)), [[0.0, 0.0, math.nan]]):
+            with pytest.raises(ValueError):
+                curve.distance_to(bad)
+
+
 # ---------------------------------------------------------------------------
 # Cross product
 # ---------------------------------------------------------------------------

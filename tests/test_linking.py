@@ -112,6 +112,17 @@ def test_curve_min_distance():
     assert curve_min_distance(hopf_partner(), unit_circle()) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_curve_min_distance_at_the_seam_and_at_a_corner():
+    # the square's nearest point sits just before its parameter's end,
+    # which is the same point as its start; the quadrilateral's at a corner
+    square = PolyLine([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], closed=True)
+    beside_the_seam = Circle((-0.5, 0.01, 0.0), 0.2, (0, 0, 1))
+    assert abs(curve_min_distance(square, beside_the_seam) - 0.3) <= 1e-12
+    quad = PolyLine([(0, 0, 0), (1, 0, 0), (1.1, 0.9, 0), (0, 0.7, 0)], closed=True)
+    beyond_a_corner = Circle((1.6, 1.3, 0.0), 0.2, (0, 0, 1))
+    assert abs(curve_min_distance(quad, beyond_a_corner) - (math.sqrt(0.41) - 0.2)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Combinatorial count
 # ---------------------------------------------------------------------------

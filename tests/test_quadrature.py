@@ -5,6 +5,7 @@ import pytest
 
 from loopfield import (
     Circle,
+    CompositeCurve,
     Disk,
     NoConvergence,
     PlanarRect,
@@ -14,6 +15,7 @@ from loopfield import (
     integrate_2d,
     linking,
 )
+from test_fields import QuadratureOnlyPatch
 
 
 def test_polynomial():
@@ -144,7 +146,9 @@ def test_guard_resolution():
 # Cells (integrand calls) of reference integrals under the default spec.
 # Only a change to the refinement rule may move these counts: cheaper
 # cells, cached curve nodes or a closed-form Jacobian must leave the tree
-# as it is.
+# as it is.  Circles and flat polygons have closed-form fields, so the
+# ring and the rectangle reach quadrature as a one-part composite and a
+# patch that hides its polygon.
 _UNIT_RING = Circle((0, 0, 0), 1.0, (0, 0, 1))
 _REFERENCE_CELLS = {
     "hopf_pair": (
@@ -153,7 +157,7 @@ _REFERENCE_CELLS = {
     ),
     "rect_sheet": (
         lambda: fields.coulomb_surface_field(
-            PlanarRect((0, 0, 0), (1, 0, 0), (0, 0.8, 0)), 1.0, (0.3, 0.48, 0.01)
+            QuadratureOnlyPatch(PlanarRect((0, 0, 0), (1, 0, 0), (0, 0.8, 0))), 1.0, (0.3, 0.48, 0.01)
         ),
         309,
     ),
@@ -161,7 +165,7 @@ _REFERENCE_CELLS = {
         lambda: fields.coulomb_surface_field(Disk((0, 0, 0), 1.0, (0, 0, 1)), 1.0, (0, 0, 0.03)),
         341,
     ),
-    "circle_field": (lambda: fields.biot_savart(_UNIT_RING, (1.01, 0, 0)), 71),
+    "circle_field": (lambda: fields.biot_savart(CompositeCurve([_UNIT_RING]), (1.01, 0, 0)), 71),
 }
 
 
