@@ -15,8 +15,10 @@ stated with k_E = k_B = 1 while linking experiments want k_B = 1/(4*pi).
 Straight segments, circles and flat polygon sheets have closed forms
 (segment_field, circle_field, polygon_sheet_field), which biot_savart and
 coulomb_surface_field use for PolyLine and Circle sources and for flat
-polygon patches; composite curves, disks and curved patches are
-integrated by adaptive quadrature.
+polygon patches.  The field of any other flat sheet, a disk for one, is
+one adaptive line integral around its rim; composite curves and curved
+patches are integrated by adaptive quadrature along the curve and over
+the unit square.
 """
 
 from __future__ import annotations
@@ -86,8 +88,37 @@ class DipoleSheetSpec:
             raise ValueError("separation must be finite and >= 0")
 
 
-def _guard_distance(spec: QuadratureSpec, *objects) -> float:
-    return spec.resolve_guard(bounding_box_diagonal(objects))
+# this many bounding-box diagonals from a source its field is below 1e-200
+# of the field beside it; zero stands in for it from there on, because
+# the closed forms' squares of distances overflow past about 1.3e154
+_FAR = 1e100
+
+
+def _beyond_reach(source, x, spec: QuadratureSpec, what: str) -> bool:
+    """Whether x lies beyond _FAR source sizes (its field is then zero);
+    raises NearSingular within the guard distance of the source."""
+    scale = bounding_box_diagonal([source])
+    guard = spec.resolve_guard(scale)
+    dist = source.distance_to(x)
+    if dist <= guard:
+        raise NearSingular(f"field point at distance {dist:g} from the {what} (guard {guard:g})")
+    return dist > _FAR * scale
+
+
+# a rim's first cuts sit at its parameter nearest the field point and this
+# share of its period to either side (1e-2 on a circle), so that a peak
+# as narrow as the distance from the rim starts in cells of its own
+_RIM_WINDOW = 1e-2 / (2.0 * math.pi)
+
+
+def _rim_cuts(rim: Curve, t_near: float) -> tuple[float, ...]:
+    """The rim's ends and t_near, t_near +- window, taken modulo the period,
+    so that a peak at the seam gets small cells on both sides."""
+    start, end = rim.t_start, rim.t_end
+    span = end - start
+    window = _RIM_WINDOW * span
+    inner = {start + (t_near - start + s) % span for s in (-window, 0.0, window)}
+    return (start, *sorted(t for t in inner if start < t < end), end)
 
 
 def segment_field(starts, ends, points) -> np.ndarray:
@@ -258,15 +289,12 @@ def biot_savart(
     summed in closed form by segment_field, and a Circle by circle_field;
     any other curve is integrated, k_B * dl x (x - r) / |x - r|^3, in one
     quadrature whose first cells are its smooth pieces.  Raises
-    NearSingular when x is within the guard distance of the curve.
+    NearSingular when x is within the guard distance of the curve; beyond
+    1e100 times its bounding-box diagonal the field is returned as zero.
     """
     x = as_vec3(x, "x")
-    guard = _guard_distance(spec, curve)
-    dist = curve.distance_to(x)
-    if dist <= guard:
-        raise NearSingular(
-            f"field point at distance {dist:g} from the curve (guard {guard:g})"
-        )
+    if _beyond_reach(curve, x, spec, "curve"):
+        return np.zeros(3)
     if isinstance(curve, PolyLine):
         return consts.k_B * segment_field(*curve.segments(), x)[0]
     if isinstance(curve, Circle):
@@ -292,25 +320,50 @@ def coulomb_surface_field(
 ) -> np.ndarray:
     """Electric field of a uniformly charged surface at point x.
 
-    A flat polygon patch (SurfacePatch.polygon() is not None: PlanarRect,
-    and a ShiftedPatch of one) is summed in closed form by
-    polygon_sheet_field; any other patch is integrated,
+    A flat patch hands its field to its rim (SurfacePatch.rim()): with n
+    the unit normal, h the height of x above the plane, and y(t) the rim
+    counterclockwise about n,
+
+        E / (k_E sigma) = Omega n + closed integral of (y' x n) / R dt,
+
+    R = |x - y|.  The solid angle Omega is the loop's scalar potential and
+    the line integral the in-plane part, by the divergence theorem in the
+    plane.  A PolyLine rim (PlanarRect and its translates) is summed in
+    closed form by polygon_sheet_field; any other rim (a Disk's circle) is
+    one adaptive line integral of
+
+        sign(h) ((y - x) . (y' x n)) / (R (R + |h|)) n + (y' x n) / R,
+
+    the solid-angle density (1 - |h|/R) / rho^2 written so that nothing
+    cancels, whose first cells are cut at the rim parameter nearest x and
+    to either side of it.  A curved patch is integrated,
     k_E * sigma * (x - p) |du x dv| / |x - p|^3, in one 2-D quadrature over
     the unit square.  Raises NearSingular when x is within the guard
-    distance of the sheet.
+    distance of the sheet; beyond 1e100 times its bounding-box diagonal
+    the field is returned as zero.
     """
     x = as_vec3(x, "x")
-    if sigma == 0.0:
+    if sigma == 0.0 or _beyond_reach(patch, x, spec, "sheet"):
         return np.zeros(3)
-    guard = _guard_distance(spec, patch)
-    dist = patch.distance_to(x)
-    if dist <= guard:
-        raise NearSingular(
-            f"field point at distance {dist:g} from the sheet (guard {guard:g})"
-        )
-    vertices = patch.polygon()
-    if vertices is not None:
-        return consts.k_E * sigma * polygon_sheet_field(vertices, x)[0]
+    rim = patch.rim()
+    if isinstance(rim, PolyLine):
+        return consts.k_E * sigma * polygon_sheet_field(rim.vertices, x)[0]
+    if rim is not None:
+        normal = patch.constant_normal()
+        t_near = rim.nearest_param(x)
+        height = float((x - rim.position(t_near)) @ normal)
+        up, lift = float(np.sign(height)), abs(height)
+        turn = cross(np.eye(3), normal)  # y' x n = y' @ turn
+
+        def rim_integrand(ts):
+            rel = rim.position(ts) - x
+            outward = rim.tangent(ts) @ turn
+            dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
+            solid = up * np.einsum("ij,ij->i", rel, outward) / (dist * (dist + lift))
+            return solid[:, None] * normal + outward / dist[:, None]
+
+        value, _ = integrate_1d(rim_integrand, _rim_cuts(rim, t_near), spec)
+        return consts.k_E * sigma * value
 
     def integrand(u, v):
         p, jac = patch.element(u, v)
@@ -333,7 +386,9 @@ def dipole_sheet_field_exact(
 
     The patch is displaced by +/- separation/2 along its pointwise unit
     normal and carries +/- sigma; the result is the sum of the two
-    Coulomb fields, both in closed form when the patch is a flat polygon.
+    Coulomb fields.  On a flat patch both sheets are translates of it
+    whose rims are its rim translated, so both fields are rim fields:
+    closed forms for a polygon, line integrals for a disk.
     """
     x = as_vec3(x, "x")
     if dp.sigma == 0.0 or dp.separation == 0.0:

@@ -136,8 +136,10 @@ def bounding_box_diagonal(objects: Sequence) -> float:
         else:
             p = as_vec3(obj, "point")
             boxes.append((p, p))
-    lo, hi = _merge_boxes(boxes)
-    return float(np.linalg.norm(hi - lo))
+    lo, hi = boxes[0] if len(boxes) == 1 else _merge_boxes(boxes)
+    span = hi - lo
+    # the products and sum of np.linalg.norm, without its dispatch
+    return math.sqrt(span @ span)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +174,14 @@ class Curve:
         return tuple(float(b) for a, b in zip([-math.inf, *cuts], cuts) if b > a)
 
     def reversed(self) -> "Curve":
+        raise NotImplementedError
+
+    def translated(self, shift) -> "Curve":
+        """The same curve moved rigidly by the vector shift."""
+        raise NotImplementedError
+
+    def nearest_param(self, point) -> float:
+        """A parameter of the curve point nearest to point."""
         raise NotImplementedError
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -222,6 +232,9 @@ class Circle(Curve):
         self._u = _frozen(u)
         self._v = _frozen(v if orientation == "ccw" else -v)
         self._a = _frozen(a)
+        # per-axis half-extent of a 3-D circle: R * sqrt(1 - a_i^2)
+        ext = self.radius * np.sqrt(np.clip(1.0 - a**2, 0.0, 1.0))
+        self._box = (_frozen(self.center - ext), _frozen(self.center + ext))
         self.t_start = 0.0
         self.t_end = _TWO_PI
         self.closed = True
@@ -244,10 +257,16 @@ class Circle(Curve):
         flipped = "cw" if self.orientation == "ccw" else "ccw"
         return Circle(self.center, self.radius, self.axis, flipped)
 
+    def translated(self, shift) -> "Circle":
+        return Circle(self.center + shift, self.radius, self.axis, self.orientation)
+
+    def nearest_param(self, point) -> float:
+        """Angle of point about the axis, in [0, 2*pi]; 0 on the axis."""
+        rel = as_vec3(point, "point") - self.center
+        return math.atan2(rel @ self._v, rel @ self._u) % _TWO_PI
+
     def bounding_box(self):
-        # per-axis half-extent of a 3-D circle: R * sqrt(1 - a_i^2)
-        ext = self.radius * np.sqrt(np.clip(1.0 - self._a**2, 0.0, 1.0))
-        return self.center - ext, self.center + ext
+        return self._box
 
     def distance_to(self, point):
         pts, single = _as_points(point)
@@ -328,6 +347,9 @@ class PolyLine(Curve):
         else:
             verts = self.vertices[::-1]
         return PolyLine(verts, closed=self.closed)
+
+    def translated(self, shift) -> "PolyLine":
+        return PolyLine(self.vertices + shift, closed=self.closed)
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -460,9 +482,14 @@ class SurfacePatch:
         """Unit normal if the patch is planar, else None."""
         return None
 
-    def polygon(self) -> Optional[np.ndarray]:
-        """(k, 3) vertices, counterclockwise about du x dv, if the patch is
-        a flat polygon, else None."""
+    def rim(self) -> Optional[Curve]:
+        """The closed boundary curve, counterclockwise about du x dv, if
+        the patch is flat, else None.
+
+        Flat patches hand their fields to the rim: the Coulomb field of a
+        charged flat sheet is the solid angle its rim subtends (along the
+        normal) plus a line integral around the rim (in the plane).
+        """
         return None
 
     def bounding_box(self):
@@ -504,6 +531,13 @@ class PlanarRect(SurfacePatch):
             raise DegeneratePatch("edge_a x edge_b vanishes")
         self._normal = _frozen(n / mag)
         self._area = mag
+        c, a, b = self.corner, self.edge_a, self.edge_b
+        corners = np.array([c, c + a, c + a + b, c + b])
+        self._rim = PolyLine(corners, closed=True)
+        self._box = (_frozen(corners.min(axis=0)), _frozen(corners.max(axis=0)))
+        # rows e_a*, e_b* of the dual basis: (alpha, beta) = duals @ (p - corner)
+        gram = np.array([[a @ a, a @ b], [a @ b, b @ b]])
+        self._duals = _frozen(np.linalg.inv(gram) @ np.array([a, b]))
 
     def point(self, u, v):
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
@@ -527,27 +561,19 @@ class PlanarRect(SurfacePatch):
     def constant_normal(self):
         return self._normal.copy()
 
-    def polygon(self):
-        c, a, b = self.corner, self.edge_a, self.edge_b
-        return np.array([c, c + a, c + a + b, c + b])
-
-    def boundary_polyline(self) -> PolyLine:
-        return PolyLine(self.polygon(), closed=True)
+    def rim(self) -> PolyLine:
+        return self._rim
 
     def bounding_box(self):
-        corners = self.polygon()
-        return corners.min(axis=0), corners.max(axis=0)
+        return self._box
 
     def distance_to(self, point) -> float:
         p = as_vec3(point, "point")
         rel = p - self.corner
-        g = np.array([[self.edge_a @ self.edge_a, self.edge_a @ self.edge_b],
-                      [self.edge_a @ self.edge_b, self.edge_b @ self.edge_b]])
-        rhs = np.array([rel @ self.edge_a, rel @ self.edge_b])
-        alpha, beta = np.linalg.solve(g, rhs)
+        alpha, beta = self._duals @ rel
         if 0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0:
             return abs(float(rel @ self._normal))
-        return self.boundary_polyline().distance_to(p)
+        return self._rim.distance_to(p)
 
 
 class Disk(SurfacePatch):
@@ -569,6 +595,8 @@ class Disk(SurfacePatch):
         self._u = _frozen(u)
         self._v = _frozen(v)
         self._a = _frozen(a)
+        # the square's boundary maps onto this circle, counterclockwise about du x dv
+        self._rim = Circle(self.center, self.radius, self.axis, "ccw")
 
     @staticmethod
     def _square(u, v):
@@ -611,9 +639,11 @@ class Disk(SurfacePatch):
     def constant_normal(self):
         return self._a.copy()
 
+    def rim(self) -> Circle:
+        return self._rim
+
     def bounding_box(self):
-        ext = self.radius * np.sqrt(np.clip(1.0 - self._a**2, 0.0, 1.0))
-        return self.center - ext, self.center + ext
+        return self._rim.bounding_box()
 
     def distance_to(self, point) -> float:
         rel = as_vec3(point, "point") - self.center
@@ -672,11 +702,9 @@ class ShiftedPatch(SurfacePatch):
     def constant_normal(self):
         return None if self._const_n is None else self._const_n.copy()
 
-    def polygon(self):
-        base = self.base.polygon()
-        if base is None or self._const_n is None:
-            return None
-        return base + self.offset * self._const_n
+    def rim(self) -> Optional[Curve]:
+        base = self.base.rim() if self._const_n is not None else None
+        return None if base is None else base.translated(self.offset * self._const_n)
 
     def bounding_box(self):
         if self._const_n is not None:

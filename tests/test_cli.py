@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import mpmath
+from hypothesis import given, settings, strategies as st
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -154,16 +157,18 @@ def test_field_near_the_guard():
 
 
 def test_circle_and_sheet_commands_need_no_quadrature(monkeypatch, tmp_path):
-    # the unit circle and the square sheets are closed form; a silent
-    # fallback to quadrature would raise here
+    # the unit circle and the square sheets are closed form, and the disk
+    # sheet is a line integral around its rim; a silent fallback to
+    # quadrature over the unit square, or along the curve, would raise here
     from loopfield import cli, fields
 
     def poisoned(*args, **kwargs):
         raise AssertionError("quadrature reached")
 
-    monkeypatch.setattr(fields, "integrate_1d", poisoned)
-    monkeypatch.setattr(fields, "integrate_2d", poisoned)
     out = str(tmp_path / "out.csv")
+    monkeypatch.setattr(fields, "integrate_2d", poisoned)
+    assert cli.run(["maxwell", "--scene", str(SCENES / "disk_sheet.json"), "--out", out]) == 0
+    monkeypatch.setattr(fields, "integrate_1d", poisoned)
     assert cli.run(["maxwell", "--scene", str(SCENES / "square_sheet.json"), "--out", out]) == 0
     assert cli.run(["maxwell", "--out", out]) == 0
     assert cli.run(["curl", "--out", out]) == 0
@@ -275,3 +280,70 @@ def test_python_dash_m_loopfield_runs_the_cli():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == run_cli(*argv).stdout
+
+
+def test_field_far_away_is_zero_not_nan(capsys):
+    # the closed forms' squares overflow beyond about 1.3e154; past 1e100
+    # sheet sizes the field, below 1e-200, is zero
+    from loopfield import cli
+
+    for scene, option in (("square_sheet.json", "--surface=sheet"), ("disk_sheet.json", "--surface=sheet"),
+                          ("hopf.json", "--curve=ring")):
+        for point in ("1000.0,1000.0,1.3407807929942597e+154", "-1e300,2e300,1.5e308"):
+            assert cli.run(["field", "--scene", str(SCENES / scene), option, f"--points={point}"]) == 0
+            row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+            assert [float(v) for v in row[3:]] == [0.0, 0.0, 0.0], (scene, point, row)
+
+
+_SHEETS = {"disk_sheet.json": "disk", "square_sheet.json": "square"}
+
+
+@st.composite
+def _sheet_points(draw, shape):
+    """--points values near and far from the disk (unit, about +z at the
+    origin) or the unit square in z = 0: on the rim, in the plane, on the
+    sheet, just off it, far away, or not finite."""
+    kind = draw(st.sampled_from(["rim", "plane", "sheet", "near", "far", "text"]))
+    if kind == "text":
+        coords = draw(st.lists(
+            st.sampled_from(["nan", "inf", "-inf", "1e999", "-0", "0x1p3", "", "1,", "abc"]), min_size=3, max_size=3,
+        ))
+        return ",".join(coords)
+    if kind == "far":
+        far = st.one_of(st.floats(1e3, 1e300), st.floats(-1e300, -1e3))
+        coords = draw(st.lists(far, min_size=3, max_size=3))
+        return ",".join(map(repr, coords))
+    t = draw(st.floats(0.0, 1.0))
+    if shape == "disk":
+        angle = 2.0 * math.pi * t
+        rim = [math.cos(angle), math.sin(angle), 0.0]
+    else:
+        rim = [[t, 0.0, 0.0], [1.0, t, 0.0], [t, 1.0, 0.0], [0.0, t, 0.0]][draw(st.integers(0, 3))]
+    if kind == "rim":
+        point = rim
+    elif kind == "plane":
+        point = [draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)), 0.0]
+    elif kind == "sheet":
+        scale = draw(st.floats(0.0, 1.0))
+        point = [scale * rim[0], scale * rim[1], 0.0] if shape == "disk" else [scale, t, 0.0]
+    else:
+        point = [c + draw(st.floats(-1e-5, 1e-5)) for c in rim]
+    return ",".join(map(repr, point))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), scene=st.sampled_from(sorted(_SHEETS)))
+def test_sheet_field_fuzz_never_crashes(data, scene):
+    from loopfield import cli
+
+    points = data.draw(_sheet_points(_SHEETS[scene]))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run(["field", "--scene", str(SCENES / scene), "--surface", "sheet", f"--points={points}"])
+    assert code in (0, 2, 3), (points, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        rows = stdout.getvalue().strip().splitlines()[1:]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(",")), (points, rows)
+    else:
+        assert stderr.getvalue().count("\n") == 1, stderr.getvalue()

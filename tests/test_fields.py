@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -10,13 +11,16 @@ from loopfield import (
     CompositeCurve,
     DegenerateBase,
     DipoleSheetSpec,
+    Disk,
     FieldConstants,
     NearSingular,
+    NoConvergence,
     NotUnit,
     Panel,
     PlanarRect,
     PolyLine,
     QuadratureSpec,
+    ShiftedPatch,
     SurfacePatch,
     biot_savart,
     circle_field,
@@ -435,10 +439,10 @@ def test_sheet_field_matches_40_digits_near_edges_corners_and_the_interior():
     ]
     # the points at 1e-6 lie inside the guard, 1e-6 x the diagonal, which
     # the closed form itself does not need
-    for x, e in zip(points, polygon_sheet_field(patch.polygon(), points)):
+    for x, e in zip(points, polygon_sheet_field(patch.rim().vertices, points)):
         assert _relative_error(e, _rectangle_field_40_digits(1.0, 0.8, x)) <= 1e-12, x
     x = points[-1]
-    assert np.array_equal(coulomb_surface_field(patch, 1.0, x, UNIT), polygon_sheet_field(patch.polygon(), x)[0])
+    assert np.array_equal(coulomb_surface_field(patch, 1.0, x, UNIT), polygon_sheet_field(patch.rim().vertices, x)[0])
 
 
 def test_sheet_field_far_away():
@@ -454,7 +458,7 @@ def test_sheet_field_far_away():
 
 class QuadratureOnlyPatch(SurfacePatch):
     """A patch with its base's points, area element and distance, but no
-    polygon, so that its field takes the quadrature route."""
+    rim, so that its field takes the 2-D quadrature route."""
 
     def __init__(self, base):
         self.base = base
@@ -472,15 +476,95 @@ class QuadratureOnlyPatch(SurfacePatch):
 def test_sheet_field_matches_quadrature_within_the_estimate():
     spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
     consts = FieldConstants(k_E=1.0)
-    patch = PlanarRect((0.2, -0.1, 0.3), (0.9, 0.3, -0.2), (-0.1, 0.6, 0.5))
-    normal = patch.constant_normal()
-    inside = patch.point(0.3, 0.7)
-    for x in (inside + 1e-2 * normal, inside - 0.4 * normal, (2.0, 1.0, -1.0), patch.point(1.2, 0.5)):
-        closed_form = coulomb_surface_field(patch, 1.0, x, consts, spec)
-        quadrature = coulomb_surface_field(QuadratureOnlyPatch(patch), 1.0, x, consts, spec)
-        assert np.abs(quadrature - closed_form).max() <= 10 * (
-            spec.rel_tol * np.abs(closed_form).max() + spec.abs_tol
-        ), x
+    disk = Disk((0.2, -0.1, 0.3), 1.3, (0.3, -0.4, 1.0))
+    rect = PlanarRect((0.2, -0.1, 0.3), (0.9, 0.3, -0.2), (-0.1, 0.6, 0.5))
+    for patch in (rect, disk, ShiftedPatch(disk, 0.05), ShiftedPatch(disk, -0.05)):
+        normal = patch.constant_normal()
+        inside = patch.point(0.3, 0.7)
+        # above, below, away, and in the plane beyond the rim
+        for x in (inside + 1e-2 * normal, inside - 0.4 * normal, (2.0, 1.0, -1.0), patch.point(1.2, 0.5)):
+            closed_form = coulomb_surface_field(patch, 1.0, x, consts, spec)
+            quadrature = coulomb_surface_field(QuadratureOnlyPatch(patch), 1.0, x, consts, spec)
+            assert np.abs(quadrature - closed_form).max() <= 10 * (
+                spec.rel_tol * np.abs(closed_form).max() + spec.abs_tol
+            ), (patch, x)
+
+
+def test_disk_field_on_the_axis():
+    # the solid angle 2 pi (1 - |z| / sqrt(z^2 + R^2)), written without the difference
+    radius = 1.7
+    disk = Disk((0.1, -0.2, 0.3), radius, (0.3, 0.4, 1.0))
+    normal = disk.constant_normal()
+    for z in (1e-4, 0.03, -0.5, 2.0, -40.0):
+        slant = math.hypot(z, radius)
+        expected = math.copysign(2 * math.pi * radius**2 / (slant * (slant + abs(z))), z) * normal
+        e = coulomb_surface_field(disk, 1.0, disk.center + z * normal, UNIT)
+        assert np.abs(e - expected).max() <= 1e-12 * np.abs(expected).max(), z
+
+
+@functools.lru_cache(maxsize=None)
+def _disk_field_40_digits(rho, z):
+    """(E_rho, E_z) of the unit-charged unit disk about +z at distance rho
+    from its axis and height z, at 40 digits, by routes apart from the rim
+    integral: E_rho = closed integral of cos(phi) / R dphi by K and E, and
+    the solid angle over the rays from the foot of x, each reaching the rim
+    at s = (1 - rho^2) / (rho cos(psi) + sqrt(1 - rho^2 sin^2(psi))) from
+    inside, or crossing the disk between the two roots from outside."""
+    with mpmath.workdps(40):
+        rho, z = mpmath.mpf(rho), mpmath.mpf(z)
+        big, b = rho**2 + 1 + z**2, 2 * rho
+        m = 2 * b / (big + b)
+        e_rho = 4 / b * (big * mpmath.ellipk(m) / mpmath.sqrt(big + b) - mpmath.sqrt(big + b) * mpmath.ellipe(m))
+        if z == 0:
+            return float(e_rho), 0.0
+
+        def root(psi):
+            return mpmath.sqrt(max(0, 1 - (rho * mpmath.sin(psi)) ** 2))
+
+        def seen(s):
+            return abs(z) / mpmath.sqrt(s * s + z * z)
+
+        if rho < 1:
+            # the ray lengths vary on the scale sqrt(1 - rho^2) about psi = pi/2
+            w, half = mpmath.sqrt(1 - rho**2) / rho, mpmath.pi / 2
+            cuts = [0, half - 10 * w, half - w, half, half + w, half + 10 * w, mpmath.pi]
+            omega = 2 * mpmath.quad(lambda psi: 1 - seen((1 - rho**2) / (rho * mpmath.cos(psi) + root(psi))), cuts)
+        else:
+
+            def crossing(psi):
+                far = -rho * mpmath.cos(psi) + root(psi)
+                return seen((rho**2 - 1) / far) - seen(far)
+
+            omega = 2 * mpmath.quad(crossing, [mpmath.pi - mpmath.asin(1 / rho), mpmath.pi])
+        return float(e_rho), float(mpmath.sign(z) * omega)
+
+
+def test_disk_field_near_the_rim():
+    # from 1e-2 down to twice the guard (1e-6 x the bounding-box diagonal)
+    # from the rim: outside in the plane, outside above, inside above,
+    # inside below and outside below, at the seam t = 0 and at t = 2.1
+    disk = Disk((0, 0, 0), 1.0, (0, 0, 1))
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+    guard = spec.resolve_guard(math.sqrt(8.0))
+    half = math.sqrt(0.5)
+    for d in (1e-2, 1e-3, 1e-4, 1e-5, 2 * guard):
+        for t in (0.0, 2.1):
+            radial = np.array([math.cos(t), math.sin(t), 0.0])
+            for out, up in ((1.0, 0.0), (half, half), (-half, half), (-half, -half), (half, -half)):
+                x = radial + d * (out * radial + (0.0, 0.0, up))
+                rho = math.hypot(x[0], x[1])
+                # mirror images share the 40-digit value
+                e_rho, e_z = _disk_field_40_digits(rho, abs(x[2]))
+                expected = np.array([e_rho * x[0] / rho, e_rho * x[1] / rho, math.copysign(e_z, x[2])])
+                tol = 10 * (spec.rel_tol * np.abs(expected).max() + spec.abs_tol)
+                assert np.abs(coulomb_surface_field(disk, 1.0, x, UNIT, spec) - expected).max() <= tol, (d, t, out, up)
+                # the 2-D route, where it converges: at least down to 1e-3
+                try:
+                    quadrature = coulomb_surface_field(QuadratureOnlyPatch(disk), 1.0, x, UNIT, spec)
+                except NoConvergence:
+                    assert d < 1e-3
+                    continue
+                assert np.abs(quadrature - expected).max() <= tol, (d, t, out, up)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +685,15 @@ def test_closed_forms_move_with_rigid_motions_and_scalings(seed, scale, orientat
     moved_points = np.array([move(p) for p in points])
     b, b_moved = circle_field(circle, points), circle_field(moved_circle, moved_points)
     assert np.allclose(b_moved * scale, b @ rot.T, rtol=0.0, atol=1e-11 * np.abs(b).max())
-    e = polygon_sheet_field(patch.polygon(), points)
-    e_moved = polygon_sheet_field(moved_patch.polygon(), moved_points)
+    e = polygon_sheet_field(patch.rim().vertices, points)
+    e_moved = polygon_sheet_field(moved_patch.rim().vertices, moved_points)
+    assert np.allclose(e_moved, e @ rot.T, rtol=0.0, atol=1e-11 * np.abs(e).max())
+    # the disk's rim integral, each value within its tolerance, 1e-12 relative
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+    disk = Disk((0.1, 0.0, -0.2), 0.7, (0.3, -0.5, 0.8))
+    moved_disk = Disk(move(disk.center), scale * 0.7, rot @ disk.constant_normal())
+    e = np.array([coulomb_surface_field(disk, 1.0, x, UNIT, spec) for x in points])
+    e_moved = np.array([coulomb_surface_field(moved_disk, 1.0, x, UNIT, spec) for x in moved_points])
     assert np.allclose(e_moved, e @ rot.T, rtol=0.0, atol=1e-11 * np.abs(e).max())
 
 
@@ -611,7 +702,7 @@ def test_dipole_sheet_is_h_times_the_boundary_loop_field_to_second_order():
     # in h, so it leaves h B(boundary) by O(h^3), O(h^2) relative
     patch = PlanarRect((0.0, 0.0, 0.0), (1.0, 0.2, 0.0), (0.3, 0.9, 0.1))
     x = (0.4, 0.3, 0.6)
-    loop = biot_savart(patch.boundary_polyline(), x, UNIT)
+    loop = biot_savart(patch.rim(), x, UNIT)
     deviations = []
     for h in (1e-2, 1e-3, 1e-4):
         dipole = dipole_sheet_field_exact(patch, DipoleSheetSpec(1.0, h), x, UNIT)

@@ -248,6 +248,39 @@ def test_element_is_point_and_area_element(patch):
         np.testing.assert_allclose(np.broadcast_to(area, reference.shape), reference, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [
+        PlanarRect((0.1, -0.2, 0.3), (1.0, 0.2, 0.0), (0.3, 0.8, 0.5)),
+        ShiftedPatch(PlanarRect((0.1, -0.2, 0.3), (1.0, 0.2, 0.0), (0.3, 0.8, 0.5)), -0.05),
+        PlanarRect((0, 0, 0), (0, 1, 0), (1, 0, 0)),  # du x dv along -z
+        Disk((0.1, -0.2, 0.3), 1.7, (0.3, 0.4, 1.0)),
+        ShiftedPatch(Disk((0.1, -0.2, 0.3), 1.7, (0.3, 0.4, 1.0)), 0.02),
+        Disk((0, 0, 0), 1.0, (0, 0, -1)),
+    ],
+    ids=["rect", "shifted_rect", "flipped_rect", "disk", "shifted_disk", "flipped_disk"],
+)
+def test_rim_is_the_boundary_counterclockwise_about_du_x_dv(patch):
+    rim = patch.rim()
+    assert rim.closed
+    # the image of the square's boundary lies on the rim
+    side = np.linspace(0.0, 1.0, 9)
+    edges = np.concatenate([patch.point(side, 0.0 * side), patch.point(1.0 + 0.0 * side, side),
+                            patch.point(side, 1.0 + 0.0 * side), patch.point(0.0 * side, side)])
+    assert rim.distance_to(edges).max() <= 1e-14
+    # its vector area 1/2 sum p_i x p_(i+1) points along du x dv
+    samples = rim.position(np.linspace(rim.t_start, rim.t_end, 257)[:-1])
+    area = 0.5 * np.cross(samples, np.roll(samples, -1, axis=0)).sum(axis=0)
+    normal = patch.normal(0.4, 0.6)
+    assert area @ normal > 0.0
+    assert np.linalg.norm(np.cross(area, normal)) <= 1e-12 * np.linalg.norm(area)
+
+
+def test_curved_patches_have_no_rim():
+    assert Dome(0.35).rim() is None
+    assert ShiftedPatch(Dome(0.35), 0.02).rim() is None
+
+
 def test_disk_area_element_keeps_its_digits_at_the_corners():
     # 4 R^2 sx sy - R^2 x^2 y^2 / (sx sy) at 40 digits; 2^-20 from a corner
     # |du x dv| of the float derivatives is off by about 1e-9
@@ -335,7 +368,7 @@ def test_boundary_1x1_matches_rect_vertices():
     patch = PlanarRect((0.5, -1, 2), (2, 0, 0), (0, 0, 3))
     boundary = mesh_boundary(mesh_surface(patch, 1, 1))
     assert boundary.closed
-    assert np.allclose(boundary.vertices, patch.boundary_polyline().vertices)
+    assert np.allclose(boundary.vertices, patch.rim().vertices)
 
 
 def test_boundary_2x2_has_eight_segments():

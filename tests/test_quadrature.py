@@ -146,9 +146,9 @@ def test_guard_resolution():
 # Cells (integrand calls) of reference integrals under the default spec.
 # Only a change to the refinement rule may move these counts: cheaper
 # cells, cached curve nodes or a closed-form Jacobian must leave the tree
-# as it is.  Circles and flat polygons have closed-form fields, so the
-# ring and the rectangle reach quadrature as a one-part composite and a
-# patch that hides its polygon.
+# as it is.  Circles have closed-form fields and flat sheets rim fields,
+# so the ring reaches quadrature as a one-part composite, and the
+# rectangle and the disk as patches that hide their rims.
 _UNIT_RING = Circle((0, 0, 0), 1.0, (0, 0, 1))
 _REFERENCE_CELLS = {
     "hopf_pair": (
@@ -162,7 +162,9 @@ _REFERENCE_CELLS = {
         309,
     ),
     "disk_axis": (
-        lambda: fields.coulomb_surface_field(Disk((0, 0, 0), 1.0, (0, 0, 1)), 1.0, (0, 0, 0.03)),
+        lambda: fields.coulomb_surface_field(
+            QuadratureOnlyPatch(Disk((0, 0, 0), 1.0, (0, 0, 1))), 1.0, (0, 0, 0.03)
+        ),
         341,
     ),
     "circle_field": (lambda: fields.biot_savart(CompositeCurve([_UNIT_RING]), (1.01, 0, 0)), 71),
