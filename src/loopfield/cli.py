@@ -1,10 +1,15 @@
 """Command-line entry point: scene ingestion, experiment dispatch, reports.
 
 Subcommands: field, link, lk, similitude, ampere, linelimit, maxwell,
-curl, selftest.  Tabular results are CSV (17-significant-digit floats,
-fixed column order, LF endings); the full structured record is written
-as JSON next to the CSV.  Diagnostics go to stderr; with no output path
-the CSV goes to stdout.
+curl, run, selftest.  Each experiment kind of the scene schema has one
+entry in `_KINDS`: its CSV header, its runner, and the built-in entries
+run when there is no --scene.  A subcommand turns its flags into
+experiment entries and runs them through the same loop; `run --scene F`
+runs every entry of F and writes each to its `out` path.  Tabular
+results are CSV (17-significant-digit floats, fixed column order, LF
+endings); the full structured record is written as JSON next to the
+CSV.  Diagnostics go to stderr; with no output path the CSV goes to
+stdout.
 
 Exit codes: 0 all pass, 1 a required check failed, 2 usage or scene-file
 error, 3 numerical failure (no convergence / guard tripped).
@@ -13,10 +18,13 @@ error, 3 numerical failure (no convergence / guard tripped).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,14 +37,11 @@ from .experiments import (
     maxwell_probe,
     similitude_general,
     similitude_infinitesimal,
-    unit_circle,
 )
-from .fields import FieldConstants, biot_savart, coulomb_surface_field
-from .geometry import PlanarRect
+from .fields import biot_savart, coulomb_surface_field
 from .linking import combinatorial_lk, gauss_linking
-from .quadrature import QuadratureSpec
-from .scenefile import SceneFile, parse_scene_file
-from .selftest import default_probe_points, run_selftest
+from .scenefile import parse_experiment, parse_scene_file
+from .selftest import BUILTIN, INFINITESIMAL, run_selftest
 
 __all__ = ["main", "run"]
 
@@ -59,10 +64,7 @@ def _fmt(value) -> str:
 
 
 def _csv_lines(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
 
 
 def _jsonable(value):
@@ -84,8 +86,7 @@ def _jsonable(value):
 def _emit(csv_text: str, record: dict, out: str | None) -> None:
     if out:
         path = Path(out)
-        if path.parent and not path.parent.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="\n") as fh:
             fh.write(csv_text)
         json_path = path.with_suffix(".json")
@@ -97,19 +98,16 @@ def _emit(csv_text: str, record: dict, out: str | None) -> None:
         sys.stdout.write(csv_text)
 
 
-def _report_rows(report):
-    rows = []
-    for row in report.rows:
-        measured = np.atleast_1d(np.asarray(row.measured, dtype=float))
-        reference = np.atleast_1d(np.asarray(row.reference, dtype=float))
-        rows.append(
-            [row.scale_parameter, *measured.tolist(), *reference.tolist(), row.abs_error]
-        )
-    return rows
+# ---------------------------------------------------------------------------
+# Experiment runners: (scene file or None for the built-in, entry) ->
+# (CSV rows, part of the JSON record, passed)
+# ---------------------------------------------------------------------------
 
 
-def _report_record(report) -> dict:
-    return {
+def _study(label: str, report, rows: list, summary: str):
+    """Result of a convergence study: its rows, its record under its label."""
+    print(f"{label}: {summary}", file=sys.stderr)
+    record = {
         "rows": [
             {
                 "scale_parameter": r.scale_parameter,
@@ -123,119 +121,66 @@ def _report_record(report) -> dict:
         "passed": report.passed,
         "notes": list(report.notes),
     }
+    return rows, {"studies": {label: record}}, report.passed
 
 
-def _load_scene_file(path: str) -> SceneFile:
-    return parse_scene_file(path)
+def _run_link(scene_file, entry):
+    name = entry["scene"]
+    scene = scene_file.build_scene(name)
+    value, err = gauss_linking(scene, scene_file.field_constants(), scene_file.quadrature_spec())
+    lk = (
+        combinatorial_lk(scene.curve_c, scene.spanning_mesh)
+        if scene.spanning_mesh is not None
+        else None
+    )
+    print(f"{name}: A={value:.12g} +/- {err:.3g} Lk={lk}", file=sys.stderr)
+    row = {"scene": name, "value": value, "error_estimate": err, "lk": lk}
+    return [list(row.values())], {"rows": [row]}, True
 
 
-def _scene_names(scene_file: SceneFile, requested: str | None) -> list[str]:
-    if requested is not None:
-        if requested not in scene_file.scenes:
-            raise SceneFormatError(f"scene {requested!r} not present in the file")
-        return [requested]
-    if not scene_file.scenes:
-        raise SceneFormatError("scene file defines no scenes")
-    return list(scene_file.scenes)
+def _run_lk(scene_file, entry):
+    name = entry["scene"]
+    scene = scene_file.build_scene(name)
+    if scene.spanning_mesh is None:
+        raise SceneFormatError(f"scene {name!r} has no spanning surface")
+    scene.validate(scene_file.quadrature_spec())
+    lk = combinatorial_lk(scene.curve_c, scene.spanning_mesh)
+    print(f"{name}: Lk={lk}", file=sys.stderr)
+    return [[name, lk]], {"rows": [{"scene": name, "lk": lk}]}, True
 
 
-# ---------------------------------------------------------------------------
-# Subcommand handlers
-# ---------------------------------------------------------------------------
-
-
-def _cmd_link(args) -> int:
-    scene_file = _load_scene_file(args.scene)
-    consts = scene_file.field_constants()
-    spec = scene_file.quadrature_spec()
-    rows = []
-    for name in _scene_names(scene_file, args.name):
-        scene = scene_file.build_scene(name)
-        value, err = gauss_linking(scene, consts, spec)
-        lk = (
-            combinatorial_lk(scene.curve_c, scene.spanning_mesh)
-            if scene.spanning_mesh is not None
-            else None
-        )
-        rows.append([name, value, err, lk])
-        print(f"{name}: A={value:.12g} +/- {err:.3g} Lk={lk}", file=sys.stderr)
-    csv_text = _csv_lines(["scene", "value", "error_estimate", "lk"], rows)
-    record = {
-        "command": "link",
-        "rows": [
-            {"scene": r[0], "value": r[1], "error_estimate": r[2], "lk": r[3]}
-            for r in rows
-        ],
-    }
-    _emit(csv_text, record, args.out)
-    return EXIT_OK
-
-
-def _cmd_lk(args) -> int:
-    scene_file = _load_scene_file(args.scene)
-    spec = scene_file.quadrature_spec()
-    rows = []
-    for name in _scene_names(scene_file, args.name):
-        scene = scene_file.build_scene(name)
-        if scene.spanning_mesh is None:
-            raise SceneFormatError(f"scene {name!r} has no spanning surface")
-        scene.validate(spec)
-        lk = combinatorial_lk(scene.curve_c, scene.spanning_mesh)
-        rows.append([name, lk])
-        print(f"{name}: Lk={lk}", file=sys.stderr)
-    csv_text = _csv_lines(["scene", "lk"], rows)
-    record = {"command": "lk", "rows": [{"scene": r[0], "lk": r[1]} for r in rows]}
-    _emit(csv_text, record, args.out)
-    return EXIT_OK
-
-
-def _cmd_ampere(args) -> int:
-    if args.scene:
-        scene_file = _load_scene_file(args.scene)
-        consts = scene_file.field_constants()
-        spec = scene_file.quadrature_spec()
-        scenes = [scene_file.build_scene(name) for name in scene_file.scenes]
+def _run_ampere(scene_file, entry):
+    if scene_file is None:
+        scene_file, scenes = BUILTIN, default_catalog()
     else:
-        consts = FieldConstants()
-        spec = QuadratureSpec()
-        scenes = default_catalog()
-    rows = ampere_catalog(scenes, spec, consts)
-    table = [
-        [r.scene_id, r.gauss_value, r.lk, r.abs_diff, r.passed] for r in rows
+        scenes = [scene_file.build_scene(n) for n in entry.get("scenes", scene_file.scenes)]
+    rows = ampere_catalog(scenes, scene_file.quadrature_spec(), scene_file.field_constants())
+    for r in rows:
+        if not r.passed:
+            print(f"FAIL {r.scene_id}: |A-Lk|={r.abs_diff:g} {r.note}", file=sys.stderr)
+    record = [
+        {
+            "scene_id": r.scene_id,
+            "A": r.gauss_value,
+            "error_estimate": r.error_estimate,
+            "Lk": r.lk,
+            "abs_diff": r.abs_diff,
+            "pass": r.passed,
+            "note": r.note,
+        }
+        for r in rows
     ]
-    csv_text = _csv_lines(["scene_id", "A", "Lk", "abs_diff", "pass"], table)
-    record = {
-        "command": "ampere",
-        "rows": [
-            {
-                "scene_id": r.scene_id,
-                "A": r.gauss_value,
-                "error_estimate": r.error_estimate,
-                "Lk": r.lk,
-                "abs_diff": r.abs_diff,
-                "pass": r.passed,
-                "note": r.note,
-            }
-            for r in rows
-        ],
-    }
-    _emit(csv_text, record, args.out)
-    failures = [r for r in rows if not r.passed]
-    for r in failures:
-        print(f"FAIL {r.scene_id}: |A-Lk|={r.abs_diff:g} {r.note}", file=sys.stderr)
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+    table = [[r.scene_id, r.gauss_value, r.lk, r.abs_diff, r.passed] for r in rows]
+    return table, {"rows": record}, all(r.passed for r in rows)
 
 
-def _cmd_linelimit(args) -> int:
-    n_list = [int(tok) for tok in args.n.split(",") if tok]
-    report = line_limit_study(n_list)
+def _run_linelimit(scene_file, entry):
+    report = line_limit_study(entry["n"])
     table = [
         [r.n, r.a_total, r.a_axis_leg, r.a_far_legs, abs(r.a_total - 1.0)]
         for r in report.detail
     ]
-    csv_text = _csv_lines(["n", "A_total", "A_c1", "A_c2", "abs_err"], table)
     record = {
-        "command": "linelimit",
         "analytic_reference": report.analytic_reference,
         "passed": report.passed,
         "rows": [
@@ -250,187 +195,163 @@ def _cmd_linelimit(args) -> int:
             for r in report.detail
         ],
     }
-    _emit(csv_text, record, args.out)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return table, record, report.passed
 
 
-def _default_similitude_reports():
-    square = PlanarRect((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    reports = [
-        (
-            "infinitesimal",
-            similitude_infinitesimal(
-                (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                (0.0, 0.0, 2.0), [0.2, 0.1, 0.05, 0.025], 1e-4,
-            ),
-        ),
-        ("general_square", similitude_general(square, (0.5, 0.5, 2.0), 1e-4, [8, 16, 32, 64])),
+def _run_similitude(scene_file, entry):
+    if "surface" not in entry:  # the built-in shrinking panel
+        label, report = "infinitesimal", similitude_infinitesimal(*INFINITESIMAL)
+    else:
+        label = entry["surface"]
+        patch = (scene_file or BUILTIN).build_patch(label)
+        report = similitude_general(patch, entry["r"], entry["h"], entry["mesh_sizes"])
+    rows = [
+        [label, r.scale_parameter, *r.measured, *r.reference, r.abs_error] for r in report.rows
     ]
-    return reports
+    summary = f"fitted_order={report.fitted_order:.4g} passed={report.passed}"
+    return _study(label, report, rows, summary)
 
 
-def _cmd_similitude(args) -> int:
-    if args.scene:
-        scene_file = _load_scene_file(args.scene)
-        entries = [e for e in scene_file.experiments if e["kind"] == "similitude"]
-        if not entries:
-            raise SceneFormatError("scene file has no similitude experiments")
-        reports = []
-        for entry in entries:
-            patch = scene_file.build_patch(entry["surface"])
-            rep = similitude_general(
-                patch, entry["r"], entry["h"], entry["mesh_sizes"]
-            )
-            reports.append((entry["surface"], rep))
-    else:
-        reports = _default_similitude_reports()
-    rows = []
-    record = {"command": "similitude", "studies": {}}
-    all_ok = True
-    for label, rep in reports:
-        for row in _report_rows(rep):
-            rows.append([label, *row])
-        record["studies"][label] = _report_record(rep)
-        all_ok = all_ok and rep.passed
-        print(
-            f"{label}: fitted_order={rep.fitted_order:.4g} passed={rep.passed}",
-            file=sys.stderr,
-        )
-    header = [
-        "study", "scale_parameter",
-        "measured_x", "measured_y", "measured_z",
-        "reference_x", "reference_y", "reference_z",
-        "abs_error",
+def _run_maxwell(scene_file, entry):
+    label, source = entry["surface"], scene_file or BUILTIN
+    report = maxwell_probe(
+        source.build_patch(label), entry["sigma"], entry["points"], entry["steps"],
+        source.field_constants(), dipole_separation=entry["dipole_separation"],
+    )
+    rows = [
+        [label, kind, *r.point.tolist(), r.step, r.div_norm, r.curl_norm]
+        for kind, r in report.point_rows
     ]
-    csv_text = _csv_lines(header, rows)
-    _emit(csv_text, record, args.out)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return _study(label, report, rows, f"passed={report.passed} notes={report.notes}")
 
 
-def _cmd_maxwell(args) -> int:
-    if args.scene:
-        scene_file = _load_scene_file(args.scene)
-        consts = scene_file.field_constants()
-        entries = [e for e in scene_file.experiments if e["kind"] == "maxwell"]
-        if not entries:
-            raise SceneFormatError("scene file has no maxwell experiments")
-        jobs = [
-            (
-                entry["surface"],
-                scene_file.build_patch(entry["surface"]),
-                entry["sigma"],
-                entry["points"],
-                entry["steps"],
-                entry.get("dipole_separation", 1e-3),
-            )
-            for entry in entries
-        ]
+def _run_curl(scene_file, entry):
+    label, source = entry["curve"], scene_file or BUILTIN
+    report = curl_vanishing(
+        source.build_curve(label), entry["points"], entry["steps"], source.field_constants()
+    )
+    rows = [
+        [label, *r.point.tolist(), r.step, r.curl_norm, r.div_norm] for r in report.point_rows
+    ]
+    return _study(label, report, rows, f"passed={report.passed}")
+
+
+def _run_field(scene_file, entry):
+    consts, spec = scene_file.field_constants(), scene_file.quadrature_spec()
+    if "curve" in entry:
+        label = entry["curve"]
+        curve = scene_file.build_curve(label)
+        rows = [[*p, *biot_savart(curve, p, consts, spec).tolist()] for p in entry["points"]]
     else:
-        consts = FieldConstants()
-        square = PlanarRect((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-        jobs = [("square_sheet", square, 1.0, [(0.5, 0.5, 1.0), (0.2, 0.8, 0.9)], [2e-3, 1e-3], 1e-3)]
-    rows = []
-    record = {"command": "maxwell", "studies": {}}
-    all_ok = True
-    for label, patch, sigma, points, steps, separation in jobs:
-        rep = maxwell_probe(patch, sigma, points, steps, consts,
-                            dipole_separation=separation)
-        for kind, prow in rep.point_rows:
-            rows.append(
-                [label, kind, *prow.point.tolist(), prow.step, prow.div_norm, prow.curl_norm]
-            )
-        record["studies"][label] = _report_record(rep)
-        all_ok = all_ok and rep.passed
-        print(f"{label}: passed={rep.passed} notes={rep.notes}", file=sys.stderr)
-    header = ["surface", "field", "point_x", "point_y", "point_z", "step", "abs_div", "curl_norm"]
-    _emit(_csv_lines(header, rows), record, args.out)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
-
-
-def _cmd_curl(args) -> int:
-    if args.scene:
-        scene_file = _load_scene_file(args.scene)
-        consts = scene_file.field_constants()
-        entries = [e for e in scene_file.experiments if e["kind"] == "curl"]
-        if not entries:
-            raise SceneFormatError("scene file has no curl experiments")
-        jobs = [
-            (entry["curve"], scene_file.build_curve(entry["curve"]),
-             entry["points"], entry["steps"])
-            for entry in entries
+        label = entry["surface"]
+        patch = scene_file.build_patch(label)
+        rows = [
+            [*p, *coulomb_surface_field(patch, entry["sigma"], p, consts, spec).tolist()]
+            for p in entry["points"]
         ]
-    else:
-        consts = FieldConstants()
-        jobs = [("unit_circle", unit_circle(), default_probe_points(), [4e-3, 2e-3, 1e-3])]
-    rows = []
-    record = {"command": "curl", "studies": {}}
-    all_ok = True
-    for label, curve, points, steps in jobs:
-        rep = curl_vanishing(curve, points, steps, consts)
-        for prow in rep.point_rows:
-            rows.append([label, *prow.point.tolist(), prow.step, prow.curl_norm, prow.div_norm])
-        record["studies"][label] = _report_record(rep)
-        all_ok = all_ok and rep.passed
-        print(f"{label}: passed={rep.passed}", file=sys.stderr)
-    header = ["curve", "point_x", "point_y", "point_z", "step", "curl_norm", "abs_div"]
-    _emit(_csv_lines(header, rows), record, args.out)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return rows, {"object": label, "rows": [{"point": r[:3], "field": r[3:]} for r in rows]}, True
+
+
+class _Kind(NamedTuple):
+    header: list[str]
+    run: Callable
+    default: list  # entries run when there is no --scene
+
+
+def _builtin(kind: str) -> list[dict]:
+    return [e for e in BUILTIN.experiments if e["kind"] == kind]
+
+
+_PROBE = ["point_x", "point_y", "point_z", "step"]
+
+# experiment kind -> CSV header, runner, built-in entries
+_KINDS = {
+    "link": _Kind(["scene", "value", "error_estimate", "lk"], _run_link, []),
+    "lk": _Kind(["scene", "lk"], _run_lk, []),
+    "ampere": _Kind(["scene_id", "A", "Lk", "abs_diff", "pass"], _run_ampere, _builtin("ampere")),
+    "linelimit": _Kind(
+        ["n", "A_total", "A_c1", "A_c2", "abs_err"], _run_linelimit, _builtin("linelimit")
+    ),
+    "similitude": _Kind(
+        [
+            "study", "scale_parameter",
+            "measured_x", "measured_y", "measured_z",
+            "reference_x", "reference_y", "reference_z",
+            "abs_error",
+        ],
+        _run_similitude,
+        [{"kind": "similitude"}, *_builtin("similitude")],  # the shrinking panel, then the square
+    ),
+    "maxwell": _Kind(
+        ["surface", "field", *_PROBE, "abs_div", "curl_norm"], _run_maxwell, _builtin("maxwell")
+    ),
+    "curl": _Kind(["curve", *_PROBE, "curl_norm", "abs_div"], _run_curl, _builtin("curl")),
+    "field": _Kind(
+        ["point_x", "point_y", "point_z", "field_x", "field_y", "field_z"], _run_field, []
+    ),
+}
+
+
+def _run_entries(kind: str, scene_file, entries: list[dict], out: str | None) -> int:
+    """Run the entries of one kind, then write one CSV and one JSON record."""
+    header, runner, _ = _KINDS[kind]
+    rows, record, passed = [], {"command": kind}, True
+    for entry in entries:
+        entry_rows, part, ok = runner(scene_file, entry)
+        rows += entry_rows
+        for key, value in part.items():
+            if isinstance(value, list):
+                record.setdefault(key, []).extend(value)
+            elif isinstance(value, dict):
+                record.setdefault(key, {}).update(value)
+            else:
+                record[key] = value
+        passed = passed and ok
+    _emit(_csv_lines(header, rows), record, out)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _parse_points(text: str) -> list[list[float]]:
-    points = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 3:
-            raise SceneFormatError(f"bad point {chunk!r}: expected x,y,z")
-        points.append([float(p) for p in parts])
-    if not points:
-        raise SceneFormatError("no evaluation points given")
-    return points
+    return [[float(p) for p in chunk.split(",")] for chunk in text.split(";") if chunk.strip()]
 
 
-def _cmd_field(args) -> int:
-    scene_file = _load_scene_file(args.scene)
-    consts = scene_file.field_constants()
-    spec = scene_file.quadrature_spec()
-    if (args.curve is None) == (args.surface is None):
-        raise SceneFormatError("give exactly one of --curve or --surface")
-    points = _parse_points(args.points)
-    rows = []
-    if args.curve is not None:
-        if args.curve not in scene_file.curves:
-            raise SceneFormatError(f"unknown curve {args.curve!r}")
-        curve = scene_file.build_curve(args.curve)
-        for p in points:
-            value = biot_savart(curve, p, consts, spec)
-            rows.append([*p, *value.tolist()])
-        label = args.curve
-    else:
-        if args.surface not in scene_file.surfaces:
-            raise SceneFormatError(f"unknown surface {args.surface!r}")
-        patch = scene_file.build_patch(args.surface)
-        for p in points:
-            value = coulomb_surface_field(patch, args.sigma, p, consts, spec)
-            rows.append([*p, *value.tolist()])
-        label = args.surface
-    header = ["point_x", "point_y", "point_z", "field_x", "field_y", "field_z"]
-    record = {
-        "command": "field",
-        "object": label,
-        "rows": [
-            {"point": r[:3], "field": r[3:]} for r in rows
-        ],
-    }
-    _emit(_csv_lines(header, rows), record, args.out)
-    return EXIT_OK
+def _flag_entries(args, scene_file) -> list[dict]:
+    """The experiment entries a subcommand's flags ask for."""
+    kind = args.command
+
+    def checked(flags: dict) -> dict:
+        obj = {"kind": kind, **{k: v for k, v in flags.items() if v is not None}}
+        return parse_experiment(obj, kind, scene_file or BUILTIN)
+
+    if kind in ("link", "lk"):
+        if args.name is None and not scene_file.scenes:
+            raise SceneFormatError("scene file defines no scenes")
+        names = scene_file.scenes if args.name is None else [args.name]
+        return [checked({"scene": name}) for name in names]
+    if kind == "field":
+        flags = {"curve": args.curve, "surface": args.surface, "sigma": args.sigma}
+        return [checked({**flags, "points": _parse_points(args.points)})]
+    if kind == "linelimit" and args.n is not None:
+        return [checked({"n": [int(tok) for tok in args.n.split(",") if tok]})]
+    if kind == "ampere" and scene_file is not None:
+        return [{"kind": kind}]  # every scene of the file
+    if scene_file is None:
+        return _KINDS[kind].default
+    entries = [e for e in scene_file.experiments if e["kind"] == kind]
+    if not entries:
+        raise SceneFormatError(f"scene file has no {kind} experiments")
+    return entries
 
 
-def _cmd_selftest(args) -> int:
-    ok = run_selftest(sys.stdout)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+def _run_scene_file(scene_file) -> int:
+    """Run every experiment entry of the file, each to its own `out`."""
+    if not scene_file.experiments:
+        raise SceneFormatError("scene file has no experiments")
+    codes = [
+        _run_entries(entry["kind"], scene_file, [entry], entry.get("out"))
+        for entry in scene_file.experiments
+    ]
+    return max(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -448,43 +369,45 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, func, help_text):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
         p.add_argument("--out", help="CSV output path (JSON record written alongside)")
         return p
 
-    p = add("field", _cmd_field, "evaluate a field at points")
+    p = add("field", "evaluate a field at points")
     p.add_argument("--scene", required=True, help="scene file (JSON)")
     p.add_argument("--curve", help="curve name for the magnetic field")
     p.add_argument("--surface", help="surface name for the electric field")
-    p.add_argument("--sigma", type=float, default=1.0, help="surface charge density")
+    p.add_argument("--sigma", type=float, help="surface charge density (default 1)")
     p.add_argument("--points", required=True, help='evaluation points "x,y,z;x,y,z;..."')
 
-    p = add("link", _cmd_link, "Gauss linking integral of scenes")
+    p = add("link", "Gauss linking integral of scenes")
     p.add_argument("--scene", required=True)
     p.add_argument("--name", help="run a single named scene")
 
-    p = add("lk", _cmd_lk, "combinatorial linking number of scenes")
+    p = add("lk", "combinatorial linking number of scenes")
     p.add_argument("--scene", required=True)
     p.add_argument("--name")
 
-    p = add("similitude", _cmd_similitude, "dipole-sheet vs loop-field studies")
+    p = add("similitude", "dipole-sheet vs loop-field studies")
     p.add_argument("--scene", help="scene file with similitude experiments")
 
-    p = add("ampere", _cmd_ampere, "A vs Lk over a scene catalog")
+    p = add("ampere", "A vs Lk over a scene catalog")
     p.add_argument("--scene", help="scene file (default: built-in catalog)")
 
-    p = add("linelimit", _cmd_linelimit, "straight-wire limit of the Gauss integral")
-    p.add_argument("--n", default="2,4,8,16,32", help="comma-separated loop extents")
+    p = add("linelimit", "straight-wire limit of the Gauss integral")
+    p.add_argument("--n", help="comma-separated loop extents (default 2,4,8,16,32)")
 
-    p = add("maxwell", _cmd_maxwell, "div/curl probes of sheet fields")
+    p = add("maxwell", "div/curl probes of sheet fields")
     p.add_argument("--scene", help="scene file with maxwell experiments")
 
-    p = add("curl", _cmd_curl, "curl probe of loop fields")
+    p = add("curl", "curl probe of loop fields")
     p.add_argument("--scene", help="scene file with curl experiments")
 
-    add("selftest", _cmd_selftest, "run the acceptance suite")
+    p = sub.add_parser("run", help="every experiment of a scene file, each to its out path")
+    p.add_argument("--scene", required=True)
+
+    add("selftest", "run the acceptance suite")
     return parser
 
 
@@ -512,23 +435,36 @@ def _join_points_value(argv: list[str]) -> list[str]:
     return out
 
 
+def _dispatch(argv: list[str]) -> int:
+    _check_threads_env()
+    args = _build_parser().parse_args(_join_points_value(argv))
+    if args.command is None:
+        raise SceneFormatError("missing subcommand")
+    if args.command == "selftest":
+        return EXIT_OK if run_selftest(sys.stdout) else EXIT_CHECK_FAILED
+    scene_file = parse_scene_file(args.scene) if getattr(args, "scene", None) else None
+    if args.command == "run":
+        return _run_scene_file(scene_file)
+    return _run_entries(args.command, scene_file, _flag_entries(args, scene_file), args.out)
+
+
 def run(argv=None) -> int:
-    parser = _build_parser()
+    # progress lines reach stderr on exit 0 or 1; exit 2 or 3 prints one line
+    progress = io.StringIO()
     try:
-        _check_threads_env()
-        args = parser.parse_args(_join_points_value(sys.argv[1:] if argv is None else argv))
-        if getattr(args, "command", None) is None:
-            raise SceneFormatError("missing subcommand")
-        return args.func(args)
+        with contextlib.redirect_stderr(progress):
+            code = _dispatch(sys.argv[1:] if argv is None else argv)
     except SceneFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LoopfieldError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:  # input rejected by the library's own checks
+    except (ValueError, OSError) as exc:  # input the library rejects, or an unwritable out path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    sys.stderr.write(progress.getvalue())
+    return code
 
 
 def main() -> None:

@@ -4,10 +4,18 @@ A scene file is plain data; geometry objects are built on demand.  The
 parser rejects unknown fields and dangling references so that a file
 that parses is a file that runs.  Parsing, re-serializing, and re-parsing
 yields an identical structure.
+
+Each experiment kind lists its required and optional fields in
+`_EXPERIMENT_KINDS`; each field has one parser in `_EXPERIMENT_FIELDS`,
+and `parse_experiment` checks an entry against both.  The command line
+builds its own entries from flags and checks them with the same parser.
+Every entry may name an `out` path: `loopfield run` writes the entry's
+CSV there and its JSON record beside it.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,12 +35,14 @@ from .geometry import (
 from .linking import LinkScene
 from .quadrature import QuadratureSpec
 
-__all__ = ["SceneFile", "parse_scene_file", "parse_scene_dict"]
+__all__ = ["SceneFile", "parse_scene_file", "parse_scene_dict", "parse_experiment"]
 
 SCENE_VERSION = 1
 
 _CONSTANT_KEYS = {"k_E", "k_B"}
 _QUADRATURE_KEYS = {"nodes_per_cell", "abs_tol", "rel_tol", "max_depth", "min_distance_guard"}
+
+_SCENE_KEYS = {"curve_c", "curve_l"}
 
 _CURVE_KINDS = {
     "circle": ({"center", "radius", "axis"}, {"orientation"}),
@@ -112,12 +122,7 @@ class SceneFile:
     # -- object builders ----------------------------------------------------
 
     def field_constants(self) -> FieldConstants:
-        kwargs = {}
-        if "k_E" in self.constants:
-            kwargs["k_E"] = self.constants["k_E"]
-        if "k_B" in self.constants:
-            kwargs["k_B"] = self.constants["k_B"]
-        return FieldConstants(**kwargs)
+        return FieldConstants(**self.constants)
 
     def quadrature_spec(self) -> QuadratureSpec:
         return QuadratureSpec(**self.quadrature)
@@ -128,12 +133,9 @@ class SceneFile:
         spec = self.curves[name]
         kind = spec["kind"]
         if kind == "circle":
-            return Circle(
-                spec["center"], spec["radius"], spec["axis"],
-                spec.get("orientation", "ccw"),
-            )
+            return Circle(spec["center"], spec["radius"], spec["axis"], spec["orientation"])
         if kind == "polyline":
-            return PolyLine(spec["vertices"], closed=spec.get("closed", True))
+            return PolyLine(spec["vertices"], closed=spec["closed"])
         if kind == "rect_loop":
             return RectLoop(spec["n"])
         if kind == "composite":
@@ -149,7 +151,7 @@ class SceneFile:
 
     def build_mesh(self, name: str):
         spec = self.surfaces[name]
-        m, n = spec.get("mesh", [15, 15])
+        m, n = spec["mesh"]
         return mesh_surface(self.build_patch(name), m, n)
 
     def build_scene(self, name: str) -> LinkScene:
@@ -166,18 +168,9 @@ class SceneFile:
 
     def to_dict(self) -> dict:
         out = {"version": self.version}
-        if self.constants:
-            out["constants"] = dict(self.constants)
-        if self.quadrature:
-            out["quadrature"] = dict(self.quadrature)
-        if self.curves:
-            out["curves"] = {k: dict(v) for k, v in self.curves.items()}
-        if self.surfaces:
-            out["surfaces"] = {k: dict(v) for k, v in self.surfaces.items()}
-        if self.scenes:
-            out["scenes"] = {k: dict(v) for k, v in self.scenes.items()}
-        if self.experiments:
-            out["experiments"] = [dict(e) for e in self.experiments]
+        for key in ("constants", "quadrature", "curves", "surfaces", "scenes", "experiments"):
+            if getattr(self, key):
+                out[key] = copy.deepcopy(getattr(self, key))
         return out
 
     def to_json(self) -> str:
@@ -189,174 +182,121 @@ class SceneFile:
 # ---------------------------------------------------------------------------
 
 
-def _parse_constants(obj, where="constants") -> dict:
-    _check_keys(obj, set(), _CONSTANT_KEYS, where)
-    return {k: _as_number(v, f"{where}.{k}") for k, v in obj.items()}
+def _field(convert, test=None, says=""):
+    """Parser of one field: convert, then reject the value unless test holds."""
+
+    def parse(value, where, scene_file):
+        out = convert(value, where)
+        if test is not None and not test(out):
+            raise SceneFormatError(f"{where}: {says}, got {value!r}")
+        return out
+
+    return parse
 
 
-def _parse_quadrature(obj, where="quadrature") -> dict:
-    _check_keys(obj, set(), _QUADRATURE_KEYS, where)
-    out = {}
-    for k, v in obj.items():
-        if k in ("nodes_per_cell", "max_depth"):
-            out[k] = _as_int(v, f"{where}.{k}")
-        elif k == "min_distance_guard" and v is None:
-            out[k] = None
-        else:
-            out[k] = _as_number(v, f"{where}.{k}")
-    return out
+def _ref(table: str):
+    """Parser of a name that must resolve in the scene file's table."""
+
+    def parse(value, where, scene_file):
+        name = _as_name(value, where)
+        if name not in getattr(scene_file, table):
+            raise SceneFormatError(f"{where}: unknown {table[:-1]} {name!r}")
+        return name
+
+    return parse
 
 
-def _parse_curve(name: str, obj) -> dict:
-    where = f"curves.{name}"
+def _items(item, what: str, least: int = 1, most: int | None = None, distinct: bool = False):
+    """Parser of a list of `least` to `most` items, each checked by `item`."""
+
+    def parse(value, where, scene_file):
+        if not isinstance(value, list) or not least <= len(value) <= (most or len(value)):
+            raise SceneFormatError(f"{where}: need {what}")
+        out = [item(v, where, scene_file) for v in value]
+        if distinct and len(set(out)) < len(out):
+            raise SceneFormatError(f"{where}: values must be distinct, got {value!r}")
+        return out
+
+    return parse
+
+
+_NUMBER, _INT, _VEC = _field(_as_number), _field(_as_int), _field(_as_vec)
+
+# field name -> parser(value, where, scene_file), for every object of the
+# schema; a curve's "n" differs and is in _CURVE_FIELDS
+_FIELDS = {
+    "k_E": _NUMBER,
+    "k_B": _NUMBER,
+    "nodes_per_cell": _INT,
+    "max_depth": _INT,
+    "abs_tol": _NUMBER,
+    "rel_tol": _NUMBER,
+    "min_distance_guard": lambda v, where, sf: None if v is None else _NUMBER(v, where, sf),
+    "center": _VEC,
+    "radius": _NUMBER,
+    "axis": _VEC,
+    "orientation": _field(_as_name, lambda o: o in ("ccw", "cw"), "must be 'ccw' or 'cw'"),
+    "vertices": _items(_VEC, "at least 2 vertices", least=2),
+    "closed": _field(lambda v, where: v, lambda c: isinstance(c, bool), "must be a boolean"),
+    "parts": _items(_ref("curves"), "at least one part name"),
+    "corner": _VEC,
+    "edge_a": _VEC,
+    "edge_b": _VEC,
+    "mesh": _items(_field(_as_int, lambda m: m >= 1, "must be >= 1"), "[M, N]", least=2, most=2),
+    "curve_c": _ref("curves"),
+    "curve_l": _ref("curves"),
+    "spanning_surface": _ref("surfaces"),
+    "scene": _ref("scenes"),
+    "scenes": _items(_ref("scenes"), "at least one scene name"),
+    "surface": _ref("surfaces"),
+    "curve": _ref("curves"),
+    "points": _items(_VEC, "at least one point"),
+    "steps": _items(_field(_as_number, lambda s: s > 0.0, "must be positive"), "at least one step"),
+    "sigma": _NUMBER,
+    "r": _VEC,
+    "h": _field(_as_number, lambda h: h != 0.0, "must be nonzero"),
+    "n": _items(_field(_as_int, lambda n: n >= 2, "must be >= 2"), "at least one value",
+                distinct=True),
+    "mesh_sizes": _items(_INT, "at least 3 sizes", least=3),
+    "dipole_separation": _NUMBER,
+    "out": _field(_as_name),
+}
+_CURVE_FIELDS = {**_FIELDS, "n": _field(_as_int, lambda n: n >= 1, "must be positive")}
+
+# values of optional fields that an object leaves out
+_DEFAULTS = {
+    "orientation": "ccw",
+    "closed": True,
+    "mesh": [15, 15],
+    "mesh_sizes": [8, 16, 32, 64],
+    "dipole_separation": 1e-3,
+    "sigma": 1.0,
+}
+
+
+def _parse_fields(obj, required, optional, where, scene_file, fields=_FIELDS) -> dict:
+    _check_keys(obj, required, optional, where)
+    given = {**obj, **{k: v for k, v in _DEFAULTS.items() if k in optional and k not in obj}}
+    return {k: fields[k](v, f"{where}.{k}", scene_file) for k, v in given.items() if k != "kind"}
+
+
+def _parse_kind(obj, kinds: dict, where, scene_file, fields=_FIELDS) -> dict:
+    """Parse obj by the required and optional fields of its kind."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SceneFormatError(f"{where}: missing 'kind'")
     kind = obj["kind"]
-    if kind not in _CURVE_KINDS:
+    if not isinstance(kind, str) or kind not in kinds:
         raise SceneFormatError(f"{where}: unknown kind {kind!r}")
-    required, optional = _CURVE_KINDS[kind]
-    _check_keys(obj, required | {"kind"}, optional, where)
-    out = {"kind": kind}
-    if kind == "circle":
-        out["center"] = _as_vec(obj["center"], f"{where}.center")
-        out["radius"] = _as_number(obj["radius"], f"{where}.radius")
-        out["axis"] = _as_vec(obj["axis"], f"{where}.axis")
-        orientation = obj.get("orientation", "ccw")
-        if orientation not in ("ccw", "cw"):
-            raise SceneFormatError(f"{where}.orientation: must be 'ccw' or 'cw'")
-        out["orientation"] = orientation
-    elif kind == "polyline":
-        verts = obj["vertices"]
-        if not isinstance(verts, list) or len(verts) < 2:
-            raise SceneFormatError(f"{where}.vertices: need at least 2 vertices")
-        out["vertices"] = [_as_vec(v, f"{where}.vertices[{i}]") for i, v in enumerate(verts)]
-        closed = obj.get("closed", True)
-        if not isinstance(closed, bool):
-            raise SceneFormatError(f"{where}.closed: expected a boolean")
-        out["closed"] = closed
-    elif kind == "rect_loop":
-        n = _as_int(obj["n"], f"{where}.n")
-        if n < 1:
-            raise SceneFormatError(f"{where}.n: must be positive")
-        out["n"] = n
-    else:  # composite
-        parts = obj["parts"]
-        if not isinstance(parts, list) or not parts:
-            raise SceneFormatError(f"{where}.parts: need at least one part name")
-        out["parts"] = [_as_name(p, f"{where}.parts[{i}]") for i, p in enumerate(parts)]
-    return out
+    required, optional = kinds[kind]
+    parsed = _parse_fields(obj, required | {"kind"}, optional, where, scene_file, fields)
+    return {"kind": kind, **parsed}
 
 
-def _parse_surface(name: str, obj) -> dict:
-    where = f"surfaces.{name}"
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SceneFormatError(f"{where}: missing 'kind'")
-    kind = obj["kind"]
-    if kind not in _SURFACE_KINDS:
-        raise SceneFormatError(f"{where}: unknown kind {kind!r}")
-    required, optional = _SURFACE_KINDS[kind]
-    _check_keys(obj, required | {"kind"}, optional, where)
-    out = {"kind": kind}
-    if kind == "planar_rect":
-        for key in ("corner", "edge_a", "edge_b"):
-            out[key] = _as_vec(obj[key], f"{where}.{key}")
-    else:
-        out["center"] = _as_vec(obj["center"], f"{where}.center")
-        out["radius"] = _as_number(obj["radius"], f"{where}.radius")
-        out["axis"] = _as_vec(obj["axis"], f"{where}.axis")
-    if "mesh" in obj:
-        mesh = obj["mesh"]
-        if not isinstance(mesh, list) or len(mesh) != 2:
-            raise SceneFormatError(f"{where}.mesh: expected [M, N]")
-        m, n = (_as_int(v, f"{where}.mesh") for v in mesh)
-        if m < 1 or n < 1:
-            raise SceneFormatError(f"{where}.mesh: dimensions must be >= 1")
-        out["mesh"] = [m, n]
-    return out
-
-
-def _parse_scene(name: str, obj, curves: dict, surfaces: dict) -> dict:
-    where = f"scenes.{name}"
-    _check_keys(obj, {"curve_c", "curve_l"}, {"spanning_surface"}, where)
-    out = {}
-    for key in ("curve_c", "curve_l"):
-        ref = _as_name(obj[key], f"{where}.{key}")
-        if ref not in curves:
-            raise SceneFormatError(f"{where}.{key}: unknown curve {ref!r}")
-        out[key] = ref
-    if "spanning_surface" in obj:
-        ref = _as_name(obj["spanning_surface"], f"{where}.spanning_surface")
-        if ref not in surfaces:
-            raise SceneFormatError(f"{where}.spanning_surface: unknown surface {ref!r}")
-        out["spanning_surface"] = ref
-    return out
-
-
-def _parse_experiment(idx: int, obj, curves: dict, surfaces: dict, scenes: dict) -> dict:
-    where = f"experiments[{idx}]"
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SceneFormatError(f"{where}: missing 'kind'")
-    kind = obj["kind"]
-    if kind not in _EXPERIMENT_KINDS:
-        raise SceneFormatError(f"{where}: unknown kind {kind!r}")
-    required, optional = _EXPERIMENT_KINDS[kind]
-    _check_keys(obj, required | {"kind"}, optional, where)
-    out = {"kind": kind}
-
-    def ref(key, table, table_name):
-        name = _as_name(obj[key], f"{where}.{key}")
-        if name not in table:
-            raise SceneFormatError(f"{where}.{key}: unknown {table_name} {name!r}")
-        out[key] = name
-
-    if kind in ("link", "lk"):
-        ref("scene", scenes, "scene")
-    elif kind == "ampere":
-        if "scenes" in obj:
-            names = obj["scenes"]
-            if not isinstance(names, list) or not names:
-                raise SceneFormatError(f"{where}.scenes: need at least one scene name")
-            for i, name in enumerate(names):
-                if _as_name(name, f"{where}.scenes[{i}]") not in scenes:
-                    raise SceneFormatError(f"{where}.scenes[{i}]: unknown scene {name!r}")
-            out["scenes"] = list(names)
-    elif kind == "linelimit":
-        ns = obj["n"]
-        if not isinstance(ns, list) or not ns:
-            raise SceneFormatError(f"{where}.n: need at least one value")
-        out["n"] = [_as_int(v, f"{where}.n") for v in ns]
-    elif kind == "similitude":
-        ref("surface", surfaces, "surface")
-        out["r"] = _as_vec(obj["r"], f"{where}.r")
-        out["h"] = _as_number(obj["h"], f"{where}.h")
-        sizes = obj.get("mesh_sizes", [8, 16, 32, 64])
-        if not isinstance(sizes, list) or len(sizes) < 3:
-            raise SceneFormatError(f"{where}.mesh_sizes: need at least 3 sizes")
-        out["mesh_sizes"] = [_as_int(v, f"{where}.mesh_sizes") for v in sizes]
-    elif kind == "maxwell":
-        ref("surface", surfaces, "surface")
-        out["sigma"] = _as_number(obj["sigma"], f"{where}.sigma")
-        out["points"] = [_as_vec(p, f"{where}.points") for p in obj["points"]]
-        out["steps"] = [_as_number(s, f"{where}.steps") for s in obj["steps"]]
-        if "dipole_separation" in obj:
-            out["dipole_separation"] = _as_number(
-                obj["dipole_separation"], f"{where}.dipole_separation"
-            )
-    elif kind == "curl":
-        ref("curve", curves, "curve")
-        out["points"] = [_as_vec(p, f"{where}.points") for p in obj["points"]]
-        out["steps"] = [_as_number(s, f"{where}.steps") for s in obj["steps"]]
-    else:  # field
-        if ("curve" in obj) == ("surface" in obj):
-            raise SceneFormatError(f"{where}: give exactly one of 'curve' or 'surface'")
-        if "curve" in obj:
-            ref("curve", curves, "curve")
-        else:
-            ref("surface", surfaces, "surface")
-            out["sigma"] = _as_number(obj.get("sigma", 1.0), f"{where}.sigma")
-        out["points"] = [_as_vec(p, f"{where}.points") for p in obj["points"]]
-    if "out" in obj:
-        out["out"] = _as_name(obj["out"], f"{where}.out")
+def parse_experiment(obj, where: str, scene_file: SceneFile) -> dict:
+    """Check one experiment entry; the names it uses must resolve in scene_file."""
+    out = _parse_kind(obj, _EXPERIMENT_KINDS, where, scene_file)
+    if out["kind"] == "field" and ("curve" in out) == ("surface" in out):
+        raise SceneFormatError(f"{where}: give exactly one of 'curve' or 'surface'")
     return out
 
 
@@ -370,49 +310,41 @@ def parse_scene_dict(data) -> SceneFile:
     version = _as_int(data["version"], "version")
     if version != SCENE_VERSION:
         raise SceneFormatError(f"unsupported scene file version {version}")
-
-    constants = _parse_constants(data.get("constants", {}))
-    quadrature = _parse_quadrature(data.get("quadrature", {}))
-
-    raw_curves = data.get("curves", {})
-    if not isinstance(raw_curves, dict):
-        raise SceneFormatError("curves: expected an object of named curves")
-    curves = {name: _parse_curve(name, spec) for name, spec in raw_curves.items()}
-    for name, spec in curves.items():
-        if spec["kind"] == "composite":
-            for part in spec["parts"]:
-                if part not in curves:
-                    raise SceneFormatError(f"curves.{name}: unknown part {part!r}")
-
-    raw_surfaces = data.get("surfaces", {})
-    if not isinstance(raw_surfaces, dict):
-        raise SceneFormatError("surfaces: expected an object of named surfaces")
-    surfaces = {name: _parse_surface(name, spec) for name, spec in raw_surfaces.items()}
-
-    raw_scenes = data.get("scenes", {})
-    if not isinstance(raw_scenes, dict):
-        raise SceneFormatError("scenes: expected an object of named scenes")
-    scenes = {
-        name: _parse_scene(name, spec, curves, surfaces)
-        for name, spec in raw_scenes.items()
+    sf = SceneFile(version)
+    sf.constants = _parse_fields(data.get("constants", {}), set(), _CONSTANT_KEYS, "constants", sf)
+    sf.quadrature = _parse_fields(
+        data.get("quadrature", {}), set(), _QUADRATURE_KEYS, "quadrature", sf
+    )
+    raw = {table: data.get(table, {}) for table in ("curves", "surfaces", "scenes")}
+    for table, named in raw.items():
+        if not isinstance(named, dict):
+            raise SceneFormatError(f"{table}: expected an object of named {table}")
+        setattr(sf, table, dict.fromkeys(named))  # names first: references may point forward
+    sf.curves = {
+        name: _parse_kind(spec, _CURVE_KINDS, f"curves.{name}", sf, _CURVE_FIELDS)
+        for name, spec in raw["curves"].items()
     }
-
+    sf.surfaces = {
+        name: _parse_kind(spec, _SURFACE_KINDS, f"surfaces.{name}", sf)
+        for name, spec in raw["surfaces"].items()
+    }
+    sf.scenes = {
+        name: _parse_fields(spec, _SCENE_KEYS, {"spanning_surface"}, f"scenes.{name}", sf)
+        for name, spec in raw["scenes"].items()
+    }
     raw_experiments = data.get("experiments", [])
     if not isinstance(raw_experiments, list):
         raise SceneFormatError("experiments: expected a list")
-    experiments = [
-        _parse_experiment(i, spec, curves, surfaces, scenes)
-        for i, spec in enumerate(raw_experiments)
+    sf.experiments = [
+        parse_experiment(spec, f"experiments[{i}]", sf) for i, spec in enumerate(raw_experiments)
     ]
-
-    scene_file = SceneFile(version, constants, quadrature, curves, surfaces, scenes, experiments)
     # constructible check: bad numeric combinations surface at parse time
     try:
-        scene_file.field_constants()
-        scene_file.quadrature_spec()
+        sf.field_constants()
+        sf.quadrature_spec()
     except ValueError as exc:
         raise SceneFormatError(str(exc)) from exc
-    return scene_file
+    return sf
 
 
 def parse_scene_file(path) -> SceneFile:

@@ -3,6 +3,10 @@
 Used by the `selftest` CLI subcommand and by the pytest acceptance
 module.  Output lines contain only deterministic quantities (no timing),
 so repeated runs are byte-identical regardless of the THREADS setting.
+
+`BUILTIN` and `INFINITESIMAL` hold the built-in parameter sets, each
+written once: the command line runs them when there is no --scene, and
+criteria 01 and 04-07 check them.
 """
 
 from __future__ import annotations
@@ -28,10 +32,11 @@ from .experiments import (
     unit_disk_mesh,
 )
 from .fields import cross_projection_identity, taylor_probe
-from .geometry import Circle, Disk, PlanarRect
+from .geometry import Circle, Disk
 from .linking import LinkScene, combinatorial_lk, gauss_pair_integral
+from .scenefile import parse_scene_dict
 
-__all__ = ["CriterionResult", "run_selftest", "CRITERIA", "default_probe_points"]
+__all__ = ["BUILTIN", "INFINITESIMAL", "CriterionResult", "default_probe_points", "run_selftest"]
 
 
 @dataclass(frozen=True)
@@ -48,11 +53,43 @@ def _fmt(x: float) -> str:
 
 def default_probe_points():
     """Shipped curl-probe points: one on the loop axis, two generic."""
-    return [(0.0, 0.0, 1.5), (1.3, 0.8, 1.0), (0.4, -0.2, 1.3)]
+    return [[0.0, 0.0, 1.5], [1.3, 0.8, 1.0], [0.4, -0.2, 1.3]]
+
+
+_SQUARE = {"kind": "planar_rect", "corner": [0, 0, 0], "edge_a": [1, 0, 0], "edge_b": [0, 1, 0]}
+
+# One entry per kind; each names its geometry by the label it reports.
+BUILTIN = parse_scene_dict({
+    "version": 1,
+    "curves": {
+        "unit_circle": {"kind": "circle", "center": [0, 0, 0], "radius": 1, "axis": [0, 0, 1]},
+    },
+    "surfaces": {"general_square": _SQUARE, "square_sheet": _SQUARE},
+    "experiments": [
+        {"kind": "ampere"},
+        {"kind": "linelimit", "n": [2, 4, 8, 16, 32]},
+        {"kind": "similitude", "surface": "general_square", "r": [0.5, 0.5, 2.0], "h": 1e-4},
+        {"kind": "maxwell", "surface": "square_sheet", "sigma": 1.0,
+         "points": [[0.5, 0.5, 1.0], [0.2, 0.8, 0.9]], "steps": [2e-3, 1e-3]},
+        {"kind": "curl", "curve": "unit_circle", "points": default_probe_points(),
+         "steps": [4e-3, 2e-3, 1e-3]},
+    ],
+})
+
+# similitude_infinitesimal(base, a, b, r, eps_list, h): the unit square's
+# corner panel, shrinking
+INFINITESIMAL = (
+    (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 2.0),
+    [0.2, 0.1, 0.05, 0.025], 1e-4,
+)
+
+
+def builtin_entry(kind: str) -> dict:
+    return next(e for e in BUILTIN.experiments if e["kind"] == kind)
 
 
 def _c1_line_limit() -> CriterionResult:
-    report = line_limit_study([2, 4, 8, 16, 32])
+    report = line_limit_study(builtin_entry("linelimit")["n"])
     last = report.detail[-1]
     tail = [r.a_far_legs for r in report.detail]
     monotone = all(b < a for a, b in zip(tail[:-1], tail[1:]))
@@ -92,10 +129,7 @@ def _c3_symmetry() -> CriterionResult:
 
 
 def _c4_similitude_infinitesimal() -> CriterionResult:
-    report = similitude_infinitesimal(
-        (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 2.0),
-        [0.2, 0.1, 0.05, 0.025], 1e-4,
-    )
+    report = similitude_infinitesimal(*INFINITESIMAL)
     return CriterionResult(
         "04",
         "infinitesimal similitude",
@@ -106,8 +140,9 @@ def _c4_similitude_infinitesimal() -> CriterionResult:
 
 
 def _c5_similitude_general() -> CriterionResult:
-    patch = PlanarRect((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    report = similitude_general(patch, (0.5, 0.5, 2.0), 1e-4, [8, 16, 32, 64])
+    entry = builtin_entry("similitude")
+    patch = BUILTIN.build_patch(entry["surface"])
+    report = similitude_general(patch, entry["r"], entry["h"], entry["mesh_sizes"])
     return CriterionResult(
         "05",
         "general similitude",
@@ -118,7 +153,8 @@ def _c5_similitude_general() -> CriterionResult:
 
 
 def _c6_curl() -> CriterionResult:
-    report = curl_vanishing(unit_circle(), default_probe_points(), [4e-3, 2e-3, 1e-3])
+    entry = builtin_entry("curl")
+    report = curl_vanishing(BUILTIN.build_curve(entry["curve"]), entry["points"], entry["steps"])
     finest = [r for r in report.point_rows if r.step == 1e-3]
     worst = max(r.curl_norm for r in finest)
     return CriterionResult(
@@ -128,10 +164,11 @@ def _c6_curl() -> CriterionResult:
 
 
 def _c7_maxwell() -> CriterionResult:
-    square = PlanarRect((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    entry = builtin_entry("maxwell")
     disk = Disk((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0))
     rep_square = maxwell_probe(
-        square, 1.0, [(0.5, 0.5, 1.0), (0.2, 0.8, 0.9)], [2e-3, 1e-3]
+        BUILTIN.build_patch(entry["surface"]), entry["sigma"], entry["points"], entry["steps"],
+        dipole_separation=entry["dipole_separation"],
     )
     rep_disk = maxwell_probe(
         disk, 1.0, [(0.0, 0.0, 1.5), (0.3, -0.2, 1.2)], [2e-3, 1e-3]
@@ -266,18 +303,3 @@ def run_selftest(stream=None) -> bool:
         all_ok = all_ok and res.passed
     stream.write(f"selftest {'PASS' if all_ok else 'FAIL'} ({len(results)} criteria)\n")
     return all_ok
-
-
-CRITERIA = [
-    ("01", "straight-wire limit"),
-    ("02", "circulation law catalog"),
-    ("03", "exchange symmetry"),
-    ("04", "infinitesimal similitude"),
-    ("05", "general similitude"),
-    ("06", "curl-free loop field"),
-    ("07", "div/curl off the sheets"),
-    ("08", "cross-projection identity"),
-    ("09", "inverse-cube Taylor probe"),
-    ("10", "route independence"),
-    ("11", "THREADS-independent results"),
-]

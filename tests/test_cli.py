@@ -5,9 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import mpmath
+import pytest
 from hypothesis import given, settings, strategies as st
 
 
@@ -47,8 +49,8 @@ def test_missing_scene_file_is_usage_error():
 
 
 def test_unknown_subcommand_is_usage_error():
-    result = run_cli("run", "--scene", "missing.json")
-    assert result.returncode == 2
+    assert run_cli("frobnicate", "--scene", "missing.json").returncode == 2
+    assert run_cli("run", "--scene", "missing.json").returncode == 2
 
 
 def test_malformed_json_is_usage_error(tmp_path):
@@ -224,6 +226,8 @@ def _assert_usage_error(result):
 def test_linelimit_bad_extents_are_usage_errors():
     _assert_usage_error(run_cli("linelimit", "--n", "1"))
     _assert_usage_error(run_cli("linelimit", "--n", "a"))
+    _assert_usage_error(run_cli("linelimit", "--n", ","))
+    _assert_usage_error(run_cli("linelimit", "--n", "2,2,4"))
 
 
 def test_field_bad_point_is_usage_error():
@@ -347,3 +351,161 @@ def test_sheet_field_fuzz_never_crashes(data, scene):
         assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(",")), (points, rows)
     else:
         assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+
+
+def _run_in_process(argv):
+    from loopfield import cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize("path", sorted(SCENES.glob("*.json")), ids=lambda p: p.name)
+def test_run_writes_every_entry_of_a_shipped_scene(path, tmp_path, monkeypatch):
+    from loopfield.scenefile import parse_scene_file
+
+    entries = parse_scene_file(path).experiments
+    assert entries and all("out" in e for e in entries)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = _run_in_process(["run", "--scene", str(path)])
+    assert code == 0, stderr
+    assert stdout == ""
+    for entry in entries:
+        out = tmp_path / entry["out"]
+        assert out.read_text().count("\n") >= 2, out  # header and at least one row
+        assert json.loads(out.with_suffix(".json").read_text())["command"] == entry["kind"]
+
+
+@pytest.mark.parametrize("name", ["hopf.json", "double_wind.json"])
+def test_run_link_and_lk_match_their_subcommands(name, tmp_path, monkeypatch):
+    path = str(SCENES / name)
+    monkeypatch.chdir(tmp_path)
+    assert _run_in_process(["run", "--scene", path])[0] == 0
+    stem = name.removesuffix(".json")
+    for kind in ("link", "lk"):
+        code, stdout, _ = _run_in_process([kind, "--scene", path])
+        assert code == 0
+        assert (tmp_path / f"{stem}_{kind}.csv").read_text() == stdout
+        assert _run_in_process([kind, "--scene", path, "--out", "again.csv"])[0] == 0
+        again = (tmp_path / "again.json").read_bytes()
+        assert again == (tmp_path / f"{stem}_{kind}.json").read_bytes()
+
+
+def test_every_scene_kind_has_a_runner():
+    from loopfield import cli, scenefile
+
+    assert set(cli._KINDS) == set(scenefile._EXPERIMENT_KINDS)
+
+
+def test_run_without_out_writes_csv_to_stdout(tmp_path):
+    scene = {"version": 1, "experiments": [{"kind": "linelimit", "n": [2, 3]}]}
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps(scene))
+    code, stdout, _ = _run_in_process(["run", "--scene", str(path)])
+    assert code == 0
+    assert stdout == _run_in_process(["linelimit", "--n", "2,3"])[1]
+    assert stdout.startswith("n,A_total,A_c1,A_c2,abs_err\n")
+
+
+_FUZZ_SCENE = {
+    "version": 1,
+    "curves": {
+        "ring": {"kind": "circle", "center": [0, 0, 0], "radius": 1.0, "axis": [0, 0, 1]},
+        "partner": {"kind": "circle", "center": [1, 0, 0], "radius": 1.0, "axis": [0, 1, 0]},
+    },
+    "surfaces": {
+        "square": {"kind": "planar_rect", "corner": [0, 0, 0], "edge_a": [1, 0, 0],
+                   "edge_b": [0, 1, 0], "mesh": [4, 4]},
+        "disk": {"kind": "disk", "center": [0, 0, 0], "radius": 1.0, "axis": [0, 0, 1],
+                 "mesh": [6, 6]},
+    },
+    "scenes": {"hopf": {"curve_c": "partner", "curve_l": "ring", "spanning_surface": "disk"}},
+}
+
+_VEC = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
+_JUNK = st.sampled_from([None, True, "", "ring", [], [1, 2], [[0, 0]], 5, 0, -1.5, 1e308, {"a": 1}])
+# cheap values for every experiment field: few points, steps and meshes
+_FIELD_VALUES = {
+    "scene": st.sampled_from(["hopf", "hopf", "hopf", "nope"]),
+    "scenes": st.lists(st.sampled_from(["hopf", "hopf", "hopf", "nope"]), max_size=2),
+    "surface": st.sampled_from(["square", "disk", "square", "disk", "nope"]),
+    "curve": st.sampled_from(["ring", "partner", "ring", "partner", "nope"]),
+    "points": st.lists(_VEC, min_size=1, max_size=2),
+    "steps": st.lists(st.floats(-1e-3, 1e-2), min_size=1, max_size=2),
+    "sigma": st.floats(-2.0, 2.0),
+    "r": _VEC,
+    "h": st.floats(-1e-3, 1e-3),
+    "n": st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    "mesh_sizes": st.lists(st.integers(0, 6), min_size=2, max_size=4),
+    "dipole_separation": st.floats(-1e-2, 1e-2),
+    "out": st.sampled_from(["a.csv", "sub/b.csv", "a.csv/c.csv", "."]),
+}
+
+
+@st.composite
+def _experiment(draw):
+    from loopfield.scenefile import _EXPERIMENT_KINDS
+
+    kind = draw(st.sampled_from(sorted(_EXPERIMENT_KINDS)))
+    required, optional = _EXPERIMENT_KINDS[kind]
+    entry = {"kind": kind}
+    for key in sorted(required | optional):
+        if key in required or draw(st.booleans()):
+            entry[key] = draw(_JUNK if draw(st.integers(0, 24)) == 24 else _FIELD_VALUES[key])
+    if draw(st.integers(0, 19)) == 19:
+        entry.pop(draw(st.sampled_from(sorted(entry))))
+    return entry
+
+
+_TEXT = st.sampled_from(["0,0,2;1.5,0,0", "2,4", "1.5", "", ",", "2,2", "1", "a", "1,0,0", "1,2",
+                         "nan,0,0", "-1", "1e999"])
+# each subcommand's own flags, then the flags of the others
+_FLAGS = {
+    "link": ["--name"], "lk": ["--name"], "similitude": [], "ampere": [], "linelimit": ["--n"],
+    "maxwell": [], "curl": [], "field": ["--points", "--curve", "--surface", "--sigma"], "run": [],
+}
+
+
+@st.composite
+def _argv(draw, scene):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    values = {
+        "--scene": st.sampled_from([scene, str(SCENES / "hopf.json"), "missing.json",
+                                    str(SCENES / "line_limit.json")]),
+        "--name": st.sampled_from(["hopf", "nope"]),
+        "--curve": st.sampled_from(["ring", "nope"]),
+        "--surface": st.sampled_from(["square", "disk", "nope"]),
+        "--out": st.sampled_from(["o.csv", "o.csv/p.csv"]),
+    }
+    own = ["--scene", *_FLAGS[command], "--out"]
+    flags = [f for f in own if draw(st.integers(0, 3)) < 3]
+    if draw(st.integers(0, 9)) == 9:
+        flags.append(draw(st.sampled_from(["--n", "--points", "--name", "--sigma", "--bogus"])))
+    return [command, *(f"{f}={draw(values.get(f, _TEXT))}" for f in dict.fromkeys(flags))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_never_crashes(data):
+    # experiment entries run with `run --scene`, and subcommand argv: exit
+    # 0-3, no traceback, and one stderr line on exit 2 or 3
+    with tempfile.TemporaryDirectory() as tmp:
+        scene = Path(tmp) / "fuzz.json"
+        entries = data.draw(st.lists(_experiment(), min_size=1, max_size=2))
+        scene.write_text(json.dumps(dict(_FUZZ_SCENE, experiments=entries)))
+        if data.draw(st.booleans()):
+            argv = ["run", "--scene", str(scene)]
+        else:
+            argv = data.draw(_argv(str(scene)))
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            code, _, stderr = _run_in_process(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3), (argv, entries, stderr)
+    assert "Traceback" not in stderr
+    if code in (2, 3):
+        assert stderr.count("\n") == 1 and stderr.endswith("\n"), (argv, entries, stderr)

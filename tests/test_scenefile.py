@@ -165,3 +165,49 @@ def test_constants_and_quadrature_blocks():
     assert spec.max_depth == 10
     with pytest.raises(SceneFormatError):
         parse_scene_dict({"version": 1, "constants": {"k_E": 0.0}})
+
+
+_SHEET = {"kind": "planar_rect", "corner": [0, 0, 0], "edge_a": [1, 0, 0], "edge_b": [0, 1, 0]}
+_MAXWELL = {"kind": "maxwell", "surface": "sheet", "sigma": 1.0, "points": [[0.5, 0.5, 1.0]],
+            "steps": [0.002, 0.001]}
+_CURL = {"kind": "curl", "curve": "ring", "points": [[0.0, 0.0, 1.5]], "steps": [0.002, 0.001]}
+_SIMILITUDE = {"kind": "similitude", "surface": "sheet", "r": [0.5, 0.5, 2.0], "h": 1e-4}
+
+
+@pytest.mark.parametrize("entry", [
+    dict(_MAXWELL, points=5),
+    dict(_MAXWELL, steps=0.001),
+    dict(_MAXWELL, points=[]),
+    dict(_MAXWELL, steps=[]),
+    dict(_MAXWELL, steps=[0.002, 0.0]),
+    dict(_CURL, points=[]),
+    dict(_CURL, steps=[-0.001]),
+    dict(_SIMILITUDE, h=0),
+    {"kind": "linelimit", "n": [2, 2, 4]},
+    {"kind": "linelimit", "n": [1, 2]},
+    {"kind": ["maxwell"]},
+])
+def test_experiment_entries_that_crash_or_pass_vacuously_are_rejected(entry):
+    # points: a non-empty list of 3-vectors; steps: a non-empty list of
+    # positive numbers; h: nonzero; n: distinct extents >= 2
+    data = json.loads(json.dumps(MINIMAL))
+    data["surfaces"]["sheet"] = _SHEET
+    data["experiments"] = [entry]
+    with pytest.raises(SceneFormatError):
+        parse_scene_dict(data)
+
+
+def test_unhashable_curve_kind_rejected():
+    with pytest.raises(SceneFormatError):
+        parse_scene_dict({"version": 1, "curves": {"c": {"kind": ["circle"]}}})
+
+
+def test_composite_may_name_a_later_curve_but_not_a_missing_one():
+    curves = {
+        "both": {"kind": "composite", "parts": ["rect"]},
+        "rect": {"kind": "rect_loop", "n": 2},
+    }
+    parse_scene_dict({"version": 1, "curves": curves}).build_curve("both")
+    curves["both"]["parts"] = ["nope"]
+    with pytest.raises(SceneFormatError):
+        parse_scene_dict({"version": 1, "curves": curves})
