@@ -25,11 +25,9 @@ from .geometry import (
     CompositeCurve,
     Curve,
     Disk,
-    Panel,
     PlanarRect,
     PolyLine,
     RectLoop,
-    ShiftedPatch,
     SurfaceMesh,
     SurfacePatch,
     as_vec3,
@@ -37,7 +35,6 @@ from .geometry import (
     eval_curve,
     mesh_boundary,
     mesh_surface,
-    segment_panel_intersection,
 )
 from .quadrature import QuadratureSpec, integrate_1d, integrate_2d
 from .fields import (
@@ -49,8 +46,8 @@ from .fields import (
     cross_projection_identity,
     differential_probe,
     dipole_mesh_field,
-    dipole_panel_field,
     dipole_sheet_field_exact,
+    point_dipole_field,
     polygon_sheet_field,
     segment_field,
     taylor_probe,

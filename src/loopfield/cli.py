@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -364,6 +365,7 @@ class _Parser(argparse.ArgumentParser):
         raise SceneFormatError(message)
 
 
+@functools.cache  # once per process: building it takes a third of a short run
 def _build_parser() -> _Parser:
     parser = _Parser(prog="loopfield", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

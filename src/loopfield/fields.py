@@ -12,13 +12,15 @@ Electric fields use E = k_E * integral of sigma * (x - p) / |x - p|^3.
 Both prefactors are explicit because the dipole/loop similitude is
 stated with k_E = k_B = 1 while linking experiments want k_B = 1/(4*pi).
 
-Straight segments, circles and flat polygon sheets have closed forms
-(segment_field, circle_field, polygon_sheet_field), which biot_savart and
-coulomb_surface_field use for PolyLine and Circle sources and for flat
-polygon patches.  The field of any other flat sheet, a disk for one, is
-one adaptive line integral around its rim; composite curves and curved
-patches are integrated by adaptive quadrature along the curve and over
-the unit square.
+Straight segments, circles, flat polygon sheets and point dipoles have
+closed forms (segment_field, circle_field, polygon_sheet_field,
+point_dipole_field), which biot_savart and coulomb_surface_field use for
+PolyLine and Circle sources and for flat polygon patches, and
+dipole_mesh_field for a mesh's cells.  The field of any other flat sheet,
+a disk for one, is one adaptive line integral around its rim; composite
+curves and curved patches are integrated by adaptive quadrature along the
+curve and over the unit square.  The two-sheet dipole layer of a flat
+patch is its sheet field seen from x -/+ (separation / 2) n.
 """
 
 from __future__ import annotations
@@ -33,13 +35,10 @@ from .errors import DegenerateBase, NearSingular, NotUnit
 from .geometry import (
     Circle,
     Curve,
-    Panel,
     PolyLine,
-    ShiftedPatch,
     SurfaceMesh,
     SurfacePatch,
     as_vec3,
-    bounding_box_diagonal,
     cross,
 )
 from .quadrature import QuadratureSpec, integrate_1d, integrate_2d
@@ -50,10 +49,10 @@ __all__ = [
     "segment_field",
     "circle_field",
     "polygon_sheet_field",
+    "point_dipole_field",
     "biot_savart",
     "coulomb_surface_field",
     "dipole_sheet_field_exact",
-    "dipole_panel_field",
     "dipole_mesh_field",
     "differential_probe",
     "cross_projection_identity",
@@ -97,8 +96,15 @@ _FAR = 1e100
 def _beyond_reach(source, x, spec: QuadratureSpec, what: str) -> bool:
     """Whether x lies beyond _FAR source sizes (its field is then zero);
     raises NearSingular within the guard distance of the source."""
-    scale = bounding_box_diagonal([source])
+    lo, hi = source.bounding_box()
+    span = hi - lo
+    scale = math.sqrt(span @ span)
     guard = spec.resolve_guard(scale)
+    # every point of the source lies within scale / 2 of its box's centre:
+    # a point this far from it is beyond reach and outside the guard,
+    # decided without the distances, whose squares overflow
+    if math.hypot(*(x - 0.5 * (lo + hi))) > max(guard, _FAR * scale) + scale:
+        return True
     dist = source.distance_to(x)
     if dist <= guard:
         raise NearSingular(f"field point at distance {dist:g} from the {what} (guard {guard:g})")
@@ -277,6 +283,26 @@ def polygon_sheet_field(vertices, points) -> np.ndarray:
     return omega[:, None] * normal + line @ cross(d, normal)
 
 
+def point_dipole_field(anchors, moments, points) -> np.ndarray:
+    """Closed-form field of point dipoles, without the prefactor k_E.
+
+    Returns the (p, 3) sums over the k dipoles of moment m at anchor a of
+
+        (3 (u . m) u - m) / |x - a|^3,    u = (x - a) / |x - a|,
+
+    at each of the p points x: per unit density and separation, the field
+    of a flat dipole layer of vector area m shrunk to the point a.  Points
+    must not lie on an anchor.
+    """
+    anchors = np.asarray(anchors, dtype=float).reshape(-1, 3)
+    moments = np.asarray(moments, dtype=float).reshape(-1, 3)
+    rel = np.asarray(points, dtype=float).reshape(-1, 3)[:, None, :] - anchors
+    dist = np.linalg.norm(rel, axis=2)
+    u_hat = rel / dist[..., None]
+    proj = np.einsum("pij,ij->pi", u_hat, moments)
+    return ((3.0 * proj[..., None] * u_hat - moments) / (dist**3)[..., None]).sum(axis=1)
+
+
 def biot_savart(
     curve: Curve,
     x,
@@ -328,9 +354,9 @@ def coulomb_surface_field(
 
     R = |x - y|.  The solid angle Omega is the loop's scalar potential and
     the line integral the in-plane part, by the divergence theorem in the
-    plane.  A PolyLine rim (PlanarRect and its translates) is summed in
-    closed form by polygon_sheet_field; any other rim (a Disk's circle) is
-    one adaptive line integral of
+    plane.  A PolyLine rim (a PlanarRect's) is summed in closed form by
+    polygon_sheet_field; any other rim (a Disk's circle) is one adaptive
+    line integral of
 
         sign(h) ((y - x) . (y' x n)) / (R (R + |h|)) n + (y' x n) / R,
 
@@ -382,52 +408,30 @@ def dipole_sheet_field_exact(
     consts: FieldConstants = FieldConstants(),
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> np.ndarray:
-    """Field of the two-sheet dipole layer, integrated exactly.
+    """Field of the two-sheet dipole layer of a flat patch, integrated exactly.
 
-    The patch is displaced by +/- separation/2 along its pointwise unit
-    normal and carries +/- sigma; the result is the sum of the two
-    Coulomb fields.  On a flat patch both sheets are translates of it
-    whose rims are its rim translated, so both fields are rim fields:
-    closed forms for a polygon, line integrals for a disk.
+    The sheets are the patch moved by +/- s n, s = separation / 2 and n
+    its unit normal, charged +/- sigma.  The sheet at +s n seen from x is
+    the patch seen from x - s n, so the layer's field is
+
+        E(x - s n) - E(x + s n),
+
+    with E the patch's own Coulomb field (coulomb_surface_field): closed
+    forms for a polygon, rim line integrals for a disk.  The guard applies
+    to each sheet as to the patch.  Raises ValueError for a curved patch,
+    which has no constant normal.
     """
     x = as_vec3(x, "x")
+    normal = patch.constant_normal()
+    if normal is None:
+        raise ValueError("the two-sheet field needs a flat patch")
     if dp.sigma == 0.0 or dp.separation == 0.0:
         # zero density, or coincident sheets cancelling exactly
         return np.zeros(3)
-    half = 0.5 * dp.separation
-    plus = ShiftedPatch(patch, +half)
-    minus = ShiftedPatch(patch, -half)
-    return coulomb_surface_field(plus, +dp.sigma, x, consts, spec) + coulomb_surface_field(
-        minus, -dp.sigma, x, consts, spec
+    shift = 0.5 * dp.separation * normal
+    return coulomb_surface_field(patch, dp.sigma, x - shift, consts, spec) - coulomb_surface_field(
+        patch, dp.sigma, x + shift, consts, spec
     )
-
-
-def dipole_panel_field(
-    panel: Panel,
-    dp: DipoleSheetSpec,
-    x,
-    consts: FieldConstants = FieldConstants(),
-) -> np.ndarray:
-    """Closed-form dipole-layer field of a single flat panel.
-
-    First order in both the panel extent and the sheet separation,
-    anchored at the panel's base corner:
-
-        E(r) = k_E * h * sigma / |r - x0|^3 * (3 (u.A) u - A)
-
-    with x0 the base corner, u the unit vector from x0 to r, and A the
-    panel area vector.
-    """
-    r = as_vec3(x, "x")
-    rel = r - panel.base
-    dist = float(np.linalg.norm(rel))
-    panel_scale = float(np.linalg.norm(panel.edge_a) + np.linalg.norm(panel.edge_b))
-    if dist <= 1e-9 * panel_scale:
-        raise NearSingular(f"field point within {dist:g} of the panel base")
-    u_hat = rel / dist
-    area = panel.area_vector
-    coeff = consts.k_E * dp.separation * dp.sigma / dist**3
-    return coeff * (3.0 * float(u_hat @ area) * u_hat - area)
 
 
 def dipole_mesh_field(
@@ -436,28 +440,24 @@ def dipole_mesh_field(
     x,
     consts: FieldConstants = FieldConstants(),
 ) -> np.ndarray:
-    """Sum of the closed-form panel dipole fields over a mesh.
+    """Sum of the point-dipole fields of a mesh's cells (point_dipole_field).
 
-    Each cell contributes the closed form anchored at its four-node
-    centroid with the cell-boundary vector area as moment.  Both choices
-    coincide with the base-anchored parallelogram panel at first order
-    but keep the sum second-order accurate: corner anchoring would shed
-    an O(1/M) Riemann boundary term, and on curved patches the
-    parallelogram area vectors carry an O(1/M) net defect that the
-    cell-boundary areas cancel by telescoping.
+    Each cell contributes a dipole anchored at its four-node centroid with
+    the cell-boundary vector area as moment.  Both choices coincide with
+    the base-anchored parallelogram panel at first order but keep the sum
+    second-order accurate: corner anchoring would shed an O(1/M) Riemann
+    boundary term, and on curved patches the parallelogram area vectors
+    carry an O(1/M) net defect that the cell-boundary areas cancel by
+    telescoping.
     """
     r = as_vec3(x, "x")
     areas = mesh.cell_vector_areas.reshape(-1, 3)
     anchors = mesh.cell_centers.reshape(-1, 3)
-    rel = r - anchors
-    dist = np.linalg.norm(rel, axis=1)
+    dist = np.linalg.norm(r - anchors, axis=1)
     panel_scale = mesh.min_edge_length()
     if float(dist.min()) <= 1e-9 * panel_scale:
         raise NearSingular("field point within guard distance of a panel center")
-    u_hat = rel / dist[:, None]
-    proj = np.einsum("ij,ij->i", u_hat, areas)
-    contrib = (3.0 * proj[:, None] * u_hat - areas) / (dist**3)[:, None]
-    return consts.k_E * dp.separation * dp.sigma * contrib.sum(axis=0)
+    return consts.k_E * dp.separation * dp.sigma * point_dipole_field(anchors, areas, r)[0]
 
 
 def differential_probe(

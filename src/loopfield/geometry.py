@@ -42,13 +42,10 @@ __all__ = [
     "SurfacePatch",
     "PlanarRect",
     "Disk",
-    "ShiftedPatch",
-    "Panel",
     "SurfaceMesh",
     "mesh_surface",
     "mesh_boundary",
     "segment_crossings",
-    "segment_panel_intersection",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -176,10 +173,6 @@ class Curve:
     def reversed(self) -> "Curve":
         raise NotImplementedError
 
-    def translated(self, shift) -> "Curve":
-        """The same curve moved rigidly by the vector shift."""
-        raise NotImplementedError
-
     def nearest_param(self, point) -> float:
         """A parameter of the curve point nearest to point."""
         raise NotImplementedError
@@ -256,9 +249,6 @@ class Circle(Curve):
     def reversed(self) -> "Circle":
         flipped = "cw" if self.orientation == "ccw" else "ccw"
         return Circle(self.center, self.radius, self.axis, flipped)
-
-    def translated(self, shift) -> "Circle":
-        return Circle(self.center + shift, self.radius, self.axis, self.orientation)
 
     def nearest_param(self, point) -> float:
         """Angle of point about the axis, in [0, 2*pi]; 0 on the axis."""
@@ -347,9 +337,6 @@ class PolyLine(Curve):
         else:
             verts = self.vertices[::-1]
         return PolyLine(verts, closed=self.closed)
-
-    def translated(self, shift) -> "PolyLine":
-        return PolyLine(self.vertices + shift, closed=self.closed)
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -654,97 +641,9 @@ class Disk(SurfacePatch):
         return math.hypot(rho - self.radius, z)
 
 
-class ShiftedPatch(SurfacePatch):
-    """Patch displaced along its pointwise unit normal by a fixed offset.
-
-    For planar patches the shift is a rigid translation and derivatives
-    are exact.  For curved patches the derivatives fall back to central
-    finite differences of the shifted map (step 1e-6).
-    """
-
-    _FD_STEP = 1e-6
-
-    def __init__(self, base: SurfacePatch, offset: float):
-        if not math.isfinite(offset):
-            raise ValueError("offset must be finite")
-        self.base = base
-        self.offset = float(offset)
-        self._const_n = base.constant_normal()
-
-    def point(self, u, v):
-        if self._const_n is not None:
-            return self.base.point(u, v) + self.offset * self._const_n
-        return self.base.point(u, v) + self.offset * self.base.normal(u, v)
-
-    def element(self, u, v):
-        if self._const_n is None:
-            return super().element(u, v)
-        point, area = self.base.element(u, v)
-        return point + self.offset * self._const_n, area
-
-    def _fd(self, u, v, du_step, dv_step):
-        h = self._FD_STEP
-        return (
-            self.point(np.asarray(u) + du_step * h, np.asarray(v) + dv_step * h)
-            - self.point(np.asarray(u) - du_step * h, np.asarray(v) - dv_step * h)
-        ) / (2.0 * h)
-
-    def du(self, u, v):
-        if self._const_n is not None:
-            return self.base.du(u, v)
-        return self._fd(u, v, 1.0, 0.0)
-
-    def dv(self, u, v):
-        if self._const_n is not None:
-            return self.base.dv(u, v)
-        return self._fd(u, v, 0.0, 1.0)
-
-    def constant_normal(self):
-        return None if self._const_n is None else self._const_n.copy()
-
-    def rim(self) -> Optional[Curve]:
-        base = self.base.rim() if self._const_n is not None else None
-        return None if base is None else base.translated(self.offset * self._const_n)
-
-    def bounding_box(self):
-        if self._const_n is not None:
-            lo, hi = self.base.bounding_box()
-            shift = self.offset * self._const_n
-            corners = np.array([lo + shift, hi + shift])
-            return corners.min(axis=0), corners.max(axis=0)
-        return super().bounding_box()
-
-    def distance_to(self, point) -> float:
-        if self._const_n is not None:
-            return self.base.distance_to(as_vec3(point, "point") - self.offset * self._const_n)
-        return super().distance_to(point)
-
-
 # ---------------------------------------------------------------------------
 # Panels and meshes
 # ---------------------------------------------------------------------------
-
-
-class Panel:
-    """Flat oriented parallelogram spanned by edge_a, edge_b at a base corner."""
-
-    __slots__ = ("base", "edge_a", "edge_b", "area_vector")
-
-    def __init__(self, base, edge_a, edge_b):
-        self.base = _frozen(as_vec3(base, "base"))
-        self.edge_a = _frozen(as_vec3(edge_a, "edge_a"))
-        self.edge_b = _frozen(as_vec3(edge_b, "edge_b"))
-        area = np.cross(self.edge_a, self.edge_b)
-        if float(np.linalg.norm(area)) == 0.0:
-            raise DegeneratePatch("panel edges are parallel (zero area vector)")
-        self.area_vector = _frozen(area)
-
-    def corners(self) -> np.ndarray:
-        b, a, c = self.base, self.edge_a, self.edge_b
-        return np.array([b, b + a, b + a + c, b + c])
-
-    def __repr__(self):
-        return f"Panel(base={self.base.tolist()}, edge_a={self.edge_a.tolist()}, edge_b={self.edge_b.tolist()})"
 
 
 class SurfaceMesh:
@@ -792,15 +691,6 @@ class SurfaceMesh:
         d1 = n[1:, 1:] - n[:-1, :-1]
         d2 = n[:-1, 1:] - n[1:, :-1]
         return 0.5 * np.cross(d1, d2)
-
-    def panel(self, i: int, j: int) -> Panel:
-        return Panel(self.nodes[i, j], self._edges_a[i, j], self._edges_b[i, j])
-
-    def panels(self):
-        """Iterate panels row-major as Panel objects."""
-        for i in range(self.m):
-            for j in range(self.n):
-                yield self.panel(i, j)
 
     def min_edge_length(self) -> float:
         la = np.linalg.norm(self._edges_a, axis=-1)
@@ -1021,30 +911,3 @@ def segment_crossings(starts, ends, nodes, transversality_tol: float = 1e-9):
     tau = s0[k] / (s0[k] - s1[k])
     return side[hit, 0], p0[k] + tau[:, None] * d[k]
 
-
-def segment_panel_intersection(
-    seg_start,
-    seg_end,
-    panel: Panel,
-    transversality_tol: float = 1e-9,
-):
-    """Signed transversal crossing of a segment with a panel.
-
-    Returns (sign, point) when the segment crosses the panel, where
-    sign = sign((seg_end - seg_start) . area_vector); returns None when it
-    misses.  The panel is tested as the two triangles of its 0-2 diagonal
-    by segment_crossings, so a crossing on the diagonal counts once.
-    Raises NonTransversal for a glancing crossing (|cos angle| below
-    transversality_tol) and DegenerateIntersection when the crossing lies
-    exactly on one of the panel's four edges or an endpoint lies exactly
-    on the panel.
-    """
-    p0 = as_vec3(seg_start, "seg_start")
-    p1 = as_vec3(seg_end, "seg_end")
-    if np.array_equal(p0, p1):
-        raise ValueError("segment has zero length")
-    nodes = panel.corners()[[0, 3, 1, 2]].reshape(2, 2, 3)
-    signs, points = segment_crossings(p0, p1, nodes, transversality_tol)
-    if len(signs) == 0:
-        return None
-    return int(signs[0]), points[0]

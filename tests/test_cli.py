@@ -409,6 +409,31 @@ def test_run_without_out_writes_csv_to_stdout(tmp_path):
     assert stdout.startswith("n,A_total,A_c1,A_c2,abs_err\n")
 
 
+def test_run_maxwell_probe_on_the_sheet_fails(tmp_path):
+    # the sheet field's guard skips the point; it is not off the support
+    scene = json.loads((SCENES / "disk_sheet.json").read_text())
+    maxwell = next(e for e in scene["experiments"] if e["kind"] == "maxwell")
+    maxwell.update(points=[[0.2, 0.1, 0.0]], out=str(tmp_path / "maxwell.csv"))
+    scene["experiments"] = [maxwell]
+    path = tmp_path / "on_sheet.json"
+    path.write_text(json.dumps(scene))
+    code, _, stderr = _run_in_process(["run", "--scene", str(path)])
+    assert code == 1, stderr
+    assert "sheet probe at [0.2, 0.1, 0.0] skipped" in stderr
+
+
+def test_parser_is_built_once_and_usage_errors_leave_it_intact():
+    from loopfield import cli
+
+    valid = ["linelimit", "--n", "2,3"]
+    first = _run_in_process(valid)
+    assert first[0] == 0
+    for bad in (["linelimit", "--bogus"], ["frobnicate"], ["field", "--scene", "x.json"]):
+        assert _run_in_process(bad)[0] == 2, bad
+    assert _run_in_process(valid) == first
+    assert cli._build_parser() is cli._build_parser()
+
+
 _FUZZ_SCENE = {
     "version": 1,
     "curves": {

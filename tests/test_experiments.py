@@ -7,7 +7,6 @@ from loopfield import (
     DipoleSheetSpec,
     FieldConstants,
     LinkScene,
-    Panel,
     PlanarRect,
     PolyLine,
     biot_savart,
@@ -133,6 +132,16 @@ def test_maxwell_probe_guard_trip_is_reported():
     )
     assert report.notes  # the near-sheet point is recorded, not fatal
     assert any("skipped" in note for note in report.notes)
+    assert not report.passed
+
+
+def test_maxwell_probe_point_on_the_sheet_fails():
+    # the dipole layer's sheets lie h/2 to either side, so only the sheet
+    # field's guard trips; the point is on the support all the same
+    disk = Disk((0, 0, 0), 1.0, (0, 0, 1))
+    report = maxwell_probe(disk, 1.0, [[0.2, 0.1, 0.0]], [2e-3, 1e-3])
+    assert [note.split()[0] for note in report.notes] == ["sheet"]
+    assert not report.passed
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,9 @@ from loopfield import (
     NearSingular,
     NoConvergence,
     NotUnit,
-    Panel,
     PlanarRect,
     PolyLine,
     QuadratureSpec,
-    ShiftedPatch,
     SurfacePatch,
     biot_savart,
     circle_field,
@@ -28,9 +26,9 @@ from loopfield import (
     cross_projection_identity,
     differential_probe,
     dipole_mesh_field,
-    dipole_panel_field,
     dipole_sheet_field_exact,
     mesh_surface,
+    point_dipole_field,
     polygon_sheet_field,
     segment_field,
     taylor_probe,
@@ -478,7 +476,9 @@ def test_sheet_field_matches_quadrature_within_the_estimate():
     consts = FieldConstants(k_E=1.0)
     disk = Disk((0.2, -0.1, 0.3), 1.3, (0.3, -0.4, 1.0))
     rect = PlanarRect((0.2, -0.1, 0.3), (0.9, 0.3, -0.2), (-0.1, 0.6, 0.5))
-    for patch in (rect, disk, ShiftedPatch(disk, 0.05), ShiftedPatch(disk, -0.05)):
+    # and the two sheets of the disk's dipole layer with separation 0.1
+    sheets = [Disk(disk.center + s * disk.constant_normal(), 1.3, disk.axis) for s in (0.05, -0.05)]
+    for patch in (rect, disk, *sheets):
         normal = patch.constant_normal()
         inside = patch.point(0.3, 0.7)
         # above, below, away, and in the plane beyond the rim
@@ -572,32 +572,34 @@ def test_disk_field_near_the_rim():
 # ---------------------------------------------------------------------------
 
 
+def _panel_dipole(corner, edge_a, edge_b, dp, x):
+    """k_E = 1 field of a flat panel's dipole layer shrunk to its corner."""
+    moment = np.cross(edge_a, edge_b)
+    return dp.separation * dp.sigma * point_dipole_field(corner, moment, x)[0]
+
+
 def test_panel_field_above_base():
-    panel = Panel((0, 0, 0), (1, 0, 0), (0, 1, 0))
-    e = dipole_panel_field(panel, DipoleSheetSpec(1.0, 1.0), (0, 0, 2), UNIT)
+    e = _panel_dipole((0, 0, 0), (1, 0, 0), (0, 1, 0), DipoleSheetSpec(1.0, 1.0), (0, 0, 2))
     assert np.allclose(e, [0, 0, 0.25], atol=1e-15)
 
 
 def test_panel_field_in_plane_direction():
-    panel = Panel((0, 0, 0), (1, 0, 0), (0, 1, 0))
-    e = dipole_panel_field(panel, DipoleSheetSpec(1.0, 1.0), (1, 0, 0), UNIT)
+    e = _panel_dipole((0, 0, 0), (1, 0, 0), (0, 1, 0), DipoleSheetSpec(1.0, 1.0), (1, 0, 0))
     assert np.allclose(e, [0, 0, -1.0], atol=1e-15)
 
 
 def test_panel_field_zero_density():
-    panel = Panel((0, 0, 0), (1, 0, 0), (0, 1, 0))
-    e = dipole_panel_field(panel, DipoleSheetSpec(0.0, 1.0), (0, 0, 2), UNIT)
+    e = _panel_dipole((0, 0, 0), (1, 0, 0), (0, 1, 0), DipoleSheetSpec(0.0, 1.0), (0, 0, 2))
     assert np.allclose(e, 0.0)
 
 
 def test_panel_field_linear_in_sigma_h_and_area():
     x = (0.3, 0.4, 1.7)
-    base = Panel((0, 0, 0), (0.2, 0, 0), (0, 0.2, 0))
-    e1 = dipole_panel_field(base, DipoleSheetSpec(1.0, 1e-3), x, UNIT)
-    e2 = dipole_panel_field(base, DipoleSheetSpec(-2.0, 1e-3), x, UNIT)
-    e3 = dipole_panel_field(base, DipoleSheetSpec(1.0, 3e-3), x, UNIT)
-    doubled = Panel((0, 0, 0), (0.4, 0, 0), (0, 0.2, 0))
-    e4 = dipole_panel_field(doubled, DipoleSheetSpec(1.0, 1e-3), x, UNIT)
+    square = ((0, 0, 0), (0.2, 0, 0), (0, 0.2, 0))
+    e1 = _panel_dipole(*square, DipoleSheetSpec(1.0, 1e-3), x)
+    e2 = _panel_dipole(*square, DipoleSheetSpec(-2.0, 1e-3), x)
+    e3 = _panel_dipole(*square, DipoleSheetSpec(1.0, 3e-3), x)
+    e4 = _panel_dipole((0, 0, 0), (0.4, 0, 0), (0, 0.2, 0), DipoleSheetSpec(1.0, 1e-3), x)
     assert np.allclose(e2, -2.0 * e1, rtol=1e-14)
     assert np.allclose(e3, 3.0 * e1, rtol=1e-14)
     assert np.allclose(e4, 2.0 * e1, rtol=1e-14)
@@ -608,15 +610,24 @@ def test_panel_field_rotation_equivariance():
     rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(rot) < 0:
         rot[:, 0] = -rot[:, 0]
-    panel = Panel((0.1, 0.2, 0.0), (0.3, 0, 0), (0, 0.25, 0.05))
-    moved = Panel(rot @ panel.base, rot @ panel.edge_a, rot @ panel.edge_b)
-    dp = DipoleSheetSpec(1.3, 2e-3)
+    anchor, moment = np.array([0.1, 0.2, 0.0]), np.cross((0.3, 0, 0), (0, 0.25, 0.05))
     x = np.array([0.5, -0.4, 1.1])
     assert np.allclose(
-        dipole_panel_field(moved, dp, rot @ x, UNIT),
-        rot @ dipole_panel_field(panel, dp, x, UNIT),
+        point_dipole_field(rot @ anchor, rot @ moment, rot @ x),
+        point_dipole_field(anchor, moment, x) @ rot.T,
         atol=1e-14,
     )
+
+
+def test_point_dipole_field_sums_over_anchors_for_every_point():
+    rng = np.random.default_rng(5)
+    anchors, moments = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    points = rng.normal(size=(3, 3)) + (0.0, 0.0, 5.0)
+    field = point_dipole_field(anchors, moments, points)
+    assert field.shape == (3, 3)
+    for x, row in zip(points, field):
+        single = sum(point_dipole_field(a, m, x)[0] for a, m in zip(anchors, moments))
+        assert np.allclose(row, single, rtol=1e-14, atol=0.0)
 
 
 def test_dipole_sheet_zero_cases():
@@ -635,13 +646,12 @@ def test_dipole_sheet_matches_center_anchored_closed_form():
     patch = PlanarRect((0, 0, 0), (side, 0, 0), (0, side, 0))
     x = (0, 0, 2)
     exact = dipole_sheet_field_exact(patch, DipoleSheetSpec(1.0, h), x, UNIT)
-    centered = Panel((side / 2, side / 2, 0), (side, 0, 0), (0, side, 0))
-    closed_form = dipole_panel_field(centered, DipoleSheetSpec(1.0, h), x, UNIT)
+    edges = ((side, 0, 0), (0, side, 0))
+    closed_form = _panel_dipole((side / 2, side / 2, 0), *edges, DipoleSheetSpec(1.0, h), x)
     rel = np.linalg.norm(exact - closed_form) / np.linalg.norm(closed_form)
     assert rel <= 1e-3
     # the base-corner anchor differs by O(panel size / distance)
-    corner = Panel((0, 0, 0), (side, 0, 0), (0, side, 0))
-    corner_form = dipole_panel_field(corner, DipoleSheetSpec(1.0, h), x, UNIT)
+    corner_form = _panel_dipole((0, 0, 0), *edges, DipoleSheetSpec(1.0, h), x)
     rel_corner = np.linalg.norm(exact - corner_form) / np.linalg.norm(corner_form)
     assert rel_corner <= 1.5e-2
 
@@ -654,7 +664,7 @@ def test_dipole_sheet_converges_to_panel_form():
         patch = PlanarRect((0, 0, 0), (eps, 0, 0), (0, eps, 0))
         dp = DipoleSheetSpec(1.0, eps * 1e-2)
         exact = dipole_sheet_field_exact(patch, dp, x, UNIT)
-        approx = dipole_panel_field(Panel((0, 0, 0), (eps, 0, 0), (0, eps, 0)), dp, x, UNIT)
+        approx = _panel_dipole((0, 0, 0), (eps, 0, 0), (0, eps, 0), dp, x)
         rels.append(np.linalg.norm(exact - approx) / np.linalg.norm(approx))
     order = np.polyfit(np.log([0.08, 0.04, 0.02]), np.log(rels), 1)[0]
     assert order >= 0.9
@@ -697,10 +707,9 @@ def test_closed_forms_move_with_rigid_motions_and_scalings(seed, scale, orientat
     assert np.allclose(e_moved, e @ rot.T, rtol=0.0, atol=1e-11 * np.abs(e).max())
 
 
-def test_dipole_sheet_is_h_times_the_boundary_loop_field_to_second_order():
-    # both sides in closed form: the two-sheet field is a central difference
-    # in h, so it leaves h B(boundary) by O(h^3), O(h^2) relative
-    patch = PlanarRect((0.0, 0.0, 0.0), (1.0, 0.2, 0.0), (0.3, 0.9, 0.1))
+def _assert_dipole_sheet_leaves_h_loop_field_by_h_squared(patch):
+    # the two-sheet field is a central difference in h, so it leaves
+    # h B(boundary) by O(h^3), O(h^2) relative
     x = (0.4, 0.3, 0.6)
     loop = biot_savart(patch.rim(), x, UNIT)
     deviations = []
@@ -709,6 +718,19 @@ def test_dipole_sheet_is_h_times_the_boundary_loop_field_to_second_order():
         deviations.append(np.linalg.norm(dipole - h * loop) / (h * np.linalg.norm(loop)))
     for coarse, fine in zip(deviations[:-1], deviations[1:]):
         assert 80.0 <= coarse / fine <= 120.0, deviations
+
+
+def test_dipole_sheet_is_h_times_the_boundary_loop_field_to_second_order():
+    # both sides in closed form
+    _assert_dipole_sheet_leaves_h_loop_field_by_h_squared(
+        PlanarRect((0.0, 0.0, 0.0), (1.0, 0.2, 0.0), (0.3, 0.9, 0.1))
+    )
+
+
+def test_tilted_disk_dipole_sheet_is_h_times_its_rim_field_to_second_order():
+    # rim integrals at the default tolerance against the circle's closed form
+    disk = Disk((0.4, 0.5, 0.0), 0.6, (0.2, -0.3, 1.0))
+    _assert_dipole_sheet_leaves_h_loop_field_by_h_squared(disk)
 
 
 def test_mesh_field_far_additivity():
@@ -736,8 +758,8 @@ def test_mesh_field_single_cell_is_center_anchored():
     dp = DipoleSheetSpec(1.0, 1e-4)
     x = (0.3, 0.9, 1.4)
     mesh = dipole_mesh_field(mesh_surface(patch, 1, 1), dp, x, UNIT)
-    centered = Panel((0.5, 0.5, 0.0), (1, 0, 0), (0, 1, 0))
-    assert np.allclose(mesh, dipole_panel_field(centered, dp, x, UNIT), rtol=1e-14)
+    centered = _panel_dipole((0.5, 0.5, 0.0), (1, 0, 0), (0, 1, 0), dp, x)
+    assert np.allclose(mesh, centered, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

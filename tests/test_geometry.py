@@ -12,22 +12,21 @@ from loopfield import (
     CompositeCurve,
     DegenerateIntersection,
     DegeneratePatch,
+    DipoleSheetSpec,
     Disk,
     NonTransversal,
-    Panel,
     ParamOutOfRange,
     PlanarRect,
     PolyLine,
     RectLoop,
-    ShiftedPatch,
     SurfacePatch,
     as_vec3,
+    dipole_sheet_field_exact,
     eval_curve,
     mesh_boundary,
     mesh_surface,
-    segment_panel_intersection,
 )
-from loopfield.geometry import cross
+from loopfield.geometry import cross, segment_crossings
 
 
 def test_vec3_rejects_nan_and_bad_shape():
@@ -213,6 +212,15 @@ class Dome(SurfacePatch):
         return self._lifted(u, v, self._disk.dv(u, v))
 
 
+def _sheet(patch, offset):
+    """The flat patch moved by offset along its normal: one sheet of its
+    dipole layer."""
+    shift = offset * patch.constant_normal()
+    if isinstance(patch, Disk):
+        return Disk(patch.center + shift, patch.radius, patch.axis)
+    return PlanarRect(patch.corner + shift, patch.edge_a, patch.edge_b)
+
+
 _UNIT_NODES = 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0)
 
 
@@ -228,12 +236,11 @@ def _corner_cells(width):
     [
         PlanarRect((0.1, -0.2, 0.3), (1.0, 0.2, 0.0), (0.3, 0.8, 0.5)),
         Disk((0.1, -0.2, 0.3), 1.7, (0.3, 0.4, 1.0)),
-        ShiftedPatch(Disk((0.1, -0.2, 0.3), 1.7, (0.3, 0.4, 1.0)), -0.05),
-        ShiftedPatch(PlanarRect((0, 0, 0), (1, 0, 0), (0, 0.8, 0)), 0.01),
+        _sheet(Disk((0.1, -0.2, 0.3), 1.7, (0.3, 0.4, 1.0)), -0.05),
+        _sheet(PlanarRect((0, 0, 0), (1, 0, 0), (0, 0.8, 0)), 0.01),
         Dome(0.35),
-        ShiftedPatch(Dome(0.35), 0.02),
     ],
-    ids=["rect", "disk", "shifted_disk", "shifted_rect", "dome", "shifted_dome"],
+    ids=["rect", "disk", "shifted_disk", "shifted_rect", "dome"],
 )
 def test_element_is_point_and_area_element(patch):
     # whole square, then corner cells down to where the Disk's area element
@@ -252,10 +259,10 @@ def test_element_is_point_and_area_element(patch):
     "patch",
     [
         PlanarRect((0.1, -0.2, 0.3), (1.0, 0.2, 0.0), (0.3, 0.8, 0.5)),
-        ShiftedPatch(PlanarRect((0.1, -0.2, 0.3), (1.0, 0.2, 0.0), (0.3, 0.8, 0.5)), -0.05),
+        _sheet(PlanarRect((0.1, -0.2, 0.3), (1.0, 0.2, 0.0), (0.3, 0.8, 0.5)), -0.05),
         PlanarRect((0, 0, 0), (0, 1, 0), (1, 0, 0)),  # du x dv along -z
         Disk((0.1, -0.2, 0.3), 1.7, (0.3, 0.4, 1.0)),
-        ShiftedPatch(Disk((0.1, -0.2, 0.3), 1.7, (0.3, 0.4, 1.0)), 0.02),
+        _sheet(Disk((0.1, -0.2, 0.3), 1.7, (0.3, 0.4, 1.0)), 0.02),
         Disk((0, 0, 0), 1.0, (0, 0, -1)),
     ],
     ids=["rect", "shifted_rect", "flipped_rect", "disk", "shifted_disk", "flipped_disk"],
@@ -278,7 +285,13 @@ def test_rim_is_the_boundary_counterclockwise_about_du_x_dv(patch):
 
 def test_curved_patches_have_no_rim():
     assert Dome(0.35).rim() is None
-    assert ShiftedPatch(Dome(0.35), 0.02).rim() is None
+
+
+def test_curved_patches_have_no_two_sheet_field():
+    # the sheets of a dipole layer are the patch seen from x -/+ (h / 2) n,
+    # which needs one normal n
+    with pytest.raises(ValueError):
+        dipole_sheet_field_exact(Dome(0.35), DipoleSheetSpec(1.0, 1e-3), (0.0, 0.0, 2.0))
 
 
 def test_disk_area_element_keeps_its_digits_at_the_corners():
@@ -303,17 +316,17 @@ def test_mesh_single_panel_identity():
     patch = PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0))
     mesh = mesh_surface(patch, 1, 1)
     assert mesh.m == mesh.n == 1
-    assert np.allclose(mesh.panel(0, 0).area_vector, [0, 0, 1])
+    assert np.allclose(mesh.cell_vector_areas[0, 0], [0, 0, 1])
     assert np.allclose(mesh.total_area_vector(), [0, 0, 1])
 
 
 def test_mesh_2x2_quarters():
     patch = PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0))
     mesh = mesh_surface(patch, 2, 2)
-    panels = list(mesh.panels())
-    assert len(panels) == 4
-    for p in panels:
-        assert np.allclose(p.area_vector, [0, 0, 0.25])
+    areas = mesh.cell_vector_areas.reshape(-1, 3)
+    assert len(areas) == 4
+    for area in areas:
+        assert np.allclose(area, [0, 0, 0.25])
     assert np.allclose(mesh.total_area_vector(), [0, 0, 1])
 
 
@@ -401,77 +414,87 @@ def test_disk_boundary_stays_near_circle():
 def test_degenerate_patch_rejected():
     with pytest.raises(DegeneratePatch):
         PlanarRect((0, 0, 0), (1, 0, 0), (2, 0, 0))
-    with pytest.raises(DegeneratePatch):
-        Panel((0, 0, 0), (1, 1, 0), (2, 2, 0))
     with pytest.raises(ValueError):
         mesh_surface(PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0)), 0, 4)
 
 
 # ---------------------------------------------------------------------------
-# Segment/panel intersection
+# Signed crossings through a single cell
 # ---------------------------------------------------------------------------
 
 
+def _cell(corner, edge_a, edge_b):
+    """The 2 x 2 nodes of the one cell spanned by edge_a, edge_b at corner."""
+    return mesh_surface(PlanarRect(corner, edge_a, edge_b), 1, 1).nodes
+
+
+def _crossing(start, end, nodes):
+    """(sign, point) of the segment's one crossing through the cell, or None."""
+    signs, points = segment_crossings(start, end, nodes)
+    assert len(signs) <= 1
+    return (int(signs[0]), points[0]) if len(signs) else None
+
+
 @pytest.fixture
-def unit_panel():
-    return Panel((0, 0, 0), (1, 0, 0), (0, 1, 0))
+def unit_cell():
+    return _cell((0, 0, 0), (1, 0, 0), (0, 1, 0))
 
 
-def test_axis_aligned_crossing(unit_panel):
-    # through the panel's diagonal, shared by its two triangles
-    sign, point = segment_panel_intersection((0.5, 0.5, -1), (0.5, 0.5, 1), unit_panel)
+def test_axis_aligned_crossing(unit_cell):
+    # through the cell's diagonal, shared by its two triangles
+    sign, point = _crossing((0.5, 0.5, -1), (0.5, 0.5, 1), unit_cell)
     assert sign == 1
     assert np.allclose(point, [0.5, 0.5, 0])
 
 
-def test_crossing_sign_antisymmetry(unit_panel):
-    sign, point = segment_panel_intersection((0.5, 0.5, 1), (0.5, 0.5, -1), unit_panel)
+def test_crossing_sign_antisymmetry(unit_cell):
+    sign, point = _crossing((0.5, 0.5, 1), (0.5, 0.5, -1), unit_cell)
     assert sign == -1
     assert np.allclose(point, [0.5, 0.5, 0])
 
 
-def test_parallel_segment_misses(unit_panel):
-    assert segment_panel_intersection((0, 0, 1), (1, 0, 1), unit_panel) is None
+def test_parallel_segment_misses(unit_cell):
+    assert _crossing((0, 0, 1), (1, 0, 1), unit_cell) is None
 
 
-def test_crossing_outside_panel(unit_panel):
-    assert segment_panel_intersection((2.0, 0.5, -1), (2.0, 0.5, 1), unit_panel) is None
+def test_crossing_outside_panel(unit_cell):
+    assert _crossing((2.0, 0.5, -1), (2.0, 0.5, 1), unit_cell) is None
 
 
-def test_panel_orientation_flip_negates_sign(unit_panel):
-    flipped = Panel((0, 0, 0), (0, 1, 0), (1, 0, 0))
-    up = segment_panel_intersection((0.5, 0.5, -1), (0.5, 0.5, 1), unit_panel)
-    up_flipped = segment_panel_intersection((0.5, 0.5, -1), (0.5, 0.5, 1), flipped)
+def test_panel_orientation_flip_negates_sign(unit_cell):
+    flipped = _cell((0, 0, 0), (0, 1, 0), (1, 0, 0))
+    up = _crossing((0.5, 0.5, -1), (0.5, 0.5, 1), unit_cell)
+    up_flipped = _crossing((0.5, 0.5, -1), (0.5, 0.5, 1), flipped)
     assert up[0] == -up_flipped[0]
 
 
-def test_edge_proximity_is_degenerate(unit_panel):
-    # on each of the panel's own four edges, and at a corner
+def test_edge_proximity_is_degenerate(unit_cell):
+    # on each of the cell's own four edges, and at a corner
     for x, y in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (1.0, 1.0)):
         with pytest.raises(DegenerateIntersection):
-            segment_panel_intersection((x, y, -1), (x, y, 1), unit_panel)
+            _crossing((x, y, -1), (x, y, 1), unit_cell)
 
 
-def test_endpoint_on_plane_is_degenerate(unit_panel):
+def test_endpoint_on_plane_is_degenerate(unit_cell):
     with pytest.raises(DegenerateIntersection):
-        segment_panel_intersection((0.5, 0.5, 0), (0.5, 0.5, 1), unit_panel)
+        _crossing((0.5, 0.5, 0), (0.5, 0.5, 1), unit_cell)
 
 
-def test_glancing_crossing_is_nontransversal(unit_panel):
+def test_glancing_crossing_is_nontransversal(unit_cell):
     with pytest.raises(NonTransversal):
-        segment_panel_intersection((0.4, 0.5, -1e-12), (0.6, 0.5, 1e-12), unit_panel)
+        _crossing((0.4, 0.5, -1e-12), (0.6, 0.5, 1e-12), unit_cell)
 
 
-def test_far_coplanar_endpoint_is_harmless(unit_panel):
-    # endpoint on the panel's infinite plane but far from the panel itself
-    assert segment_panel_intersection((50.0, 0.5, 0.0), (50.0, 0.5, 1.0), unit_panel) is None
+def test_far_coplanar_endpoint_is_harmless(unit_cell):
+    # endpoint on the cell's infinite plane but far from the cell itself
+    assert _crossing((50.0, 0.5, 0.0), (50.0, 0.5, 1.0), unit_cell) is None
 
 
 def test_skew_panel_crossing():
-    panel = Panel((0, 0, 0), (1, 0, 0.2), (0.1, 1, -0.1))
-    mid = np.asarray(panel.base) + 0.5 * (np.asarray(panel.edge_a) + np.asarray(panel.edge_b))
-    n = panel.area_vector / np.linalg.norm(panel.area_vector)
-    sign, point = segment_panel_intersection(mid - n, mid + n, panel)
+    patch = PlanarRect((0, 0, 0), (1, 0, 0.2), (0.1, 1, -0.1))
+    mid = patch.point(0.5, 0.5)
+    n = patch.constant_normal()
+    sign, point = _crossing(mid - n, mid + n, _cell(patch.corner, patch.edge_a, patch.edge_b))
     assert sign == 1
     assert np.allclose(point, mid, atol=1e-12)
 
