@@ -1,10 +1,11 @@
 """Biot-Savart fields, dipole sheets, and dual-route linking numbers.
 
 The package computes static fields of current loops and charged sheets
-(straight segments in closed form, everything else by deterministic
-adaptive quadrature), counts signed crossings through
-spanning surfaces, and ships experiment drivers that verify the
-dipole/loop similitude and the circulation law A = Lk at desk scale.
+(every loop and every flat polygon sheet in closed form; disk sheets,
+curved sheets and the Gauss integral by deterministic adaptive
+quadrature), counts signed crossings through spanning surfaces, and
+ships experiment drivers that verify the dipole/loop similitude and the
+circulation law A = Lk at desk scale.
 """
 
 from .errors import (

@@ -22,7 +22,6 @@ import contextlib
 import functools
 import io
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -413,18 +412,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_threads_env() -> None:
-    value = os.environ.get("THREADS")
-    if value is None:
-        return
-    try:
-        threads = int(value)
-    except ValueError:
-        raise SceneFormatError(f"THREADS must be a positive integer, got {value!r}")
-    if threads < 1:
-        raise SceneFormatError(f"THREADS must be a positive integer, got {value!r}")
-
-
 def _join_points_value(argv: list[str]) -> list[str]:
     """Join "--points VALUE" into "--points=VALUE": argparse would take a
     VALUE whose first coordinate is negative for an option."""
@@ -438,7 +425,6 @@ def _join_points_value(argv: list[str]) -> list[str]:
 
 
 def _dispatch(argv: list[str]) -> int:
-    _check_threads_env()
     args = _build_parser().parse_args(_join_points_value(argv))
     if args.command is None:
         raise SceneFormatError("missing subcommand")

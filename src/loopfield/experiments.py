@@ -278,30 +278,41 @@ def maxwell_probe(
     """Divergence and curl of the sheet fields off the charge support.
 
     Probes both the plain charged sheet and the dipole layer built from
-    it.  Off the support both div E and curl E vanish, so the report
-    passes when every probe stays below 1e-5 at the smallest step.  A
-    point that trips the near-singularity guard of either field is
-    recorded in the notes rather than aborting the run, and fails the
-    report: it is not off the support.
+    it, whose sheets are the patch moved by +/- (dipole_separation / 2) n.
+    Off the support both div E and curl E vanish, so the report passes
+    when every probe stays below 1e-5 at the smallest step.  A point
+    that a field's stencil could straddle a sheet from (a step not below
+    the distance) or that trips its guard is recorded in the notes, not
+    probed, and fails the report: it is not off the support.  A curved
+    patch, which has no dipole layer, raises ValueError.
     """
     consts = consts or FieldConstants()
-    kinds: list[tuple[str, object]] = [
-        ("sheet", lambda p: coulomb_surface_field(patch, sigma, p, consts, spec)),
-        (
-            "dipole",
-            lambda p: dipole_sheet_field_exact(
-                patch, DipoleSheetSpec(sigma, dipole_separation), p, consts, spec
-            ),
-        ),
+    normal = patch.constant_normal()
+    if normal is None:
+        raise ValueError("the dipole layer needs a flat patch")
+    shift = 0.5 * dipole_separation * normal
+    layer = DipoleSheetSpec(sigma, dipole_separation)
+    kinds = [
+        ("sheet", (np.zeros(3),), lambda p: coulomb_surface_field(patch, sigma, p, consts, spec)),
+        ("dipole", (shift, -shift), lambda p: dipole_sheet_field_exact(patch, layer, p, consts, spec)),
     ]
 
     def floor_of_step(step):
         return 3.0 * spec.abs_tol / step
 
+    reach = max(float(s) for s in steps)
     probe_rows, notes = [], []
-    for kind, field_fn in kinds:
+    for kind, sheets, field_fn in kinds:
         for point in probe_points:
             p = as_vec3(point, "probe point")
+            # the sheet moved by +o is the patch seen from p - o
+            near = min(patch.distance_to(p - offset) for offset in sheets)
+            if reach >= near:
+                notes.append(
+                    f"{kind} probe at {p.tolist()} skipped: step {reach:g} reaches a sheet "
+                    f"at distance {near:g}"
+                )
+                continue
             try:
                 point_rows = _probe_field(field_fn, [p], steps, floor_of_step)
             except NearSingular as exc:

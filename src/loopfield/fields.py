@@ -14,13 +14,13 @@ stated with k_E = k_B = 1 while linking experiments want k_B = 1/(4*pi).
 
 Straight segments, circles, flat polygon sheets and point dipoles have
 closed forms (segment_field, circle_field, polygon_sheet_field,
-point_dipole_field), which biot_savart and coulomb_surface_field use for
-PolyLine and Circle sources and for flat polygon patches, and
-dipole_mesh_field for a mesh's cells.  The field of any other flat sheet,
-a disk for one, is one adaptive line integral around its rim; composite
-curves and curved patches are integrated by adaptive quadrature along the
-curve and over the unit square.  The two-sheet dipole layer of a flat
-patch is its sheet field seen from x -/+ (separation / 2) n.
+point_dipole_field).  biot_savart sums the closed forms of a curve's
+PolyLine and Circle leaves, coulomb_surface_field uses the polygon's for
+flat polygon patches, and dipole_mesh_field the dipoles' for a mesh's
+cells.  The field of any other flat sheet, a disk for one, is one
+adaptive line integral around its rim; curved patches are integrated by
+adaptive quadrature over the unit square.  The two-sheet dipole layer of a
+flat patch is its sheet field seen from x -/+ (separation / 2) n.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 from .errors import DegenerateBase, NearSingular, NotUnit
 from .geometry import (
     Circle,
+    CompositeCurve,
     Curve,
     PolyLine,
     SurfaceMesh,
@@ -252,12 +253,16 @@ def polygon_sheet_field(vertices, points) -> np.ndarray:
       the ends along the edge seen from x, adds two one-signed gaps, each
       R + t taken as q^2 / (R - t) where t < 0, as in segment_field.
 
-    Points must not lie on the polygon.
+    The field is dimensionless, so it is evaluated in units of a power of
+    two near the polygon's size: exactly, and with no over- or underflow
+    at any size.  Points must not lie on the polygon.
     """
     verts = np.asarray(vertices, dtype=float).reshape(-1, 3)
-    x = np.asarray(points, dtype=float).reshape(-1, 3)
-    ends = np.roll(verts, -1, axis=0)
     spokes = verts[1:] - verts[0]
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(spokes).max()))[1])
+    verts, spokes = verts / unit, spokes / unit
+    x = np.asarray(points, dtype=float).reshape(-1, 3) / unit
+    ends = np.roll(verts, -1, axis=0)
     normal = cross(spokes[:-1], spokes[1:]).sum(axis=0)
     normal = normal / np.linalg.norm(normal)
     chords = ends - verts
@@ -303,6 +308,18 @@ def point_dipole_field(anchors, moments, points) -> np.ndarray:
     return ((3.0 * proj[..., None] * u_hat - moments) / (dist**3)[..., None]).sum(axis=1)
 
 
+def _curve_field(curve: Curve, x) -> np.ndarray:
+    """(p, 3) field of a curve without the prefactor k_B, summed over its
+    PolyLine and Circle leaves; the Biot-Savart law is additive."""
+    if isinstance(curve, PolyLine):
+        return segment_field(*curve.segments(), x)
+    if isinstance(curve, Circle):
+        return circle_field(curve, x)
+    if isinstance(curve, CompositeCurve):
+        return sum(_curve_field(part, x) for part in curve.parts)
+    raise TypeError(f"no closed-form field for a {type(curve).__name__}")
+
+
 def biot_savart(
     curve: Curve,
     x,
@@ -311,30 +328,16 @@ def biot_savart(
 ) -> np.ndarray:
     """Magnetic field of an oriented curve at point x.
 
-    A PolyLine source (RectLoop and mesh_boundary output included) is
-    summed in closed form by segment_field, and a Circle by circle_field;
-    any other curve is integrated, k_B * dl x (x - r) / |x - r|^3, in one
-    quadrature whose first cells are its smooth pieces.  Raises
-    NearSingular when x is within the guard distance of the curve; beyond
-    1e100 times its bounding-box diagonal the field is returned as zero.
+    k_B times segment_field for a PolyLine (RectLoop and mesh_boundary
+    output included), circle_field for a Circle, and the sum over the
+    parts of a CompositeCurve; any other curve raises TypeError.  Raises
+    NearSingular when x is within the guard distance (from spec) of the
+    curve; beyond 1e100 times its bounding-box diagonal the field is zero.
     """
     x = as_vec3(x, "x")
     if _beyond_reach(curve, x, spec, "curve"):
         return np.zeros(3)
-    if isinstance(curve, PolyLine):
-        return consts.k_B * segment_field(*curve.segments(), x)[0]
-    if isinstance(curve, Circle):
-        return consts.k_B * circle_field(curve, x)[0]
-
-    def integrand(ts):
-        m = curve.position(ts)
-        dm = curve.tangent(ts)
-        rel = x - m
-        inv_r3 = (rel * rel).sum(axis=-1) ** -1.5
-        return cross(dm, rel) * inv_r3[:, None]
-
-    value, _ = integrate_1d(integrand, curve.smooth_cuts(), spec)
-    return consts.k_B * value
+    return consts.k_B * _curve_field(curve, x)[0]
 
 
 def coulomb_surface_field(

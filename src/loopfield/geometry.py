@@ -513,8 +513,9 @@ class PlanarRect(SurfacePatch):
         self.edge_a = _frozen(as_vec3(edge_a, "edge_a"))
         self.edge_b = _frozen(as_vec3(edge_b, "edge_b"))
         n = np.cross(self.edge_a, self.edge_b)
-        mag = float(np.linalg.norm(n))
-        if mag <= 1e-12 * max(float(np.linalg.norm(self.edge_a)), 1.0) ** 2:
+        # hypot scales before it squares, so no edge length over- or underflows
+        mag = math.hypot(*n)
+        if mag <= 1e-12 * math.hypot(*self.edge_a) * math.hypot(*self.edge_b):
             raise DegeneratePatch("edge_a x edge_b vanishes")
         self._normal = _frozen(n / mag)
         self._area = mag

@@ -25,6 +25,7 @@ from .errors import CurvesTooClose
 from .fields import FieldConstants, segment_field
 from .geometry import (
     Circle,
+    CompositeCurve,
     Curve,
     PolyLine,
     SurfaceMesh,
@@ -79,21 +80,22 @@ def curve_min_distance(curve_a: Curve, curve_b: Curve, coarse: int = 192) -> flo
     return float(dist.min())
 
 
-def vector_area(curve: Curve, samples: int = 4096) -> np.ndarray:
-    """Vector area (1/2) * closed integral of r x dr of a closed curve.
+def vector_area(curve: Curve) -> np.ndarray:
+    """Vector area (1/2) * integral of r x dr along a curve, exactly.
 
-    Exact for polylines and circles; dense chord sampling otherwise.
+    Half the sum of start x end over a PolyLine's segments, +-pi R^2
+    times the unit axis for a Circle, and the sum over a CompositeCurve's
+    parts, since the integral is additive.  Any other kind of curve
+    raises TypeError.  For a closed curve it is the vector area it spans.
     """
     if isinstance(curve, PolyLine):
-        verts = curve.vertices
-        nxt = np.roll(verts, -1, axis=0)
-        return 0.5 * np.cross(verts, nxt).sum(axis=0)
+        return 0.5 * np.cross(*curve.segments()).sum(axis=0)
     if isinstance(curve, Circle):
         sign = 1.0 if curve.orientation == "ccw" else -1.0
         return sign * math.pi * curve.radius**2 * (curve.axis / np.linalg.norm(curve.axis))
-    ts = np.linspace(curve.t_start, curve.t_end, samples + 1)
-    pts = curve.position(ts)
-    return 0.5 * np.cross(pts[:-1], pts[1:]).sum(axis=0)
+    if isinstance(curve, CompositeCurve):
+        return sum(vector_area(part) for part in curve.parts)
+    raise TypeError(f"no closed-form vector area for a {type(curve).__name__}")
 
 
 @dataclass

@@ -159,6 +159,10 @@ def _integrate(f, axes, spec: QuadratureSpec):
 def integrate_1d(f, interval, spec: QuadratureSpec = QuadratureSpec()):
     """Integrate f over [a, b]; returns (value, error_estimate).
 
+    The value sums the leaves' children; the estimate, |children - leaf|
+    summed, bounds the leaves' own coarser values, not the returned one,
+    which is usually far closer (double_wind: 1.9e-8 against 1.0e-11).
+
     interval is (a, b) or increasing breakpoints (a, t1, ..., b), whose
     pieces are the first cells.  f must accept a 1-D array of parameters
     and return a matching 1-D array (scalar integrand) or an (n, 3) array
@@ -168,7 +172,8 @@ def integrate_1d(f, interval, spec: QuadratureSpec = QuadratureSpec()):
 
 
 def integrate_2d(f, rect, spec: QuadratureSpec = QuadratureSpec()):
-    """Integrate f over [a,b] x [c,d]; returns (value, error_estimate).
+    """Integrate f over [a,b] x [c,d]; returns (value, error_estimate),
+    the estimate bounding the leaves' coarser values as in integrate_1d.
 
     Each axis of rect is (a, b) or increasing breakpoints, and the
     products of the two axes' pieces are the first cells.  f must accept

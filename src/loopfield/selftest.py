@@ -2,7 +2,7 @@
 
 Used by the `selftest` CLI subcommand and by the pytest acceptance
 module.  Output lines contain only deterministic quantities (no timing),
-so repeated runs are byte-identical regardless of the THREADS setting.
+so repeated runs are byte-identical.
 
 `BUILTIN` and `INFINITESIMAL` hold the built-in parameter sets, each
 written once: the command line runs them when there is no --scene, and
@@ -12,8 +12,7 @@ criteria 01 and 04-07 check them.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from unittest import mock
 
@@ -33,7 +32,7 @@ from .experiments import (
 )
 from .fields import cross_projection_identity, taylor_probe
 from .geometry import Circle, Disk
-from .linking import LinkScene, combinatorial_lk, gauss_pair_integral
+from .linking import combinatorial_lk, gauss_pair_integral
 from .scenefile import parse_scene_dict
 
 __all__ = ["BUILTIN", "INFINITESIMAL", "CriterionResult", "default_probe_points", "run_selftest"]
@@ -217,26 +216,27 @@ def _c9_taylor() -> CriterionResult:
 
 
 @contextmanager
-def _poisoned(target: str, message: str):
+def _poisoned(message: str, *targets: str):
     def boom(*_args, **_kwargs):
         raise AssertionError(message)
 
-    with mock.patch(target, boom):
+    with ExitStack() as stack:
+        for target in targets:
+            stack.enter_context(mock.patch(target, boom))
         yield
 
 
 def _c10_independence(catalog_rows) -> CriterionResult:
-    # counting route must not integrate
-    with _poisoned(
-        "loopfield.linking.integrate_1d", "combinatorial route invoked quadrature"
-    ), _poisoned("loopfield.linking.integrate_2d", "combinatorial route invoked quadrature"):
+    # counting route must not call any integrator that linking or fields looks up
+    integrators = [f"loopfield.{mod}.integrate_{d}d" for mod in ("linking", "fields") for d in (1, 2)]
+    with _poisoned("combinatorial route invoked quadrature", *integrators):
         lk = combinatorial_lk(
             Circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), "ccw"), unit_disk_mesh()
         )
     count_ok = lk == 1
     # integral route must not intersect panels
     with _poisoned(
-        "loopfield.linking.segment_crossings", "integral route invoked panel intersection"
+        "integral route invoked panel intersection", "loopfield.linking.segment_crossings"
     ):
         value, _ = gauss_pair_integral(
             Circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), "ccw"), unit_circle()
@@ -250,30 +250,15 @@ def _c10_independence(catalog_rows) -> CriterionResult:
     )
 
 
-def _c11_threads_determinism() -> CriterionResult:
+def _c11_determinism() -> CriterionResult:
+    partner = Circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), "ccw")
     outputs = []
-    scene = LinkScene(
-        Circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), "ccw"),
-        unit_circle(),
-        unit_disk_mesh(),
-        name="hopf",
-    )
-    previous = os.environ.get("THREADS")
-    try:
-        for threads in ("1", "4"):
-            os.environ["THREADS"] = threads
-            value, err = gauss_pair_integral(scene.curve_c, scene.curve_l)
-            lk = combinatorial_lk(scene.curve_c, scene.spanning_mesh)
-            outputs.append(f"{_fmt(value)},{_fmt(err)},{lk}")
-    finally:
-        if previous is None:
-            os.environ.pop("THREADS", None)
-        else:
-            os.environ["THREADS"] = previous
+    for _ in range(2):
+        value, err = gauss_pair_integral(partner, unit_circle())
+        lk = combinatorial_lk(partner, unit_disk_mesh())
+        outputs.append(f"{_fmt(value)},{_fmt(err)},{lk}")
     ok = outputs[0] == outputs[1]
-    return CriterionResult(
-        "11", "THREADS-independent results", ok, f"outputs_equal={ok}"
-    )
+    return CriterionResult("11", "run-to-run identical results", ok, f"outputs_equal={ok}")
 
 
 def run_selftest(stream=None) -> bool:
@@ -294,7 +279,7 @@ def run_selftest(stream=None) -> bool:
     results.append(_c8_identity())
     results.append(_c9_taylor())
     results.append(_c10_independence(catalog_rows))
-    results.append(_c11_threads_determinism())
+    results.append(_c11_determinism())
 
     all_ok = True
     for res in results:

@@ -17,16 +17,11 @@ REPO = Path(__file__).resolve().parents[1]
 SCENES = REPO / "scenes"
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    env = os.environ.copy()
-    env.pop("THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "loopfield.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
         cwd=cwd or REPO,
     )
 
@@ -138,7 +133,7 @@ def test_field_beside_the_wire():
     assert abs(row[5] - float(b_z)) <= 10 * (1e-8 * abs(float(b_z)) + 1e-10 / (4 * math.pi))
 
 
-def test_field_near_the_guard():
+def test_field_near_the_guard(tmp_path):
     # 2e-5 outside the hopf ring, about 7x its guard of 2.8e-6; quadrature
     # stopped at about 4e-5, the circle's closed form reaches the guard
     result = run_cli(
@@ -146,6 +141,14 @@ def test_field_near_the_guard():
         "--points=1.00002,0,0",
     )
     assert result.returncode == 0, result.stderr
+    # and so does the ring as a one-part composite, the sum of its one leaf
+    scene = json.loads((SCENES / "hopf.json").read_text())
+    scene["curves"]["wrapped"] = {"kind": "composite", "parts": ["ring"]}
+    path = tmp_path / "wrapped.json"
+    path.write_text(json.dumps(scene))
+    wrapped = run_cli("field", "--scene", str(path), "--curve", "wrapped", "--points=1.00002,0,0")
+    assert wrapped.returncode == 0, wrapped.stderr
+    assert wrapped.stdout == result.stdout
     row = [float(v) for v in result.stdout.strip().splitlines()[1].split(",")]
     with mpmath.workdps(40):
         rho = mpmath.mpf(row[0])
@@ -192,13 +195,6 @@ def test_csv_output_is_stable_across_runs(tmp_path):
     assert r1.returncode == 0 and r2.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert b"\r" not in out1.read_bytes()  # LF endings only
-
-
-def test_threads_env_validation():
-    result = run_cli("ampere", env_extra={"THREADS": "banana"})
-    assert result.returncode == 2
-    result = run_cli("ampere", env_extra={"THREADS": "0"})
-    assert result.returncode == 2
 
 
 def test_shipped_maxwell_scene(tmp_path):
@@ -276,11 +272,9 @@ def test_field_points_may_start_with_a_minus():
 
 
 def test_python_dash_m_loopfield_runs_the_cli():
-    env = os.environ.copy()
-    env.pop("THREADS", None)
     argv = ["lk", "--scene", str(SCENES / "hopf.json")]
     result = subprocess.run(
-        [sys.executable, "-m", "loopfield", *argv], capture_output=True, text=True, env=env, cwd=REPO
+        [sys.executable, "-m", "loopfield", *argv], capture_output=True, text=True, cwd=REPO
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == run_cli(*argv).stdout

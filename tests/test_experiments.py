@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,10 @@ from loopfield.experiments import (
     symmetry_sweep,
     unit_circle,
 )
+from loopfield.scenefile import parse_scene_file
+from loopfield.selftest import BUILTIN
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +142,25 @@ def test_maxwell_probe_guard_trip_is_reported():
 
 
 def test_maxwell_probe_point_on_the_sheet_fails():
-    # the dipole layer's sheets lie h/2 to either side, so only the sheet
-    # field's guard trips; the point is on the support all the same
+    # the dipole layer's sheets lie h/2 = 5e-4 to either side, within the
+    # steps, so its stencil would straddle them: neither field is probed
     disk = Disk((0, 0, 0), 1.0, (0, 0, 1))
     report = maxwell_probe(disk, 1.0, [[0.2, 0.1, 0.0]], [2e-3, 1e-3])
-    assert [note.split()[0] for note in report.notes] == ["sheet"]
+    assert [note.split()[0] for note in report.notes] == ["sheet", "dipole"]
+    assert report.point_rows == []
     assert not report.passed
+
+
+@pytest.mark.parametrize("scene", ["square_sheet.json", "disk_sheet.json", "builtin"])
+def test_shipped_and_builtin_maxwell_probes_keep_every_row(scene):
+    scene_file = BUILTIN if scene == "builtin" else parse_scene_file(SCENES / scene)
+    entry = next(e for e in scene_file.experiments if e["kind"] == "maxwell")
+    report = maxwell_probe(
+        scene_file.build_patch(entry["surface"]), entry["sigma"], entry["points"], entry["steps"],
+        dipole_separation=entry["dipole_separation"],
+    )
+    assert report.passed and not report.notes
+    assert len(report.point_rows) == 2 * len(entry["points"]) * len(entry["steps"])
 
 
 # ---------------------------------------------------------------------------

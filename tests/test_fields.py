@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from loopfield import (
     Circle,
     CompositeCurve,
+    Curve,
     DegenerateBase,
     DipoleSheetSpec,
     Disk,
@@ -19,6 +20,7 @@ from loopfield import (
     PlanarRect,
     PolyLine,
     QuadratureSpec,
+    RectLoop,
     SurfacePatch,
     biot_savart,
     circle_field,
@@ -33,6 +35,7 @@ from loopfield import (
     segment_field,
     taylor_probe,
 )
+from loopfield import fields, quadrature
 from loopfield.linking import gauss_pair_integral
 
 UNIT = FieldConstants(k_E=1.0, k_B=1.0)
@@ -221,18 +224,35 @@ def _pentagon():
 
 
 def _as_composite(polyline):
-    """The same polyline as a composite of one-segment polylines, which
-    biot_savart and gauss_pair_integral integrate by quadrature."""
+    """The same polyline as a composite of one-segment polylines, whose
+    field biot_savart sums leg by leg, and which gauss_pair_integral
+    integrates by 2-D quadrature."""
     starts, ends = polyline.segments()
     return CompositeCurve([PolyLine([a, b]) for a, b in zip(starts, ends)])
+
+
+def biot_savart_by_quadrature(curve, x, consts=FieldConstants(), spec=QuadratureSpec()):
+    """k_B * integral of dl x (x - r) / |x - r|^3 along the curve, in one
+    1-D quadrature whose first cells are its smooth pieces: the reference
+    for the closed forms.  The integrator is looked up in the quadrature
+    module at each call, so a test may wrap it there."""
+    x = np.asarray(x, dtype=float)
+
+    def integrand(ts):
+        rel = x - curve.position(ts)
+        inv_r3 = (rel * rel).sum(axis=-1) ** -1.5
+        return np.cross(curve.tangent(ts), rel) * inv_r3[:, None]
+
+    value, _ = quadrature.integrate_1d(integrand, curve.smooth_cuts(), spec)
+    return consts.k_B * value
 
 
 @pytest.mark.parametrize("x", [(0.5, 0.5, 0.4), (0.1, -0.3, 0.2), (2.0, 1.0, -1.0), (0.6, 0.7, 0.0)])
 def test_polyline_field_matches_quadrature(x):
     pentagon = _pentagon()
     closed_form = biot_savart(pentagon, x)
-    quadrature = biot_savart(_as_composite(pentagon), x)
-    assert np.allclose(closed_form, quadrature, rtol=1e-9, atol=1e-12)
+    by_quadrature = biot_savart_by_quadrature(pentagon, x)
+    assert np.allclose(closed_form, by_quadrature, rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("closed", [True, False])
@@ -321,7 +341,6 @@ def test_circle_field_near_the_axis_and_far_away():
 
 
 def test_circle_field_matches_quadrature_within_the_estimate():
-    # the same circle as a one-part composite takes the quadrature route
     spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
     circle = Circle((0.3, -0.2, 0.5), 0.8, (0.2, -0.4, 0.9), "cw")
     on_wire = circle.position(1.1)
@@ -329,17 +348,20 @@ def test_circle_field_matches_quadrature_within_the_estimate():
     points = [(0.1, 0.4, -0.3), (1.5, 0.2, 0.9), circle.center, on_wire + 1e-3 * outward]
     for x in points:
         closed_form = biot_savart(circle, x, UNIT, spec)
-        quadrature = biot_savart(CompositeCurve([circle]), x, UNIT, spec)
-        assert _within_tolerance(quadrature, closed_form, UNIT, spec), x
+        by_quadrature = biot_savart_by_quadrature(circle, x, UNIT, spec)
+        assert _within_tolerance(by_quadrature, closed_form, UNIT, spec), x
+
+
+def _near_wire_distances(diagonal):
+    # from 1e-2 down to twice the guard, 1e-6 x the bounding-box diagonal
+    return (1e-2, 1e-3, 1e-4, 1e-5, 2.0 * QuadratureSpec().resolve_guard(diagonal))
 
 
 def test_composite_square_field_near_a_joint_and_a_leg():
-    # guard 1e-6 x the diagonal; the nearest distance tried is 10x that
     consts = FieldConstants()
     square = unit_square_loop()
     composite = _as_composite(square)
-    nearest = 10.0 * QuadratureSpec().resolve_guard(math.sqrt(2.0))
-    for d in (1e-2, 1e-3, 1e-4, nearest):
+    for d in _near_wire_distances(math.sqrt(2.0)):
         r = d / math.sqrt(2.0)
         points = (
             (1.0 + r, -r, 0.0),  # outside the joint at (1, 0, 0)
@@ -348,8 +370,61 @@ def test_composite_square_field_near_a_joint_and_a_leg():
             (0.0 + d, 0.6, 0.0),  # beside a leg, inside
         )
         for x in points:
-            expected = consts.k_B * segment_field(*square.segments(), x)[0]
-            assert _within_tolerance(biot_savart(composite, x, consts), expected, consts), (d, x)
+            expected = biot_savart(square, x, consts)
+            assert _relative_error(biot_savart(composite, x, consts), expected) <= 1e-13, (d, x)
+
+
+def test_composite_field_is_the_sum_of_its_leaves():
+    consts = FieldConstants()
+    ring = unit_circle()
+    one_part = CompositeCurve([ring])
+    # the benchmark's shape: a circle and a straight spur out and back from
+    # where its parameter starts
+    circle = Circle((0.1, -0.2, 0.3), 0.7, (0.2, 0.3, 1.0), "cw")
+    joint = circle.position(circle.t_start)
+    axis = circle.axis / np.linalg.norm(circle.axis)
+    spur = PolyLine([joint, joint + 0.3 * axis, joint])
+    with_spur = CompositeCurve([circle, spur])
+    outward = (joint - circle.center) / 0.7
+    side = np.cross(axis, outward)
+    for d in _near_wire_distances(2.0 * math.sqrt(2.0)):
+        for x in ((1.0 + d, 0.0, 0.0), (1.0 - d, 0.0, 0.0), (0.0, 1.0, d)):
+            expected = biot_savart(ring, x, consts)
+            assert _relative_error(biot_savart(one_part, x, consts), expected) <= 1e-15, (d, x)
+        for x in (joint + d * outward, joint + 0.1 * axis + d * side, circle.position(2) + d * axis):
+            leaves = circle_field(circle, x) + segment_field(*spur.segments(), x)
+            assert np.array_equal(biot_savart(with_spur, x, consts), consts.k_B * leaves[0]), (d, x)
+
+
+class OtherCurve(Curve):
+    """A kind of curve that no scene can declare, with the unit circle's
+    box and distances."""
+
+    def bounding_box(self):
+        return unit_circle().bounding_box()
+
+    def distance_to(self, point):
+        return unit_circle().distance_to(point)
+
+
+def test_loop_fields_need_no_quadrature(monkeypatch):
+    def poisoned(*args, **kwargs):
+        raise AssertionError("quadrature reached")
+
+    monkeypatch.setattr(fields, "integrate_1d", poisoned)
+    monkeypatch.setattr(fields, "integrate_2d", poisoned)
+    ring = unit_circle()
+    tilted = Circle((0.2, 0.1, 0.4), 0.5, (1.0, 0.2, 0.3), "cw")
+    open_line = PolyLine([(0, 0, 0), (1, 0.2, 0), (1.2, 1, 0.3)])
+    spur = PolyLine([(1, 0, 0), (1, 0, 0.5), (1, 0, 0)])
+    nested = CompositeCurve([ring, CompositeCurve([spur, tilted]), open_line])
+    x = (0.3, -0.4, 0.7)
+    for curve in (ring, open_line, unit_square_loop(), RectLoop(2), nested):
+        assert np.all(np.isfinite(biot_savart(curve, x))), curve
+    b = {curve: biot_savart(curve, x, UNIT) for curve in (ring, spur, tilted, open_line)}
+    assert np.array_equal(biot_savart(nested, x, UNIT), b[ring] + (b[spur] + b[tilted]) + b[open_line])
+    with pytest.raises(TypeError):
+        biot_savart(OtherCurve(), x)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +527,19 @@ def test_sheet_field_far_away():
         expected = _rectangle_field_40_digits(1.0, 0.8, x)
         got = coulomb_surface_field(patch, 1.0, x, UNIT)
         assert _relative_error(got, expected) <= 1e-12 + 8 * _EPS * r / 0.8, x
+
+
+def test_sheet_field_is_scale_free():
+    # the field of a uniformly charged sheet is dimensionless
+    points = np.array(
+        [(0.3, 0.48, 0.01), (0.5, 0.4, -0.3), (2.0, 1.0, -1.0), (1.2, 0.4, 0.0), (-0.2, -0.3, 0.7)]
+    )
+    unit = PlanarRect((0, 0, 0), (1, 0, 0), (0, 0.8, 0))
+    expected = [coulomb_surface_field(unit, 1.0, x, UNIT) for x in points]
+    for s in (1e-100, 1e-6, 1.0, 1e77, 1e100):
+        patch = PlanarRect((0, 0, 0), (s, 0, 0), (0, 0.8 * s, 0))
+        for x, e in zip(s * points, expected):
+            assert _relative_error(coulomb_surface_field(patch, 1.0, x, UNIT), e) <= 1e-12, (s, x)
 
 
 class QuadratureOnlyPatch(SurfacePatch):

@@ -414,6 +414,14 @@ def test_disk_boundary_stays_near_circle():
 def test_degenerate_patch_rejected():
     with pytest.raises(DegeneratePatch):
         PlanarRect((0, 0, 0), (1, 0, 0), (2, 0, 0))
+    # degeneracy is the angle between the edges, whatever their lengths
+    sin = 1e-13
+    sliver = np.array([math.sqrt(1 - sin * sin), sin, 0.0])
+    for scale in (1e-100, 1.0, 1e100):
+        with pytest.raises(DegeneratePatch):
+            PlanarRect((0, 0, 0), (scale, 0, 0), 0.5 * scale * sliver)
+        patch = PlanarRect((0, 0, 0), (scale, 0, 0), (0, 1e-6 * scale, 0))
+        assert np.array_equal(patch.constant_normal(), [0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         mesh_surface(PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0)), 0, 4)
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopfield import (
     Circle,
+    CompositeCurve,
     CurvesTooClose,
     DegenerateIntersection,
     Disk,
@@ -24,6 +26,7 @@ from loopfield import (
     vector_area,
 )
 from loopfield.experiments import axis_leg_closed_form, default_catalog, unit_circle, unit_disk_mesh
+from test_fields import OtherCurve
 
 
 def hopf_partner():
@@ -339,6 +342,15 @@ def test_vector_area():
     square = PolyLine([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], closed=True)
     assert np.allclose(vector_area(square), [0, 0, 1.0], atol=1e-15)
     assert np.allclose(vector_area(unit_circle().reversed()), [0, 0, -math.pi], atol=1e-12)
+    # a composite is the sum of its parts: a spur out and back adds nothing
+    ring = unit_circle()
+    joint = ring.position(ring.t_start)
+    spur = PolyLine([joint, joint + (0.3, 0.2, 0.5), joint + (0.7, -0.1, 0.2)])
+    composite = CompositeCurve([ring, spur, spur.reversed()])
+    assert np.linalg.norm(vector_area(composite) - [0, 0, math.pi]) <= 1e-15 * math.pi
+    assert list(inspect.signature(vector_area).parameters) == ["curve"]
+    with pytest.raises(TypeError):
+        vector_area(OtherCurve())
 
 
 def test_integer_proximity_with_tight_quadrature():

@@ -5,7 +5,6 @@ import pytest
 
 from loopfield import (
     Circle,
-    CompositeCurve,
     Disk,
     NoConvergence,
     PlanarRect,
@@ -14,8 +13,9 @@ from loopfield import (
     integrate_1d,
     integrate_2d,
     linking,
+    quadrature,
 )
-from test_fields import QuadratureOnlyPatch
+from test_fields import QuadratureOnlyPatch, biot_savart_by_quadrature
 
 
 def test_polynomial():
@@ -146,9 +146,10 @@ def test_guard_resolution():
 # Cells (integrand calls) of reference integrals under the default spec.
 # Only a change to the refinement rule may move these counts: cheaper
 # cells, cached curve nodes or a closed-form Jacobian must leave the tree
-# as it is.  Circles have closed-form fields and flat sheets rim fields,
-# so the ring reaches quadrature as a one-part composite, and the
-# rectangle and the disk as patches that hide their rims.
+# as it is.  Every curve has a closed-form field and flat sheets rim
+# fields, so the ring's field reaches quadrature through the tests' own
+# Biot-Savart integrand, and the rectangle and the disk as patches that
+# hide their rims.
 _UNIT_RING = Circle((0, 0, 0), 1.0, (0, 0, 1))
 _REFERENCE_CELLS = {
     "hopf_pair": (
@@ -167,7 +168,7 @@ _REFERENCE_CELLS = {
         ),
         341,
     ),
-    "circle_field": (lambda: fields.biot_savart(CompositeCurve([_UNIT_RING]), (1.01, 0, 0)), 71),
+    "circle_field": (lambda: biot_savart_by_quadrature(_UNIT_RING, (1.01, 0, 0)), 71),
 }
 
 
@@ -185,7 +186,7 @@ def test_reference_integrals_keep_their_cell_counts(monkeypatch, name):
 
         return wrapped
 
-    for module in (fields, linking):
+    for module in (fields, linking, quadrature):
         for attr in ("integrate_1d", "integrate_2d"):
             monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
     run, cells = _REFERENCE_CELLS[name]
