@@ -47,6 +47,7 @@ from .fields import (
     cross_projection_identity,
     differential_probe,
     dipole_mesh_field,
+    disk_sheet_field,
     dipole_sheet_field_exact,
     point_dipole_field,
     polygon_sheet_field,

@@ -12,22 +12,22 @@ Electric fields use E = k_E * integral of sigma * (x - p) / |x - p|^3.
 Both prefactors are explicit because the dipole/loop similitude is
 stated with k_E = k_B = 1 while linking experiments want k_B = 1/(4*pi).
 
-Straight segments, circles, flat polygon sheets and point dipoles have
-closed forms (segment_field, circle_field, polygon_sheet_field,
-point_dipole_field).  biot_savart sums the closed forms of a curve's
-PolyLine and Circle leaves, coulomb_surface_field uses the polygon's for
-flat polygon patches, and dipole_mesh_field the dipoles' for a mesh's
-cells.  The field of any other flat sheet, a disk for one, is one
-adaptive line integral around its rim; curved patches are integrated by
-adaptive quadrature over the unit square.  The two-sheet dipole layer of a
-flat patch is its sheet field seen from x -/+ (separation / 2) n.
+Straight segments, circles, flat polygon and disk sheets and point
+dipoles have closed forms (segment_field, circle_field,
+polygon_sheet_field, disk_sheet_field, point_dipole_field).  biot_savart
+sums the closed forms of a curve's PolyLine and Circle leaves,
+coulomb_surface_field uses the polygon's or the disk's for a flat patch,
+by its rim, and dipole_mesh_field the dipoles' for a mesh's cells.  Only
+curved patches are integrated, by adaptive quadrature over the unit
+square.  The two-sheet dipole layer of a flat patch is its sheet field
+seen from x -/+ (separation / 2) n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +42,8 @@ from .geometry import (
     as_vec3,
     cross,
 )
-from .quadrature import QuadratureSpec, integrate_1d, integrate_2d
+# integrate_1d is not called here, but bench/spans.py wraps it under this module's name
+from .quadrature import QuadratureSpec, integrate_1d, integrate_2d  # noqa: F401
 
 __all__ = [
     "FieldConstants",
@@ -50,6 +51,7 @@ __all__ = [
     "segment_field",
     "circle_field",
     "polygon_sheet_field",
+    "disk_sheet_field",
     "point_dipole_field",
     "biot_savart",
     "coulomb_surface_field",
@@ -112,22 +114,6 @@ def _beyond_reach(source, x, spec: QuadratureSpec, what: str) -> bool:
     return dist > _FAR * scale
 
 
-# a rim's first cuts sit at its parameter nearest the field point and this
-# share of its period to either side (1e-2 on a circle), so that a peak
-# as narrow as the distance from the rim starts in cells of its own
-_RIM_WINDOW = 1e-2 / (2.0 * math.pi)
-
-
-def _rim_cuts(rim: Curve, t_near: float) -> tuple[float, ...]:
-    """The rim's ends and t_near, t_near +- window, taken modulo the period,
-    so that a peak at the seam gets small cells on both sides."""
-    start, end = rim.t_start, rim.t_end
-    span = end - start
-    window = _RIM_WINDOW * span
-    inner = {start + (t_near - start + s) % span for s in (-window, 0.0, window)}
-    return (start, *sorted(t for t in inner if start < t < end), end)
-
-
 def segment_field(starts, ends, points) -> np.ndarray:
     """Closed-form field of straight segments, without the prefactor k_B.
 
@@ -169,6 +155,61 @@ def segment_field(starts, ends, points) -> np.ndarray:
 _AGM_TOL = math.sqrt(float(np.finfo(float).eps))
 
 
+class _Ring(NamedTuple):
+    """A circle seen from p points, in units of a power of two near its
+    radius: the unit, the circle's unit axis, the height z of x above the
+    centre along it, the part `radial` of x - centre across it, its length
+    rho, the radius r, A = (r + rho)^2 + z^2, Q = (r - rho)^2 + z^2,
+    m = 4 r rho / A, k_c = sqrt(Q / A), K and T of the AGM of 1 and k_c
+    (see circle_field), and the AGM's (a_n, b_n, c_n) from n = 1 on."""
+
+    unit: float
+    axis: np.ndarray
+    z: np.ndarray
+    radial: np.ndarray
+    rho: np.ndarray
+    r: float
+    big: np.ndarray
+    small: np.ndarray
+    m: np.ndarray
+    kc: np.ndarray
+    k: np.ndarray
+    t: np.ndarray
+    agm: list
+
+
+def _ring(circle: Circle, points) -> _Ring:
+    """The circle's frame and complete elliptic integrals at the points.
+
+    Dividing lengths by a power of two is exact, and keeps A and Q,
+    squares of lengths, from over- or underflowing at any radius.  The AGM
+    runs until c_n <= sqrt(eps) a_n at every point.  Raises ValueError for
+    a point on the circle, where the AGM of 1 and 0 never converges.
+    """
+    unit = math.ldexp(1.0, math.frexp(circle.radius)[1])
+    axis = circle.axis / np.linalg.norm(circle.axis)
+    rel = (np.asarray(points, dtype=float).reshape(-1, 3) - circle.center) / unit
+    z = rel @ axis
+    radial = rel - z[:, None] * axis
+    rho = np.sqrt(np.einsum("ij,ij->i", radial, radial))
+    r = circle.radius / unit
+    big = (r + rho) ** 2 + z * z
+    small = (r - rho) ** 2 + z * z
+    if not np.all(small > 0.0):
+        raise ValueError("points must not lie on the circle")
+    m = 4.0 * r * rho / big
+    kc = np.sqrt(small / big)
+    # a_1, b_1 and c_1 = (1 - k_c) / 2, written without the cancelling difference
+    a, b, c = 0.5 * (1.0 + kc), np.sqrt(kc), m / (2.0 * (1.0 + kc))
+    t, weight, agm = c * c, 1.0, [(a, b, c)]
+    while np.any(c > _AGM_TOL * a):
+        a, b, c = 0.5 * (a + b), np.sqrt(a * b), c * c / (2.0 * (a + b))
+        weight *= 2.0
+        t = t + weight * c * c
+        agm.append((a, b, c))
+    return _Ring(unit, axis, z, radial, rho, r, big, small, m, kc, 0.5 * math.pi / a, t, agm)
+
+
 def circle_field(circle: Circle, points) -> np.ndarray:
     """Closed-form field of a circle, without the prefactor k_B.
 
@@ -188,32 +229,14 @@ def circle_field(circle: Circle, points) -> np.ndarray:
     rearranged so that T carries the parts that cancel: near the axis and
     far away, where m is small, the textbook forms lose digits like 1/m^2,
     and here no step loses more than a small factor.  k_c^2 comes from Q
-    itself, never from 1 - m, so the AGM keeps its digits beside the wire,
-    and it runs until c_n <= sqrt(eps) a_n at every point.  Raises
-    ValueError for a point on the circle.
+    itself, never from 1 - m, so the AGM keeps its digits beside the wire.
+    B is evaluated in units of a power of two near R (_ring) and scaled
+    back by 1 / length: exactly, and with no over- or underflow at any
+    size.  Raises ValueError for a point on the circle.
     """
-    x = np.asarray(points, dtype=float).reshape(-1, 3)
-    axis = circle.axis / np.linalg.norm(circle.axis)
-    rel = x - circle.center
-    z = rel @ axis
-    radial = rel - z[:, None] * axis
-    rho = np.sqrt(np.einsum("ij,ij->i", radial, radial))
-    r = circle.radius
-    big = (r + rho) ** 2 + z * z
-    small = (r - rho) ** 2 + z * z
-    if not np.all(small > 0.0):
-        # the AGM of 1 and 0 never converges
-        raise ValueError("points must not lie on the circle")
-    m = 4.0 * r * rho / big
-    kc = np.sqrt(small / big)
-    # a_1, b_1 and c_1 = (1 - k_c) / 2, written without the cancelling difference
-    a, b, c = 0.5 * (1.0 + kc), np.sqrt(kc), m / (2.0 * (1.0 + kc))
-    t, weight = c * c, 1.0
-    while np.any(c > _AGM_TOL * a):
-        a, b, c = 0.5 * (a + b), np.sqrt(a * b), c * c / (2.0 * (a + b))
-        weight *= 2.0
-        t = t + weight * c * c
-    k = 0.5 * math.pi / a
+    ring = _ring(circle, points)
+    r, rho, z, m, k, t = ring.r, ring.rho, ring.z, ring.m, ring.k, ring.t
+    big, small = ring.big, ring.small
     root = np.sqrt(big)
     g = k * (0.25 * m * m - (1.0 - 0.5 * m) * t)
     b_rho_over_rho = np.divide(
@@ -224,7 +247,101 @@ def circle_field(circle: Circle, points) -> np.ndarray:
         root * small
     )
     sign = 1.0 if circle.orientation == "ccw" else -1.0
-    return sign * (b_rho_over_rho[:, None] * radial + b_z[:, None] * axis)
+    return sign / ring.unit * (b_rho_over_rho[:, None] * ring.radial + b_z[:, None] * ring.axis)
+
+
+def _cel_excess(ring: _Ring, sigma, one_plus) -> np.ndarray:
+    """(cel(k_c, s^2, 1, s) - cel(1, s^2, 1, s)) / (pi / 2) for
+    s = sigma = (R - rho) / (R + rho), along the ring's AGM, given
+    1 + s = 2 R / (R + rho).
+
+    cel(k_c, p, a, b) is the integral over [0, pi/2] of
+    (a cos^2 + b sin^2) / ((cos^2 + p sin^2) sqrt(cos^2 + k_c^2 sin^2)),
+    so (1 + s) cel(k_c, s^2, 1, s) = K + s Pi(1 - s^2).  Bulirsch's Gauss
+    transformations (Numer. Math. 13, 305, 1969) carry (a, b, p) along
+    the AGM, M_n = 2^n a_n and Q_n = 2^n b_n, and keep cel unchanged:
+
+        a <- a + b / p,  b <- 2 (b + a Q M / p),  p <- p + Q M / p.
+
+    His last step evaluates the k_c = 1 form (pi/2) (a M + b) / (M (M + p)),
+    whose terms nearly cancel far from the disk.  Here the change of that
+    form over each step,
+
+        (pi/2) (M - Q) (b (p + M + Q) + a Q M) / (M (M + p) (M + Q) (p + Q)),
+
+    is summed instead, with M_n - Q_n = 2^(n+1) c_(n+1) from the AGM, and
+    the first term and step are in closed form.  a, b and p are carried
+    times |s|, which starts them at a = sign(s) (1 + s), b = 2 (k_c + s),
+    p = k_c + s^2, so nothing divides by s; at s = 0, sign(0) = 0 gives
+    the mean of the limits from either side, as H(0) = 1/2 does in Omega.
+    The sum runs one step past the AGM's last c_n, to c_n^2 / (4 a_(n+1)).
+    """
+    kc, size, sign = ring.kc, np.abs(sigma), np.sign(sigma)
+    # outside the rim k_c + s = (k_c^2 - s^2) / (k_c - s), with k_c^2 - s^2 = m z^2 / (R + rho)^2
+    spread = (ring.r + ring.rho) ** 2 * (kc - sigma)
+    kc_plus = np.divide(ring.m * ring.z**2, spread, out=kc + sigma, where=sigma < 0.0)
+    excess = 2.0 * ring.agm[0][2] * (sign * (1.0 + size) + (1.0 + sign) * kc) / (
+        (1.0 + size) * (1.0 + kc) * (size + kc)
+    )
+    a, b, p = sign * one_plus, 2.0 * kc_plus, kc + size * size
+    last_a, last_b, last_c = ring.agm[-1]
+    gaps = [c for _, _, c in ring.agm[1:]] + [last_c * last_c / (2.0 * (last_a + last_b))]
+    scale = 2.0
+    for n, ((a_n, b_n, _), gap) in enumerate(zip(ring.agm, gaps)):
+        if n:
+            g = size * qm / p
+            a, b, p = a + size * b / p, 2.0 * (b + a * g), p + size * g
+        m_n, q_n = scale * a_n, scale * b_n
+        qm, total = q_n * m_n, m_n + q_n
+        excess = excess + (2.0 * scale) * gap * (b * (p + size * total) + size * a * qm) / (
+            m_n * (size * m_n + p) * total * (p + size * q_n)
+        )
+        scale *= 2.0
+    return excess
+
+
+def disk_sheet_field(circle: Circle, points) -> np.ndarray:
+    """Closed-form Coulomb field of a uniformly charged flat disk, without
+    the prefactor k_E sigma.
+
+    Returns the (p, 3) values of  integral of  (x - y) / |x - y|^3 dA  over
+    the disk bounded by circle, at the p points x.  With n the circle's
+    unit axis, rho_vec the part of x - centre across it, z the height
+    along it, A, Q, m, k_c, K and T as in circle_field, and
+    s = (R - rho) / (R + rho), the field is  Omega n + (E_rho / rho) rho_vec:
+
+    * Omega, the solid angle signed like z, is Paxton's (1959) K and
+      Pi(1 - s^2) folded into one cel,
+
+          Omega = sign(z) (2 pi H(R - rho) - (2 |z| / sqrt(A)) (1 + s) cel(k_c, s^2, 1, s)),
+
+      with H(0) = 1/2.  cel(1, s^2, 1, s) = pi H(R - rho) / (1 + s), so
+      this is  2 pi H (1 - |z| / sqrt(A))  less (2 |z| / sqrt(A)) (1 + s)
+      times cel's excess over its k_c = 1 value (_cel_excess), with
+      1 - |z| / sqrt(A) = (R + rho)^2 / (sqrt(A) (sqrt(A) + |z|)): no
+      difference of nearly equal terms near the axis, near the rim, or far
+      away, and nothing diverges directly above the rim.
+    * E_rho / rho = 2 K T sqrt(A) / rho^2 is the in-plane part, the
+      closed integral of (y' x n) / |x - y| around the rim: the textbook
+      (4 R / sqrt(A)) ((2/m - 1) K - (2/m) E) / rho with E = K (1 - m/2 - T).
+
+    The field is dimensionless, so it is evaluated in the units of _ring,
+    and it does not depend on the circle's orientation.  Raises ValueError
+    for a point on the rim; points must not lie on the disk.
+    """
+    ring = _ring(circle, points)
+    r, rho, z = ring.r, ring.rho, ring.z
+    root, height = np.sqrt(ring.big), np.abs(z)
+    sigma, one_plus = (r - rho) / (r + rho), 2.0 * r / (r + rho)
+    excess = _cel_excess(ring, sigma, one_plus)
+    uncovered = (r + rho) ** 2 / (root * (root + height))  # 1 - |z| / sqrt(A)
+    omega = (math.pi * np.sign(z)) * (
+        (1.0 + np.sign(sigma)) * uncovered - height / root * one_plus * excess
+    )
+    in_plane = np.divide(
+        2.0 * ring.k * ring.t * root, rho * rho, out=np.zeros_like(rho), where=rho > 0.0
+    )
+    return omega[:, None] * ring.axis + in_plane[:, None] * ring.radial
 
 
 def polygon_sheet_field(vertices, points) -> np.ndarray:
@@ -320,6 +437,17 @@ def _curve_field(curve: Curve, x) -> np.ndarray:
     raise TypeError(f"no closed-form field for a {type(curve).__name__}")
 
 
+def _sheet_field(patch: SurfacePatch, x) -> np.ndarray:
+    """(p, 3) field of a flat patch without the prefactor k_E sigma, from
+    the closed form of its rim: a PolyLine's polygon or a Circle's disk."""
+    rim = patch.rim()
+    if isinstance(rim, PolyLine):
+        return polygon_sheet_field(rim.vertices, x)
+    if isinstance(rim, Circle):
+        return disk_sheet_field(rim, x)
+    raise TypeError(f"no closed-form field for a sheet with a {type(rim).__name__} rim")
+
+
 def biot_savart(
     curve: Curve,
     x,
@@ -350,49 +478,25 @@ def coulomb_surface_field(
     """Electric field of a uniformly charged surface at point x.
 
     A flat patch hands its field to its rim (SurfacePatch.rim()): with n
-    the unit normal, h the height of x above the plane, and y(t) the rim
-    counterclockwise about n,
+    the unit normal and y(t) the rim counterclockwise about n,
 
-        E / (k_E sigma) = Omega n + closed integral of (y' x n) / R dt,
+        E / (k_E sigma) = Omega n + closed integral of (y' x n) / |x - y| dt,
 
-    R = |x - y|.  The solid angle Omega is the loop's scalar potential and
-    the line integral the in-plane part, by the divergence theorem in the
-    plane.  A PolyLine rim (a PlanarRect's) is summed in closed form by
-    polygon_sheet_field; any other rim (a Disk's circle) is one adaptive
-    line integral of
-
-        sign(h) ((y - x) . (y' x n)) / (R (R + |h|)) n + (y' x n) / R,
-
-    the solid-angle density (1 - |h|/R) / rho^2 written so that nothing
-    cancels, whose first cells are cut at the rim parameter nearest x and
-    to either side of it.  A curved patch is integrated,
-    k_E * sigma * (x - p) |du x dv| / |x - p|^3, in one 2-D quadrature over
-    the unit square.  Raises NearSingular when x is within the guard
-    distance of the sheet; beyond 1e100 times its bounding-box diagonal
-    the field is returned as zero.
+    the solid angle Omega the loop's scalar potential and the line
+    integral the in-plane part, by the divergence theorem in the plane.
+    Both are in closed form: polygon_sheet_field for a PolyLine rim (a
+    PlanarRect's) and disk_sheet_field for a Circle rim (a Disk's); a flat
+    patch with any other rim raises TypeError.  A curved patch is
+    integrated, k_E * sigma * (x - p) |du x dv| / |x - p|^3, in one 2-D
+    quadrature over the unit square.  Raises NearSingular when x is within
+    the guard distance of the sheet; beyond 1e100 times its bounding-box
+    diagonal the field is returned as zero.
     """
     x = as_vec3(x, "x")
     if sigma == 0.0 or _beyond_reach(patch, x, spec, "sheet"):
         return np.zeros(3)
-    rim = patch.rim()
-    if isinstance(rim, PolyLine):
-        return consts.k_E * sigma * polygon_sheet_field(rim.vertices, x)[0]
-    if rim is not None:
-        normal = patch.constant_normal()
-        t_near = rim.nearest_param(x)
-        height = float((x - rim.position(t_near)) @ normal)
-        up, lift = float(np.sign(height)), abs(height)
-        turn = cross(np.eye(3), normal)  # y' x n = y' @ turn
-
-        def rim_integrand(ts):
-            rel = rim.position(ts) - x
-            outward = rim.tangent(ts) @ turn
-            dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
-            solid = up * np.einsum("ij,ij->i", rel, outward) / (dist * (dist + lift))
-            return solid[:, None] * normal + outward / dist[:, None]
-
-        value, _ = integrate_1d(rim_integrand, _rim_cuts(rim, t_near), spec)
-        return consts.k_E * sigma * value
+    if patch.rim() is not None:
+        return consts.k_E * sigma * _sheet_field(patch, x)[0]
 
     def integrand(u, v):
         p, jac = patch.element(u, v)
@@ -411,7 +515,7 @@ def dipole_sheet_field_exact(
     consts: FieldConstants = FieldConstants(),
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> np.ndarray:
-    """Field of the two-sheet dipole layer of a flat patch, integrated exactly.
+    """Field of the two-sheet dipole layer of a flat patch, in closed form.
 
     The sheets are the patch moved by +/- s n, s = separation / 2 and n
     its unit normal, charged +/- sigma.  The sheet at +s n seen from x is
@@ -419,10 +523,11 @@ def dipole_sheet_field_exact(
 
         E(x - s n) - E(x + s n),
 
-    with E the patch's own Coulomb field (coulomb_surface_field): closed
-    forms for a polygon, rim line integrals for a disk.  The guard applies
-    to each sheet as to the patch.  Raises ValueError for a curved patch,
-    which has no constant normal.
+    with E the patch's own Coulomb field (coulomb_surface_field), both
+    points in one call of its rim's closed form.  Each sheet has the
+    patch's guard, and its field is zero beyond 1e100 bounding-box
+    diagonals.  Raises ValueError for a curved patch, which has no
+    constant normal.
     """
     x = as_vec3(x, "x")
     normal = patch.constant_normal()
@@ -432,9 +537,14 @@ def dipole_sheet_field_exact(
         # zero density, or coincident sheets cancelling exactly
         return np.zeros(3)
     shift = 0.5 * dp.separation * normal
-    return coulomb_surface_field(patch, dp.sigma, x - shift, consts, spec) - coulomb_surface_field(
-        patch, dp.sigma, x + shift, consts, spec
-    )
+    points, signs = [], []
+    for p, sign in ((x - shift, 1.0), (x + shift, -1.0)):
+        if not _beyond_reach(patch, p, spec, "sheet"):
+            points.append(p)
+            signs.append(sign)
+    if not points:
+        return np.zeros(3)
+    return consts.k_E * dp.sigma * (np.array(signs) @ _sheet_field(patch, points))
 
 
 def dipole_mesh_field(

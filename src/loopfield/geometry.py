@@ -173,10 +173,6 @@ class Curve:
     def reversed(self) -> "Curve":
         raise NotImplementedError
 
-    def nearest_param(self, point) -> float:
-        """A parameter of the curve point nearest to point."""
-        raise NotImplementedError
-
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
@@ -249,11 +245,6 @@ class Circle(Curve):
     def reversed(self) -> "Circle":
         flipped = "cw" if self.orientation == "ccw" else "ccw"
         return Circle(self.center, self.radius, self.axis, flipped)
-
-    def nearest_param(self, point) -> float:
-        """Angle of point about the axis, in [0, 2*pi]; 0 on the axis."""
-        rel = as_vec3(point, "point") - self.center
-        return math.atan2(rel @ self._v, rel @ self._u) % _TWO_PI
 
     def bounding_box(self):
         return self._box

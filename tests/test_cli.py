@@ -162,18 +162,21 @@ def test_field_near_the_guard(tmp_path):
 
 
 def test_circle_and_sheet_commands_need_no_quadrature(monkeypatch, tmp_path):
-    # the unit circle and the square sheets are closed form, and the disk
-    # sheet is a line integral around its rim; a silent fallback to
-    # quadrature over the unit square, or along the curve, would raise here
+    # the unit circle, the square sheets and the disk sheet are closed
+    # form; a silent fallback to quadrature over the unit square, or along
+    # a curve or a rim, would raise here
     from loopfield import cli, fields
 
     def poisoned(*args, **kwargs):
         raise AssertionError("quadrature reached")
 
     out = str(tmp_path / "out.csv")
-    monkeypatch.setattr(fields, "integrate_2d", poisoned)
-    assert cli.run(["maxwell", "--scene", str(SCENES / "disk_sheet.json"), "--out", out]) == 0
     monkeypatch.setattr(fields, "integrate_1d", poisoned)
+    monkeypatch.setattr(fields, "integrate_2d", poisoned)
+    disk_scene = str(SCENES / "disk_sheet.json")
+    assert cli.run(["maxwell", "--scene", disk_scene, "--out", out]) == 0
+    points = "0,0,0.5;0.3,-0.2,1.2;1.0,0,1e-3;1.5,0.2,-0.4"
+    assert cli.run(["field", "--scene", disk_scene, "--surface", "sheet", "--points", points, "--out", out]) == 0
     assert cli.run(["maxwell", "--scene", str(SCENES / "square_sheet.json"), "--out", out]) == 0
     assert cli.run(["maxwell", "--out", out]) == 0
     assert cli.run(["curl", "--out", out]) == 0

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -29,6 +30,7 @@ from loopfield import (
     differential_probe,
     dipole_mesh_field,
     dipole_sheet_field_exact,
+    disk_sheet_field,
     mesh_surface,
     point_dipole_field,
     polygon_sheet_field,
@@ -590,13 +592,36 @@ def test_disk_field_on_the_axis():
         assert np.abs(e - expected).max() <= 1e-12 * np.abs(expected).max(), z
 
 
+# (rho, z) of the unit disk: far above the centre and the rim, far out in
+# and above the plane, and beside the rim just off the plane
+@pytest.mark.parametrize(
+    "rho, z",
+    [(0.5, 1e3), (1.0, 1e5), (3.0, 30.0), (1e3, 1e-2), (1e5, 1e5), (1e8, 1.0), (0.999, 1e-7), (1.001, -1e-7)],
+)
+def test_disk_solid_angle_loses_no_digits(rho, z):
+    # Paxton's Omega = sign(z) (2 pi H(1 - rho) - 2 |z| / sqrt(A) (K(m) + s Pi(1 - s^2, m))),
+    # s = (1 - rho) / (1 + rho), at 60 digits; far away its terms are up to
+    # (r / R)^2 larger than Omega
+    with mpmath.workdps(60):
+        rho_, z_ = mpmath.mpf(rho), mpmath.mpf(z)
+        big = (1 + rho_) ** 2 + z_**2
+        m, s = 4 * rho_ / big, (1 - rho_) / (1 + rho_)
+        # 2 pi H(1 - rho) with H(0) = 1/2, where s Pi(1 - s^2) has the limit 0
+        inner = mpmath.pi * (1 + mpmath.sign(s))
+        third = s * mpmath.ellippi(1 - s * s, m) if s else 0
+        expected = float(mpmath.sign(z_) * (inner - 2 * abs(z_) / mpmath.sqrt(big) * (mpmath.ellipk(m) + third)))
+    omega = disk_sheet_field(unit_circle(), [(rho, 0.0, z)])[0, 2]
+    assert abs(omega - expected) <= 1e-14 * abs(expected)
+
+
 @functools.lru_cache(maxsize=None)
 def _disk_field_40_digits(rho, z):
     """(E_rho, E_z) of the unit-charged unit disk about +z at distance rho
-    from its axis and height z, at 40 digits, by routes apart from the rim
-    integral: E_rho = closed integral of cos(phi) / R dphi by K and E, and
-    the solid angle over the rays from the foot of x, each reaching the rim
-    at s = (1 - rho^2) / (rho cos(psi) + sqrt(1 - rho^2 sin^2(psi))) from
+    from its axis and height z, at 40 digits, by routes apart from
+    disk_sheet_field's: E_rho = closed integral of cos(phi) / R dphi by
+    mpmath's K and E, and the solid angle over the rays from the foot of
+    x, each reaching the rim at
+    s = (1 - rho^2) / (rho cos(psi) + sqrt(1 - rho^2 sin^2(psi))) from
     inside, or crossing the disk between the two roots from outside."""
     with mpmath.workdps(40):
         rho, z = mpmath.mpf(rho), mpmath.mpf(z)
@@ -629,30 +654,93 @@ def _disk_field_40_digits(rho, z):
 
 def test_disk_field_near_the_rim():
     # from 1e-2 down to twice the guard (1e-6 x the bounding-box diagonal)
-    # from the rim: outside in the plane, outside above, inside above,
-    # inside below and outside below, at the seam t = 0 and at t = 2.1
+    # and 1.01 x the guard from the rim: outside in the plane, outside
+    # above, straight above, inside above, inside below, outside below and
+    # straight below, at the seam t = 0 (where rho = R exactly straight
+    # above) and at t = 2.1; closer to the sheet than the guard it raises
     disk = Disk((0, 0, 0), 1.0, (0, 0, 1))
     spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
     guard = spec.resolve_guard(math.sqrt(8.0))
     half = math.sqrt(0.5)
-    for d in (1e-2, 1e-3, 1e-4, 1e-5, 2 * guard):
+    directions = ((1.0, 0.0), (half, half), (0.0, 1.0), (-half, half), (-half, -half), (half, -half), (0.0, -1.0))
+    for d in (1e-2, 1e-3, 1e-4, 1e-5, 2 * guard, 1.01 * guard):
         for t in (0.0, 2.1):
             radial = np.array([math.cos(t), math.sin(t), 0.0])
-            for out, up in ((1.0, 0.0), (half, half), (-half, half), (-half, -half), (half, -half)):
+            for out, up in directions:
                 x = radial + d * (out * radial + (0.0, 0.0, up))
+                if disk.distance_to(x) <= guard:
+                    with pytest.raises(NearSingular):
+                        coulomb_surface_field(disk, 1.0, x, UNIT, spec)
+                    continue
                 rho = math.hypot(x[0], x[1])
                 # mirror images share the 40-digit value
                 e_rho, e_z = _disk_field_40_digits(rho, abs(x[2]))
                 expected = np.array([e_rho * x[0] / rho, e_rho * x[1] / rho, math.copysign(e_z, x[2])])
-                tol = 10 * (spec.rel_tol * np.abs(expected).max() + spec.abs_tol)
-                assert np.abs(coulomb_surface_field(disk, 1.0, x, UNIT, spec) - expected).max() <= tol, (d, t, out, up)
+                scale = np.abs(expected).max()
+                for s in (spec, QuadratureSpec()):
+                    e = coulomb_surface_field(disk, 1.0, x, UNIT, s)
+                    assert np.abs(e - expected).max() <= 1e-12 * scale, (d, t, out, up, s)
                 # the 2-D route, where it converges: at least down to 1e-3
                 try:
                     quadrature = coulomb_surface_field(QuadratureOnlyPatch(disk), 1.0, x, UNIT, spec)
                 except NoConvergence:
                     assert d < 1e-3
                     continue
+                tol = 10 * (spec.rel_tol * scale + spec.abs_tol)
                 assert np.abs(quadrature - expected).max() <= tol, (d, t, out, up)
+
+
+@pytest.mark.parametrize("radius", [1e-100, 1e-60, 1e60, 1e100])
+def test_circle_and_disk_fields_are_scale_free(radius):
+    # B of a loop scales as 1 / length and the sheet field not at all,
+    # with no over- or underflow on the way
+    x = np.array([0.3, 0.2, 0.5])
+    b_unit = biot_savart(unit_circle(), x, UNIT)
+    e_unit = coulomb_surface_field(Disk((0, 0, 0), 1.0, (0, 0, 1)), 1.0, x, UNIT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = biot_savart(Circle((0, 0, 0), radius, (0, 0, 1)), radius * x, UNIT)
+        e = coulomb_surface_field(Disk((0, 0, 0), radius, (0, 0, 1)), 1.0, radius * x, UNIT)
+    assert _relative_error(radius * b, b_unit) <= 1e-12
+    assert _relative_error(e, e_unit) <= 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), power=st.integers(-300, 300))
+def test_disk_field_turns_with_the_disk_mirrors_and_ignores_scale(seed, power):
+    # a disk and a point at least a tenth of its radius from the sheet,
+    # moved by x -> 2^power (Q x + t) with Q a proper rotation
+    rng = np.random.default_rng(seed)
+    radius = rng.uniform(0.2, 2.0)
+    disk = Disk(rng.uniform(-1.0, 1.0, 3), radius, rng.normal(size=3))
+    normal = disk.constant_normal()
+    across = np.cross(normal, rng.normal(size=3))
+    across /= np.linalg.norm(across)
+    angle, rho, z = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 2.5), rng.uniform(0.1, 2.0)
+    turned = math.cos(angle) * across + math.sin(angle) * np.cross(normal, across)
+    x = disk.center + radius * (rho * turned + math.copysign(z, rng.uniform(-1.0, 1.0)) * normal)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    if np.linalg.det(rot) < 0:
+        rot[:, 0] = -rot[:, 0]
+    shift = rng.uniform(-3.0, 3.0, 3)
+
+    def moved(scale):
+        def move(p):
+            return scale * (rot @ p + shift)
+
+        return Disk(move(disk.center), scale * radius, rot @ normal), move(x)
+
+    e = coulomb_surface_field(disk, 1.0, x, UNIT)
+    size = np.linalg.norm(e)
+    turned_disk, turned_x = moved(1.0)
+    e_turned = coulomb_surface_field(turned_disk, 1.0, turned_x, UNIT)
+    assert np.linalg.norm(e_turned - rot @ e) <= 1e-12 * size
+    scaled_disk, scaled_x = moved(math.ldexp(1.0, power))
+    e_scaled = coulomb_surface_field(scaled_disk, 1.0, scaled_x, UNIT)
+    assert np.linalg.norm(e_scaled - e_turned) <= 1e-12 * size
+    # the mirror image of x through the disk's plane
+    mirrored = x - 2.0 * ((x - disk.center) @ normal) * normal
+    e_mirrored = coulomb_surface_field(disk, 1.0, mirrored, UNIT)
+    assert np.linalg.norm(e_mirrored - (e - 2.0 * (e @ normal) * normal)) <= 1e-12 * size
 
 
 # ---------------------------------------------------------------------------
@@ -786,12 +874,10 @@ def test_closed_forms_move_with_rigid_motions_and_scalings(seed, scale, orientat
     e = polygon_sheet_field(patch.rim().vertices, points)
     e_moved = polygon_sheet_field(moved_patch.rim().vertices, moved_points)
     assert np.allclose(e_moved, e @ rot.T, rtol=0.0, atol=1e-11 * np.abs(e).max())
-    # the disk's rim integral, each value within its tolerance, 1e-12 relative
-    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
-    disk = Disk((0.1, 0.0, -0.2), 0.7, (0.3, -0.5, 0.8))
-    moved_disk = Disk(move(disk.center), scale * 0.7, rot @ disk.constant_normal())
-    e = np.array([coulomb_surface_field(disk, 1.0, x, UNIT, spec) for x in points])
-    e_moved = np.array([coulomb_surface_field(moved_disk, 1.0, x, UNIT, spec) for x in moved_points])
+    # the disk's closed form, which ignores the rim's orientation
+    rim = Circle((0.1, 0.0, -0.2), 0.7, (0.3, -0.5, 0.8), orientation)
+    moved_rim = Circle(move(rim.center), scale * 0.7, rot @ rim.axis)
+    e, e_moved = disk_sheet_field(rim, points), disk_sheet_field(moved_rim, moved_points)
     assert np.allclose(e_moved, e @ rot.T, rtol=0.0, atol=1e-11 * np.abs(e).max())
 
 
@@ -816,7 +902,7 @@ def test_dipole_sheet_is_h_times_the_boundary_loop_field_to_second_order():
 
 
 def test_tilted_disk_dipole_sheet_is_h_times_its_rim_field_to_second_order():
-    # rim integrals at the default tolerance against the circle's closed form
+    # the disk's closed form against the circle's, both from one AGM
     disk = Disk((0.4, 0.5, 0.0), 0.6, (0.2, -0.3, 1.0))
     _assert_dipole_sheet_leaves_h_loop_field_by_h_squared(disk)
 
