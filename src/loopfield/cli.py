@@ -202,9 +202,11 @@ def _run_similitude(scene_file, entry):
     if "surface" not in entry:  # the built-in shrinking panel
         label, report = "infinitesimal", similitude_infinitesimal(*INFINITESIMAL)
     else:
-        label = entry["surface"]
-        patch = (scene_file or BUILTIN).build_patch(label)
-        report = similitude_general(patch, entry["r"], entry["h"], entry["mesh_sizes"])
+        label, source = entry["surface"], scene_file or BUILTIN
+        report = similitude_general(
+            source.build_patch(label), entry["r"], entry["h"], entry["mesh_sizes"],
+            source.quadrature_spec(),
+        )
     rows = [
         [label, r.scale_parameter, *r.measured, *r.reference, r.abs_error] for r in report.rows
     ]
@@ -216,7 +218,8 @@ def _run_maxwell(scene_file, entry):
     label, source = entry["surface"], scene_file or BUILTIN
     report = maxwell_probe(
         source.build_patch(label), entry["sigma"], entry["points"], entry["steps"],
-        source.field_constants(), dipole_separation=entry["dipole_separation"],
+        source.field_constants(), source.quadrature_spec(),
+        dipole_separation=entry["dipole_separation"],
     )
     rows = [
         [label, kind, *r.point.tolist(), r.step, r.div_norm, r.curl_norm]
@@ -228,7 +231,8 @@ def _run_maxwell(scene_file, entry):
 def _run_curl(scene_file, entry):
     label, source = entry["curve"], scene_file or BUILTIN
     report = curl_vanishing(
-        source.build_curve(label), entry["points"], entry["steps"], source.field_constants()
+        source.build_curve(label), entry["points"], entry["steps"],
+        source.field_constants(), source.quadrature_spec(),
     )
     rows = [
         [label, *r.point.tolist(), r.step, r.curl_norm, r.div_norm] for r in report.point_rows

@@ -362,9 +362,6 @@ class RectLoop(PolyLine):
         ]
         super().__init__(verts, closed=True)
 
-    def reversed(self) -> PolyLine:
-        return PolyLine(self.vertices, closed=True).reversed()
-
 
 class CompositeCurve(Curve):
     """Concatenation of curves traversed in order, parameter ranges stacked."""
@@ -411,7 +408,7 @@ class CompositeCurve(Curve):
             inner = np.asarray(part.breakpoints(), float)
             if inner.size:
                 cuts.append(inner - part.t_start + self._bounds[k])
-        return np.sort(np.concatenate(cuts)) if cuts else np.empty(0)
+        return np.sort(np.concatenate(cuts))
 
     def reversed(self) -> "CompositeCurve":
         return CompositeCurve([p.reversed() for p in reversed(self.parts)])
@@ -639,20 +636,19 @@ class Disk(SurfacePatch):
 
 
 class SurfaceMesh:
-    """M x N grid of flat panels over a patch.
+    """M x N grid of four-node cells, from an (M+1, N+1, 3) grid of nodes.
 
-    Panel (i, j) is anchored at grid node (i/M, j/N) with edges given by
-    grid-node differences; interior grid edges are traversed by exactly
-    two adjacent cells in opposite directions, so they cancel from the
-    mesh boundary.  The counting route sees the mesh as the two triangles
-    of each cell's 0-2 diagonal (see segment_crossings), which tile it
-    without the gaps and overlaps of the panels on a curved patch.
+    Cell (i, j) has the corners nodes[i, j], nodes[i+1, j], nodes[i+1, j+1]
+    and nodes[i, j+1] in that order; interior grid edges are traversed by
+    exactly two adjacent cells in opposite directions, so they cancel from
+    the mesh boundary.  The dipole sum sees a cell as one point dipole
+    (cell_centers, cell_vector_areas), and the counting route as the two
+    triangles of its 0-2 diagonal (see segment_crossings), which tile the
+    mesh without gaps or overlaps on a curved patch too.
     """
 
-    def __init__(self, patch: SurfacePatch, m: int, n: int, nodes: np.ndarray):
-        self.source = patch
-        self.m = int(m)
-        self.n = int(n)
+    def __init__(self, nodes: np.ndarray):
+        self.m, self.n = nodes.shape[0] - 1, nodes.shape[1] - 1
         self.nodes = _frozen(nodes)
         bases = nodes[:-1, :-1, :]
         self._edges_a = _frozen(nodes[1:, :-1, :] - bases)
@@ -661,7 +657,7 @@ class SurfaceMesh:
         norms = np.linalg.norm(areas, axis=-1)
         if float(norms.min()) <= 1e-13 * float(norms.max()):
             raise DegeneratePatch(
-                f"mesh {m}x{n} has (near-)degenerate panels: min area {norms.min():g}"
+                f"mesh {self.m}x{self.n} has (near-)degenerate panels: min area {norms.min():g}"
             )
         self._areas = _frozen(areas)
 
@@ -677,7 +673,8 @@ class SurfaceMesh:
 
         Half the cross product of the cell diagonals; summed over all
         cells this telescopes exactly to the vector area of the mesh
-        boundary polygon.  Equals edge_a x edge_b on flat patches.
+        boundary polygon.  For a parallelogram cell it is the cross
+        product of the two edges leaving node (i, j).
         """
         n = self.nodes
         d1 = n[1:, 1:] - n[:-1, :-1]
@@ -698,7 +695,8 @@ class SurfaceMesh:
 
 
 def mesh_surface(patch: SurfacePatch, m: int, n: int) -> SurfaceMesh:
-    """Panelize a patch into an m x n grid of flat parallelogram panels."""
+    """Mesh a patch by the m x n grid of cells between the nodes
+    patch.point(i/m, j/n), i = 0..m, j = 0..n."""
     if m < 1 or n < 1:
         raise ValueError(f"mesh dimensions must be >= 1, got {m}x{n}")
     uu = np.linspace(0.0, 1.0, m + 1)
@@ -708,7 +706,7 @@ def mesh_surface(patch: SurfacePatch, m: int, n: int) -> SurfaceMesh:
         raise DegeneratePatch(f"patch evaluator returned shape {nodes.shape}")
     if not np.all(np.isfinite(nodes)):
         raise DegeneratePatch("patch evaluator returned non-finite nodes")
-    return SurfaceMesh(patch, m, n, nodes)
+    return SurfaceMesh(nodes)
 
 
 def mesh_boundary(mesh: SurfaceMesh) -> PolyLine:
@@ -737,6 +735,10 @@ _SEGMENT_CHUNK = 1 << 12
 
 # each cell (c0, c1, c2, c3) splits along its 0-2 diagonal
 _CELL_TRIANGLES = np.array([[0, 1, 2], [0, 2, 3]])
+
+# a crossing this close to parallel to its triangle (|cos angle| between
+# the segment and the normal) is glancing, not transversal
+_TRANSVERSALITY_TOL = 1e-9
 
 # bound on the rounding error of a float triple product of differences,
 # as a multiple of its permanent (Shewchuk 1997, orient3d, (7 + 56u)u)
@@ -827,7 +829,7 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def segment_crossings(starts, ends, nodes, transversality_tol: float = 1e-9):
+def segment_crossings(starts, ends, nodes):
     """Signed crossings of segments through a quad grid split into triangles.
 
     `nodes` is an (m+1, n+1, 3) grid: cell (i, j) has the corners
@@ -846,10 +848,10 @@ def segment_crossings(starts, ends, nodes, transversality_tol: float = 1e-9):
 
     Returns (signs, points), one entry per crossing, with sign the sign of
     (end - start) . triangle normal.  Raises NonTransversal when a crossing
-    direction has |cos angle| < transversality_tol with the triangle's
-    normal, and DegenerateIntersection when a crossing lies exactly on the
-    grid's outer boundary or an endpoint lies exactly on a triangle's
-    plane inside the triangle.
+    direction has |cos angle| < 1e-9 with the triangle's normal, and
+    DegenerateIntersection when a crossing lies exactly on the grid's
+    outer boundary or an endpoint lies exactly on a triangle's plane
+    inside the triangle.
     """
     p0s = np.asarray(starts, dtype=float).reshape(-1, 3)
     p1s = np.asarray(ends, dtype=float).reshape(-1, 3)
@@ -884,7 +886,7 @@ def segment_crossings(starts, ends, nodes, transversality_tol: float = 1e-9):
     cos_angle = np.abs(_dot(d[k], normal[k])) / (
         np.linalg.norm(d[k], axis=1) * np.linalg.norm(normal[k], axis=1)
     )
-    if np.any(cos_angle < transversality_tol):
+    if np.any(cos_angle < _TRANSVERSALITY_TOL):
         raise NonTransversal(
             f"crossing direction nearly parallel to the surface (|cos| = {cos_angle.min():g})"
         )

@@ -47,15 +47,18 @@ __all__ = [
 ]
 
 
+# the scan's evenly spaced samples of curve_a's parameter
+_COARSE = 192
+
 # one zoom: 33 samples over the best sample's wider neighbouring gap on
 # each side; the middle one is the best sample itself, exactly
 _ZOOM = np.linspace(-1.0, 1.0, 33)
 
 
-def curve_min_distance(curve_a: Curve, curve_b: Curve, coarse: int = 192) -> float:
+def curve_min_distance(curve_a: Curve, curve_b: Curve) -> float:
     """Closest approach between two curves.
 
-    A scan of curve_a's parameter (coarse samples plus its smooth cuts,
+    A scan of curve_a's parameter (192 samples plus its smooth cuts,
     where a polyline's corners sit) against curve_b's exact distance,
     then five zooms of 33 samples centred on the best sample.  Every
     value is an exact distance from a point of curve_a, so the result
@@ -70,7 +73,7 @@ def curve_min_distance(curve_a: Curve, curve_b: Curve, coarse: int = 192) -> flo
         ts = lo + np.mod(ts - lo, span) if curve_a.closed else np.clip(ts, lo, hi)
         return curve_b.distance_to(curve_a.position(ts))
 
-    ts = np.union1d(np.linspace(lo, hi, coarse), curve_a.smooth_cuts())
+    ts = np.union1d(np.linspace(lo, hi, _COARSE), curve_a.smooth_cuts())
     dist = along_a(ts)
     for _ in range(5):
         k = int(np.argmin(dist))
@@ -239,11 +242,7 @@ def sample_closed_polyline(curve: Curve, max_edge: float) -> np.ndarray:
     return pts[keep]
 
 
-def combinatorial_lk(
-    curve_c: Curve,
-    spanning_mesh: SurfaceMesh,
-    transversality_tol: float = 1e-9,
-) -> int:
+def combinatorial_lk(curve_c: Curve, spanning_mesh: SurfaceMesh) -> int:
     """Signed count of transversal crossings of curve_c through the mesh.
 
     The curve is traced by a closed polyline (a polyline's own legs, or
@@ -260,7 +259,5 @@ def combinatorial_lk(
     if not curve_c.closed:
         raise ValueError("curve_c must be closed")
     pts = sample_closed_polyline(curve_c, spanning_mesh.min_edge_length() / 4.0)
-    signs, _ = segment_crossings(
-        pts, np.roll(pts, -1, axis=0), spanning_mesh.nodes, transversality_tol
-    )
+    signs, _ = segment_crossings(pts, np.roll(pts, -1, axis=0), spanning_mesh.nodes)
     return int(signs.sum())

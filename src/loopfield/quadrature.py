@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product
 from operator import add, itemgetter, lt
 
@@ -32,23 +32,29 @@ __all__ = ["QuadratureSpec", "integrate_1d", "integrate_2d"]
 _ROUNDING = 8.0 * float(np.finfo(float).eps)
 
 
+# every cell takes the 8-node rule, on each axis of a 2-D cell as well,
+# where the 64 tensor-product weights contract both axes in one product
+_NODES, _WEIGHTS_1D = np.polynomial.legendre.leggauss(8)
+_WEIGHTS_2D = np.outer(_WEIGHTS_1D, _WEIGHTS_1D).ravel()
+for _array in (_NODES, _WEIGHTS_1D, _WEIGHTS_2D):
+    _array.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Knobs for the adaptive integrators.
+    """Tolerances and depth limit of the adaptive integrators, and the
+    guard distance of their field and linking callers.
 
     min_distance_guard is an absolute distance used by field/linking
     callers; None means "1e-6 x scene scale", resolved at the call site.
     """
 
-    nodes_per_cell: int = 8
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_depth: int = 18
     min_distance_guard: float | None = None
 
     def __post_init__(self):
-        if self.nodes_per_cell < 2:
-            raise ValueError("nodes_per_cell must be >= 2")
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_depth < 1:
@@ -62,22 +68,11 @@ class QuadratureSpec:
         return 1e-6 * scene_scale
 
 
-@lru_cache(maxsize=32)
-def _gauss_rule(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    if dim == 2:
-        # the order^2 tensor-product weights contract both axes in one product
-        weights = np.outer(weights, weights).ravel()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _rule_1d(f, cell, nodes, weights):
+def _rule_1d(f, cell):
     ((a, b),) = cell
     half = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + half * nodes
-    return half * (weights @ np.asarray(f(xs), dtype=float))
+    xs = 0.5 * (a + b) + half * _NODES
+    return half * (_WEIGHTS_1D @ np.asarray(f(xs), dtype=float))
 
 
 def _split_1d(cell):
@@ -86,12 +81,12 @@ def _split_1d(cell):
     return ((a, mid),), ((mid, b),)
 
 
-def _rule_2d(f, cell, nodes, weights):
+def _rule_2d(f, cell):
     (a, b), (c, d) = cell
     half_x, half_y = 0.5 * (b - a), 0.5 * (d - c)
-    xs, ys = 0.5 * (a + b) + half_x * nodes, 0.5 * (c + d) + half_y * nodes
+    xs, ys = 0.5 * (a + b) + half_x * _NODES, 0.5 * (c + d) + half_y * _NODES
     vals = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
-    return half_x * half_y * (weights @ vals.reshape(weights.size, *vals.shape[2:]))
+    return half_x * half_y * (_WEIGHTS_2D @ vals.reshape(_WEIGHTS_2D.size, *vals.shape[2:]))
 
 
 def _split_2d(cell):
@@ -117,13 +112,12 @@ def _pieces(axis) -> list[tuple[float, float]]:
 def _integrate(f, axes, spec: QuadratureSpec):
     """Integrate f over the product of the axes' breakpoint ranges."""
     cells = list(product(*map(_pieces, axes)))
-    nodes, weights = _gauss_rule(spec.nodes_per_cell, len(axes))
     cell_rule, split = (_rule_1d, _split_1d) if len(axes) == 1 else (_rule_2d, _split_2d)
     heap: list = []
 
     def push(cell, coarse, depth) -> float:
         kids = split(cell)
-        values = [cell_rule(f, kid, nodes, weights) for kid in kids]
+        values = [cell_rule(f, kid) for kid in kids]
         fine = sum(values[1:], values[0])
         err = _magnitude(fine - coarse)
         if not err < math.inf:
@@ -132,7 +126,7 @@ def _integrate(f, axes, spec: QuadratureSpec):
         heapq.heappush(heap, (-err, cell, depth, kids, values, fine))
         return err
 
-    err_sum = math.fsum(push(cell, cell_rule(f, cell, nodes, weights), 1) for cell in cells)
+    err_sum = math.fsum(push(cell, cell_rule(f, cell), 1) for cell in cells)
     # the goal, and |total| in it, are refreshed only when the leaf count
     # has doubled and before any stop, so no split pays for a numpy sum
     goal, refresh_at = 0.0, 0

@@ -11,6 +11,12 @@ and `parse_experiment` checks an entry against both.  The command line
 builds its own entries from flags and checks them with the same parser.
 Every entry may name an `out` path: `loopfield run` writes the entry's
 CSV there and its JSON record beside it.
+
+The optional `constants` block (k_E, k_B) reaches the link, ampere,
+maxwell, curl and field entries; `similitude` uses k_E = k_B = 1 by
+design.  The optional `quadrature` block (abs_tol, rel_tol, max_depth,
+min_distance_guard) reaches every kind but `linelimit`, whose geometry
+and settings are built in.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ __all__ = ["SceneFile", "parse_scene_file", "parse_scene_dict", "parse_experimen
 SCENE_VERSION = 1
 
 _CONSTANT_KEYS = {"k_E", "k_B"}
-_QUADRATURE_KEYS = {"nodes_per_cell", "abs_tol", "rel_tol", "max_depth", "min_distance_guard"}
+_QUADRATURE_KEYS = {"abs_tol", "rel_tol", "max_depth", "min_distance_guard"}
 
 _SCENE_KEYS = {"curve_c", "curve_l"}
 
@@ -227,7 +233,6 @@ _NUMBER, _INT, _VEC = _field(_as_number), _field(_as_int), _field(_as_vec)
 _FIELDS = {
     "k_E": _NUMBER,
     "k_B": _NUMBER,
-    "nodes_per_cell": _INT,
     "max_depth": _INT,
     "abs_tol": _NUMBER,
     "rel_tol": _NUMBER,

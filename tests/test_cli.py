@@ -419,6 +419,53 @@ def test_run_maxwell_probe_on_the_sheet_fails(tmp_path):
     assert "sheet probe at [0.2, 0.1, 0.0] skipped" in stderr
 
 
+def _guarded_scene(tmp_path):
+    """A unit square and the unit ring under a guard of 0.5, which trips
+    0.1 from either; each probe entry names one of them."""
+    scene = {
+        "version": 1,
+        "quadrature": {"min_distance_guard": 0.5},
+        "curves": {"ring": {"kind": "circle", "center": [0, 0, 0], "radius": 1, "axis": [0, 0, 1]}},
+        "surfaces": {"sheet": {"kind": "planar_rect", "corner": [0, 0, 0], "edge_a": [1, 0, 0],
+                               "edge_b": [0, 1, 0]}},
+        "experiments": [
+            {"kind": "similitude", "surface": "sheet", "r": [0.1, 0.5, 0.3], "h": 1e-4},
+            {"kind": "maxwell", "surface": "sheet", "sigma": 1.0, "points": [[0.5, 0.5, 0.1]],
+             "steps": [2e-3, 1e-3]},
+            {"kind": "curl", "curve": "ring", "points": [[1.1, 0.0, 0.0]], "steps": [2e-3, 1e-3]},
+        ],
+    }
+    path = tmp_path / "guarded.json"
+    path.write_text(json.dumps(scene))
+    return str(path)
+
+
+def test_scene_guard_reaches_maxwell_probes(tmp_path):
+    path = _guarded_scene(tmp_path)
+    field = ["field", "--scene", path, "--surface", "sheet", "--points", "0.5,0.5,0.1"]
+    code, _, stderr = _run_in_process(field)
+    assert code == 3 and "guard 0.5" in stderr
+    # maxwell probes the same point: both sheets note the guard, no rows
+    out = tmp_path / "maxwell.csv"
+    code, _, stderr = _run_in_process(["maxwell", "--scene", path, "--out", str(out)])
+    assert code == 1, stderr
+    notes = json.loads(out.with_suffix(".json").read_text())["studies"]["sheet"]["notes"]
+    assert [note.split()[0] for note in notes] == ["sheet", "dipole"]
+    assert all("(guard 0.5)" in note for note in notes)
+    assert out.read_text().count("\n") == 1  # the header alone
+
+
+def test_scene_guard_reaches_curl_probes(tmp_path):
+    code, _, stderr = _run_in_process(["curl", "--scene", _guarded_scene(tmp_path)])
+    assert code == 3 and "guard 0.5" in stderr
+
+
+def test_scene_guard_reaches_similitude(tmp_path):
+    # r is 0.32 from the square's edge x = 0
+    code, _, stderr = _run_in_process(["similitude", "--scene", _guarded_scene(tmp_path)])
+    assert code == 3 and "guard 0.5" in stderr
+
+
 def test_parser_is_built_once_and_usage_errors_leave_it_intact():
     from loopfield import cli
 

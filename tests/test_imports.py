@@ -2,7 +2,9 @@
 
 pyproject.toml declares numpy as the only runtime dependency.  Other
 packages may be installed where the tests run, so an accidental import
-would pass every other test; this one reads the sources instead.
+would pass every other test; this one reads the sources instead.  It
+also fails on a name a module imports and never uses, the check a
+linter's F401 makes.
 """
 
 import ast
@@ -31,3 +33,29 @@ def test_package_imports_only_the_standard_library_and_numpy():
         if name.partition(".")[0] not in ALLOWED
     ]
     assert not foreign
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads as a Name node; an import
+    marked "# noqa: F401" and the __future__ import are exempt."""
+    source = path.read_text()
+    tree = ast.parse(source, str(path))
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export; fields keeps integrate_1d, marked
+    # "# noqa: F401", for the benchmark's tracer
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    unused = [entry for path in sources for entry in _unused_imports(path)]
+    assert not unused

@@ -111,8 +111,6 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         integrate_1d(lambda x: x, (1.0, 0.0))
     with pytest.raises(ValueError):
-        QuadratureSpec(nodes_per_cell=1)
-    with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_depth=0)

@@ -156,15 +156,20 @@ def test_constants_and_quadrature_blocks():
         {
             "version": 1,
             "constants": {"k_E": 2.0, "k_B": 1.0},
-            "quadrature": {"nodes_per_cell": 6, "abs_tol": 1e-9, "rel_tol": 1e-7, "max_depth": 10},
+            "quadrature": {"abs_tol": 1e-9, "rel_tol": 1e-7, "max_depth": 10},
         }
     )
     assert sf.field_constants().k_E == 2.0
     spec = sf.quadrature_spec()
-    assert spec.nodes_per_cell == 6
-    assert spec.max_depth == 10
+    assert (spec.abs_tol, spec.rel_tol, spec.max_depth) == (1e-9, 1e-7, 10)
     with pytest.raises(SceneFormatError):
         parse_scene_dict({"version": 1, "constants": {"k_E": 0.0}})
+
+
+def test_quadrature_rule_is_not_a_scene_setting():
+    # every cell takes the 8-node rule; a scene cannot choose another
+    with pytest.raises(SceneFormatError, match=r"unknown fields \['nodes_per_cell'\]"):
+        parse_scene_dict({"version": 1, "quadrature": {"nodes_per_cell": 6}})
 
 
 _SHEET = {"kind": "planar_rect", "corner": [0, 0, 0], "edge_a": [1, 0, 0], "edge_b": [0, 1, 0]}
