@@ -45,6 +45,7 @@ from .fields import (
     circle_field,
     coulomb_surface_field,
     cross_projection_identity,
+    curve_field,
     differential_probe,
     dipole_mesh_field,
     disk_sheet_field,

@@ -14,8 +14,9 @@ stated with k_E = k_B = 1 while linking experiments want k_B = 1/(4*pi).
 
 Straight segments, circles, flat polygon and disk sheets and point
 dipoles have closed forms (segment_field, circle_field,
-polygon_sheet_field, disk_sheet_field, point_dipole_field).  biot_savart
-sums the closed forms of a curve's PolyLine and Circle leaves,
+polygon_sheet_field, disk_sheet_field, point_dipole_field).  curve_field
+sums the closed forms of a curve's PolyLine and Circle leaves, for
+biot_savart and the Gauss integrals of linking alike,
 coulomb_surface_field uses the polygon's or the disk's for a flat patch,
 by its rim, and dipole_mesh_field the dipoles' for a mesh's cells.  Only
 curved patches are integrated, by adaptive quadrature over the unit
@@ -50,6 +51,7 @@ __all__ = [
     "DipoleSheetSpec",
     "segment_field",
     "circle_field",
+    "curve_field",
     "polygon_sheet_field",
     "disk_sheet_field",
     "point_dipole_field",
@@ -425,15 +427,19 @@ def point_dipole_field(anchors, moments, points) -> np.ndarray:
     return ((3.0 * proj[..., None] * u_hat - moments) / (dist**3)[..., None]).sum(axis=1)
 
 
-def _curve_field(curve: Curve, x) -> np.ndarray:
-    """(p, 3) field of a curve without the prefactor k_B, summed over its
-    PolyLine and Circle leaves; the Biot-Savart law is additive."""
+def curve_field(curve: Curve, points) -> np.ndarray:
+    """Closed-form field of a curve, without the prefactor k_B.
+
+    Returns the (p, 3) values at the p points, summed over the curve's
+    PolyLine (segment_field) and Circle (circle_field) leaves, since the
+    Biot-Savart law is additive; any other curve raises TypeError.
+    """
     if isinstance(curve, PolyLine):
-        return segment_field(*curve.segments(), x)
+        return segment_field(*curve.segments(), points)
     if isinstance(curve, Circle):
-        return circle_field(curve, x)
+        return circle_field(curve, points)
     if isinstance(curve, CompositeCurve):
-        return sum(_curve_field(part, x) for part in curve.parts)
+        return sum(curve_field(part, points) for part in curve.parts)
     raise TypeError(f"no closed-form field for a {type(curve).__name__}")
 
 
@@ -465,7 +471,7 @@ def biot_savart(
     x = as_vec3(x, "x")
     if _beyond_reach(curve, x, spec, "curve"):
         return np.zeros(3)
-    return consts.k_B * _curve_field(curve, x)[0]
+    return consts.k_B * curve_field(curve, x)[0]
 
 
 def coulomb_surface_field(

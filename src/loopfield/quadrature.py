@@ -8,6 +8,10 @@ one-cell value| first, and splits the worst until the summed error meets
 max(abs_tol, rel_tol * |total|) for the whole integral, or the rounding
 floor.  Vector integrands share one cell tree, and the value is summed
 over the leaves in cell order, so identical inputs give identical bits.
+A 1-D integrand is called once for the first cells and their children,
+then once per split for the four grandchildren of the split cell, so
+its per-call cost is paid per split, not per cell; a 2-D integrand sees
+one cell per call.
 
 The quadrature never inspects geometry; singularity guards live in the
 callers (fields, linking).
@@ -68,11 +72,15 @@ class QuadratureSpec:
         return 1e-6 * scene_scale
 
 
-def _rule_1d(f, cell):
-    ((a, b),) = cell
-    half = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + half * _NODES
-    return half * (_WEIGHTS_1D @ np.asarray(f(xs), dtype=float))
+def _rule_1d(f, cells):
+    # one integrand call for the nodes of every cell; each cell's value is
+    # the same one-cell product as when it is evaluated alone
+    ends = np.array([cell[0] for cell in cells])
+    halves = 0.5 * (ends[:, 1] - ends[:, 0])
+    xs = 0.5 * (ends[:, 0] + ends[:, 1])[:, None] + halves[:, None] * _NODES
+    vals = np.asarray(f(xs.reshape(-1)), dtype=float)
+    vals = vals.reshape(len(cells), _NODES.size, *vals.shape[1:])
+    return [half * (_WEIGHTS_1D @ block) for half, block in zip(halves.tolist(), vals)]
 
 
 def _split_1d(cell):
@@ -81,12 +89,15 @@ def _split_1d(cell):
     return ((a, mid),), ((mid, b),)
 
 
-def _rule_2d(f, cell):
-    (a, b), (c, d) = cell
-    half_x, half_y = 0.5 * (b - a), 0.5 * (d - c)
-    xs, ys = 0.5 * (a + b) + half_x * _NODES, 0.5 * (c + d) + half_y * _NODES
-    vals = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
-    return half_x * half_y * (_WEIGHTS_2D @ vals.reshape(_WEIGHTS_2D.size, *vals.shape[2:]))
+def _rule_2d(f, cells):
+    # one 8x8 cell per integrand call
+    values = []
+    for (a, b), (c, d) in cells:
+        half_x, half_y = 0.5 * (b - a), 0.5 * (d - c)
+        xs, ys = 0.5 * (a + b) + half_x * _NODES, 0.5 * (c + d) + half_y * _NODES
+        vals = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
+        values.append(half_x * half_y * (_WEIGHTS_2D @ vals.reshape(_WEIGHTS_2D.size, *vals.shape[2:])))
+    return values
 
 
 def _split_2d(cell):
@@ -115,18 +126,28 @@ def _integrate(f, axes, spec: QuadratureSpec):
     cell_rule, split = (_rule_1d, _split_1d) if len(axes) == 1 else (_rule_2d, _split_2d)
     heap: list = []
 
-    def push(cell, coarse, depth) -> float:
-        kids = split(cell)
-        values = [cell_rule(f, kid) for kid in kids]
-        fine = sum(values[1:], values[0])
-        err = _magnitude(fine - coarse)
-        if not err < math.inf:
-            raise NoConvergence(f"quadrature cell {cell}: non-finite integrand")
-        # distinct cells break ties between equal errors deterministically
-        heapq.heappush(heap, (-err, cell, depth, kids, values, fine))
-        return err
+    def push(cells, depth, coarse=None) -> list[float]:
+        """Heap the cells with their one-cell values, coarse, and their
+        children's; returns the cells' errors in order.  One integrand
+        call evaluates the children, and the cells too when coarse is None."""
+        kids = [split(cell) for cell in cells]
+        fresh = cells if coarse is None else []
+        values = cell_rule(f, fresh + [kid for group in kids for kid in group])
+        if coarse is None:
+            coarse, values = values[: len(cells)], values[len(cells) :]
+        errs = []
+        for i, (cell, value, group) in enumerate(zip(cells, coarse, kids)):
+            own = values[i * len(group) : (i + 1) * len(group)]
+            fine = sum(own[1:], own[0])
+            err = _magnitude(fine - value)
+            if not err < math.inf:
+                raise NoConvergence(f"quadrature cell {cell}: non-finite integrand")
+            # distinct cells break ties between equal errors deterministically
+            heapq.heappush(heap, (-err, cell, depth, group, own, fine))
+            errs.append(err)
+        return errs
 
-    err_sum = math.fsum(push(cell, cell_rule(f, cell), 1) for cell in cells)
+    err_sum = math.fsum(push(cells, 1))
     # the goal, and |total| in it, are refreshed only when the leaf count
     # has doubled and before any stop, so no split pays for a numpy sum
     goal, refresh_at = 0.0, 0
@@ -146,8 +167,8 @@ def _integrate(f, axes, spec: QuadratureSpec):
                 f"error {err_sum:g} > tolerance {goal:g}"
             )
         err_sum += neg_err
-        for kid, value in zip(kids, values):
-            err_sum += push(kid, value, depth + 1)
+        for err in push(kids, depth + 1, values):
+            err_sum += err
 
 
 def integrate_1d(f, interval, spec: QuadratureSpec = QuadratureSpec()):
@@ -161,6 +182,8 @@ def integrate_1d(f, interval, spec: QuadratureSpec = QuadratureSpec()):
     pieces are the first cells.  f must accept a 1-D array of parameters
     and return a matching 1-D array (scalar integrand) or an (n, 3) array
     (vector integrand, integrated componentwise on a shared cell tree).
+    One call may carry the nodes of several cells, so n is a multiple of
+    8 and f must treat each parameter on its own.
     """
     return _integrate(f, (interval,), spec)
 

@@ -149,6 +149,10 @@ def _c5_similitude_general() -> CriterionResult:
     )
 
 
+def _step_label(step: float) -> str:
+    return np.format_float_scientific(step, trim="-", exp_digits=1)
+
+
 def _c6_curl() -> CriterionResult:
     entry = builtin_entry("curl")
     report = curl_vanishing(BUILTIN.build_curve(entry["curve"]), entry["points"], entry["steps"])
@@ -156,28 +160,33 @@ def _c6_curl() -> CriterionResult:
     worst = max(r.curl_norm for r in report.point_rows if r.step == small)
     return CriterionResult(
         "06", "curl-free loop field", report.passed,
-        f"worst|curl|@{np.format_float_scientific(small, trim='-', exp_digits=1)}={_fmt(worst)}",
+        f"worst|curl|@{_step_label(small)}={_fmt(worst)}",
     )
+
+
+# criterion 07 probes the unit disk about +z as well, on its axis and off it
+_DISK_PROBE_POINTS = ((0.0, 0.0, 1.5), (0.3, -0.2, 1.2))
 
 
 def _c7_maxwell() -> CriterionResult:
     entry = builtin_entry("maxwell")
-    disk = Disk((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0))
+    steps = entry["steps"]
     rep_square = maxwell_probe(
-        BUILTIN.build_patch(entry["surface"]), entry["sigma"], entry["points"], entry["steps"],
+        BUILTIN.build_patch(entry["surface"]), entry["sigma"], entry["points"], steps,
         dipole_separation=entry["dipole_separation"],
     )
     rep_disk = maxwell_probe(
-        disk, 1.0, [(0.0, 0.0, 1.5), (0.3, -0.2, 1.2)], [2e-3, 1e-3]
+        Disk((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0)), 1.0, _DISK_PROBE_POINTS, steps
     )
+    small = min(steps)
     finest = [
         row for rep in (rep_square, rep_disk)
-        for _, row in rep.point_rows if row.step == 1e-3
+        for _, row in rep.point_rows if row.step == small
     ]
     worst = max(max(r.curl_norm, r.div_norm) for r in finest)
     ok = rep_square.passed and rep_disk.passed
     return CriterionResult(
-        "07", "div/curl off the sheets", ok, f"worst@1e-3={_fmt(worst)}"
+        "07", "div/curl off the sheets", ok, f"worst@{_step_label(small)}={_fmt(worst)}"
     )
 
 

@@ -1,17 +1,23 @@
-"""The package imports nothing outside the standard library but numpy.
+"""The package imports nothing outside the standard library but numpy,
+and the tests nothing more than their declared extra.
 
-pyproject.toml declares numpy as the only runtime dependency.  Other
-packages may be installed where the tests run, so an accidental import
-would pass every other test; this one reads the sources instead.  It
-also fails on a name a module imports and never uses, the check a
-linter's F401 makes.
+pyproject.toml declares numpy as the only runtime dependency, and the
+`test` extra as what the tests may import besides.  Other packages may
+be installed where the tests run, so an accidental import would pass
+every other test; this one reads the sources instead.  It also fails on
+a name a module imports and never uses, the check a linter's F401 makes.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "loopfield"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "loopfield"
+TESTS = ROOT / "tests"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "loopfield"}
 
 
@@ -31,6 +37,26 @@ def test_package_imports_only_the_standard_library_and_numpy():
         for path in sources
         for name in _absolute_imports(path)
         if name.partition(".")[0] not in ALLOWED
+    ]
+    assert not foreign
+
+
+def test_tests_import_only_numpy_and_the_test_extra():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    # a requirement's distribution name, before any version or marker
+    extra = {
+        re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower()
+        for requirement in project["optional-dependencies"]["test"]
+    }
+    sources = sorted(TESTS.glob("*.py"))
+    assert sources
+    local = {path.stem for path in sources}
+    foreign = [
+        f"{path.name}: {name}"
+        for path in sources
+        for name in _absolute_imports(path)
+        if name.partition(".")[0] not in ALLOWED | extra | local
     ]
     assert not foreign
 

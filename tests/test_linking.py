@@ -18,6 +18,7 @@ from loopfield import (
     QuadratureSpec,
     RectLoop,
     SurfacePatch,
+    bounding_box_diagonal,
     combinatorial_lk,
     curve_min_distance,
     gauss_linking,
@@ -25,8 +26,9 @@ from loopfield import (
     mesh_surface,
     vector_area,
 )
+from loopfield import linking
 from loopfield.experiments import axis_leg_closed_form, default_catalog, unit_circle, unit_disk_mesh
-from test_fields import OtherCurve
+from test_fields import OtherCurve, gauss_pair_by_quadrature
 
 
 def hopf_partner():
@@ -47,6 +49,49 @@ def test_axis_leg_matches_closed_form():
         leg = PolyLine([(0, 0, -n), (0, 0, n)])
         value, err = gauss_pair_integral(leg, circle)
         assert abs(value - axis_leg_closed_form(n)) <= max(1e-10, 10 * err)
+
+
+def _circle_with_spur():
+    """The unit ring with a straight spur out and back from where its
+    parameter starts (its joint, at (1, 0, 0)), leaving the ring's plane."""
+    ring = unit_circle()
+    joint = ring.position(ring.t_start)
+    tip = joint + 0.5 * np.array([0.0, 0.6, 0.8])
+    return CompositeCurve([ring, PolyLine([joint, tip, joint])]), joint
+
+
+def test_composite_source_takes_the_circulation_route(monkeypatch):
+    def no_2d(*args, **kwargs):
+        raise AssertionError("a composite source reached 2-D quadrature")
+
+    composite, _ = _circle_with_spur()
+    nested = CompositeCurve([hopf_partner(), CompositeCurve([PolyLine([(2, 0, 0), (2, 0, 0.4), (2, 0, 0)])])])
+    pairs = [(composite, Circle((1.0, 0.0, 0.0), 0.5, (0.0, 1.0, 0.0), "ccw")), (nested, unit_circle())]
+    references = [gauss_pair_by_quadrature(c, l) for c, l in pairs]
+    monkeypatch.setattr(linking, "integrate_2d", no_2d)
+    for (c, l), (reference, err_ref) in zip(pairs, references):
+        value, err = gauss_pair_integral(c, l)
+        assert abs(abs(value) - 1.0) <= 1e-9
+        assert abs(value - reference) <= err + err_ref
+
+
+def test_sweep_to_the_guard_at_a_composite_joint():
+    # a unit square in the plane of the joint's radius and the ring's axis,
+    # its inner side d inside the joint; the ring crosses it at the joint
+    # along +y, against the square's normal (radius x axis = -y), so Lk = -1
+    composite, joint = _circle_with_spur()
+    out, axis = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+
+    def square(d):
+        corners = [(-d, -0.5), (1.0 - d, -0.5), (1.0 - d, 0.5), (-d, 0.5)]
+        return PolyLine([joint + a * out + b * axis for a, b in corners], closed=True)
+
+    guard = QuadratureSpec().resolve_guard(bounding_box_diagonal([composite, square(1e-2)]))
+    for d in np.geomspace(10.0 * guard, 1e-2, 5):
+        assert curve_min_distance(composite, square(d)) == pytest.approx(d, rel=1e-9)
+        for scene in (LinkScene(composite, square(d)), LinkScene(square(d), composite)):
+            value, err = gauss_linking(scene)
+            assert abs(value + 1.0) <= err <= 1e-6, (d, scene.curve_c)
 
 
 def test_hopf_link_is_one():

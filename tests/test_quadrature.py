@@ -5,9 +5,11 @@ import pytest
 
 from loopfield import (
     Circle,
+    CompositeCurve,
     Disk,
     NoConvergence,
     PlanarRect,
+    PolyLine,
     QuadratureSpec,
     fields,
     integrate_1d,
@@ -141,19 +143,23 @@ def test_guard_resolution():
     assert QuadratureSpec(min_distance_guard=0.5).resolve_guard(100.0) == 0.5
 
 
-# Cells (integrand calls) of reference integrals under the default spec.
-# Only a change to the refinement rule may move these counts: cheaper
-# cells, cached curve nodes or a closed-form Jacobian must leave the tree
-# as it is.  Every curve has a closed-form field and flat sheets rim
-# fields, so the ring's field reaches quadrature through the tests' own
-# Biot-Savart integrand, and the rectangle and the disk as patches that
-# hide their rims.
+# Cells of reference integrals under the default spec, counted as the
+# integrand's points over the rule's (8 in 1-D, 64 in 2-D), since a 1-D
+# call carries several cells.  Only a change to the refinement rule may
+# move these counts: cheaper cells, batched calls, cached curve nodes or a
+# closed-form Jacobian must leave the tree as it is.  Every curve has a
+# closed-form field and flat sheets rim fields, so the ring's field
+# reaches quadrature through the tests' own Biot-Savart integrand, and
+# the rectangle and the disk as patches that hide their rims.  The
+# composite (the hopf circle with a spur out and back from where its
+# parameter starts) takes the 1-D circulation route.
 _UNIT_RING = Circle((0, 0, 0), 1.0, (0, 0, 1))
+_HOPF_CIRCLE = Circle((1.1, 0, 0), 0.7, (0, 1, 0))
+_JOINT = _HOPF_CIRCLE.position(_HOPF_CIRCLE.t_start)
+_COMPOSITE = CompositeCurve([_HOPF_CIRCLE, PolyLine([_JOINT, _JOINT + (0, 0.3, 0), _JOINT])])
 _REFERENCE_CELLS = {
-    "hopf_pair": (
-        lambda: linking.gauss_pair_integral(Circle((1.1, 0, 0), 0.7, (0, 1, 0)), _UNIT_RING),
-        213,
-    ),
+    "hopf_pair": (lambda: linking.gauss_pair_integral(_HOPF_CIRCLE, _UNIT_RING), 213),
+    "composite_pair": (lambda: linking.gauss_pair_integral(_COMPOSITE, _UNIT_RING), 23),
     "rect_sheet": (
         lambda: fields.coulomb_surface_field(
             QuadratureOnlyPatch(PlanarRect((0, 0, 0), (1, 0, 0), (0, 0.8, 0))), 1.0, (0.3, 0.48, 0.01)
@@ -172,12 +178,12 @@ _REFERENCE_CELLS = {
 
 @pytest.mark.parametrize("name", sorted(_REFERENCE_CELLS))
 def test_reference_integrals_keep_their_cell_counts(monkeypatch, name):
-    calls = [0]
+    cells = [0]
 
-    def counting(integrate):
+    def counting(integrate, rule_size):
         def wrapped(f, *args, **kwargs):
             def counted(*xs):
-                calls[0] += 1
+                cells[0] += np.broadcast(*xs).size // rule_size
                 return f(*xs)
 
             return integrate(counted, *args, **kwargs)
@@ -185,8 +191,44 @@ def test_reference_integrals_keep_their_cell_counts(monkeypatch, name):
         return wrapped
 
     for module in (fields, linking, quadrature):
-        for attr in ("integrate_1d", "integrate_2d"):
-            monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
-    run, cells = _REFERENCE_CELLS[name]
+        for attr, rule_size in (("integrate_1d", 8), ("integrate_2d", 64)):
+            monkeypatch.setattr(module, attr, counting(getattr(module, attr), rule_size))
+    run, expected = _REFERENCE_CELLS[name]
     run()
-    assert calls[0] == cells
+    assert cells[0] == expected
+
+
+def _recording(f, shapes):
+    def recorded(*xs):
+        shapes.append(np.broadcast(*xs).shape)
+        return f(*xs)
+
+    return recorded
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_1d_integrand_sees_whole_cells_one_call_per_split(vector):
+    # three first pieces of a peaked integrand; every cell is first, a
+    # child of a first cell, or one of the four grandchildren of a split
+    def peak(x):
+        y = (x * x + 1e-3) ** -1.5
+        return np.stack([y, np.cos(x)], axis=-1) if vector else y
+
+    shapes = []
+    cuts = (-1.0, -0.2, 0.4, 1.0)
+    value, _ = integrate_1d(_recording(peak, shapes), cuts)
+    assert np.array_equal(value, integrate_1d(peak, cuts)[0])
+    assert all(len(shape) == 1 and shape[0] % 8 == 0 for shape in shapes)
+    cells = sum(shape[0] for shape in shapes) // 8
+    first = len(cuts) - 1
+    splits, rest = divmod(cells - 3 * first, 4)
+    assert rest == 0 and splits > 0
+    assert shapes[0] == (8 * 3 * first,)
+    assert len(shapes) == splits + 1
+
+
+def test_2d_integrand_sees_one_cell_per_call():
+    shapes = []
+    f = lambda s, t: 1.0 / ((s - 0.3) ** 2 + (t - 0.6) ** 2 + 1e-2)
+    integrate_2d(_recording(f, shapes), ((0.0, 0.5, 1.0), (0.0, 1.0)))
+    assert len(shapes) > 6 and set(shapes) == {(8, 8)}
