@@ -242,17 +242,14 @@ def _run_curl(scene_file, entry):
 
 def _run_field(scene_file, entry):
     consts, spec = scene_file.field_constants(), scene_file.quadrature_spec()
+    points = entry["points"]
     if "curve" in entry:
         label = entry["curve"]
-        curve = scene_file.build_curve(label)
-        rows = [[*p, *biot_savart(curve, p, consts, spec).tolist()] for p in entry["points"]]
+        field = biot_savart(scene_file.build_curve(label), points, consts, spec)
     else:
         label = entry["surface"]
-        patch = scene_file.build_patch(label)
-        rows = [
-            [*p, *coulomb_surface_field(patch, entry["sigma"], p, consts, spec).tolist()]
-            for p in entry["points"]
-        ]
+        field = coulomb_surface_field(scene_file.build_patch(label), entry["sigma"], points, consts, spec)
+    rows = [[*p, *f] for p, f in zip(points, field.tolist())]
     return rows, {"object": label, "rows": [{"point": r[:3], "field": r[3:]} for r in rows]}, True
 
 

@@ -287,12 +287,13 @@ def maxwell_probe(
     ]
 
     reach = max(float(s) for s in steps)
+    points = np.array([as_vec3(p, "probe point") for p in probe_points]).reshape(-1, 3)
     probe_rows, notes = [], []
     for kind, sheets, field_fn in kinds:
-        for point in probe_points:
-            p = as_vec3(point, "probe point")
-            # the sheet moved by +o is the patch seen from p - o
-            near = min(patch.distance_to(p - offset) for offset in sheets)
+        # the sheet moved by +o is the patch seen from p - o
+        seen = (points[:, None, :] - np.array(sheets)).reshape(-1, 3)
+        nearest = patch.distance_to(seen).reshape(len(points), len(sheets)).min(axis=1)
+        for p, near in zip(points, nearest.tolist()):
             if reach >= near:
                 notes.append(
                     f"{kind} probe at {p.tolist()} skipped: step {reach:g} reaches a sheet "

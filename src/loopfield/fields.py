@@ -21,7 +21,10 @@ coulomb_surface_field uses the polygon's or the disk's for a flat patch,
 by its rim, and dipole_mesh_field the dipoles' for a mesh's cells.  Only
 curved patches are integrated, by adaptive quadrature over the unit
 square.  The two-sheet dipole layer of a flat patch is its sheet field
-seen from x -/+ (separation / 2) n.
+seen from x -/+ (separation / 2) n.  biot_savart, coulomb_surface_field
+and dipole_sheet_field_exact take one (3,) point or (n, 3) points, check
+all of them against the guard in one pass, and hand them to the closed
+form in one call.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .geometry import (
     PolyLine,
     SurfaceMesh,
     SurfacePatch,
+    as_points,
     as_vec3,
     cross,
 )
@@ -98,9 +102,10 @@ class DipoleSheetSpec:
 _FAR = 1e100
 
 
-def _beyond_reach(source, x, spec: QuadratureSpec, what: str) -> bool:
-    """Whether x lies beyond _FAR source sizes (its field is then zero);
-    raises NearSingular within the guard distance of the source."""
+def _beyond_reach(source, points, spec: QuadratureSpec, what: str) -> np.ndarray:
+    """Which of the (n, 3) points lie beyond _FAR source sizes (their
+    field is then zero); raises NearSingular if any lies within the guard
+    distance of the source, naming the first."""
     lo, hi = source.bounding_box()
     span = hi - lo
     scale = math.sqrt(span @ span)
@@ -108,12 +113,27 @@ def _beyond_reach(source, x, spec: QuadratureSpec, what: str) -> bool:
     # every point of the source lies within scale / 2 of its box's centre:
     # a point this far from it is beyond reach and outside the guard,
     # decided without the distances, whose squares overflow
-    if math.hypot(*(x - 0.5 * (lo + hi))) > max(guard, _FAR * scale) + scale:
-        return True
-    dist = source.distance_to(x)
-    if dist <= guard:
-        raise NearSingular(f"field point at distance {dist:g} from the {what} (guard {guard:g})")
-    return dist > _FAR * scale
+    off = points - 0.5 * (lo + hi)
+    far = np.hypot.reduce(off, axis=1) > max(guard, _FAR * scale) + scale
+    # with no point far, a slice: a view of the points, not a copy
+    near = ~far if far.any() else slice(None)
+    dist = source.distance_to(points[near])
+    if dist.min(initial=math.inf) <= guard:
+        first = float(dist[dist <= guard][0])
+        raise NearSingular(f"field point at distance {first:g} from the {what} (guard {guard:g})")
+    far[near] = dist > _FAR * scale
+    return far
+
+
+def _within_reach(field, points, far) -> np.ndarray:
+    """field(points) at the points that are not far, zero at those that
+    are; field never sees a far point."""
+    if not far.any():
+        return field(points)
+    out = np.zeros(points.shape)
+    if not far.all():
+        out[~far] = field(points[~far])
+    return out
 
 
 def segment_field(starts, ends, points) -> np.ndarray:
@@ -189,7 +209,8 @@ def _ring(circle: Circle, points) -> _Ring:
     a point on the circle, where the AGM of 1 and 0 never converges.
     """
     unit = math.ldexp(1.0, math.frexp(circle.radius)[1])
-    axis = circle.axis / np.linalg.norm(circle.axis)
+    # np.linalg.norm's own dot and square root, without its per-call set-up
+    axis = circle.axis / math.sqrt(circle.axis @ circle.axis)
     rel = (np.asarray(points, dtype=float).reshape(-1, 3) - circle.center) / unit
     z = rel @ axis
     radial = rel - z[:, None] * axis
@@ -197,15 +218,16 @@ def _ring(circle: Circle, points) -> _Ring:
     r = circle.radius / unit
     big = (r + rho) ** 2 + z * z
     small = (r - rho) ** 2 + z * z
-    if not np.all(small > 0.0):
+    if not (small > 0.0).all():
         raise ValueError("points must not lie on the circle")
     m = 4.0 * r * rho / big
     kc = np.sqrt(small / big)
     # a_1, b_1 and c_1 = (1 - k_c) / 2, written without the cancelling difference
     a, b, c = 0.5 * (1.0 + kc), np.sqrt(kc), m / (2.0 * (1.0 + kc))
     t, weight, agm = c * c, 1.0, [(a, b, c)]
-    while np.any(c > _AGM_TOL * a):
-        a, b, c = 0.5 * (a + b), np.sqrt(a * b), c * c / (2.0 * (a + b))
+    while (c > _AGM_TOL * a).any():
+        total = a + b
+        a, b, c = 0.5 * total, np.sqrt(a * b), c * c / (2.0 * total)
         weight *= 2.0
         t = t + weight * c * c
         agm.append((a, b, c))
@@ -381,16 +403,18 @@ def polygon_sheet_field(vertices, points) -> np.ndarray:
     unit = math.ldexp(1.0, math.frexp(float(np.abs(spokes).max()))[1])
     verts, spokes = verts / unit, spokes / unit
     x = np.asarray(points, dtype=float).reshape(-1, 3) / unit
-    ends = np.roll(verts, -1, axis=0)
+    ends = np.concatenate((verts[1:], verts[:1]))  # np.roll's values, without its set-up
     normal = cross(spokes[:-1], spokes[1:]).sum(axis=0)
-    normal = normal / np.linalg.norm(normal)
+    normal = normal / math.sqrt(normal @ normal)
     chords = ends - verts
     length = np.sqrt(np.einsum("ij,ij->i", chords, chords))
     d = chords / length[:, None]
-    height = (x - verts[0]) @ normal
+    # einsum, not matmul: numpy's matmul of one row takes another BLAS
+    # kernel than that of several, which rounds differently
+    height = np.einsum("pj,j->p", x - verts[0], normal)
     r_a, r_b = x[:, None, :] - verts, x[:, None, :] - ends
     n_a = np.sqrt(np.einsum("pij,pij->pi", r_a, r_a))
-    n_b = np.sqrt(np.einsum("pij,pij->pi", r_b, r_b))
+    n_b = np.concatenate((n_a[:, 1:], n_a[:, :1]), axis=1)  # each edge ends where the next starts
     t_a, t_b = -np.einsum("pij,ij->pi", r_a, d), -np.einsum("pij,ij->pi", r_b, d)
     perp = cross(d, r_a)
     q2 = np.einsum("pij,pij->pi", perp, perp)
@@ -404,7 +428,7 @@ def polygon_sheet_field(vertices, points) -> np.ndarray:
     gap_a = np.where(t_a >= 0.0, n_a + t_a, q2 / (n_a + np.abs(t_a)))
     gap_b = np.where(t_b <= 0.0, n_b - t_b, q2 / (n_b + np.abs(t_b)))
     line = np.log1p(2.0 * length / (gap_a + gap_b))
-    return omega[:, None] * normal + line @ cross(d, normal)
+    return omega[:, None] * normal + np.einsum("pi,ij->pj", line, cross(d, normal))
 
 
 def point_dipole_field(anchors, moments, points) -> np.ndarray:
@@ -443,15 +467,29 @@ def curve_field(curve: Curve, points) -> np.ndarray:
     raise TypeError(f"no closed-form field for a {type(curve).__name__}")
 
 
-def _sheet_field(patch: SurfacePatch, x) -> np.ndarray:
-    """(p, 3) field of a flat patch without the prefactor k_E sigma, from
-    the closed form of its rim: a PolyLine's polygon or a Circle's disk."""
+def _sheet_field(patch: SurfacePatch, points, spec: QuadratureSpec) -> np.ndarray:
+    """(p, 3) field of a patch without the prefactor k_E sigma.  A flat
+    patch's is the closed form of its rim, a PolyLine's polygon or a
+    Circle's disk; a curved patch's is one 2-D quadrature over the unit
+    square per point."""
     rim = patch.rim()
     if isinstance(rim, PolyLine):
-        return polygon_sheet_field(rim.vertices, x)
+        return polygon_sheet_field(rim.vertices, points)
     if isinstance(rim, Circle):
-        return disk_sheet_field(rim, x)
-    raise TypeError(f"no closed-form field for a sheet with a {type(rim).__name__} rim")
+        return disk_sheet_field(rim, points)
+    if rim is not None:
+        raise TypeError(f"no closed-form field for a sheet with a {type(rim).__name__} rim")
+
+    def value(x):
+        def integrand(u, v):
+            p, jac = patch.element(u, v)
+            rel = x - p
+            inv_r3 = (rel * rel).sum(axis=-1) ** -1.5
+            return rel * (jac * inv_r3)[..., None]
+
+        return integrate_2d(integrand, ((0.0, 1.0), (0.0, 1.0)), spec)[0]
+
+    return np.array([value(x) for x in points])
 
 
 def biot_savart(
@@ -460,18 +498,20 @@ def biot_savart(
     consts: FieldConstants = FieldConstants(),
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> np.ndarray:
-    """Magnetic field of an oriented curve at point x.
+    """Magnetic field of an oriented curve at a (3,) point x, or the (n, 3)
+    fields at (n, 3) points x.
 
     k_B times segment_field for a PolyLine (RectLoop and mesh_boundary
     output included), circle_field for a Circle, and the sum over the
-    parts of a CompositeCurve; any other curve raises TypeError.  Raises
-    NearSingular when x is within the guard distance (from spec) of the
-    curve; beyond 1e100 times its bounding-box diagonal the field is zero.
+    parts of a CompositeCurve; any other curve raises TypeError.  All
+    points go to the closed form in one call.  Raises NearSingular when
+    any point is within the guard distance (from spec) of the curve;
+    beyond 1e100 times its bounding-box diagonal the field is zero.
     """
-    x = as_vec3(x, "x")
-    if _beyond_reach(curve, x, spec, "curve"):
-        return np.zeros(3)
-    return consts.k_B * curve_field(curve, x)[0]
+    points, single = as_points(x)
+    far = _beyond_reach(curve, points, spec, "curve")
+    field = _within_reach(lambda p: consts.k_B * curve_field(curve, p), points, far)
+    return field[0] if single else field
 
 
 def coulomb_surface_field(
@@ -481,7 +521,8 @@ def coulomb_surface_field(
     consts: FieldConstants = FieldConstants(),
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> np.ndarray:
-    """Electric field of a uniformly charged surface at point x.
+    """Electric field of a uniformly charged surface at a (3,) point x, or
+    the (n, 3) fields at (n, 3) points x.
 
     A flat patch hands its field to its rim (SurfacePatch.rim()): with n
     the unit normal and y(t) the rim counterclockwise about n,
@@ -492,26 +533,20 @@ def coulomb_surface_field(
     integral the in-plane part, by the divergence theorem in the plane.
     Both are in closed form: polygon_sheet_field for a PolyLine rim (a
     PlanarRect's) and disk_sheet_field for a Circle rim (a Disk's); a flat
-    patch with any other rim raises TypeError.  A curved patch is
-    integrated, k_E * sigma * (x - p) |du x dv| / |x - p|^3, in one 2-D
-    quadrature over the unit square.  Raises NearSingular when x is within
-    the guard distance of the sheet; beyond 1e100 times its bounding-box
-    diagonal the field is returned as zero.
+    patch with any other rim raises TypeError; all points go to the
+    closed form in one call.  A curved patch is integrated point by point,
+    k_E * sigma * (x - p) |du x dv| / |x - p|^3, in one 2-D quadrature
+    over the unit square each.  Raises NearSingular when any point is
+    within the guard distance of the sheet; beyond 1e100 times its
+    bounding-box diagonal the field is returned as zero.
     """
-    x = as_vec3(x, "x")
-    if sigma == 0.0 or _beyond_reach(patch, x, spec, "sheet"):
-        return np.zeros(3)
-    if patch.rim() is not None:
-        return consts.k_E * sigma * _sheet_field(patch, x)[0]
-
-    def integrand(u, v):
-        p, jac = patch.element(u, v)
-        rel = x - p
-        inv_r3 = (rel * rel).sum(axis=-1) ** -1.5
-        return rel * (jac * inv_r3)[..., None]
-
-    value, _ = integrate_2d(integrand, ((0.0, 1.0), (0.0, 1.0)), spec)
-    return consts.k_E * sigma * value
+    points, single = as_points(x)
+    if sigma == 0.0:
+        field = np.zeros(points.shape)
+    else:
+        far = _beyond_reach(patch, points, spec, "sheet")
+        field = _within_reach(lambda p: consts.k_E * sigma * _sheet_field(patch, p, spec), points, far)
+    return field[0] if single else field
 
 
 def dipole_sheet_field_exact(
@@ -521,7 +556,8 @@ def dipole_sheet_field_exact(
     consts: FieldConstants = FieldConstants(),
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> np.ndarray:
-    """Field of the two-sheet dipole layer of a flat patch, in closed form.
+    """Field of the two-sheet dipole layer of a flat patch, in closed form,
+    at a (3,) point x or at (n, 3) points x.
 
     The sheets are the patch moved by +/- s n, s = separation / 2 and n
     its unit normal, charged +/- sigma.  The sheet at +s n seen from x is
@@ -529,28 +565,27 @@ def dipole_sheet_field_exact(
 
         E(x - s n) - E(x + s n),
 
-    with E the patch's own Coulomb field (coulomb_surface_field), both
+    with E the patch's own Coulomb field (coulomb_surface_field), all 2n
     points in one call of its rim's closed form.  Each sheet has the
     patch's guard, and its field is zero beyond 1e100 bounding-box
     diagonals.  Raises ValueError for a curved patch, which has no
     constant normal.
     """
-    x = as_vec3(x, "x")
+    points, single = as_points(x)
     normal = patch.constant_normal()
     if normal is None:
         raise ValueError("the two-sheet field needs a flat patch")
     if dp.sigma == 0.0 or dp.separation == 0.0:
         # zero density, or coincident sheets cancelling exactly
-        return np.zeros(3)
-    shift = 0.5 * dp.separation * normal
-    points, signs = [], []
-    for p, sign in ((x - shift, 1.0), (x + shift, -1.0)):
-        if not _beyond_reach(patch, p, spec, "sheet"):
-            points.append(p)
-            signs.append(sign)
-    if not points:
-        return np.zeros(3)
-    return consts.k_E * dp.sigma * (np.array(signs) @ _sheet_field(patch, points))
+        field = np.zeros(points.shape)
+    else:
+        shift = 0.5 * dp.separation * normal
+        # x - s n and x + s n of each point side by side, in the order the guard checks them
+        seen = np.stack((points - shift, points + shift), axis=1).reshape(-1, 3)
+        far = _beyond_reach(patch, seen, spec, "sheet")
+        sheets = _within_reach(lambda p: _sheet_field(patch, p, spec), seen, far).reshape(-1, 2, 3)
+        field = consts.k_E * dp.sigma * (sheets[:, 0] - sheets[:, 1])
+    return field[0] if single else field
 
 
 def dipole_mesh_field(
@@ -584,17 +619,21 @@ def differential_probe(
     x,
     step: float,
 ) -> tuple[np.ndarray, float]:
-    """Second-order central-difference (curl, divergence) of a vector field."""
+    """Second-order central-difference (curl, divergence) of a vector field.
+
+    field takes (n, 3) points and returns their (n, 3) values, as
+    biot_savart does; it is called once, on the (6, 3) stencil
+    x + step e_0, x - step e_0, x + step e_1, ..., x - step e_2.
+    """
     if step <= 0.0 or not math.isfinite(step):
         raise ValueError(f"step must be positive and finite, got {step}")
     x = as_vec3(x, "x")
-    jac = np.empty((3, 3))  # jac[i, j] = dF_i / dx_j
-    for j in range(3):
-        offset = np.zeros(3)
-        offset[j] = step
-        f_plus = as_vec3(field(x + offset), "field value")
-        f_minus = as_vec3(field(x - offset), "field value")
-        jac[:, j] = (f_plus - f_minus) / (2.0 * step)
+    offsets = np.repeat(step * np.eye(3), 2, axis=0)
+    offsets[1::2] *= -1.0
+    values = np.asarray(field(x + offsets), dtype=float)
+    if values.shape != (6, 3) or not np.isfinite(values).all():
+        raise ValueError(f"field values must be finite, of shape (6, 3), got shape {values.shape}")
+    jac = ((values[0::2] - values[1::2]) / (2.0 * step)).T  # jac[i, j] = dF_i / dx_j
     curl = np.array(
         [jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]]
     )

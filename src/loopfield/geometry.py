@@ -31,6 +31,7 @@ from .errors import (
 
 __all__ = [
     "as_vec3",
+    "as_points",
     "bounding_box_diagonal",
     "cross",
     "Curve",
@@ -61,17 +62,22 @@ def as_vec3(value, name: str = "vector") -> np.ndarray:
     return arr.copy()
 
 
-def _as_points(value) -> tuple[np.ndarray, bool]:
-    """Finite (n, 3) points from one point or an (n, 3) array, and whether
-    one point was given."""
+def as_points(value) -> tuple[np.ndarray, bool]:
+    """Finite (n, 3) points from one (3,) point or an (n, 3) array, and
+    whether one point was given; reject NaN/Inf and bad shapes.
+
+    One point comes back as a (1, 3) view: the functions that take points
+    treat it as a batch of one and return row 0 of their answer.
+    """
     arr = np.asarray(value, dtype=float)
-    if arr.shape == (3,):
-        return as_vec3(arr, "point")[None, :], True
-    if arr.ndim != 2 or arr.shape[1] != 3:
+    single = arr.shape == (3,)
+    if single:
+        arr = arr[None, :]
+    elif arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"points must have shape (3,) or (n, 3), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("points must have finite components")
-    return arr, False
+    return arr, single
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,10 +256,12 @@ class Circle(Curve):
         return self._box
 
     def distance_to(self, point):
-        pts, single = _as_points(point)
+        pts, single = as_points(point)
         rel = pts - self.center
         z = rel @ self._a
-        rho = np.linalg.norm(rel - z[:, None] * self._a, axis=1)
+        radial = rel - z[:, None] * self._a
+        # np.linalg.norm's own sum, without its per-call set-up
+        rho = np.sqrt(np.add.reduce(radial * radial, axis=1))
         dist = np.hypot(rho - self.radius, z)
         return float(dist[0]) if single else dist
 
@@ -268,7 +276,11 @@ class PolyLine(Curve):
     """
 
     def __init__(self, vertices, closed: bool = False):
-        verts = np.array([as_vec3(v, "vertex") for v in vertices], dtype=float)
+        verts = np.array(vertices, dtype=float)
+        if verts.ndim != 2 or verts.shape[1] != 3:
+            raise ValueError(f"vertices must have shape (n, 3), got {verts.shape}")
+        if not np.isfinite(verts).all():
+            raise ValueError("vertices must have finite components")
         if closed and len(verts) > 1 and np.array_equal(verts[0], verts[-1]):
             verts = verts[:-1]
         if len(verts) < 2:
@@ -282,6 +294,7 @@ class PolyLine(Curve):
         if np.any(lengths == 0.0):
             raise ValueError("polyline has a zero-length segment")
         self.vertices = _frozen(verts)
+        self._box = (_frozen(verts.min(axis=0)), _frozen(verts.max(axis=0)))
         self.closed = bool(closed)
         self._starts = _frozen(starts)
         self._ends = _frozen(ends)
@@ -330,15 +343,16 @@ class PolyLine(Curve):
         return PolyLine(verts, closed=self.closed)
 
     def bounding_box(self):
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
+        return self._box
 
     def distance_to(self, point):
-        pts, single = _as_points(point)
+        pts, single = as_points(point)
         p = pts[:, None, :]
         proj = np.einsum("pij,ij->pi", p - self._starts, self._dirs)
-        proj = np.clip(proj, 0.0, self._lengths)
+        proj = np.minimum(np.maximum(proj, 0.0), self._lengths)  # np.clip, without its set-up
         closest = self._starts + proj[..., None] * self._dirs
-        dist = np.linalg.norm(p - closest, axis=2).min(axis=1)
+        gap = p - closest
+        dist = np.sqrt(np.add.reduce(gap * gap, axis=2)).min(axis=1)
         return float(dist[0]) if single else dist
 
 
@@ -417,7 +431,7 @@ class CompositeCurve(Curve):
         return _merge_boxes(p.bounding_box() for p in self.parts)
 
     def distance_to(self, point):
-        pts, single = _as_points(point)
+        pts, single = as_points(point)
         dist = np.min([p.distance_to(pts) for p in self.parts], axis=0)
         return float(dist[0]) if single else dist
 
@@ -472,25 +486,26 @@ class SurfacePatch:
         pts = self.point(grid[:, None], grid[None, :]).reshape(-1, 3)
         return pts.min(axis=0), pts.max(axis=0)
 
-    def distance_to(self, point) -> float:
-        """Distance from a point to the patch (sampled; exact in subclasses)."""
-        p = as_vec3(point, "point")
-        u_lo, u_hi = 0.0, 1.0
-        v_lo, v_hi = 0.0, 1.0
-        best = None
-        # coarse grid with zoom rounds; plenty for guard checks
-        for _ in range(4):
-            uu = np.linspace(u_lo, u_hi, 33)
-            vv = np.linspace(v_lo, v_hi, 33)
-            pts = self.point(uu[:, None], vv[None, :])
-            d = np.linalg.norm(pts - p, axis=-1)
-            i, j = np.unravel_index(np.argmin(d), d.shape)
-            best = float(d[i, j])
-            span_u = (u_hi - u_lo) / 8.0
-            span_v = (v_hi - v_lo) / 8.0
-            u_lo, u_hi = max(uu[i] - span_u, 0.0), min(uu[i] + span_u, 1.0)
-            v_lo, v_hi = max(vv[j] - span_v, 0.0), min(vv[j] + span_v, 1.0)
-        return best
+    def distance_to(self, point):
+        """Distance from a point to the patch, or the (n,) distances from
+        (n, 3) points (sampled point by point; exact in subclasses)."""
+        pts, single = as_points(point)
+        dist = np.empty(len(pts))
+        for k, p in enumerate(pts):
+            u_lo, u_hi = 0.0, 1.0
+            v_lo, v_hi = 0.0, 1.0
+            # coarse grid with zoom rounds; plenty for guard checks
+            for _ in range(4):
+                uu = np.linspace(u_lo, u_hi, 33)
+                vv = np.linspace(v_lo, v_hi, 33)
+                d = np.linalg.norm(self.point(uu[:, None], vv[None, :]) - p, axis=-1)
+                i, j = np.unravel_index(np.argmin(d), d.shape)
+                dist[k] = d[i, j]
+                span_u = (u_hi - u_lo) / 8.0
+                span_v = (v_hi - v_lo) / 8.0
+                u_lo, u_hi = max(uu[i] - span_u, 0.0), min(uu[i] + span_u, 1.0)
+                v_lo, v_hi = max(vv[j] - span_v, 0.0), min(vv[j] + span_v, 1.0)
+        return float(dist[0]) if single else dist
 
 
 class PlanarRect(SurfacePatch):
@@ -511,9 +526,11 @@ class PlanarRect(SurfacePatch):
         corners = np.array([c, c + a, c + a + b, c + b])
         self._rim = PolyLine(corners, closed=True)
         self._box = (_frozen(corners.min(axis=0)), _frozen(corners.max(axis=0)))
-        # rows e_a*, e_b* of the dual basis: (alpha, beta) = duals @ (p - corner)
+        # columns e_a*, e_b* of the dual basis and the unit normal:
+        # (alpha, beta, height) = (p - corner) @ frame
         gram = np.array([[a @ a, a @ b], [a @ b, b @ b]])
-        self._duals = _frozen(np.linalg.inv(gram) @ np.array([a, b]))
+        duals = np.linalg.inv(gram) @ np.array([a, b])
+        self._frame = _frozen(np.column_stack((*duals, self._normal)))
 
     def point(self, u, v):
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
@@ -543,13 +560,18 @@ class PlanarRect(SurfacePatch):
     def bounding_box(self):
         return self._box
 
-    def distance_to(self, point) -> float:
-        p = as_vec3(point, "point")
-        rel = p - self.corner
-        alpha, beta = self._duals @ rel
-        if 0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0:
-            return abs(float(rel @ self._normal))
-        return self._rim.distance_to(p)
+    def distance_to(self, point):
+        pts, single = as_points(point)
+        coords = (pts - self.corner) @ self._frame
+        # over the parallelogram the height, beside it the rim's distance;
+        # min(t, 1 - t) < 0 exactly where t < 0 or t > 1
+        dist = np.abs(coords[:, 2])
+        ab = coords[:, :2]
+        margin = np.minimum(ab, 1.0 - ab)
+        if margin.min(initial=0.0) < 0.0:
+            beside = margin.min(axis=1) < 0.0
+            dist[beside] = self._rim.distance_to(pts[beside])
+        return float(dist[0]) if single else dist
 
 
 class Disk(SurfacePatch):
@@ -621,13 +643,15 @@ class Disk(SurfacePatch):
     def bounding_box(self):
         return self._rim.bounding_box()
 
-    def distance_to(self, point) -> float:
-        rel = as_vec3(point, "point") - self.center
-        z = float(rel @ self._a)
-        rho = float(np.linalg.norm(rel - z * self._a))
-        if rho <= self.radius:
-            return abs(z)
-        return math.hypot(rho - self.radius, z)
+    def distance_to(self, point):
+        pts, single = as_points(point)
+        rel = pts - self.center
+        z = rel @ self._a
+        radial = rel - z[:, None] * self._a
+        rho = np.sqrt(np.add.reduce(radial * radial, axis=1))
+        # over the disk the height, beside it the rim's distance
+        dist = np.where(rho <= self.radius, np.abs(z), np.hypot(rho - self.radius, z))
+        return float(dist[0]) if single else dist
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,14 @@ from loopfield import (
     PlanarRect,
     PolyLine,
     biot_savart,
+    coulomb_surface_field,
+    differential_probe,
     dipole_mesh_field,
+    dipole_sheet_field_exact,
     mesh_boundary,
     mesh_surface,
 )
+from loopfield import experiments
 from loopfield.experiments import (
     ampere_catalog,
     axis_leg_closed_form,
@@ -161,6 +165,46 @@ def test_shipped_and_builtin_maxwell_probes_keep_every_row(scene):
     )
     assert report.passed and not report.notes
     assert len(report.point_rows) == 2 * len(entry["points"]) * len(entry["steps"])
+
+
+def _counting(calls, field, where):
+    """field, recording the shape of the points argument (at position
+    where) of every call."""
+
+    def counted(*args):
+        calls.append(np.shape(args[where]))
+        return field(*args)
+
+    return counted
+
+
+def test_differential_probe_calls_the_field_once_on_its_stencil():
+    calls = []
+    differential_probe(_counting(calls, np.asarray, 0), (0.3, -0.2, 0.5), 1e-3)
+    assert calls == [(6, 3)]
+
+
+def test_curl_probe_makes_one_field_call_per_point_and_step(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "biot_savart", _counting(calls, biot_savart, 1))
+    points, steps = [(0, 0, 1.5), (1.3, 0.8, 1.0), (0.2, -0.4, 0.7)], [4e-3, 2e-3, 1e-3, 5e-4]
+    curl_vanishing(unit_circle(), points, steps)
+    assert calls == [(6, 3)] * (len(points) * len(steps))
+
+
+def test_maxwell_probe_makes_one_field_call_per_point_and_step(monkeypatch):
+    sheet_calls, layer_calls, distance_calls = [], [], []
+    monkeypatch.setattr(experiments, "coulomb_surface_field", _counting(sheet_calls, coulomb_surface_field, 2))
+    monkeypatch.setattr(experiments, "dipole_sheet_field_exact", _counting(layer_calls, dipole_sheet_field_exact, 2))
+    patch = PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0))
+    monkeypatch.setattr(patch, "distance_to", _counting(distance_calls, patch.distance_to, 0))
+    points, steps = [(0.5, 0.5, 1.0), (0.2, 0.8, 0.9), (1.5, -0.3, 0.4)], [2e-3, 1e-3]
+    assert maxwell_probe(patch, 1.0, points, steps).passed
+    assert sheet_calls == layer_calls == [(6, 3)] * (len(points) * len(steps))
+    # per field one near test, over every point seen from each of its
+    # sheets, then one guard per stencil, over the stencil seen from them
+    probes = len(points) * len(steps)
+    assert distance_calls == [(3, 3)] + [(6, 3)] * probes + [(6, 3)] + [(12, 3)] * probes
 
 
 # ---------------------------------------------------------------------------

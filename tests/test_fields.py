@@ -953,12 +953,111 @@ def test_mesh_field_single_cell_is_center_anchored():
 
 
 # ---------------------------------------------------------------------------
+# Point arrays
+# ---------------------------------------------------------------------------
+
+_TILTED_RING = Circle((0.1, -0.2, 0.3), 0.8, (0.3, -0.4, 1.0))
+_BENT_LINE = PolyLine([(0.2, 0.1, 0.4), (1.1, -0.3, 0.2), (0.9, 0.8, -0.5), (-0.4, 0.6, 0.1)], closed=True)
+_CURVES = {
+    "circle": _TILTED_RING,
+    "polyline": _BENT_LINE,
+    "composite": CompositeCurve([_TILTED_RING, PolyLine([_TILTED_RING.position(1.0), (0.5, 0.5, 1.5)])]),
+}
+_PATCHES = {
+    "rect": PlanarRect((0.1, -0.2, 0.3), (1.2, 0.3, -0.1), (-0.2, 0.9, 0.4)),
+    "disk": Disk((0.1, -0.2, 0.3), 0.8, (0.3, -0.4, 1.0)),
+}
+# the closed forms of circles and disks run their AGM until every point of
+# a batch has converged, a few more steps for the others; polylines and
+# polygons keep every row bitwise
+_BATCH_ULPS = {"circle": 4, "composite": 4, "polyline": 0, "rect": 0, "disk": 4}
+_NEAR_POINTS = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
+_FAR_POINTS = st.lists(st.floats(1e299, 1e300) | st.floats(-1e300, -1e299), min_size=3, max_size=3)
+_BATCHES = st.lists(_NEAR_POINTS | _FAR_POINTS, min_size=1, max_size=8).map(np.array)
+
+
+def _batch_and_rows(field, points):
+    """field at all points in one call and at one point at a time; None
+    for both when a point raises NearSingular, after checking that the
+    whole batch raises it too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        singles = []
+        for x in points:
+            try:
+                singles.append(field(x))
+            except NearSingular:
+                singles.append(None)
+        if any(row is None for row in singles):
+            with pytest.raises(NearSingular):
+                field(points)
+            return None, None
+        return field(points), np.array(singles)
+
+
+def _assert_rows_match(batch, rows, ulps, scale=None):
+    assert batch.shape == rows.shape
+    scale = np.linalg.norm(rows, axis=1) if scale is None else scale
+    assert np.all(np.linalg.norm(batch - rows, axis=1) <= ulps * _EPS * scale)
+
+
+@pytest.mark.parametrize("name", sorted(_CURVES))
+@given(points=_BATCHES)
+def test_biot_savart_batch_matches_one_point_at_a_time(name, points):
+    batch, rows = _batch_and_rows(lambda x: biot_savart(_CURVES[name], x), points)
+    if batch is not None:
+        _assert_rows_match(batch, rows, _BATCH_ULPS[name])
+        assert not batch[np.abs(points).max(axis=1) >= 1e299].any()
+
+
+@pytest.mark.parametrize("name", sorted(_PATCHES))
+@given(points=_BATCHES, sigma=st.floats(-2.0, 2.0))
+def test_sheet_fields_batch_match_one_point_at_a_time(name, points, sigma):
+    patch = _PATCHES[name]
+    far = np.abs(points).max(axis=1) >= 1e299
+    batch, rows = _batch_and_rows(lambda x: coulomb_surface_field(patch, sigma, x), points)
+    if batch is not None:
+        _assert_rows_match(batch, rows, _BATCH_ULPS[name])
+        assert not batch[far].any()
+    layer = DipoleSheetSpec(sigma, 0.25)
+    batch, rows = _batch_and_rows(lambda x: dipole_sheet_field_exact(patch, layer, x), points)
+    if batch is not None:
+        # each row is the difference of two sheets' fields, each within its ulps
+        shift = 0.125 * patch.constant_normal()
+        sheets = [np.linalg.norm(coulomb_surface_field(patch, sigma, points + s), axis=1) for s in (shift, -shift)]
+        _assert_rows_match(batch, rows, _BATCH_ULPS[name], sheets[0] + sheets[1])
+        assert not batch[far].any()
+
+
+def test_one_point_in_the_guard_fails_the_whole_batch():
+    points = np.array([(0.0, 0.0, 2.0), (3.0, 1.0, -1.0), (1e300, 0.0, 0.0)])
+    rect, disk = _PATCHES["rect"], _PATCHES["disk"]
+    layer = DipoleSheetSpec(1.0, 1e-3)
+    # each field with a point within 1e-9 of its source: a dipole layer's
+    # sources are its two sheets, 5e-4 off the patch
+    fields_and_points = [
+        (lambda x: biot_savart(_CURVES["circle"], x), _CURVES["circle"].position(0.3)),
+        (lambda x: biot_savart(_CURVES["polyline"], x), _CURVES["polyline"].position(0.3)),
+        (lambda x: coulomb_surface_field(rect, 1.0, x), rect.point(0.4, 0.7)),
+        (lambda x: dipole_sheet_field_exact(disk, layer, x), disk.point(0.4, 0.7) + 5e-4 * disk.constant_normal()),
+    ]
+    for field, on_source in fields_and_points:
+        assert field(points).shape == (3, 3)
+        for k in range(len(points) + 1):
+            with pytest.raises(NearSingular, match="field point at distance"):
+                field(np.insert(points, k, on_source + 1e-9 * np.array([0.0, 0.6, 0.8]), axis=0))
+
+
+# ---------------------------------------------------------------------------
 # Differential probe
 # ---------------------------------------------------------------------------
 
 
 def test_probe_linear_rotation_field():
-    curl, div = differential_probe(lambda p: np.array([-p[1], p[0], 0.0]), (0.3, 0.7, -0.2), 1e-3)
+    def rotation(p):
+        return np.stack((-p[:, 1], p[:, 0], np.zeros(len(p))), axis=1)
+
+    curl, div = differential_probe(rotation, (0.3, 0.7, -0.2), 1e-3)
     assert np.allclose(curl, [0, 0, 2.0], atol=1e-9)
     assert abs(div) <= 1e-9
 

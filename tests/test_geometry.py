@@ -156,6 +156,45 @@ def test_distance_to_takes_many_points():
                 curve.distance_to(bad)
 
 
+def test_polyline_rejects_bad_vertices():
+    # one array check of all vertices: a ragged list, a vertex of 2 or 4
+    # components, a flat list, and a vertex that is not finite
+    for bad in (
+        [(0, 0, 0), (1, 0)],
+        [(0, 0, 0, 0), (1, 0, 0, 0)],
+        [0.0, 1.0, 2.0],
+        [(0, 0, 0), (1, math.nan, 0)],
+        [(0, 0, 0), (1, 0, -math.inf)],
+    ):
+        with pytest.raises(ValueError):
+            PolyLine(bad)
+    line = PolyLine(np.array([(0, 0, 0), (1, 0, 0)], dtype=int))
+    assert line.vertices.dtype == float
+
+
+def test_patch_distance_to_takes_many_points():
+    # points over, beside and in the plane of each patch, one array call
+    # against one point at a time; the sampled distance of a curved patch too
+    points = np.concatenate((
+        np.random.default_rng(6).uniform(-2.0, 3.0, (6, 3)),
+        [(0.5, 0.5, 0.3), (0.2, 0.1, -0.4), (2.0, 0.5, 0.0), (0.0, 0.0, 0.0)],
+    ))
+    patches = (PlanarRect((0, 0, 0), (1, 0, 0), (0.3, 1, 0)), Disk((0, 0, 0), 1.0, (0, 0, 1)), Dome(0.35))
+    for patch in patches:
+        many = patch.distance_to(points)
+        assert many.shape == (len(points),)
+        assert np.array_equal(many, [patch.distance_to(p) for p in points]), patch
+        assert isinstance(patch.distance_to(points[0]), float)
+        for bad in (np.zeros((2, 2)), [[0.0, 0.0, math.nan]]):
+            with pytest.raises(ValueError):
+                patch.distance_to(bad)
+    rect, disk = patches[:2]
+    assert rect.distance_to((0.5, 0.5, 0.3)) == pytest.approx(0.3, abs=1e-15)
+    assert rect.distance_to((2.0, 0.5, 0.0)) == pytest.approx(0.85 / math.hypot(0.3, 1.0), abs=1e-15)
+    assert disk.distance_to((0.2, 0.1, -0.4)) == pytest.approx(0.4, abs=1e-15)
+    assert disk.distance_to((2.0, 0.0, 1.0)) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Cross product
 # ---------------------------------------------------------------------------
