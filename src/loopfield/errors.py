@@ -21,11 +21,24 @@ class DegenerateIntersection(LoopfieldError):
     triangle.  Crossings through interior edges and nodes are well defined
     and never raise.  Callers should refine or perturb their sampling;
     the library never guesses.
+
+    `segment` is the index of the offending segment, `cell` the (i, j) of
+    its mesh cell and `triangle` the half of that cell: 0 for corners
+    (0, 1, 2), 1 for (0, 2, 3).  Each is None when not given.
     """
+
+    def __init__(self, message, *, segment=None, cell=None, triangle=None):
+        super().__init__(message)
+        self.segment, self.cell, self.triangle = segment, cell, triangle
 
 
 class NonTransversal(DegenerateIntersection):
-    """Crossing direction nearly parallel to the panel plane."""
+    """Crossing direction nearly parallel to the panel plane; `cos_angle`
+    is |cos| of its angle with the triangle's normal."""
+
+    def __init__(self, message, *, cos_angle=None, **where):
+        super().__init__(message, **where)
+        self.cos_angle = cos_angle
 
 
 class NoConvergence(LoopfieldError):

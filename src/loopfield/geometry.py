@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -777,50 +778,63 @@ def _edge_orientations(tri, origin, direction):
     """direction . ((A - origin) x (B - origin)) for edges AB, BC, CA, and
     a bound on its rounding error."""
     rel = tri - origin[:, None, :]
-    nxt = np.roll(rel, -1, axis=1)
+    nxt = rel[:, [1, 2, 0]]
     d = direction[:, None, :]
     r, q = np.abs(rel), np.abs(nxt)
     abs_cross = r[..., [1, 2, 0]] * q[..., [2, 0, 1]] + r[..., [2, 0, 1]] * q[..., [1, 2, 0]]
     permanent = _dot(np.abs(d), abs_cross)
-    return _dot(d, np.cross(rel, nxt)), _ORIENT_ERR * permanent
+    return _dot(d, cross(rel, nxt)), _ORIENT_ERR * permanent
 
 
 def _candidate_pairs(p0s, p1s, cells):
-    """Segment and cell indices of every pair whose bounding boxes overlap.
+    """Segment and cell indices of every pair whose bounding boxes overlap,
+    grouped by segment in ascending order.
 
     `cells` holds the (m, n, 4, 3) cell corners.  The leaves of a tree of
-    boxes are the cells of the grid padded to a power of _FAN on each
-    side, and each level above merges _FAN x _FAN boxes.  Segments go down
-    it level by level in whole arrays, so the work follows the segments
-    near the mesh and grows with the logarithm of its size, whatever its
-    turn in space.  Box comparisons are exact, so no crossing is lost.
+    boxes are the cells of the grid padded to the least power _FAN^k >=
+    max(m, n) on each side, so a 17 x 17 mesh has 64 x 64 leaf boxes, and
+    each level above merges _FAN x _FAN boxes.  The tree is rebuilt on
+    every call, on purpose: callers mesh once per run, and elementwise
+    maxima of strided slices fold each level in a few numpy calls.  The
+    build is a fixed cost that grows with the padded leaf count, not with
+    the segments.  Segments go down the tree level by level in whole arrays:
+    only this traversal grows with the logarithm of the mesh size, and it
+    follows the segments near the mesh whatever its turn in space.
+
+    A box is stored as (hi, -lo) and a segment as the key (lo, -hi): they
+    overlap exactly when key <= box in all six components, so a level
+    costs one gather of keys, one of boxes and one comparison.  Negation
+    and comparison are exact, so no crossing is lost.  Padding boxes are
+    -inf and overlap nothing.
     """
     m, n = cells.shape[:2]
     size = _FAN
     while size < max(m, n):
         size *= _FAN
-    # padding cells have empty boxes, which overlap nothing
-    lo, hi = np.full((size, size, 3), np.inf), np.full((size, size, 3), -np.inf)
-    lo[:m, :n], hi[:m, :n] = cells.min(axis=2), cells.max(axis=2)
-    levels = [(lo, hi)]
-    while len(lo) > 1:
-        shape = (len(lo) // _FAN, _FAN, len(lo) // _FAN, _FAN, 3)
-        lo, hi = lo.reshape(shape).min(axis=(1, 3)), hi.reshape(shape).max(axis=(1, 3))
-        levels.append((lo, hi))
+    # components first, so that a gather takes whole rows and the six
+    # comparisons reduce across them
+    box = np.full((6, size, size), -np.inf)
+    corners = cells.transpose(2, 3, 0, 1)
+    box[:3, :m, :n] = reduce(np.maximum, corners)
+    box[3:, :m, :n] = -reduce(np.minimum, corners)
+    levels = [box]
+    while box.shape[1] > 1:
+        box = reduce(np.maximum, (box[:, k::_FAN] for k in range(_FAN)))
+        box = reduce(np.maximum, (box[:, :, k::_FAN] for k in range(_FAN)))
+        levels.append(box)
     di, dj = np.divmod(np.arange(_FAN * _FAN), _FAN)
-    seg_lo, seg_hi = np.minimum(p0s, p1s), np.maximum(p0s, p1s)
+    keys = np.concatenate([np.minimum(p0s, p1s).T, -np.maximum(p0s, p1s).T])
     seg_ids, cell_ids = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     for start in range(0, len(p0s), _SEGMENT_CHUNK):
         seg = np.arange(start, min(start + _SEGMENT_CHUNK, len(p0s)))
         i = j = np.zeros(len(seg), dtype=int)
-        for depth, (lo, hi) in enumerate(reversed(levels)):
+        for depth, box in enumerate(reversed(levels)):
             if depth:
                 seg = np.repeat(seg, _FAN * _FAN)
                 i, j = (_FAN * i[:, None] + di).ravel(), (_FAN * j[:, None] + dj).ravel()
-            # axis by axis: np.all over a length-3 axis is several times slower
-            hit = np.ones(len(seg), dtype=bool)
-            for x in range(3):
-                hit &= (seg_lo[seg, x] <= hi[i, j, x]) & (seg_hi[seg, x] >= lo[i, j, x])
+            side = box.shape[1]
+            boxes = box.reshape(6, -1).take(i * side + j, axis=1)
+            hit = np.flatnonzero((keys.take(seg, axis=1) <= boxes).all(axis=0))
             seg, i, j = seg[hit], i[hit], j[hit]
         seg_ids.append(seg)
         cell_ids.append(i * n + j)
@@ -853,6 +867,13 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _pair_attributes(seg, cell, half, n, row) -> dict:
+    """The error attributes of candidate row `row`: its segment, its cell
+    (i, j) and which triangle of the cell."""
+    i, j = divmod(int(cell[row]), n)
+    return {"segment": int(seg[row]), "cell": (i, j), "triangle": int(half[row])}
+
+
 def segment_crossings(starts, ends, nodes):
     """Signed crossings of segments through a quad grid split into triangles.
 
@@ -875,7 +896,11 @@ def segment_crossings(starts, ends, nodes):
     direction has |cos angle| < 1e-9 with the triangle's normal, and
     DegenerateIntersection when a crossing lies exactly on the grid's
     outer boundary or an endpoint lies exactly on a triangle's plane
-    inside the triangle.
+    inside the triangle.  The error names its segment x triangle pair by
+    attributes: `segment`, an index into `starts`; `cell`, the (i, j) of
+    the cell; and `triangle`, 0 for corners (0, 1, 2) and 1 for (0, 2, 3).
+    DegenerateIntersection names the first such pair, and NonTransversal
+    the most glancing crossing, with its `cos_angle`.
     """
     p0s = np.asarray(starts, dtype=float).reshape(-1, 3)
     p1s = np.asarray(ends, dtype=float).reshape(-1, 3)
@@ -889,14 +914,18 @@ def segment_crossings(starts, ends, nodes):
     p0, p1 = p0s[seg], p1s[seg]
     d = p1 - p0
     a = tri[:, 0]
-    normal = np.cross(tri[:, 1] - a, tri[:, 2] - a)
+    normal = cross(tri[:, 1] - a, tri[:, 2] - a)
     s0, s1 = _dot(normal, p0 - a), _dot(normal, p1 - a)
     for end, s in ((p0, s0), (p1, s1)):
         k = np.flatnonzero(s == 0.0)
-        if np.any(np.all(_edge_orientations(tri[k], end[k], normal[k])[0] >= 0.0, axis=1)):
+        if not len(k):
+            continue
+        inside = np.all(_edge_orientations(tri[k], end[k], normal[k])[0] >= 0.0, axis=1)
+        if inside.any():
             raise DegenerateIntersection(
                 "sample endpoint lies on a triangle's plane inside the triangle; "
-                "refine or perturb the sampling"
+                "refine or perturb the sampling",
+                **_pair_attributes(seg, cell, half, n, k[inside.argmax()]),
             )
 
     k = np.flatnonzero(np.sign(s0) * np.sign(s1) < 0.0)
@@ -911,8 +940,11 @@ def segment_crossings(starts, ends, nodes):
         np.linalg.norm(d[k], axis=1) * np.linalg.norm(normal[k], axis=1)
     )
     if np.any(cos_angle < _TRANSVERSALITY_TOL):
+        r = cos_angle.argmin()
         raise NonTransversal(
-            f"crossing direction nearly parallel to the surface (|cos| = {cos_angle.min():g})"
+            f"crossing direction nearly parallel to the surface (|cos| = {cos_angle[r]:g})",
+            cos_angle=float(cos_angle[r]),
+            **_pair_attributes(seg, cell, half, n, k[r]),
         )
     i, j = np.divmod(cell[k], n)
     upper = half[k] == 1
@@ -921,8 +953,13 @@ def segment_crossings(starts, ends, nodes):
     rim = np.column_stack(
         [~upper & (j == 0), np.where(upper, j == n - 1, i == m - 1), upper & (i == 0)]
     )
-    if np.any(rim & (side == 0)):
-        raise DegenerateIntersection("crossing lies exactly on the surface's outer boundary")
+    on_rim = rim & (side == 0)
+    if on_rim.any():
+        r = on_rim.any(axis=1).argmax()
+        raise DegenerateIntersection(
+            "crossing lies exactly on the surface's outer boundary",
+            **_pair_attributes(seg, cell, half, n, k[r]),
+        )
     side = np.where(side == 0, tie, side)
     hit = np.all(side > 0, axis=1) | np.all(side < 0, axis=1)
     k = k[hit]

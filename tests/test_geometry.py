@@ -515,21 +515,64 @@ def test_panel_orientation_flip_negates_sign(unit_cell):
     assert up[0] == -up_flipped[0]
 
 
+# unit cells (i, j) covering [0, 3] x [0, 4]; triangle 0 of a cell is its
+# lower right half (corners 0, 1, 2), triangle 1 its upper left half
+_GRID = mesh_surface(PlanarRect((0, 0, 0), (3, 0, 0), (0, 4, 0)), 3, 4).nodes
+
+
+def _raised(error, starts, ends, nodes):
+    with pytest.raises(error) as info:
+        segment_crossings(starts, ends, nodes)
+    return info.value
+
+
+def _vertical(*xy, z0=-1.0):
+    """Segments from (x, y, z0) to (x, y, 1), one per (x, y)."""
+    return [(x, y, z0) for x, y in xy], [(x, y, 1.0) for x, y in xy]
+
+
 def test_edge_proximity_is_degenerate(unit_cell):
-    # on each of the cell's own four edges, and at a corner
-    for x, y in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (1.0, 1.0)):
-        with pytest.raises(DegenerateIntersection):
-            _crossing((x, y, -1), (x, y, 1), unit_cell)
+    # on each of the cell's own four edges, and at a corner, with the
+    # triangle whose rim edge it is
+    rim_points = ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (1.0, 1.0))
+    for (x, y), triangle in zip(rim_points, (1, 0, 0, 1, 0)):
+        exc = _raised(DegenerateIntersection, (x, y, -1), (x, y, 1), unit_cell)
+        assert (exc.segment, exc.cell, exc.triangle) == (0, (0, 0), triangle)
+        assert str(exc) == "crossing lies exactly on the surface's outer boundary"
+        assert type(exc) is DegenerateIntersection
+    exc = _raised(DegenerateIntersection, *_vertical((0.5, 0.5), (1.5, 2.5), (3.0, 2.5)), _GRID)
+    assert (exc.segment, exc.cell, exc.triangle) == (2, (2, 2), 0)
 
 
 def test_endpoint_on_plane_is_degenerate(unit_cell):
-    with pytest.raises(DegenerateIntersection):
-        _crossing((0.5, 0.5, 0), (0.5, 0.5, 1), unit_cell)
+    exc = _raised(DegenerateIntersection, (0.5, 0.5, 0), (0.5, 0.5, 1), unit_cell)
+    assert (exc.segment, exc.cell, exc.triangle) == (0, (0, 0), 0)
+    assert str(exc).startswith("sample endpoint lies on a triangle's plane inside the triangle")
+    starts, ends = _vertical((0.5, 0.5), (2.2, 3.2), (1.5, 2.5))
+    starts[2] = (1.5, 2.5, 0.0)
+    exc = _raised(DegenerateIntersection, starts, ends, _GRID)
+    assert (exc.segment, exc.cell, exc.triangle) == (2, (1, 2), 0)
 
 
 def test_glancing_crossing_is_nontransversal(unit_cell):
-    with pytest.raises(NonTransversal):
-        _crossing((0.4, 0.5, -1e-12), (0.6, 0.5, 1e-12), unit_cell)
+    exc = _raised(NonTransversal, (0.4, 0.5, -1e-12), (0.6, 0.5, 1e-12), unit_cell)
+    assert (exc.segment, exc.cell, exc.triangle) == (0, (0, 0), 0)
+    assert exc.cos_angle == pytest.approx(1e-11, rel=1e-9)
+    assert str(exc) == "crossing direction nearly parallel to the surface (|cos| = 1e-11)"
+    # the most glancing of two, in the upper left half of cell (2, 3)
+    starts, ends = _vertical((0.5, 0.5), (1.5, 2.5))
+    starts += [(1.1, 0.5, -5e-11), (2.1, 3.5, -1e-12)]
+    ends += [(1.3, 0.5, 5e-11), (2.3, 3.5, 1e-12)]
+    exc = _raised(NonTransversal, starts, ends, _GRID)
+    assert (exc.segment, exc.cell, exc.triangle) == (3, (2, 3), 1)
+    assert exc.cos_angle == pytest.approx(1e-11, rel=1e-9)
+
+
+def test_crossing_error_attributes_default_to_none():
+    for exc in (DegenerateIntersection("message"), NonTransversal("message")):
+        assert str(exc) == "message"
+        assert (exc.segment, exc.cell, exc.triangle) == (None, None, None)
+    assert NonTransversal("message").cos_angle is None
 
 
 def test_far_coplanar_endpoint_is_harmless(unit_cell):
@@ -566,6 +609,84 @@ def test_broad_phase_finds_every_overlapping_box(monkeypatch, chunk, m, n):
     found[seg, cell] = True
     assert len(seg) == expected.sum()
     assert np.array_equal(found, expected)
+
+
+# grid sides weighted toward the edges of the broad phase's padding, 4^k - 1,
+# 4^k and 4^k + 1
+_GRID_SIDES = st.one_of(st.sampled_from([1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65]), st.integers(1, 70))
+
+
+@given(
+    m=_GRID_SIDES,
+    n=_GRID_SIDES,
+    count=st.integers(0, 40),
+    jitter=st.sampled_from([0.0, 1e-3, 0.05]),
+    length=st.sampled_from([0.0, 0.02, 0.3, 2.0]),
+    snap=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_broad_phase_returns_the_brute_force_pairs(m, n, count, jitter, length, snap, seed):
+    from loopfield import geometry
+
+    rng = np.random.default_rng(seed)
+    u, v = np.meshgrid(np.linspace(0, 1, m + 1), np.linspace(0, 1, n + 1), indexing="ij")
+    nodes = np.stack([u, v, 0.2 * u * v], axis=-1) + jitter * rng.normal(size=(m + 1, n + 1, 3))
+    starts = rng.uniform(-0.5, 1.5, (count, 3))
+    ends = starts + length * rng.normal(size=(count, 3))
+    if snap:
+        # on a coarse grid, so that segment and cell boxes touch exactly
+        nodes, starts, ends = (np.round(16 * x) / 16 for x in (nodes, starts, ends))
+    cells = np.stack([nodes[:-1, :-1], nodes[1:, :-1], nodes[1:, 1:], nodes[:-1, 1:]], axis=2)
+    seg, cell = geometry._candidate_pairs(starts, ends, cells)
+    lo, hi = cells.min(axis=2).reshape(-1, 3), cells.max(axis=2).reshape(-1, 3)
+    s_lo, s_hi = np.minimum(starts, ends), np.maximum(starts, ends)
+    expected = np.all((s_lo[:, None] <= hi) & (s_hi[:, None] >= lo), axis=-1)
+    assert np.all(np.diff(seg) >= 0)
+    pairs = sorted(zip(seg.tolist(), cell.tolist()))
+    assert pairs == [tuple(pair) for pair in np.argwhere(expected).tolist()]
+
+
+def _orientations_by_np_cross(tri, origin, direction):
+    """The reference for geometry._edge_orientations, by np.cross and np.roll."""
+    rel = tri - origin[:, None, :]
+    nxt = np.roll(rel, -1, axis=1)
+    d = direction[:, None, :]
+    r, q = np.abs(rel), np.abs(nxt)
+    abs_cross = r[..., [1, 2, 0]] * q[..., [2, 0, 1]] + r[..., [2, 0, 1]] * q[..., [1, 2, 0]]
+
+    def dot(x, y):
+        return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+    return dot(d, np.cross(rel, nxt)), 8.0 * 2.0**-53 * dot(np.abs(d), abs_cross)
+
+
+def test_edge_orientations_are_bitwise_the_np_cross_reference():
+    # triangles, origins and directions over many binary exponents; on small
+    # integers some orientations are exactly zero, and with the origin on the
+    # line of an edge some are within their error bound.  Which of them go to
+    # the exact fallback is decided by these floats, so they must not drift.
+    from loopfield import geometry
+
+    rng = np.random.default_rng(20261019)
+    in_doubt = 0
+    for trial in range(60):
+        count = int(rng.integers(1, 40))
+        scale = np.ldexp(1.0, int(rng.integers(-80, 80)))
+        tri = scale * np.ldexp(rng.normal(size=(count, 3, 3)), rng.integers(-20, 20, (count, 1, 1)))
+        origin = tri.mean(axis=1) + scale * rng.normal(size=(count, 3))
+        direction = np.ldexp(rng.normal(size=(count, 3)), rng.integers(-60, 60, (count, 1)))
+        if trial % 3 == 1:
+            tri, origin = np.round(tri / scale), np.round(origin / scale)
+            direction = rng.integers(-3, 4, (count, 3)).astype(float)
+        elif trial % 3 == 2:
+            origin = tri[:, 0] + rng.uniform(-1, 2, (count, 1)) * (tri[:, 1] - tri[:, 0])
+        ours = geometry._edge_orientations(tri, origin, direction)
+        in_doubt += np.count_nonzero(np.abs(ours[0]) <= ours[1])
+        reference = _orientations_by_np_cross(tri, origin, direction)
+        for x, y in zip(ours, reference):
+            assert x.shape == y.shape == (count, 3)
+            assert x.tobytes() == y.tobytes()
+    assert in_doubt >= 100
 
 
 def _fraction_side(p0, p1, a, b):
