@@ -832,8 +832,7 @@ def _candidate_pairs(p0s, p1s, cells):
             if depth:
                 seg = np.repeat(seg, _FAN * _FAN)
                 i, j = (_FAN * i[:, None] + di).ravel(), (_FAN * j[:, None] + dj).ravel()
-            side = box.shape[1]
-            boxes = box.reshape(6, -1).take(i * side + j, axis=1)
+            boxes = box.reshape(6, -1).take(i * box.shape[1] + j, axis=1)
             hit = np.flatnonzero((keys.take(seg, axis=1) <= boxes).all(axis=0))
             seg, i, j = seg[hit], i[hit], j[hit]
         seg_ids.append(seg)
@@ -865,13 +864,6 @@ def _exact_side(p0, p1, a, b) -> tuple[int, int]:
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
-
-
-def _pair_attributes(seg, cell, half, n, row) -> dict:
-    """The error attributes of candidate row `row`: its segment, its cell
-    (i, j) and which triangle of the cell."""
-    i, j = divmod(int(cell[row]), n)
-    return {"segment": int(seg[row]), "cell": (i, j), "triangle": int(half[row])}
 
 
 def segment_crossings(starts, ends, nodes):
@@ -911,6 +903,10 @@ def segment_crossings(starts, ends, nodes):
     half = np.tile([0, 1], len(cell) // 2)
     tri = cells[cell[:, None], _CELL_TRIANGLES[half]]
 
+    def pair(row):
+        """The error attributes of candidate row `row`."""
+        return {"segment": int(seg[row]), "cell": divmod(int(cell[row]), n), "triangle": int(half[row])}
+
     p0, p1 = p0s[seg], p1s[seg]
     d = p1 - p0
     a = tri[:, 0]
@@ -925,7 +921,7 @@ def segment_crossings(starts, ends, nodes):
             raise DegenerateIntersection(
                 "sample endpoint lies on a triangle's plane inside the triangle; "
                 "refine or perturb the sampling",
-                **_pair_attributes(seg, cell, half, n, k[inside.argmax()]),
+                **pair(k[inside.argmax()]),
             )
 
     k = np.flatnonzero(np.sign(s0) * np.sign(s1) < 0.0)
@@ -944,7 +940,7 @@ def segment_crossings(starts, ends, nodes):
         raise NonTransversal(
             f"crossing direction nearly parallel to the surface (|cos| = {cos_angle[r]:g})",
             cos_angle=float(cos_angle[r]),
-            **_pair_attributes(seg, cell, half, n, k[r]),
+            **pair(k[r]),
         )
     i, j = np.divmod(cell[k], n)
     upper = half[k] == 1
@@ -958,7 +954,7 @@ def segment_crossings(starts, ends, nodes):
         r = on_rim.any(axis=1).argmax()
         raise DegenerateIntersection(
             "crossing lies exactly on the surface's outer boundary",
-            **_pair_attributes(seg, cell, half, n, k[r]),
+            **pair(k[r]),
         )
     side = np.where(side == 0, tie, side)
     hit = np.all(side > 0, axis=1) | np.all(side < 0, axis=1)
