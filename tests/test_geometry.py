@@ -526,9 +526,9 @@ def _raised(error, starts, ends, nodes):
     return info.value
 
 
-def _vertical(*xy, z0=-1.0):
-    """Segments from (x, y, z0) to (x, y, 1), one per (x, y)."""
-    return [(x, y, z0) for x, y in xy], [(x, y, 1.0) for x, y in xy]
+def _vertical(*xy):
+    """Segments from (x, y, -1) to (x, y, 1), one per (x, y)."""
+    return [(x, y, -1.0) for x, y in xy], [(x, y, 1.0) for x, y in xy]
 
 
 def test_edge_proximity_is_degenerate(unit_cell):
