@@ -18,7 +18,6 @@ from .errors import (
     NoConvergence,
     NonTransversal,
     NotUnit,
-    ParamOutOfRange,
     SceneFormatError,
 )
 from .geometry import (
@@ -33,7 +32,6 @@ from .geometry import (
     SurfacePatch,
     as_vec3,
     bounding_box_diagonal,
-    eval_curve,
     mesh_boundary,
     mesh_surface,
 )

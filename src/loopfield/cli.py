@@ -41,7 +41,7 @@ from .experiments import (
 from .fields import biot_savart, coulomb_surface_field
 from .linking import combinatorial_lk, gauss_linking
 from .scenefile import parse_experiment, parse_scene_file
-from .selftest import BUILTIN, INFINITESIMAL, run_selftest
+from .selftest import BUILTIN, INFINITESIMAL, builtin_entry, run_selftest
 
 __all__ = ["main", "run"]
 
@@ -259,19 +259,17 @@ class _Kind(NamedTuple):
     default: list  # entries run when there is no --scene
 
 
-def _builtin(kind: str) -> list[dict]:
-    return [e for e in BUILTIN.experiments if e["kind"] == kind]
-
-
 _PROBE = ["point_x", "point_y", "point_z", "step"]
 
 # experiment kind -> CSV header, runner, built-in entries
 _KINDS = {
     "link": _Kind(["scene", "value", "error_estimate", "lk"], _run_link, []),
     "lk": _Kind(["scene", "lk"], _run_lk, []),
-    "ampere": _Kind(["scene_id", "A", "Lk", "abs_diff", "pass"], _run_ampere, _builtin("ampere")),
+    "ampere": _Kind(
+        ["scene_id", "A", "Lk", "abs_diff", "pass"], _run_ampere, [builtin_entry("ampere")]
+    ),
     "linelimit": _Kind(
-        ["n", "A_total", "A_c1", "A_c2", "abs_err"], _run_linelimit, _builtin("linelimit")
+        ["n", "A_total", "A_c1", "A_c2", "abs_err"], _run_linelimit, [builtin_entry("linelimit")]
     ),
     "similitude": _Kind(
         [
@@ -281,12 +279,14 @@ _KINDS = {
             "abs_error",
         ],
         _run_similitude,
-        [{"kind": "similitude"}, *_builtin("similitude")],  # the shrinking panel, then the square
+        # the shrinking panel, then the square
+        [{"kind": "similitude"}, builtin_entry("similitude")],
     ),
     "maxwell": _Kind(
-        ["surface", "field", *_PROBE, "abs_div", "curl_norm"], _run_maxwell, _builtin("maxwell")
+        ["surface", "field", *_PROBE, "abs_div", "curl_norm"], _run_maxwell,
+        [builtin_entry("maxwell")],
     ),
-    "curl": _Kind(["curve", *_PROBE, "curl_norm", "abs_div"], _run_curl, _builtin("curl")),
+    "curl": _Kind(["curve", *_PROBE, "curl_norm", "abs_div"], _run_curl, [builtin_entry("curl")]),
     "field": _Kind(
         ["point_x", "point_y", "point_z", "field_x", "field_y", "field_z"], _run_field, []
     ),

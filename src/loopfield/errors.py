@@ -5,10 +5,6 @@ class LoopfieldError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ParamOutOfRange(LoopfieldError, ValueError):
-    """Curve parameter lies outside the curve's parameter interval."""
-
-
 class DegeneratePatch(LoopfieldError, ValueError):
     """Surface patch or panel mesh has (near-)vanishing orientation."""
 

@@ -97,8 +97,11 @@ class DipoleSheetSpec:
 
 
 # this many bounding-box diagonals from a source its field is below 1e-200
-# of the field beside it; zero stands in for it from there on, because
-# the closed forms' squares of distances overflow past about 1.3e154
+# of the field beside it; zero stands in for it from there on.  The closed
+# forms give out sooner: circle_field's rho * rho * small and segment_field's
+# n1 * n2 * rho2 overflow from about 1e77 source sizes, so between there and
+# _FAR numpy warns on stderr and the in-plane components read 0 (ROADMAP.md,
+# "Closed forms that hold far from their source")
 _FAR = 1e100
 
 

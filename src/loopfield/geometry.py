@@ -23,12 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateIntersection,
-    DegeneratePatch,
-    NonTransversal,
-    ParamOutOfRange,
-)
+from .errors import DegenerateIntersection, DegeneratePatch, NonTransversal
 
 __all__ = [
     "as_vec3",
@@ -40,7 +35,6 @@ __all__ = [
     "PolyLine",
     "RectLoop",
     "CompositeCurve",
-    "eval_curve",
     "SurfacePatch",
     "PlanarRect",
     "Disk",
@@ -129,17 +123,9 @@ def _merge_boxes(boxes: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.nda
 
 
 def bounding_box_diagonal(objects: Sequence) -> float:
-    """Diagonal of the joint bounding box; the scene length scale.
-
-    Accepts curves, patches, meshes, and bare points.
-    """
-    boxes = []
-    for obj in objects:
-        if hasattr(obj, "bounding_box"):
-            boxes.append(obj.bounding_box())
-        else:
-            p = as_vec3(obj, "point")
-            boxes.append((p, p))
+    """Diagonal of the joint bounding box of curves, patches or meshes;
+    the scene length scale."""
+    boxes = [obj.bounding_box() for obj in objects]
     lo, hi = boxes[0] if len(boxes) == 1 else _merge_boxes(boxes)
     span = hi - lo
     # the products and sum of np.linalg.norm, without its dispatch
@@ -157,10 +143,6 @@ class Curve:
     t_start: float
     t_end: float
     closed: bool
-
-    @property
-    def param_interval(self) -> tuple[float, float]:
-        return (self.t_start, self.t_end)
 
     def position(self, t):
         raise NotImplementedError
@@ -186,25 +168,6 @@ class Curve:
     def distance_to(self, point):
         """Distance from a point, or the (n,) distances from (n, 3) points."""
         raise NotImplementedError
-
-    def _check_param(self, t) -> None:
-        span = self.t_end - self.t_start
-        slack = 1e-12 * max(span, 1.0)
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < self.t_start - slack) or np.any(arr > self.t_end + slack):
-            raise ParamOutOfRange(
-                f"parameter {t} outside [{self.t_start}, {self.t_end}]"
-            )
-
-
-def eval_curve(curve: Curve, t) -> tuple[np.ndarray, np.ndarray]:
-    """Return (position, tangent) of the curve at parameter t.
-
-    At a polyline vertex the tangent of the outgoing segment is returned;
-    at the final parameter of a closed polyline, the last segment's.
-    """
-    curve._check_param(t)
-    return curve.position(t), curve.tangent(t)
 
 
 class Circle(Curve):
@@ -256,13 +219,17 @@ class Circle(Curve):
     def bounding_box(self):
         return self._box
 
-    def distance_to(self, point):
-        pts, single = as_points(point)
+    def _axial(self, pts):
+        """(height along the axis, distance from the axis) of (n, 3) points."""
         rel = pts - self.center
         z = rel @ self._a
         radial = rel - z[:, None] * self._a
         # np.linalg.norm's own sum, without its per-call set-up
-        rho = np.sqrt(np.add.reduce(radial * radial, axis=1))
+        return z, np.sqrt(np.add.reduce(radial * radial, axis=1))
+
+    def distance_to(self, point):
+        pts, single = as_points(point)
+        z, rho = self._axial(pts)
         dist = np.hypot(rho - self.radius, z)
         return float(dist[0]) if single else dist
 
@@ -454,11 +421,6 @@ class SurfacePatch:
     def dv(self, u, v) -> np.ndarray:
         raise NotImplementedError
 
-    def normal(self, u, v) -> np.ndarray:
-        n = cross(self.du(u, v), self.dv(u, v))
-        mag = np.linalg.norm(n, axis=-1, keepdims=True)
-        return n / mag
-
     def element(self, u, v) -> tuple[np.ndarray, np.ndarray | float]:
         """(point, |du x dv|): the position and the area element at (u, v).
 
@@ -526,7 +488,6 @@ class PlanarRect(SurfacePatch):
         c, a, b = self.corner, self.edge_a, self.edge_b
         corners = np.array([c, c + a, c + a + b, c + b])
         self._rim = PolyLine(corners, closed=True)
-        self._box = (_frozen(corners.min(axis=0)), _frozen(corners.max(axis=0)))
         # columns e_a*, e_b* of the dual basis and the unit normal:
         # (alpha, beta, height) = (p - corner) @ frame
         gram = np.array([[a @ a, a @ b], [a @ b, b @ b]])
@@ -559,7 +520,7 @@ class PlanarRect(SurfacePatch):
         return self._rim
 
     def bounding_box(self):
-        return self._box
+        return self._rim.bounding_box()
 
     def distance_to(self, point):
         pts, single = as_points(point)
@@ -585,17 +546,10 @@ class Disk(SurfacePatch):
     """
 
     def __init__(self, center, radius: float, axis):
-        if radius <= 0.0 or not math.isfinite(radius):
-            raise ValueError(f"radius must be positive and finite, got {radius}")
-        self.center = _frozen(as_vec3(center, "center"))
-        self.radius = float(radius)
-        self.axis = _frozen(as_vec3(axis, "axis"))
-        u, v, a = _orthonormal_frame(self.axis)
-        self._u = _frozen(u)
-        self._v = _frozen(v)
-        self._a = _frozen(a)
         # the square's boundary maps onto this circle, counterclockwise about du x dv
-        self._rim = Circle(self.center, self.radius, self.axis, "ccw")
+        rim = self._rim = Circle(center, radius, axis, "ccw")
+        self.center, self.radius, self.axis = rim.center, rim.radius, rim.axis
+        self._u, self._v, self._a = rim._u, rim._v, rim._a
 
     @staticmethod
     def _square(u, v):
@@ -646,10 +600,7 @@ class Disk(SurfacePatch):
 
     def distance_to(self, point):
         pts, single = as_points(point)
-        rel = pts - self.center
-        z = rel @ self._a
-        radial = rel - z[:, None] * self._a
-        rho = np.sqrt(np.add.reduce(radial * radial, axis=1))
+        z, rho = self._rim._axial(pts)
         # over the disk the height, beside it the rim's distance
         dist = np.where(rho <= self.radius, np.abs(z), np.hypot(rho - self.radius, z))
         return float(dist[0]) if single else dist
@@ -678,13 +629,11 @@ class SurfaceMesh:
         bases = nodes[:-1, :-1, :]
         self._edges_a = _frozen(nodes[1:, :-1, :] - bases)
         self._edges_b = _frozen(nodes[:-1, 1:, :] - bases)
-        areas = np.cross(self._edges_a, self._edges_b)
-        norms = np.linalg.norm(areas, axis=-1)
+        norms = np.linalg.norm(np.cross(self._edges_a, self._edges_b), axis=-1)
         if float(norms.min()) <= 1e-13 * float(norms.max()):
             raise DegeneratePatch(
                 f"mesh {self.m}x{self.n} has (near-)degenerate panels: min area {norms.min():g}"
             )
-        self._areas = _frozen(areas)
 
     @property
     def cell_centers(self) -> np.ndarray:
@@ -714,9 +663,6 @@ class SurfaceMesh:
     def bounding_box(self):
         pts = self.nodes.reshape(-1, 3)
         return pts.min(axis=0), pts.max(axis=0)
-
-    def total_area_vector(self) -> np.ndarray:
-        return self._areas.sum(axis=(0, 1))
 
 
 def mesh_surface(patch: SurfacePatch, m: int, n: int) -> SurfaceMesh:

@@ -66,7 +66,7 @@ def curve_min_distance(curve_a: Curve, curve_b: Curve) -> float:
     never undercuts the true closest approach; deterministic and accurate
     far beyond guard-checking needs.
     """
-    lo, hi = curve_a.param_interval
+    lo, hi = curve_a.t_start, curve_a.t_end
     span = hi - lo
 
     def along_a(ts):

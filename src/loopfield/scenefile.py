@@ -14,9 +14,11 @@ CSV there and its JSON record beside it.
 
 The optional `constants` block (k_E, k_B) reaches the link, ampere,
 maxwell, curl and field entries; `similitude` uses k_E = k_B = 1 by
-design.  The optional `quadrature` block (abs_tol, rel_tol, max_depth,
-min_distance_guard) reaches every kind but `linelimit`, whose geometry
-and settings are built in.
+design.  Of the optional `quadrature` block, abs_tol, rel_tol and
+max_depth reach only the Gauss integrals of `link` and `ampere` entries,
+since every other field a scene can declare is closed form, and
+min_distance_guard reaches the guard of every kind but `linelimit`, whose
+geometry and settings are built in.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ Runtime budgets are asserted where stated; every numerical threshold is
 pinned here rather than deferred to configuration.
 """
 
+import contextlib
 import subprocess
 import sys
 import time
@@ -225,6 +226,28 @@ def test_criterion_10_route_independence(monkeypatch):
     _report(
         "criterion-10 route independence", ok, f"lk={lk} gauss={value:.10f}"
     )
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_selftest_poisoning_restores_every_name(raises):
+    import loopfield.fields as fields
+    import loopfield.linking as linking
+    from loopfield.selftest import _poisoned
+
+    # every name criterion 10 poisons
+    targets = [(module, f"integrate_{d}d") for module in (linking, fields) for d in (1, 2)]
+    targets.append((linking, "segment_crossings"))
+    before = [getattr(module, name) for module, name in targets]
+
+    with pytest.raises(KeyError) if raises else contextlib.nullcontext():
+        with _poisoned("poisoned", *targets):
+            for module, name in targets:
+                with pytest.raises(AssertionError, match="poisoned"):
+                    getattr(module, name)()
+            if raises:
+                raise KeyError
+    after = [getattr(module, name) for module, name in targets]
+    assert all(a is b for a, b in zip(after, before))
 
 
 def test_criterion_11_run_to_run_determinism():

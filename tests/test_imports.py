@@ -5,11 +5,13 @@ pyproject.toml declares numpy as the only runtime dependency, and the
 `test` extra as what the tests may import besides.  Other packages may
 be installed where the tests run, so an accidental import would pass
 every other test; this one reads the sources instead.  It also fails on
-a name a module imports and never uses, the check a linter's F401 makes.
+a name a module imports and never uses, the check a linter's F401 makes,
+and on a private name that the package defines and never reads.
 """
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -85,3 +87,58 @@ def test_no_module_imports_a_name_it_never_uses():
     sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     unused = [entry for path in sources for entry in _unused_imports(path)]
     assert not unused
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(path):
+    """Module-level private functions, classes and constants, private
+    methods and stored private attributes, as (name, line)."""
+    tree = ast.parse(path.read_text(), str(path))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, item.lineno
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr, node.lineno
+
+
+def _names_read(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_private_name_is_read_in_the_package():
+    # code that only tests reach is code the package does not need
+    sources = sorted(PACKAGE.glob("*.py"))
+    read = {name for path in sources for name in _names_read(path)}
+    dead = [
+        f"{path.name}:{line}: {name}"
+        for path in sources
+        for name, line in _private_definitions(path)
+        if _private(name) and name not in read
+    ]
+    assert not dead
+
+
+def test_importing_the_cli_loads_no_test_framework():
+    # every loopfield process imports the cli; unittest.mock would bring
+    # asyncio with it
+    probe = "import sys, loopfield.cli; print(sorted({'unittest.mock', 'asyncio'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
