@@ -98,10 +98,12 @@ class DipoleSheetSpec:
 
 # this many bounding-box diagonals from a source its field is below 1e-200
 # of the field beside it; zero stands in for it from there on.  The closed
-# forms give out sooner: circle_field's rho * rho * small and segment_field's
-# n1 * n2 * rho2 overflow from about 1e77 source sizes, so between there and
-# _FAR numpy warns on stderr and the in-plane components read 0 (ROADMAP.md,
-# "Closed forms that hold far from their source")
+# forms work in units of the source's size, so a source of any size is
+# fine, but they give out sooner for far points: circle_field's
+# rho * rho * small and segment_field's n1 * n2 * rho2 overflow from about
+# 1e77 source sizes away, so between there and _FAR numpy warns on stderr
+# and the in-plane components read 0 (ROADMAP.md, "Closed forms that hold
+# far from their source")
 _FAR = 1e100
 
 
@@ -155,12 +157,17 @@ def segment_field(starts, ends, points) -> np.ndarray:
 
     (Hanson & Hirshman 2002).  Each branch adds terms of one sign only,
     so neither cancels near the wire or on its extended line, where the
-    textbook |R1| |R2| + R1 . R2 does.  Points must not lie on a segment.
+    textbook |R1| |R2| + R1 . R2 does.  The denominators multiply four
+    lengths, so the sums are taken in units of a power of two near the
+    segments' size: exactly, and with no over- or underflow at any size.
+    Points must not lie on a segment.
     """
     starts = np.asarray(starts, dtype=float).reshape(-1, 3)
     ends = np.asarray(ends, dtype=float).reshape(-1, 3)
-    x = np.asarray(points, dtype=float).reshape(-1, 3)[:, None, :]
     chords = ends - starts
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(chords).max()))[1])
+    starts, ends, chords = starts / unit, ends / unit, chords / unit
+    x = np.asarray(points, dtype=float).reshape(-1, 3)[:, None, :] / unit
     length = np.sqrt(np.einsum("ij,ij->i", chords, chords))
     d = chords / length[:, None]
     r1, r2 = x - starts, x - ends
@@ -172,7 +179,7 @@ def segment_field(starts, ends, points) -> np.ndarray:
     inside = (t1 < 0.0) & (t2 > 0.0)
     num = np.where(inside, t2 * n1 - t1 * n2, length * (t1 + t2))
     den = n1 * n2 * np.where(inside, rho2, t2 * n1 + t1 * n2)
-    return np.einsum("pij,pi->pj", perp, num / den)
+    return np.einsum("pij,pi->pj", perp, num / den) / unit
 
 
 # c_n <= sqrt(eps) a_n: the next AGM step moves a_n by under eps a_n / 4,

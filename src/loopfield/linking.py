@@ -165,10 +165,13 @@ def gauss_pair_integral(
     B_C . dl: one 1-D quadrature over curve_l's smooth pieces.  Only a
     bare Circle source still takes one 2-D quadrature, whose first cells
     are the products of both curves' smooth pieces, so every cell sees a
-    smooth integrand.  No closedness is required, which lets limit
-    studies integrate over sub-arcs.  Returns (value, error_estimate),
-    the estimate being the quadrature's.  A source with no closed-form
-    field raises TypeError.
+    smooth integrand.  Its numerator is expanded about the circle's
+    centre o as dm . ((l - o) x dl) + ((m - o) x dm) . dl, whose cross
+    products are cached with each set of nodes, so a cell takes one
+    matrix product of its nodes' terms.  No closedness is required, which
+    lets limit studies integrate over sub-arcs.  Returns (value,
+    error_estimate), the estimate being the quadrature's.  A source with
+    no closed-form field raises TypeError.
     """
     cuts_s = curve_l.smooth_cuts()
     if not isinstance(curve_c, Circle):
@@ -183,25 +186,34 @@ def gauss_pair_integral(
         # a circle-circle pair to one integrate_2d call with 8x8 nodes per
         # integrand call; this branch goes when a benchmark revision makes
         # that pin route-free.
+        # About one origin o, (dm x (l - m)) . dl splits into
+        # dm . ((l - o) x dl) + ((m - o) x dm) . dl: one cross product per
+        # node, not per node pair.  o is the source's centre, so both
+        # products stay as small as the curves wherever they sit.
+        o = curve_c.center
+
         # cells in one column of the tree share their t nodes, cells in one
         # row their s nodes; keyed by the nodes' exact bytes, a hit returns
         # what evaluation would
         seen_c: dict = {}
         seen_l: dict = {}
 
-        def on_curve(curve, seen, ts):
+        def on_curve(curve, seen, ts, order):
+            # the nodes' positions, and rows (dm, (m - o) x dm) on curve_c,
+            # ((l - o) x dl, dl) on curve_l, so one (8, 6) @ (6, 8) product
+            # sums both terms
             key = ts.tobytes()
             if key not in seen:
-                seen[key] = curve.position(ts), curve.tangent(ts)
+                pos, tan = curve.position(ts), curve.tangent(ts)
+                seen[key] = pos, np.concatenate((tan, cross(pos - o, tan))[::order], axis=1)
             return seen[key]
 
         def integrand(tt, ss):
-            m, dm = on_curve(curve_c, seen_c, tt[:, 0])
-            l, dl = on_curve(curve_l, seen_l, ss[0, :])
+            m, terms_c = on_curve(curve_c, seen_c, tt[:, 0], 1)
+            l, terms_l = on_curve(curve_l, seen_l, ss[0, :], -1)
             rel = l[None, :, :] - m[:, None, :]
             inv_r3 = np.einsum("ijk,ijk->ij", rel, rel) ** -1.5
-            num = np.einsum("ijk,jk->ij", cross(dm[:, None, :], rel), dl)
-            return num * inv_r3
+            return (terms_c @ terms_l.T) * inv_r3
 
         value, err = integrate_2d(integrand, (curve_c.smooth_cuts(), cuts_s), spec)
     return consts.k_B * float(value), abs(consts.k_B) * err

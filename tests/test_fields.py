@@ -218,6 +218,27 @@ def test_segment_field_of_a_long_segment(length, distance):
     assert _segment_field_rel_error(start, end, points) <= 1e-9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_segment_field_is_scale_free():
+    # scaling by 2^k is exact, so the field of the scaled polygon at the
+    # scaled points is the field scaled by 2^-k, bit for bit, at every k
+    # whose lengths stay normal floats
+    corners = np.array([(0.0, 0.0, 0.0), (1.25, 0.0, 0.0), (1.1, 0.9, 0.2), (0.2, 1.0, -0.1)])
+    starts, ends = corners, np.roll(corners, -1, axis=0)
+    points = np.array(
+        [
+            (0.6, 1e-7, 3e-8),  # beside the first edge
+            (2.0, 0.0, 0.0),  # on the first edge's extended line
+            (-0.5, 0.0, 0.0),
+            (0.55, 0.45, 0.02),  # in the polygon's interior
+        ]
+    )
+    field = segment_field(starts, ends, points)
+    for k in range(-330, 331):
+        scaled = segment_field(np.ldexp(starts, k), np.ldexp(ends, k), np.ldexp(points, k))
+        assert scaled.tobytes() == np.ldexp(field, -k).tobytes(), k
+
+
 def _pentagon():
     return PolyLine(
         [(0.0, 0.0, 0.0), (1.0, 0.1, 0.0), (1.2, 0.9, 0.3), (0.4, 1.3, 0.1), (-0.2, 0.6, -0.2)],

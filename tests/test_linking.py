@@ -26,7 +26,7 @@ from loopfield import (
     mesh_surface,
     vector_area,
 )
-from loopfield import linking
+from loopfield import linking, quadrature
 from loopfield.experiments import axis_leg_closed_form, default_catalog, unit_circle, unit_disk_mesh
 from test_fields import OtherCurve, gauss_pair_by_quadrature
 
@@ -104,6 +104,65 @@ def test_far_circles_unlink():
     far = Circle((0, 0, 10.0), 1.0, (0, 0, 1), "ccw")
     value, err = gauss_linking(LinkScene(far, unit_circle()))
     assert abs(value) <= 1e-6
+
+
+def _moved_circle_pair(seed):
+    """A circle in the xz-plane about (a, 0, 0) that links the unit ring
+    about +z, each traversed either way, with their linking number; moved
+    by a seeded proper rotation and a shift of up to 1e6 sizes, then scaled
+    by 2^k, k from -20 to 20.  Unlinked pairs are left out: shifted that
+    far, their near approach makes rounding noise above abs_tol, and the
+    quadrature stops converging by either form of the integrand."""
+    rng = np.random.default_rng(seed)
+    while True:
+        a, r = rng.uniform(0.6, 1.6), rng.uniform(0.3, 0.9)
+        # the circle meets the ring's plane at x = a - r, inside the ring,
+        # and x = a + r, outside it
+        if a - r < 0.9 and a + r > 1.1:
+            break
+    ways = rng.choice(["ccw", "cw"], 2)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rot *= np.linalg.det(rot)
+    shift = rng.uniform(-1e6, 1e6, 3)
+    scale = 2.0 ** int(rng.integers(-20, 21))
+
+    def moved(center, radius, axis, way):
+        return Circle(scale * (rot @ np.array(center) + shift), scale * radius, rot @ np.array(axis), way)
+
+    circle_c = moved((a, 0.0, 0.0), r, (0.0, 1.0, 0.0), ways[0])
+    ring = moved((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), ways[1])
+    return circle_c, ring, 1 if ways[0] == ways[1] else -1
+
+
+def _counting_cells(monkeypatch, module):
+    """Counts the cells module's integrate_2d evaluates, one per integrand call."""
+    cells = [0]
+    integrate = module.integrate_2d
+
+    def counting(f, *args, **kwargs):
+        def counted(*xs):
+            cells[0] += 1
+            return f(*xs)
+
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate_2d", counting)
+    return cells
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_circle_pair_integrand_matches_the_cross_product_form(monkeypatch, seed):
+    # the circle source's cached-product integrand against the plain
+    # (dm x (l - m)) . dl form: the same cell tree, the same value to
+    # rounding, and the linking number within the estimate
+    circle_c, circle_l, lk = _moved_circle_pair(seed)
+    cells = _counting_cells(monkeypatch, linking)
+    cells_ref = _counting_cells(monkeypatch, quadrature)
+    value, err = gauss_pair_integral(circle_c, circle_l)
+    reference, _ = gauss_pair_by_quadrature(circle_c, circle_l)
+    assert cells[0] == cells_ref[0] > 0
+    assert abs(value - reference) <= 1e-13
+    assert abs(value - lk) <= err
 
 
 def test_rect_loop_scenes_give_one():

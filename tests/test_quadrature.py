@@ -232,3 +232,31 @@ def test_2d_integrand_sees_one_cell_per_call():
     f = lambda s, t: 1.0 / ((s - 0.3) ** 2 + (t - 0.6) ** 2 + 1e-2)
     integrate_2d(_recording(f, shapes), ((0.0, 0.5, 1.0), (0.0, 1.0)))
     assert len(shapes) > 6 and set(shapes) == {(8, 8)}
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _one_cell_rule(f, cell):
+    """The 8 x 8 Gauss-Legendre rule on one cell alone: the reference for
+    the rule's batched node arithmetic."""
+    (a, b), (c, d) = cell
+    half_x, half_y = 0.5 * (b - a), 0.5 * (d - c)
+    xs, ys = 0.5 * (a + b) + half_x * _GL_NODES, 0.5 * (c + d) + half_y * _GL_NODES
+    vals = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
+    return half_x * half_y * (np.outer(_GL_WEIGHTS, _GL_WEIGHTS).ravel() @ vals.reshape(64, *vals.shape[2:]))
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_2d_rule_is_bitwise_the_one_cell_rule(vector):
+    def f(s, t):
+        y = np.sin(s + 2.0 * t) / (1.0 + s * s + t * t) + np.cos(s * t)
+        return np.stack(np.broadcast_arrays(y, s * t, np.cos(s - t)), axis=-1) if vector else y
+
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 3, 5, 12, 40):
+        lows = rng.uniform(-3.0, 3.0, (size, 2)) * 10.0 ** rng.integers(-6, 3, (size, 1))
+        widths = rng.uniform(0.0, 1.0, (size, 2)) * 10.0 ** rng.integers(-9, 1, (size, 2)) + 1e-12
+        cells = [((a, a + w), (c, c + v)) for (a, c), (w, v) in zip(lows.tolist(), widths.tolist())]
+        got = quadrature._rule_2d(f, cells)
+        assert [value.tobytes() for value in got] == [_one_cell_rule(f, cell).tobytes() for cell in cells]
