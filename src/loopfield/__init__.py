@@ -2,10 +2,11 @@
 
 The package computes static fields of current loops and charged sheets
 (every loop and every flat polygon or disk sheet in closed form, at one
-point or at an (n, 3) array of points; curved sheets and the Gauss
-integral by deterministic adaptive quadrature), counts signed crossings
-through spanning surfaces, and ships experiment drivers that verify the
-dipole/loop similitude and the circulation law A = Lk at desk scale.
+point or at an (n, 3) array of points; the Gauss integral by
+deterministic adaptive quadrature), counts signed crossings through
+spanning surfaces, flat or meshed curved ones, and ships experiment
+drivers that verify the dipole/loop similitude and the circulation law
+A = Lk at desk scale.
 """
 
 from .errors import (

@@ -18,13 +18,12 @@ polygon_sheet_field, disk_sheet_field, point_dipole_field).  curve_field
 sums the closed forms of a curve's PolyLine and Circle leaves, for
 biot_savart and the Gauss integrals of linking alike,
 coulomb_surface_field uses the polygon's or the disk's for a flat patch,
-by its rim, and dipole_mesh_field the dipoles' for a mesh's cells.  Only
-curved patches are integrated, by adaptive quadrature over the unit
-square.  The two-sheet dipole layer of a flat patch is its sheet field
-seen from x -/+ (separation / 2) n.  biot_savart, coulomb_surface_field
-and dipole_sheet_field_exact take one (3,) point or (n, 3) points, check
-all of them against the guard in one pass, and hand them to the closed
-form in one call.
+by its rim, and dipole_mesh_field the dipoles' for a mesh's cells, which
+may span a curved surface.  The two-sheet dipole layer of a flat patch
+is its sheet field seen from x -/+ (separation / 2) n.  biot_savart,
+coulomb_surface_field and dipole_sheet_field_exact take one (3,) point
+or (n, 3) points, check all of them against the guard in one pass, and
+hand them to the closed form in one call.
 """
 
 from __future__ import annotations
@@ -47,7 +46,8 @@ from .geometry import (
     as_vec3,
     cross,
 )
-# integrate_1d is not called here, but bench/spans.py wraps it under this module's name
+# integrate_1d and integrate_2d are not called here, but bench/spans.py
+# wraps both under this module's name
 from .quadrature import QuadratureSpec, integrate_1d, integrate_2d  # noqa: F401
 
 __all__ = [
@@ -477,29 +477,17 @@ def curve_field(curve: Curve, points) -> np.ndarray:
     raise TypeError(f"no closed-form field for a {type(curve).__name__}")
 
 
-def _sheet_field(patch: SurfacePatch, points, spec: QuadratureSpec) -> np.ndarray:
-    """(p, 3) field of a patch without the prefactor k_E sigma.  A flat
-    patch's is the closed form of its rim, a PolyLine's polygon or a
-    Circle's disk; a curved patch's is one 2-D quadrature over the unit
-    square per point."""
+def _sheet_field(patch: SurfacePatch) -> Callable[[np.ndarray], np.ndarray]:
+    """The field of a patch without the prefactor k_E sigma, as a function
+    of (p, 3) points: the closed form of its rim, a PolyLine's polygon or
+    a Circle's disk.  A patch with any other rim, or none, raises
+    TypeError."""
     rim = patch.rim()
     if isinstance(rim, PolyLine):
-        return polygon_sheet_field(rim.vertices, points)
+        return lambda points: polygon_sheet_field(rim.vertices, points)
     if isinstance(rim, Circle):
-        return disk_sheet_field(rim, points)
-    if rim is not None:
-        raise TypeError(f"no closed-form field for a sheet with a {type(rim).__name__} rim")
-
-    def value(x):
-        def integrand(u, v):
-            p, jac = patch.element(u, v)
-            rel = x - p
-            inv_r3 = (rel * rel).sum(axis=-1) ** -1.5
-            return rel * (jac * inv_r3)[..., None]
-
-        return integrate_2d(integrand, ((0.0, 1.0), (0.0, 1.0)), spec)[0]
-
-    return np.array([value(x) for x in points])
+        return lambda points: disk_sheet_field(rim, points)
+    raise TypeError(f"no closed-form field for a {type(patch).__name__} sheet")
 
 
 def biot_savart(
@@ -534,7 +522,7 @@ def coulomb_surface_field(
     """Electric field of a uniformly charged surface at a (3,) point x, or
     the (n, 3) fields at (n, 3) points x.
 
-    A flat patch hands its field to its rim (SurfacePatch.rim()): with n
+    The patch hands its field to its rim (SurfacePatch.rim()): with n
     the unit normal and y(t) the rim counterclockwise about n,
 
         E / (k_E sigma) = Omega n + closed integral of (y' x n) / |x - y| dt,
@@ -542,20 +530,20 @@ def coulomb_surface_field(
     the solid angle Omega the loop's scalar potential and the line
     integral the in-plane part, by the divergence theorem in the plane.
     Both are in closed form: polygon_sheet_field for a PolyLine rim (a
-    PlanarRect's) and disk_sheet_field for a Circle rim (a Disk's); a flat
-    patch with any other rim raises TypeError; all points go to the
-    closed form in one call.  A curved patch is integrated point by point,
-    k_E * sigma * (x - p) |du x dv| / |x - p|^3, in one 2-D quadrature
-    over the unit square each.  Raises NearSingular when any point is
-    within the guard distance of the sheet; beyond 1e100 times its
-    bounding-box diagonal the field is returned as zero.
+    PlanarRect's) and disk_sheet_field for a Circle rim (a Disk's), and
+    all points go to the closed form in one call.  A patch with any other
+    rim, or none (a curved one), raises TypeError before any other check.
+    Raises NearSingular when any point is within the guard distance of
+    the sheet; beyond 1e100 times its bounding-box diagonal the field is
+    returned as zero.
     """
+    sheet = _sheet_field(patch)
     points, single = as_points(x)
     if sigma == 0.0:
         field = np.zeros(points.shape)
     else:
         far = _beyond_reach(patch, points, spec, "sheet")
-        field = _within_reach(lambda p: consts.k_E * sigma * _sheet_field(patch, p, spec), points, far)
+        field = _within_reach(lambda p: consts.k_E * sigma * sheet(p), points, far)
     return field[0] if single else field
 
 
@@ -585,6 +573,7 @@ def dipole_sheet_field_exact(
     normal = patch.constant_normal()
     if normal is None:
         raise ValueError("the two-sheet field needs a flat patch")
+    sheet = _sheet_field(patch)
     if dp.sigma == 0.0 or dp.separation == 0.0:
         # zero density, or coincident sheets cancelling exactly
         field = np.zeros(points.shape)
@@ -593,7 +582,7 @@ def dipole_sheet_field_exact(
         # x - s n and x + s n of each point side by side, in the order the guard checks them
         seen = np.stack((points - shift, points + shift), axis=1).reshape(-1, 3)
         far = _beyond_reach(patch, seen, spec, "sheet")
-        sheets = _within_reach(lambda p: _sheet_field(patch, p, spec), seen, far).reshape(-1, 2, 3)
+        sheets = _within_reach(sheet, seen, far).reshape(-1, 2, 3)
         field = consts.k_E * dp.sigma * (sheets[:, 0] - sheets[:, 1])
     return field[0] if single else field
 

@@ -8,9 +8,9 @@ Conventions used throughout the package:
   axis of length 3.
 * Curves are parametrized on [t_start, t_end].  Polylines use arc-length
   parametrization, so their tangent is the unit segment direction.
-* A surface patch maps the unit square; its positive side is the
-  direction of du x dv and the induced boundary runs counterclockwise as
-  seen from that side.
+* A surface patch maps the unit square by point(u, v); its positive side
+  is the direction of dpoint/du x dpoint/dv and the induced boundary runs
+  counterclockwise as seen from that side.
 * All objects are immutable after construction and safe to share across
   threads.
 """
@@ -410,33 +410,23 @@ class CompositeCurve(Curve):
 
 
 class SurfacePatch:
-    """Oriented parametric patch over the unit square [0,1]^2."""
+    """Oriented parametric patch over the unit square [0,1]^2.
+
+    The package's patches are flat, with a closed-form rim and an exact
+    distance; a curved surface enters only through point(u, v), as the
+    nodes of its mesh (mesh_surface).
+    """
 
     def point(self, u, v) -> np.ndarray:
         raise NotImplementedError
-
-    def du(self, u, v) -> np.ndarray:
-        raise NotImplementedError
-
-    def dv(self, u, v) -> np.ndarray:
-        raise NotImplementedError
-
-    def element(self, u, v) -> tuple[np.ndarray, np.ndarray | float]:
-        """(point, |du x dv|): the position and the area element at (u, v).
-
-        Subclasses with a closed-form Jacobian override this; a constant
-        one may come back as a float, which broadcasts.
-        """
-        n = cross(self.du(u, v), self.dv(u, v))
-        return self.point(u, v), np.linalg.norm(n, axis=-1)
 
     def constant_normal(self) -> Optional[np.ndarray]:
         """Unit normal if the patch is planar, else None."""
         return None
 
     def rim(self) -> Optional[Curve]:
-        """The closed boundary curve, counterclockwise about du x dv, if
-        the patch is flat, else None.
+        """The closed boundary curve, counterclockwise about the positive
+        side, if the patch is flat, else None.
 
         Flat patches hand their fields to the rim: the Coulomb field of a
         charged flat sheet is the solid angle its rim subtends (along the
@@ -445,30 +435,13 @@ class SurfacePatch:
         return None
 
     def bounding_box(self):
-        grid = np.linspace(0.0, 1.0, 17)
-        pts = self.point(grid[:, None], grid[None, :]).reshape(-1, 3)
-        return pts.min(axis=0), pts.max(axis=0)
+        """A flat patch's box, which is its rim's."""
+        return self.rim().bounding_box()
 
     def distance_to(self, point):
         """Distance from a point to the patch, or the (n,) distances from
-        (n, 3) points (sampled point by point; exact in subclasses)."""
-        pts, single = as_points(point)
-        dist = np.empty(len(pts))
-        for k, p in enumerate(pts):
-            u_lo, u_hi = 0.0, 1.0
-            v_lo, v_hi = 0.0, 1.0
-            # coarse grid with zoom rounds; plenty for guard checks
-            for _ in range(4):
-                uu = np.linspace(u_lo, u_hi, 33)
-                vv = np.linspace(v_lo, v_hi, 33)
-                d = np.linalg.norm(self.point(uu[:, None], vv[None, :]) - p, axis=-1)
-                i, j = np.unravel_index(np.argmin(d), d.shape)
-                dist[k] = d[i, j]
-                span_u = (u_hi - u_lo) / 8.0
-                span_v = (v_hi - v_lo) / 8.0
-                u_lo, u_hi = max(uu[i] - span_u, 0.0), min(uu[i] + span_u, 1.0)
-                v_lo, v_hi = max(vv[j] - span_v, 0.0), min(vv[j] + span_v, 1.0)
-        return float(dist[0]) if single else dist
+        (n, 3) points."""
+        raise NotImplementedError
 
 
 class PlanarRect(SurfacePatch):
@@ -484,7 +457,6 @@ class PlanarRect(SurfacePatch):
         if mag <= 1e-12 * math.hypot(*self.edge_a) * math.hypot(*self.edge_b):
             raise DegeneratePatch("edge_a x edge_b vanishes")
         self._normal = _frozen(n / mag)
-        self._area = mag
         c, a, b = self.corner, self.edge_a, self.edge_b
         corners = np.array([c, c + a, c + a + b, c + b])
         self._rim = PolyLine(corners, closed=True)
@@ -502,25 +474,11 @@ class PlanarRect(SurfacePatch):
             + np.multiply.outer(v, self.edge_b)
         )
 
-    def du(self, u, v):
-        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-        return np.broadcast_to(self.edge_a, shape + (3,)).copy()
-
-    def dv(self, u, v):
-        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-        return np.broadcast_to(self.edge_b, shape + (3,)).copy()
-
-    def element(self, u, v):
-        return self.point(u, v), self._area
-
     def constant_normal(self):
         return self._normal.copy()
 
     def rim(self) -> PolyLine:
         return self._rim
-
-    def bounding_box(self):
-        return self._rim.bounding_box()
 
     def distance_to(self, point):
         pts, single = as_points(point)
@@ -546,47 +504,18 @@ class Disk(SurfacePatch):
     """
 
     def __init__(self, center, radius: float, axis):
-        # the square's boundary maps onto this circle, counterclockwise about du x dv
+        # the square's boundary maps onto this circle, counterclockwise
+        # about the positive side
         rim = self._rim = Circle(center, radius, axis, "ccw")
         self.center, self.radius, self.axis = rim.center, rim.radius, rim.axis
         self._u, self._v, self._a = rim._u, rim._v, rim._a
 
-    @staticmethod
-    def _square(u, v):
-        """x = 2u - 1, y = 2v - 1, sx = sqrt(1 - x^2 / 2), sy = sqrt(1 - y^2 / 2)."""
+    def point(self, u, v):
         x = 2.0 * np.asarray(u, dtype=float) - 1.0
         y = 2.0 * np.asarray(v, dtype=float) - 1.0
-        return x, y, np.sqrt(1.0 - 0.5 * x**2), np.sqrt(1.0 - 0.5 * y**2)
-
-    def _in_plane(self, px, py):
+        px, py = x * np.sqrt(1.0 - 0.5 * y**2), y * np.sqrt(1.0 - 0.5 * x**2)
         return self.center + self.radius * (
             np.multiply.outer(px, self._u) + np.multiply.outer(py, self._v)
-        )
-
-    def point(self, u, v):
-        x, y, sx, sy = self._square(u, v)
-        return self._in_plane(x * sy, y * sx)
-
-    def element(self, u, v):
-        # |du x dv| = 4 R^2 (sx sy - x^2 y^2 / (4 sx sy)) = 2 R^2 (2 - x^2 - y^2) / (sx sy),
-        # and 1 - x^2 = 4 u (1 - u): no cancellation where it vanishes at the corners
-        x, y, sx, sy = self._square(u, v)
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        area = (8.0 * self.radius**2) * (u * (1.0 - u) + v * (1.0 - v)) / (sx * sy)
-        return self._in_plane(x * sy, y * sx), area
-
-    def du(self, u, v):
-        x, y, sx, sy = self._square(u, v)
-        return self.radius * (
-            np.multiply.outer(2.0 * sy, self._u)
-            - np.multiply.outer(x * y / sx, self._v)
-        )
-
-    def dv(self, u, v):
-        x, y, sx, sy = self._square(u, v)
-        return self.radius * (
-            -np.multiply.outer(x * y / sy, self._u)
-            + np.multiply.outer(2.0 * sx, self._v)
         )
 
     def constant_normal(self):
@@ -594,9 +523,6 @@ class Disk(SurfacePatch):
 
     def rim(self) -> Circle:
         return self._rim
-
-    def bounding_box(self):
-        return self._rim.bounding_box()
 
     def distance_to(self, point):
         pts, single = as_points(point)

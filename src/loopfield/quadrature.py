@@ -83,12 +83,6 @@ def _rule_1d(f, cells):
     return [half * (_WEIGHTS_1D @ block) for half, block in zip(halves.tolist(), vals)]
 
 
-def _split_1d(cell):
-    ((a, b),) = cell
-    mid = 0.5 * (a + b)
-    return ((a, mid),), ((mid, b),)
-
-
 def _rule_2d(f, cells):
     # one 8x8 cell per integrand call; the nodes of every cell are one
     # array pass, with the same elementwise arithmetic as one cell alone
@@ -102,10 +96,14 @@ def _rule_2d(f, cells):
     return values
 
 
-def _split_2d(cell):
-    (a, b), (c, d) = cell
-    mx, my = 0.5 * (a + b), 0.5 * (c + d)
-    return ((a, mx), (c, my)), ((a, mx), (my, d)), ((mx, b), (c, my)), ((mx, b), (my, d))
+def _split(cell):
+    """The children of a cell: the product of each axis's two halves, two
+    cells in 1-D and four in 2-D, the last axis varying fastest."""
+    halves = []
+    for a, b in cell:
+        mid = 0.5 * (a + b)
+        halves.append(((a, mid), (mid, b)))
+    return tuple(product(*halves))
 
 
 def _magnitude(value) -> float:
@@ -125,14 +123,14 @@ def _pieces(axis) -> list[tuple[float, float]]:
 def _integrate(f, axes, spec: QuadratureSpec):
     """Integrate f over the product of the axes' breakpoint ranges."""
     cells = list(product(*map(_pieces, axes)))
-    cell_rule, split = (_rule_1d, _split_1d) if len(axes) == 1 else (_rule_2d, _split_2d)
+    cell_rule = _rule_1d if len(axes) == 1 else _rule_2d
     heap: list = []
 
     def push(cells, depth, coarse=None) -> list[float]:
         """Heap the cells with their one-cell values, coarse, and their
         children's; returns the cells' errors in order.  One integrand
         call evaluates the children, and the cells too when coarse is None."""
-        kids = [split(cell) for cell in cells]
+        kids = [_split(cell) for cell in cells]
         fresh = cells if coarse is None else []
         values = cell_rule(f, fresh + [kid for group in kids for kid in group])
         if coarse is None:

@@ -34,6 +34,7 @@ from loopfield.experiments import (
 )
 from loopfield.scenefile import parse_scene_file
 from loopfield.selftest import BUILTIN
+from test_geometry import Dome
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -81,6 +82,17 @@ def test_similitude_general_disk_on_axis():
     report = similitude_general(Disk((0, 0, 0), 1.0, (0, 0, 1)), (0, 0, 3.0), 1e-4, [8, 16, 32, 64])
     assert report.passed
     assert report.rows[-1].abs_error <= 1e-3
+
+
+@pytest.mark.parametrize("r", [(0.0, 0.0, 3.0), (0.5, 0.3, 2.0), (0.2, -0.1, -1.5)])
+def test_similitude_general_curved_dome(r):
+    # the paper's similitude holds for any spanning surface: on a curved
+    # one too the dipole layer's field is h times its rim's, to second
+    # order in the mesh spacing
+    report = similitude_general(Dome(0.35), r, 1e-4, [8, 16, 32, 64])
+    assert report.passed
+    assert report.fitted_order >= 1.9
+    assert report.rows[-1].abs_error <= 2e-4
 
 
 def test_similitude_single_cell_reduces_to_panel_comparison():

@@ -20,11 +20,14 @@ from loopfield import (
     RectLoop,
     SurfacePatch,
     as_vec3,
+    coulomb_surface_field,
     dipole_sheet_field_exact,
     mesh_boundary,
     mesh_surface,
 )
+from loopfield.experiments import maxwell_probe
 from loopfield.geometry import cross, segment_crossings
+from test_fields import disk_area_element
 
 
 def test_vec3_rejects_nan_and_bad_shape():
@@ -164,12 +167,12 @@ def test_polyline_rejects_bad_vertices():
 
 def test_patch_distance_to_takes_many_points():
     # points over, beside and in the plane of each patch, one array call
-    # against one point at a time; the sampled distance of a curved patch too
+    # against one point at a time
     points = np.concatenate((
         np.random.default_rng(6).uniform(-2.0, 3.0, (6, 3)),
         [(0.5, 0.5, 0.3), (0.2, 0.1, -0.4), (2.0, 0.5, 0.0), (0.0, 0.0, 0.0)],
     ))
-    patches = (PlanarRect((0, 0, 0), (1, 0, 0), (0.3, 1, 0)), Disk((0, 0, 0), 1.0, (0, 0, 1)), Dome(0.35))
+    rect, disk = patches = (PlanarRect((0, 0, 0), (1, 0, 0), (0.3, 1, 0)), Disk((0, 0, 0), 1.0, (0, 0, 1)))
     for patch in patches:
         many = patch.distance_to(points)
         assert many.shape == (len(points),)
@@ -178,7 +181,6 @@ def test_patch_distance_to_takes_many_points():
         for bad in (np.zeros((2, 2)), [[0.0, 0.0, math.nan]]):
             with pytest.raises(ValueError):
                 patch.distance_to(bad)
-    rect, disk = patches[:2]
     assert rect.distance_to((0.5, 0.5, 0.3)) == pytest.approx(0.3, abs=1e-15)
     assert rect.distance_to((2.0, 0.5, 0.0)) == pytest.approx(0.85 / math.hypot(0.3, 1.0), abs=1e-15)
     assert disk.distance_to((0.2, 0.1, -0.4)) == pytest.approx(0.4, abs=1e-15)
@@ -218,7 +220,8 @@ def test_cross_is_bitwise_np_cross(pair):
 
 
 class Dome(SurfacePatch):
-    """The unit disk lifted to z = h (1 - rho^2), with exact derivatives."""
+    """The unit disk lifted to z = h (1 - rho^2): a curved surface that the
+    package knows only by its points, as a mesh."""
 
     def __init__(self, height: float):
         self._disk = Disk((0, 0, 0), 1.0, (0, 0, 1))
@@ -228,17 +231,6 @@ class Dome(SurfacePatch):
         p = self._disk.point(u, v)
         p[..., 2] = self._height * (1.0 - p[..., 0] ** 2 - p[..., 1] ** 2)
         return p
-
-    def _lifted(self, u, v, d):
-        p = self._disk.point(u, v)
-        d[..., 2] = -2.0 * self._height * (p[..., 0] * d[..., 0] + p[..., 1] * d[..., 1])
-        return d
-
-    def du(self, u, v):
-        return self._lifted(u, v, self._disk.du(u, v))
-
-    def dv(self, u, v):
-        return self._lifted(u, v, self._disk.dv(u, v))
 
 
 def _sheet(patch, offset):
@@ -264,30 +256,6 @@ def _corner_cells(width):
     "patch",
     [
         PlanarRect((0.1, -0.2, 0.3), (1.0, 0.2, 0.0), (0.3, 0.8, 0.5)),
-        Disk((0.1, -0.2, 0.3), 1.7, (0.3, 0.4, 1.0)),
-        _sheet(Disk((0.1, -0.2, 0.3), 1.7, (0.3, 0.4, 1.0)), -0.05),
-        _sheet(PlanarRect((0, 0, 0), (1, 0, 0), (0, 0.8, 0)), 0.01),
-        Dome(0.35),
-    ],
-    ids=["rect", "disk", "shifted_disk", "shifted_rect", "dome"],
-)
-def test_element_is_point_and_area_element(patch):
-    # whole square, then corner cells down to where the Disk's area element
-    # is 3e-3 of its peak; nearer the corners |du x dv| itself loses digits
-    cells = [(_UNIT_NODES[:, None], _UNIT_NODES[None, :])]
-    for width in (1.0 / 4, 1.0 / 64):
-        cells.extend(_corner_cells(width))
-    for u, v in cells:
-        point, area = patch.element(u, v)
-        reference = np.linalg.norm(np.cross(patch.du(u, v), patch.dv(u, v)), axis=-1)
-        np.testing.assert_allclose(point, patch.point(u, v), rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(np.broadcast_to(area, reference.shape), reference, rtol=1e-13, atol=0.0)
-
-
-@pytest.mark.parametrize(
-    "patch",
-    [
-        PlanarRect((0.1, -0.2, 0.3), (1.0, 0.2, 0.0), (0.3, 0.8, 0.5)),
         _sheet(PlanarRect((0.1, -0.2, 0.3), (1.0, 0.2, 0.0), (0.3, 0.8, 0.5)), -0.05),
         PlanarRect((0, 0, 0), (0, 1, 0), (1, 0, 0)),  # du x dv along -z
         Disk((0.1, -0.2, 0.3), 1.7, (0.3, 0.4, 1.0)),
@@ -304,10 +272,15 @@ def test_rim_is_the_boundary_counterclockwise_about_du_x_dv(patch):
     edges = np.concatenate([patch.point(side, 0.0 * side), patch.point(1.0 + 0.0 * side, side),
                             patch.point(side, 1.0 + 0.0 * side), patch.point(0.0 * side, side)])
     assert rim.distance_to(edges).max() <= 1e-14
-    # its vector area 1/2 sum p_i x p_(i+1) points along du x dv
+    # its vector area 1/2 sum p_i x p_(i+1) points along dpoint/du x
+    # dpoint/dv, here by central differences; on a flat patch any step
+    # keeps them in its plane, and a wide one keeps their rounding small
     samples = rim.position(np.linspace(rim.t_start, rim.t_end, 257)[:-1])
     area = 0.5 * np.cross(samples, np.roll(samples, -1, axis=0)).sum(axis=0)
-    normal = np.cross(patch.du(0.4, 0.6), patch.dv(0.4, 0.6))
+    step = 1.0 / 16.0
+    du = (patch.point(0.4 + step, 0.6) - patch.point(0.4 - step, 0.6)) / (2 * step)
+    dv = (patch.point(0.4, 0.6 + step) - patch.point(0.4, 0.6 - step)) / (2 * step)
+    normal = np.cross(du, dv)
     normal /= np.linalg.norm(normal)
     assert area @ normal > 0.0
     assert np.linalg.norm(np.cross(area, normal)) <= 1e-12 * np.linalg.norm(area)
@@ -317,18 +290,42 @@ def test_curved_patches_have_no_rim():
     assert Dome(0.35).rim() is None
 
 
+def test_curved_patches_have_no_sheet_field():
+    # a sheet's field is its rim's closed form; a patch without one is
+    # refused by type before its guard, which would need its box and
+    # distances, and whatever the density or the point
+    dome = Dome(0.35)
+    for sigma, x in ((1.0, (0.0, 0.0, 2.0)), (0.0, (0.0, 0.0, 2.0)), (1.0, dome.point(0.5, 0.5))):
+        with pytest.raises(TypeError, match="Dome"):
+            coulomb_surface_field(dome, sigma, x)
+
+
 def test_curved_patches_have_no_two_sheet_field():
     # the sheets of a dipole layer are the patch seen from x -/+ (h / 2) n,
-    # which needs one normal n
+    # which needs one normal n; so does the Maxwell probe, which probes it
     with pytest.raises(ValueError):
         dipole_sheet_field_exact(Dome(0.35), DipoleSheetSpec(1.0, 1e-3), (0.0, 0.0, 2.0))
+    with pytest.raises(ValueError):
+        maxwell_probe(Dome(0.35), 1.0, [(0.0, 0.0, 2.0)], [1e-3])
+
+
+def test_curved_patches_mesh():
+    # the mesh of a curved patch is its nodes: its boundary is the rim
+    # circle, and its cell areas telescope to the boundary's vector area
+    # (test_linking counts crossings through the same mesh)
+    mesh = mesh_surface(Dome(0.35), 15, 15)
+    boundary = mesh_boundary(mesh)
+    assert np.abs(np.hypot(boundary.vertices[:, 0], boundary.vertices[:, 1]) - 1.0).max() <= 1e-15
+    assert np.abs(boundary.vertices[:, 2]).max() <= 1e-15
+    starts, ends = boundary.segments()
+    enclosed = 0.5 * np.cross(starts, ends).sum(axis=0)
+    assert np.allclose(mesh.cell_vector_areas.sum(axis=(0, 1)), enclosed, rtol=0.0, atol=1e-14)
 
 
 def test_disk_area_element_keeps_its_digits_at_the_corners():
-    # 4 R^2 sx sy - R^2 x^2 y^2 / (sx sy) at 40 digits; 2^-20 from a corner
-    # |du x dv| of the float derivatives is off by about 1e-9
+    # the tests' Jacobian of the Disk's map (test_fields) against
+    # 4 R^2 sx sy - R^2 x^2 y^2 / (sx sy) at 40 digits, 2^-20 from a corner
     radius = 1.7
-    disk = Disk((0.1, -0.2, 0.3), radius, (0.3, 0.4, 1.0))
 
     def exact(u, v):
         x, y = 2 * mpmath.mpf(u) - 1, 2 * mpmath.mpf(v) - 1
@@ -337,7 +334,7 @@ def test_disk_area_element_keeps_its_digits_at_the_corners():
 
     with mpmath.workdps(40):
         for u, v in _corner_cells(2.0**-20):
-            _, area = disk.element(u, v)
+            area = disk_area_element(radius, u, v)
             reference = np.array([[exact(a, b) for b in v[0]] for a in u[:, 0]])
             np.testing.assert_allclose(area, reference, rtol=1e-14, atol=0.0)
 

@@ -20,6 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "loopfield"
 TESTS = ROOT / "tests"
+SPANS = ROOT / "bench" / "spans.py"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "loopfield"}
 
 
@@ -63,9 +64,21 @@ def test_tests_import_only_numpy_and_the_test_extra():
     assert not foreign
 
 
-def _unused_imports(path):
-    """Names a module imports and never reads as a Name node; an import
-    marked "# noqa: F401" and the __future__ import are exempt."""
+def _traced_names():
+    """(module, name) of every function the benchmark's tracer wraps by
+    module attribute: the _FUNCTION_SPANS table of bench/spans.py, read
+    from its source, not imported."""
+    for node in ast.parse(SPANS.read_text(), str(SPANS)).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_FUNCTION_SPANS"]:
+            table = ast.literal_eval(node.value)
+            return {(module, name) for modules, name in table.values() for module in modules}
+    raise AssertionError("bench/spans.py defines no _FUNCTION_SPANS table")
+
+
+def _unused_imports(path, traced):
+    """Names a module imports and never reads as a Name node; the
+    __future__ import is exempt, and so is a name on an import marked
+    "# noqa: F401" that the tracer wraps under this module."""
     source = path.read_text()
     tree = ast.parse(source, str(path))
     lines = source.splitlines()
@@ -73,19 +86,22 @@ def _unused_imports(path):
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
-            continue
+        marked = any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
         for alias in node.names:
-            imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+            name = (alias.asname or alias.name).partition(".")[0]
+            if not (marked and (path.stem, name) in traced):
+                imported[name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__.py imports to re-export; fields keeps integrate_1d, marked
-    # "# noqa: F401", for the benchmark's tracer
+    # __init__.py imports to re-export; fields keeps integrate_1d and
+    # integrate_2d, marked "# noqa: F401", only because the benchmark's
+    # tracer wraps both there, and a mark that outlives the wrapping fails
+    traced = _traced_names()
     sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
-    unused = [entry for path in sources for entry in _unused_imports(path)]
+    unused = [entry for path in sources for entry in _unused_imports(path, traced)]
     assert not unused
 
 

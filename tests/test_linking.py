@@ -17,7 +17,6 @@ from loopfield import (
     PolyLine,
     QuadratureSpec,
     RectLoop,
-    SurfacePatch,
     bounding_box_diagonal,
     combinatorial_lk,
     curve_min_distance,
@@ -29,6 +28,7 @@ from loopfield import (
 from loopfield import linking, quadrature
 from loopfield.experiments import axis_leg_closed_form, default_catalog, unit_circle, unit_disk_mesh
 from test_fields import OtherCurve, gauss_pair_by_quadrature
+from test_geometry import Dome
 
 
 def hopf_partner():
@@ -275,23 +275,8 @@ def test_lk_sign_flips():
     assert combinatorial_lk(hopf_partner(), flipped_disk) == -1
 
 
-class DomeCap(SurfacePatch):
-    """Spherical-cap-like lift of the unit disk; boundary stays the circle."""
-
-    def __init__(self, height: float):
-        self._disk = Disk((0, 0, 0), 1.0, (0, 0, 1))
-        self._height = height
-
-    def point(self, u, v):
-        p = self._disk.point(u, v)
-        out = np.array(p, dtype=float)
-        rho2 = out[..., 0] ** 2 + out[..., 1] ** 2
-        out[..., 2] = self._height * (1.0 - rho2)
-        return out
-
-
 def test_lk_is_surface_independent():
-    dome = mesh_surface(DomeCap(0.35), 15, 15)
+    dome = mesh_surface(Dome(0.35), 15, 15)
     disk = unit_disk_mesh()
     for curve in (
         hopf_partner(),
@@ -349,7 +334,7 @@ def test_crossing_in_a_former_panel_gap_counts_once():
 
 @pytest.mark.parametrize("surface", ["disk", "dome"])
 def test_vertical_lines_inside_the_rim_count_once(surface):
-    mesh = unit_disk_mesh(15, 15) if surface == "disk" else mesh_surface(DomeCap(0.35), 15, 15)
+    mesh = unit_disk_mesh(15, 15) if surface == "disk" else mesh_surface(Dome(0.35), 15, 15)
     rng = np.random.default_rng(20261018)
     radius = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 300))
     phi = rng.uniform(0.0, 2.0 * math.pi, 300)

@@ -17,7 +17,7 @@ from loopfield import (
     linking,
     quadrature,
 )
-from test_fields import QuadratureOnlyPatch, biot_savart_by_quadrature
+from test_fields import biot_savart_by_quadrature, sheet_field_by_quadrature
 
 
 def test_polynomial():
@@ -148,9 +148,9 @@ def test_guard_resolution():
 # call carries several cells.  Only a change to the refinement rule may
 # move these counts: cheaper cells, batched calls, cached curve nodes or a
 # closed-form Jacobian must leave the tree as it is.  Every curve has a
-# closed-form field and flat sheets rim fields, so the ring's field
+# closed-form field and every sheet a rim field, so the ring's field
 # reaches quadrature through the tests' own Biot-Savart integrand, and
-# the rectangle and the disk as patches that hide their rims.  The
+# the rectangle's and the disk's through their own Coulomb integrand.  The
 # composite (the hopf circle with a spur out and back from where its
 # parameter starts) takes the 1-D circulation route.
 _UNIT_RING = Circle((0, 0, 0), 1.0, (0, 0, 1))
@@ -161,17 +161,10 @@ _REFERENCE_CELLS = {
     "hopf_pair": (lambda: linking.gauss_pair_integral(_HOPF_CIRCLE, _UNIT_RING), 213),
     "composite_pair": (lambda: linking.gauss_pair_integral(_COMPOSITE, _UNIT_RING), 23),
     "rect_sheet": (
-        lambda: fields.coulomb_surface_field(
-            QuadratureOnlyPatch(PlanarRect((0, 0, 0), (1, 0, 0), (0, 0.8, 0))), 1.0, (0.3, 0.48, 0.01)
-        ),
+        lambda: sheet_field_by_quadrature(PlanarRect((0, 0, 0), (1, 0, 0), (0, 0.8, 0)), (0.3, 0.48, 0.01)),
         309,
     ),
-    "disk_axis": (
-        lambda: fields.coulomb_surface_field(
-            QuadratureOnlyPatch(Disk((0, 0, 0), 1.0, (0, 0, 1))), 1.0, (0, 0, 0.03)
-        ),
-        341,
-    ),
+    "disk_axis": (lambda: sheet_field_by_quadrature(Disk((0, 0, 0), 1.0, (0, 0, 1)), (0, 0, 0.03)), 341),
     "circle_field": (lambda: biot_savart_by_quadrature(_UNIT_RING, (1.01, 0, 0)), 71),
 }
 
