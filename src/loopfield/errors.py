@@ -38,7 +38,18 @@ class NonTransversal(DegenerateIntersection):
 
 
 class NoConvergence(LoopfieldError):
-    """Adaptive quadrature hit max_depth with the error estimate above tolerance."""
+    """Adaptive quadrature hit max_depth with the error estimate above
+    tolerance, or met a non-finite integrand.
+
+    `cell` is the offending cell, a tuple of one or two intervals, and
+    `depth` its depth, 1 for a first cell.  At max_depth, `error` is the
+    summed error estimate and `goal` the tolerance it missed.  Each is None
+    when not given.
+    """
+
+    def __init__(self, message, *, cell=None, depth=None, error=None, goal=None):
+        super().__init__(message)
+        self.cell, self.depth, self.error, self.goal = cell, depth, error, goal
 
 
 class NearSingular(LoopfieldError):

@@ -435,8 +435,12 @@ class SurfacePatch:
         return None
 
     def bounding_box(self):
-        """A flat patch's box, which is its rim's."""
-        return self.rim().bounding_box()
+        """A flat patch's box, which is its rim's; a patch with no rim
+        raises TypeError."""
+        rim = self.rim()
+        if rim is None:
+            raise TypeError(f"no bounding box for a {type(self).__name__} patch, which has no rim")
+        return rim.bounding_box()
 
     def distance_to(self, point):
         """Distance from a point to the patch, or the (n,) distances from

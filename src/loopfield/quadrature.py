@@ -8,10 +8,12 @@ one-cell value| first, and splits the worst until the summed error meets
 max(abs_tol, rel_tol * |total|) for the whole integral, or the rounding
 floor.  Vector integrands share one cell tree, and the value is summed
 over the leaves in cell order, so identical inputs give identical bits.
-A 1-D integrand is called once for the first cells and their children,
-then once per split for the four grandchildren of the split cell, so
-its per-call cost is paid per split, not per cell; a 2-D integrand sees
-one cell per call.
+A leaf whose own error is above the goal must be split before any stop,
+so a 1-D step splits the worst leaf and every other leaf above the goal,
+and one integrand call evaluates all their grandchildren: one call per
+refinement level, at most _CALL_CELLS cells.  The first cells and their
+children take calls of at most _CALL_CELLS cells too.  A 2-D integrand
+sees one cell per call, and a 2-D step splits one cell.
 
 The quadrature never inspects geometry; singularity guards live in the
 callers (fields, linking).
@@ -43,6 +45,11 @@ _WEIGHTS_2D = np.outer(_WEIGHTS_1D, _WEIGHTS_1D).ravel()
 for _array in (_NODES, _WEIGHTS_1D, _WEIGHTS_2D):
     _array.setflags(write=False)
 
+# the most cells one 1-D integrand call carries, 8 nodes each: the
+# grandchildren of 16 splits; a field summed over 400 segments at one
+# call's 512 points peaks near 29 MiB
+_CALL_CELLS = 64
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -73,14 +80,17 @@ class QuadratureSpec:
 
 
 def _rule_1d(f, cells):
-    # one integrand call for the nodes of every cell; each cell's value is
-    # the same one-cell product as when it is evaluated alone
-    ends = np.array([cell[0] for cell in cells])
-    halves = 0.5 * (ends[:, 1] - ends[:, 0])
-    xs = 0.5 * (ends[:, 0] + ends[:, 1])[:, None] + halves[:, None] * _NODES
-    vals = np.asarray(f(xs.reshape(-1)), dtype=float)
-    vals = vals.reshape(len(cells), _NODES.size, *vals.shape[1:])
-    return [half * (_WEIGHTS_1D @ block) for half, block in zip(halves.tolist(), vals)]
+    # one integrand call per _CALL_CELLS cells; each cell's value is the
+    # same one-cell product as when it is evaluated alone
+    values = []
+    for start in range(0, len(cells), _CALL_CELLS):
+        ends = np.array([cell[0] for cell in cells[start : start + _CALL_CELLS]])
+        halves = 0.5 * (ends[:, 1] - ends[:, 0])
+        xs = 0.5 * (ends[:, 0] + ends[:, 1])[:, None] + halves[:, None] * _NODES
+        vals = np.asarray(f(xs.reshape(-1)), dtype=float)
+        vals = vals.reshape(len(ends), _NODES.size, *vals.shape[1:])
+        values += [half * (_WEIGHTS_1D @ block) for half, block in zip(halves.tolist(), vals)]
+    return values
 
 
 def _rule_2d(f, cells):
@@ -123,31 +133,34 @@ def _pieces(axis) -> list[tuple[float, float]]:
 def _integrate(f, axes, spec: QuadratureSpec):
     """Integrate f over the product of the axes' breakpoint ranges."""
     cells = list(product(*map(_pieces, axes)))
-    cell_rule = _rule_1d if len(axes) == 1 else _rule_2d
+    # a step's 1-D splits share one call, four grandchildren each; a 2-D
+    # cell takes a call of its own, so a 2-D step splits one cell
+    cell_rule, step_splits = (_rule_1d, _CALL_CELLS // 4) if len(axes) == 1 else (_rule_2d, 1)
     heap: list = []
 
-    def push(cells, depth, coarse=None) -> list[float]:
-        """Heap the cells with their one-cell values, coarse, and their
-        children's; returns the cells' errors in order.  One integrand
-        call evaluates the children, and the cells too when coarse is None."""
+    def push(cells, depths, coarse=None) -> list[float]:
+        """Heap the cells at their depths with their one-cell values,
+        coarse, and their children's; returns the cells' errors in order.
+        One rule call evaluates the children, and the cells too when coarse
+        is None."""
         kids = [_split(cell) for cell in cells]
         fresh = cells if coarse is None else []
         values = cell_rule(f, fresh + [kid for group in kids for kid in group])
         if coarse is None:
             coarse, values = values[: len(cells)], values[len(cells) :]
         errs = []
-        for i, (cell, value, group) in enumerate(zip(cells, coarse, kids)):
+        for i, (cell, depth, value, group) in enumerate(zip(cells, depths, coarse, kids)):
             own = values[i * len(group) : (i + 1) * len(group)]
             fine = sum(own[1:], own[0])
             err = _magnitude(fine - value)
             if not err < math.inf:
-                raise NoConvergence(f"quadrature cell {cell}: non-finite integrand")
+                raise NoConvergence(f"quadrature cell {cell}: non-finite integrand", cell=cell, depth=depth)
             # distinct cells break ties between equal errors deterministically
             heapq.heappush(heap, (-err, cell, depth, group, own, fine))
             errs.append(err)
         return errs
 
-    err_sum = math.fsum(push(cells, 1))
+    err_sum = math.fsum(push(cells, [1] * len(cells)))
     # the goal, and |total| in it, are refreshed only when the leaf count
     # has doubled and before any stop, so no split pays for a numpy sum
     goal, refresh_at = 0.0, 0
@@ -160,14 +173,25 @@ def _integrate(f, axes, spec: QuadratureSpec):
             if err_sum <= goal:
                 return total, err_sum
             refresh_at = 2 * len(heap)
-        neg_err, cell, depth, kids, values, _ = heapq.heappop(heap)
-        if depth >= spec.max_depth:
-            raise NoConvergence(
-                f"quadrature cell {cell} at max depth {spec.max_depth}: "
-                f"error {err_sum:g} > tolerance {goal:g}"
-            )
-        err_sum += neg_err
-        for err in push(kids, depth + 1, values):
+        # every leaf above the goal must be split before any stop, so the
+        # worst goes with the others above the goal, up to a call's worth
+        popped = [heapq.heappop(heap)]
+        while len(popped) < step_splits and heap and -heap[0][0] > goal:
+            popped.append(heapq.heappop(heap))
+        kids, depths, coarse = [], [], []
+        for _, cell, depth, group, own, _ in popped:
+            if depth >= spec.max_depth:
+                raise NoConvergence(
+                    f"quadrature cell {cell} at max depth {spec.max_depth}: "
+                    f"error {err_sum:g} > tolerance {goal:g}",
+                    cell=cell, depth=depth, error=err_sum, goal=goal,
+                )
+            kids += group
+            depths += [depth + 1] * len(group)
+            coarse += own
+        for entry in popped:
+            err_sum += entry[0]
+        for err in push(kids, depths, coarse):
             err_sum += err
 
 
@@ -182,8 +206,9 @@ def integrate_1d(f, interval, spec: QuadratureSpec = QuadratureSpec()):
     pieces are the first cells.  f must accept a 1-D array of parameters
     and return a matching 1-D array (scalar integrand) or an (n, 3) array
     (vector integrand, integrated componentwise on a shared cell tree).
-    One call may carry the nodes of several cells, so n is a multiple of
-    8 and f must treat each parameter on its own.
+    The quadrature makes one call per refinement level, at most
+    _CALL_CELLS cells, so n is a multiple of 8 no larger than
+    8 * _CALL_CELLS, and f must treat each parameter on its own.
     """
     return _integrate(f, (interval,), spec)
 

@@ -20,6 +20,7 @@ from loopfield import (
     RectLoop,
     SurfacePatch,
     as_vec3,
+    bounding_box_diagonal,
     coulomb_surface_field,
     dipole_sheet_field_exact,
     mesh_boundary,
@@ -288,6 +289,12 @@ def test_rim_is_the_boundary_counterclockwise_about_du_x_dv(patch):
 
 def test_curved_patches_have_no_rim():
     assert Dome(0.35).rim() is None
+
+
+def test_curved_patches_have_no_bounding_box():
+    # a patch's box is its rim's; a patch without one is refused by type
+    with pytest.raises(TypeError, match="Dome"):
+        bounding_box_diagonal([Dome(0.35)])
 
 
 def test_curved_patches_have_no_sheet_field():

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,36 @@ def test_sweep_to_the_guard_at_a_composite_joint():
         for scene in (LinkScene(composite, square(d)), LinkScene(square(d), composite)):
             value, err = gauss_linking(scene)
             assert abs(value + 1.0) <= err <= 1e-6, (d, scene.curve_c)
+
+
+def test_many_segment_pair_takes_bounded_calls(monkeypatch):
+    # two linked 400-gons: the 1-D route's first cells are the 400 edges,
+    # and each integrand call sums 400 segments' fields at its points, so
+    # the rule's cap on cells per call, not the vertex count, bounds memory
+    t = 2.0 * math.pi * np.arange(400) / 400
+    ring = PolyLine(np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=1), closed=True)
+    partner = PolyLine(np.stack([1.1 + 0.7 * np.cos(t), 0.0 * t, 0.7 * np.sin(t)], axis=1), closed=True)
+    sizes = []
+    integrate = linking.integrate_1d
+
+    def recording(f, *args, **kwargs):
+        def recorded(ss):
+            sizes.append(ss.size)
+            return f(ss)
+
+        return integrate(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(linking, "integrate_1d", recording)
+    tracemalloc.start()
+    try:
+        value, err = gauss_pair_integral(ring, partner)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the estimate leaves out the rounding of a 400-segment field sum
+    assert abs(value + 1.0) <= err + 1e-12
+    assert max(sizes) <= 8 * quadrature._CALL_CELLS
+    assert peak < 64 * 2**20
 
 
 def test_hopf_link_is_one():

@@ -1,7 +1,12 @@
+import functools
+import heapq
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopfield import (
     Circle,
@@ -109,6 +114,39 @@ def test_no_convergence_raises():
             integrate_1d(f, (0.0, 1.0))
 
 
+def test_no_convergence_says_where():
+    # at max depth: the popped cell, its depth, the summed error and the
+    # goal it missed, in 1-D and 2-D
+    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_depth=3)
+    runs = (
+        (lambda: integrate_1d(lambda x: 1.0 / (x**2 + 1e-12) ** 1.5, (-1.0, 1.0), spec), ((-0.5, 0.0),)),
+        (
+            lambda: integrate_2d(lambda s, t: 1.0 / (s**2 + t**2 + 1e-12), ((-1.0, 1.0), (-1.0, 1.0)), spec),
+            ((-0.5, 0.0), (-0.5, 0.0)),
+        ),
+    )
+    for run, cell in runs:
+        with pytest.raises(NoConvergence) as info:
+            run()
+        exc = info.value
+        assert (exc.cell, exc.depth) == (cell, 3)
+        assert exc.error > exc.goal > 0.0
+        assert str(exc) == f"quadrature cell {cell} at max depth 3: error {exc.error:g} > tolerance {exc.goal:g}"
+    # a non-finite integrand: the first cell whose children met it; the
+    # goal is not yet set, so neither error nor goal is given
+    with pytest.raises(NoConvergence) as info:
+        integrate_1d(lambda x: np.where(x > 0.5, np.nan, x), (0.0, 1.0))
+    exc = info.value
+    assert (exc.cell, exc.depth, exc.error, exc.goal) == (((0.0, 1.0),), 1, None, None)
+    assert str(exc) == "quadrature cell ((0.0, 1.0),): non-finite integrand"
+
+
+def test_no_convergence_attributes_default_to_none():
+    exc = NoConvergence("message")
+    assert str(exc) == "message"
+    assert (exc.cell, exc.depth, exc.error, exc.goal) == (None, None, None, None)
+
+
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         integrate_1d(lambda x: x, (1.0, 0.0))
@@ -199,25 +237,47 @@ def _recording(f, shapes):
     return recorded
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _cells_of(points):
+    """The (a, b) of each cell whose 8 Gauss nodes are consecutive in points."""
+    nodes = np.asarray(points).reshape(-1, 8)
+    half = (nodes[:, -1] - nodes[:, 0]) / (2.0 * _GL_NODES[-1])
+    mid = 0.5 * (nodes[:, 0] + nodes[:, -1])
+    return np.stack([mid - half, mid + half], axis=1)
+
+
 @pytest.mark.parametrize("vector", [False, True])
-def test_1d_integrand_sees_whole_cells_one_call_per_split(vector):
-    # three first pieces of a peaked integrand; every cell is first, a
-    # child of a first cell, or one of the four grandchildren of a split
+def test_1d_integrand_sees_whole_grandchild_groups_one_call_per_level(vector):
+    # three first pieces of a peaked integrand: the first call carries the
+    # first cells and their children, and each later call the four
+    # grandchildren of every cell it splits, at most _CALL_CELLS cells
     def peak(x):
         y = (x * x + 1e-3) ** -1.5
         return np.stack([y, np.cos(x)], axis=-1) if vector else y
 
-    shapes = []
+    calls = []
+
+    def recorded(x):
+        calls.append(x.copy())
+        return peak(x)
+
     cuts = (-1.0, -0.2, 0.4, 1.0)
-    value, _ = integrate_1d(_recording(peak, shapes), cuts)
+    value, _ = integrate_1d(recorded, cuts)
     assert np.array_equal(value, integrate_1d(peak, cuts)[0])
-    assert all(len(shape) == 1 and shape[0] % 8 == 0 for shape in shapes)
-    cells = sum(shape[0] for shape in shapes) // 8
     first = len(cuts) - 1
-    splits, rest = divmod(cells - 3 * first, 4)
-    assert rest == 0 and splits > 0
-    assert shapes[0] == (8 * 3 * first,)
-    assert len(shapes) == splits + 1
+    assert calls[0].shape == (8 * 3 * first,)
+    for x in calls[1:]:
+        assert x.ndim == 1 and x.size % 32 == 0 and x.size <= 8 * quadrature._CALL_CELLS
+        # four abutting cells of one width, the grandchildren of one cell
+        for a, b in _cells_of(x).reshape(-1, 4, 2).transpose(0, 2, 1):
+            assert np.allclose(b[:-1], a[1:], rtol=0.0, atol=1e-12)
+            assert np.allclose(b - a, b[0] - a[0], rtol=1e-9, atol=0.0)
+    splits, rest = divmod(sum(x.size for x in calls) // 8 - 3 * first, 4)
+    assert rest == 0 and len(calls) <= splits + 1
+    # the peak needs several splits on one refinement level
+    assert len(calls) < splits + 1
 
 
 def test_2d_integrand_sees_one_cell_per_call():
@@ -225,9 +285,6 @@ def test_2d_integrand_sees_one_cell_per_call():
     f = lambda s, t: 1.0 / ((s - 0.3) ** 2 + (t - 0.6) ** 2 + 1e-2)
     integrate_2d(_recording(f, shapes), ((0.0, 0.5, 1.0), (0.0, 1.0)))
     assert len(shapes) > 6 and set(shapes) == {(8, 8)}
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _one_cell_rule(f, cell):
@@ -253,3 +310,122 @@ def test_2d_rule_is_bitwise_the_one_cell_rule(vector):
         cells = [((a, a + w), (c, c + v)) for (a, c), (w, v) in zip(lows.tolist(), widths.tolist())]
         got = quadrature._rule_2d(f, cells)
         assert [value.tobytes() for value in got] == [_one_cell_rule(f, cell).tobytes() for cell in cells]
+
+
+def _one_split_per_step(f, axes, spec):
+    """The adaptive loop splitting one cell per step and calling the
+    integrand once per split: the reference for steps that split every
+    leaf above the goal at once.  Returns (value, estimate), or raises
+    NoConvergence where that loop does."""
+    rule = quadrature._rule_1d if len(axes) == 1 else quadrature._rule_2d
+    heap = []
+
+    def push(cells, depth, coarse=None):
+        kids = [quadrature._split(cell) for cell in cells]
+        fresh = cells if coarse is None else []
+        values = rule(f, fresh + [kid for group in kids for kid in group])
+        if coarse is None:
+            coarse, values = values[: len(cells)], values[len(cells) :]
+        errs = []
+        for i, (cell, value, group) in enumerate(zip(cells, coarse, kids)):
+            own = values[i * len(group) : (i + 1) * len(group)]
+            fine = sum(own[1:], own[0])
+            err = quadrature._magnitude(fine - value)
+            if not err < math.inf:
+                raise NoConvergence("non-finite integrand")
+            heapq.heappush(heap, (-err, cell, depth, group, own, fine))
+            errs.append(err)
+        return errs
+
+    err_sum = math.fsum(push(list(itertools.product(*map(quadrature._pieces, axes))), 1))
+    goal, refresh_at = 0.0, 0
+    while True:
+        if len(heap) >= refresh_at or err_sum <= goal:
+            total = functools.reduce(operator.add, (entry[5] for entry in sorted(heap, key=lambda entry: entry[1])))
+            mag = quadrature._magnitude(total)
+            err_sum = -math.fsum(entry[0] for entry in heap)
+            goal = max(spec.abs_tol, spec.rel_tol * mag, quadrature._ROUNDING * mag * math.sqrt(len(heap)))
+            if err_sum <= goal:
+                return total, err_sum
+            refresh_at = 2 * len(heap)
+        neg_err, cell, depth, kids, values, _ = heapq.heappop(heap)
+        if depth >= spec.max_depth:
+            raise NoConvergence("max depth")
+        err_sum += neg_err
+        for err in push(list(kids), depth + 1, values):
+            err_sum += err
+
+
+def _lorentzians(draw, dims, vector):
+    """A sum of one to four peaks of random height, place and width; in
+    2-D no narrower than a 1-D tree of the same cost resolves."""
+    peaks = draw(
+        st.lists(
+            st.tuples(
+                st.floats(-2.0, 2.0),
+                st.lists(st.floats(-1.2, 1.2), min_size=dims, max_size=dims),
+                st.floats(-3.0 / dims, 0.0).map(lambda e: 10.0**e),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+
+    def f(*xs):
+        y = sum(h / (sum((x - c) ** 2 for x, c in zip(xs, at)) + w * w) for h, at, w in peaks)
+        return np.stack(np.broadcast_arrays(y, np.cos(xs[0])), axis=-1) if vector else y
+
+    return f
+
+
+@st.composite
+def _quadrature_draws(draw):
+    dims = draw(st.sampled_from((1, 1, 1, 2)))
+    f = _lorentzians(draw, dims, draw(st.booleans()))
+    axes = []
+    for _ in range(dims):
+        inner = draw(st.lists(st.floats(-0.95, 0.95), max_size=3 if dims == 1 else 1, unique=True))
+        axes.append((-1.0, *sorted(inner), 1.0))
+    spec = QuadratureSpec(
+        abs_tol=10.0 ** draw(st.floats(-12.0, -4.0)),
+        rel_tol=10.0 ** draw(st.floats(-12.0, -4.0)),
+        max_depth=draw(st.integers(3, 18) if dims == 1 else st.integers(3, 8)),
+    )
+    return f, axes, spec
+
+
+def _outcome(f, integrate, axes, spec):
+    """integrate's (value, estimate) or None where it raises
+    NoConvergence, and the points at which it called f, sorted."""
+    points = []
+
+    def recorded(*xs):
+        points.extend(x.reshape(-1) for x in np.broadcast_arrays(*xs))
+        return f(*xs)
+
+    try:
+        result = integrate(recorded, axes, spec)
+    except NoConvergence:
+        result = None
+    return result, np.sort(np.concatenate(points))
+
+
+@settings(max_examples=300)
+@given(_quadrature_draws())
+def test_level_steps_match_one_split_per_step(draw):
+    # the same raises; the same bits wherever the same cells were
+    # evaluated, and otherwise values within the two estimates.  A count
+    # of cells does not tell the trees apart: a step may split a leaf that
+    # one split at a time leaves whole, and the other loop another leaf.
+    f, axes, spec = draw
+    got, points = _outcome(f, quadrature._integrate, axes, spec)
+    reference, points_ref = _outcome(f, _one_split_per_step, axes, spec)
+    assert (got is None) == (reference is None)
+    if got is None:
+        return
+    (value, err), (value_ref, err_ref) = got, reference
+    if np.array_equal(points, points_ref):
+        assert (value.tobytes(), err) == (value_ref.tobytes(), err_ref)
+    else:
+        assert len(axes) == 1
+        assert np.all(np.abs(value - value_ref) <= err + err_ref)
