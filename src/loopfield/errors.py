@@ -53,11 +53,29 @@ class NoConvergence(LoopfieldError):
 
 
 class NearSingular(LoopfieldError):
-    """Field evaluation point lies within the guard distance of a source."""
+    """Field evaluation point lies within the guard distance of a source.
+
+    `distance` is the offending point's distance, `guard` the guard it
+    fell within and `kind` the source's: "curve", "sheet" or "mesh".  Each
+    is None when not given.
+    """
+
+    def __init__(self, message, *, distance=None, guard=None, kind=None):
+        super().__init__(message)
+        self.distance, self.guard, self.kind = distance, guard, kind
 
 
 class CurvesTooClose(LoopfieldError):
-    """Curve pair violates the minimum separation required by the Gauss integral."""
+    """Curve pair violates the minimum separation required by the Gauss integral.
+
+    The closest approach lies between `lower`, which is certified and at
+    most `guard`, and `distance`, the least sampled distance; `t` is
+    curve_c's parameter at that sample.  Each is None when not given.
+    """
+
+    def __init__(self, message, *, distance=None, lower=None, guard=None, t=None):
+        super().__init__(message)
+        self.distance, self.lower, self.guard, self.t = distance, lower, guard, t
 
 
 class NotUnit(LoopfieldError, ValueError):

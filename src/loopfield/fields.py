@@ -125,7 +125,12 @@ def _beyond_reach(source, points, spec: QuadratureSpec, what: str) -> np.ndarray
     dist = source.distance_to(points[near])
     if dist.min(initial=math.inf) <= guard:
         first = float(dist[dist <= guard][0])
-        raise NearSingular(f"field point at distance {first:g} from the {what} (guard {guard:g})")
+        raise NearSingular(
+            f"field point at distance {first:g} from the {what} (guard {guard:g})",
+            distance=first,
+            guard=guard,
+            kind=what,
+        )
     far[near] = dist > _FAR * scale
     return far
 
@@ -607,9 +612,14 @@ def dipole_mesh_field(
     areas = mesh.cell_vector_areas.reshape(-1, 3)
     anchors = mesh.cell_centers.reshape(-1, 3)
     dist = np.linalg.norm(r - anchors, axis=1)
-    panel_scale = mesh.min_edge_length()
-    if float(dist.min()) <= 1e-9 * panel_scale:
-        raise NearSingular("field point within guard distance of a panel center")
+    guard = 1e-9 * mesh.min_edge_length()
+    if float(dist.min()) <= guard:
+        raise NearSingular(
+            "field point within guard distance of a panel center",
+            distance=float(dist.min()),
+            guard=guard,
+            kind="mesh",
+        )
     return consts.k_E * dp.separation * dp.sigma * point_dipole_field(anchors, areas, r)[0]
 
 

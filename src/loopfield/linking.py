@@ -12,13 +12,20 @@
 The two routes share nothing beyond the geometric primitives: the first
 never intersects panels, the second never integrates.  Their agreement
 on integer values is the package's core cross-validation.
+
+The Gauss integral equals the linking number only for curves that never
+touch, so LinkScene.validate guards it: curve_min_distance brackets the
+closest approach with a certified lower bound, and a pair is refused
+whenever that bound is within the guard distance.  Every pair that comes
+within the guard is refused; every pair that stays beyond twice the
+guard is accepted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -39,6 +46,7 @@ from .quadrature import QuadratureSpec, integrate_1d, integrate_2d
 
 __all__ = [
     "LinkScene",
+    "Approach",
     "curve_min_distance",
     "vector_area",
     "gauss_pair_integral",
@@ -48,40 +56,114 @@ __all__ = [
 ]
 
 
-# the scan's evenly spaced samples of curve_a's parameter
-_COARSE = 192
+# evenly spaced samples of curve_a's parameter in the first pass, besides
+# its smooth cuts
+_SAMPLES = 64
 
-# one zoom: 33 samples over the best sample's wider neighbouring gap on
-# each side; the middle one is the best sample itself, exactly
-_ZOOM = np.linspace(-1.0, 1.0, 33)
+# points per distance_to call: a deep pass over many gaps holds no more
+# than this many points' temporaries at once, as quadrature's
+# _CALL_CELLS cells do per integrand call
+_CHUNK = 1024
+
+# the distances' rounding, as a fraction of the largest coordinate of
+# either curve; every gap's bound gives it up, and a gap whose Lipschitz
+# slack L*h falls below it can no longer be decided by splitting
+_ROUNDING = 2.0**-44
 
 
-def curve_min_distance(curve_a: Curve, curve_b: Curve) -> float:
-    """Closest approach between two curves.
+class Approach(NamedTuple):
+    """The closest approach lies in [lower, upper]; t is curve_a's
+    parameter at the closest sample, the one at distance upper."""
 
-    A scan of curve_a's parameter (192 samples plus its smooth cuts,
-    where a polyline's corners sit) against curve_b's exact distance,
-    then five zooms of 33 samples centred on the best sample.  Every
-    value is an exact distance from a point of curve_a, so the result
-    never undercuts the true closest approach; deterministic and accurate
-    far beyond guard-checking needs.
+    lower: float
+    upper: float
+    t: float
+
+
+def _max_speed(curve: Curve) -> float:
+    """Largest |d position / dt| along a curve, exactly.
+
+    A Circle's radius, 1 for an arc-length PolyLine, and the largest of a
+    CompositeCurve's parts, whose parameters are shifted copies of their
+    own.  Any other kind of curve raises TypeError.
     """
-    lo, hi = curve_a.t_start, curve_a.t_end
-    span = hi - lo
+    if isinstance(curve, PolyLine):
+        return 1.0
+    if isinstance(curve, Circle):
+        return curve.radius
+    if isinstance(curve, CompositeCurve):
+        return max(_max_speed(part) for part in curve.parts)
+    raise TypeError(f"no parameter speed bound for a {type(curve).__name__}")
 
-    def along_a(ts):
-        # a window over an end of a closed curve continues past its seam
-        ts = lo + np.mod(ts - lo, span) if curve_a.closed else np.clip(ts, lo, hi)
-        return curve_b.distance_to(curve_a.position(ts))
 
-    ts = np.union1d(np.linspace(lo, hi, _COARSE), curve_a.smooth_cuts())
-    dist = along_a(ts)
-    for _ in range(5):
-        k = int(np.argmin(dist))
-        width = max(ts[k] - ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)] - ts[k])
-        ts = ts[k] + width * _ZOOM
-        dist = along_a(ts)
-    return float(dist.min())
+def _distances(curve_a: Curve, curve_b: Curve, ts: np.ndarray) -> np.ndarray:
+    """curve_b's exact distance from curve_a at the parameters ts, _CHUNK
+    points per call."""
+    return np.concatenate(
+        [curve_b.distance_to(curve_a.position(ts[k : k + _CHUNK])) for k in range(0, len(ts), _CHUNK)]
+    )
+
+
+def curve_min_distance(curve_a: Curve, curve_b: Curve, guard: float) -> Approach:
+    """Certified closest approach between two curves, decided against guard.
+
+    d(t), curve_b's distance from curve_a(t), is Lipschitz in t with
+    constant L = curve_a's largest parameter speed.  So a gap of width h
+    between samples at distances d and d' holds no point nearer than
+    (d + d' - L*h) / 2, less the distances' rounding (Piyavskii 1972,
+    Shubert 1972).  The first pass samples 64 evenly spaced parameters
+    and curve_a's smooth cuts; each later pass bisects, in one batch,
+    every gap whose bound does not clear the guard.  The search stops
+
+    * and accepts once every gap's bound is above the guard;
+    * and refuses while some gap's is not, once a sample lies within
+      2 * guard, or a gap is too narrow for its bound to move above the
+      distances' rounding.  The latter bounds the number of passes, also
+      at guard 0.
+
+    Returns Approach(lower, upper, t): the true closest approach lies in
+    [lower, upper], lower is certified, and lower <= guard exactly when
+    the search refused.  upper is the least sampled distance, at curve_a's
+    parameter t.  A pair whose closest approach exceeds 2 * guard is
+    always accepted.  curve_a must be a Circle, a PolyLine or a
+    CompositeCurve of them whose parts join end to start; any other kind
+    raises TypeError.
+    """
+    speed = _max_speed(curve_a)
+    corners = np.concatenate((*curve_a.bounding_box(), *curve_b.bounding_box()))
+    rounding = _ROUNDING * float(np.abs(corners).max())
+    settled = math.inf  # the least bound of a gap that cleared the guard
+
+    def bounds(rows):
+        # of gap rows (t, t', d, d')
+        return 0.5 * (rows[:, 2] + rows[:, 3] - speed * (rows[:, 1] - rows[:, 0])) - rounding
+
+    def unsettled(rows):
+        nonlocal settled
+        bound = bounds(rows)
+        low = bound <= guard
+        settled = min(settled, bound[~low].min(initial=math.inf))
+        return rows[low]
+
+    ts = np.union1d(np.linspace(curve_a.t_start, curve_a.t_end, _SAMPLES), curve_a.smooth_cuts())
+    ds = _distances(curve_a, curve_b, ts)
+    best = int(np.argmin(ds))
+    upper, at = float(ds[best]), float(ts[best])
+    gaps = unsettled(np.stack((ts[:-1], ts[1:], ds[:-1], ds[1:]), axis=1))
+    while len(gaps) and upper > 2.0 * guard and speed * (gaps[:, 1] - gaps[:, 0]).min() > rounding:
+        kept = []
+        for start in range(0, len(gaps), _CHUNK):
+            ta, tb, da, db = gaps[start : start + _CHUNK].T
+            mid = 0.5 * (ta + tb)
+            dm = _distances(curve_a, curve_b, mid)
+            best = int(np.argmin(dm))
+            if dm[best] < upper:
+                upper, at = float(dm[best]), float(mid[best])
+            halves = np.concatenate((np.stack((ta, mid, da, dm), axis=1), np.stack((mid, tb, dm, db), axis=1)))
+            kept.append(unsettled(halves))
+        gaps = np.concatenate(kept)
+    lower = float(bounds(gaps).min()) if len(gaps) else settled
+    return Approach(float(max(min(lower, upper), 0.0)), upper, at)
 
 
 def vector_area(curve: Curve) -> np.ndarray:
@@ -121,10 +203,14 @@ class LinkScene:
                 raise ValueError(f"{label} must be a closed curve")
         scale = bounding_box_diagonal([self.curve_c, self.curve_l])
         guard = spec.resolve_guard(scale)
-        dist = curve_min_distance(self.curve_c, self.curve_l)
-        if dist <= guard:
+        lower, upper, at = curve_min_distance(self.curve_c, self.curve_l, guard)
+        if lower <= guard:
             raise CurvesTooClose(
-                f"curves approach within {dist:g} (guard {guard:g})"
+                f"curves approach within {upper:g} (guard {guard:g})",
+                distance=upper,
+                lower=lower,
+                guard=guard,
+                t=at,
             )
         if self.spanning_mesh is not None:
             self._validate_mesh(scale)

@@ -91,6 +91,23 @@ def test_near_singular_guard():
         biot_savart(unit_circle(), (1.0 + 1e-9, 0.0, 0.0))
 
 
+def test_near_singular_names_the_distance_guard_and_source_kind():
+    # messages are unchanged; the attributes say the same as numbers
+    with pytest.raises(NearSingular, match=r"^field point at distance \S+ from the curve \(guard \S+\)$") as raised:
+        biot_savart(unit_circle(), [(0.0, 0.0, 2.0), (1.0 + 1e-9, 0.0, 0.0)])
+    err = raised.value
+    assert err.kind == "curve"
+    assert err.guard == QuadratureSpec().resolve_guard(2.0 * math.sqrt(2.0))
+    assert err.distance == pytest.approx(1e-9, rel=1e-6)
+    patch = PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0))
+    with pytest.raises(NearSingular) as raised:
+        coulomb_surface_field(patch, 1.0, (0.5, 0.5, 0.0), UNIT, QuadratureSpec(min_distance_guard=0.25))
+    assert (raised.value.kind, raised.value.distance, raised.value.guard) == ("sheet", 0.0, 0.25)
+    with pytest.raises(NearSingular, match="^field point within guard distance of a panel center$") as raised:
+        dipole_mesh_field(mesh_surface(patch, 1, 1), DipoleSheetSpec(1.0, 1e-3), (0.5, 0.5, 1e-12), UNIT)
+    assert (raised.value.kind, raised.value.distance, raised.value.guard) == ("mesh", 1e-12, 1e-9)
+
+
 def test_prefactor_linearity():
     x = (0.2, 0.1, 1.2)
     b1 = biot_savart(unit_circle(), x, FieldConstants(k_B=1.0))
