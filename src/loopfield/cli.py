@@ -2,17 +2,19 @@
 
 Subcommands: field, link, lk, similitude, ampere, linelimit, maxwell,
 curl, run, selftest.  Each experiment kind of the scene schema has one
-entry in `_KINDS`: its CSV header, its runner, and the built-in entries
-run when there is no --scene.  A subcommand turns its flags into
-experiment entries and runs them through the same loop; `run --scene F`
-runs every entry of F and writes each to its `out` path.  Tabular
-results are CSV (17-significant-digit floats, fixed column order, LF
-endings); the full structured record is written as JSON next to the
-CSV.  Diagnostics go to stderr; with no output path the CSV goes to
-stdout.
+entry in `_KINDS`: its CSV header and its runner.  A subcommand turns
+its flags into experiment entries, or takes its kind's entries from the
+scene file, and runs them through the same loop; with no --scene that
+file is `selftest.BUILTIN`, whose entries are the built-in runs.
+`run --scene F` runs every entry of F and writes each to its `out` path.
+Tabular results are CSV (17-significant-digit floats, fixed column
+order, LF endings); the full structured record is written as JSON next
+to the CSV.  Diagnostics go to stderr; with no output path the CSV goes
+to stdout.
 
 Exit codes: 0 all pass, 1 a required check failed, 2 usage or scene-file
-error, 3 numerical failure (no convergence / guard tripped).
+error, 3 numerical failure (no convergence / guard tripped / a value
+beyond the float range).
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
-
 import numpy as np
 
 from .errors import LoopfieldError, SceneFormatError
@@ -41,7 +41,7 @@ from .experiments import (
 from .fields import biot_savart, coulomb_surface_field
 from .linking import combinatorial_lk, gauss_linking
 from .scenefile import parse_experiment, parse_scene_file
-from .selftest import BUILTIN, INFINITESIMAL, builtin_entry, run_selftest
+from .selftest import BUILTIN, INFINITESIMAL, run_selftest
 
 __all__ = ["main", "run"]
 
@@ -99,8 +99,8 @@ def _emit(csv_text: str, record: dict, out: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners: (scene file or None for the built-in, entry) ->
-# (CSV rows, part of the JSON record, passed)
+# Experiment runners: (scene file, entry) -> (CSV rows, part of the JSON
+# record, passed)
 # ---------------------------------------------------------------------------
 
 
@@ -111,8 +111,8 @@ def _study(label: str, report, rows: list, summary: str):
         "rows": [
             {
                 "scale_parameter": r.scale_parameter,
-                "measured": _jsonable(r.measured),
-                "reference": _jsonable(r.reference),
+                "measured": r.measured,
+                "reference": r.reference,
                 "abs_error": r.abs_error,
             }
             for r in report.rows
@@ -150,10 +150,8 @@ def _run_lk(scene_file, entry):
 
 
 def _run_ampere(scene_file, entry):
-    if scene_file is None:
-        scene_file, scenes = BUILTIN, default_catalog()
-    else:
-        scenes = [scene_file.build_scene(n) for n in entry.get("scenes", scene_file.scenes)]
+    names = entry.get("scenes", scene_file.scenes)
+    scenes = [scene_file.build_scene(n) for n in names] or default_catalog()
     rows = ampere_catalog(scenes, scene_file.quadrature_spec(), scene_file.field_constants())
     for r in rows:
         if not r.passed:
@@ -200,12 +198,13 @@ def _run_linelimit(scene_file, entry):
 
 def _run_similitude(scene_file, entry):
     if "surface" not in entry:  # the built-in shrinking panel
-        label, report = "infinitesimal", similitude_infinitesimal(*INFINITESIMAL)
+        label = "infinitesimal"
+        report = similitude_infinitesimal(**INFINITESIMAL, r=entry["r"], h=entry["h"])
     else:
-        label, source = entry["surface"], scene_file or BUILTIN
+        label = entry["surface"]
         report = similitude_general(
-            source.build_patch(label), entry["r"], entry["h"], entry["mesh_sizes"],
-            source.quadrature_spec(),
+            scene_file.build_patch(label), entry["r"], entry["h"], entry["mesh_sizes"],
+            scene_file.quadrature_spec(),
         )
     rows = [
         [label, r.scale_parameter, *r.measured, *r.reference, r.abs_error] for r in report.rows
@@ -215,10 +214,10 @@ def _run_similitude(scene_file, entry):
 
 
 def _run_maxwell(scene_file, entry):
-    label, source = entry["surface"], scene_file or BUILTIN
+    label = entry["surface"]
     report = maxwell_probe(
-        source.build_patch(label), entry["sigma"], entry["points"], entry["steps"],
-        source.field_constants(), source.quadrature_spec(),
+        scene_file.build_patch(label), entry["sigma"], entry["points"], entry["steps"],
+        scene_file.field_constants(), scene_file.quadrature_spec(),
         dipole_separation=entry["dipole_separation"],
     )
     rows = [
@@ -229,10 +228,10 @@ def _run_maxwell(scene_file, entry):
 
 
 def _run_curl(scene_file, entry):
-    label, source = entry["curve"], scene_file or BUILTIN
+    label = entry["curve"]
     report = curl_vanishing(
-        source.build_curve(label), entry["points"], entry["steps"],
-        source.field_constants(), source.quadrature_spec(),
+        scene_file.build_curve(label), entry["points"], entry["steps"],
+        scene_file.field_constants(), scene_file.quadrature_spec(),
     )
     rows = [
         [label, *r.point.tolist(), r.step, r.curl_norm, r.div_norm] for r in report.point_rows
@@ -253,25 +252,15 @@ def _run_field(scene_file, entry):
     return rows, {"object": label, "rows": [{"point": r[:3], "field": r[3:]} for r in rows]}, True
 
 
-class _Kind(NamedTuple):
-    header: list[str]
-    run: Callable
-    default: list  # entries run when there is no --scene
-
-
 _PROBE = ["point_x", "point_y", "point_z", "step"]
 
-# experiment kind -> CSV header, runner, built-in entries
+# experiment kind -> (CSV header, runner)
 _KINDS = {
-    "link": _Kind(["scene", "value", "error_estimate", "lk"], _run_link, []),
-    "lk": _Kind(["scene", "lk"], _run_lk, []),
-    "ampere": _Kind(
-        ["scene_id", "A", "Lk", "abs_diff", "pass"], _run_ampere, [builtin_entry("ampere")]
-    ),
-    "linelimit": _Kind(
-        ["n", "A_total", "A_c1", "A_c2", "abs_err"], _run_linelimit, [builtin_entry("linelimit")]
-    ),
-    "similitude": _Kind(
+    "link": (["scene", "value", "error_estimate", "lk"], _run_link),
+    "lk": (["scene", "lk"], _run_lk),
+    "ampere": (["scene_id", "A", "Lk", "abs_diff", "pass"], _run_ampere),
+    "linelimit": (["n", "A_total", "A_c1", "A_c2", "abs_err"], _run_linelimit),
+    "similitude": (
         [
             "study", "scale_parameter",
             "measured_x", "measured_y", "measured_z",
@@ -279,23 +268,18 @@ _KINDS = {
             "abs_error",
         ],
         _run_similitude,
-        # the shrinking panel, then the square
-        [{"kind": "similitude"}, builtin_entry("similitude")],
     ),
-    "maxwell": _Kind(
-        ["surface", "field", *_PROBE, "abs_div", "curl_norm"], _run_maxwell,
-        [builtin_entry("maxwell")],
-    ),
-    "curl": _Kind(["curve", *_PROBE, "curl_norm", "abs_div"], _run_curl, [builtin_entry("curl")]),
-    "field": _Kind(
-        ["point_x", "point_y", "point_z", "field_x", "field_y", "field_z"], _run_field, []
+    "maxwell": (["surface", "field", *_PROBE, "abs_div", "curl_norm"], _run_maxwell),
+    "curl": (["curve", *_PROBE, "curl_norm", "abs_div"], _run_curl),
+    "field": (
+        ["point_x", "point_y", "point_z", "field_x", "field_y", "field_z"], _run_field
     ),
 }
 
 
 def _run_entries(kind: str, scene_file, entries: list[dict], out: str | None) -> int:
     """Run the entries of one kind, then write one CSV and one JSON record."""
-    header, runner, _ = _KINDS[kind]
+    header, runner = _KINDS[kind]
     rows, record, passed = [], {"command": kind}, True
     for entry in entries:
         entry_rows, part, ok = runner(scene_file, entry)
@@ -322,7 +306,7 @@ def _flag_entries(args, scene_file) -> list[dict]:
 
     def checked(flags: dict) -> dict:
         obj = {"kind": kind, **{k: v for k, v in flags.items() if v is not None}}
-        return parse_experiment(obj, kind, scene_file or BUILTIN)
+        return parse_experiment(obj, kind, scene_file)
 
     if kind in ("link", "lk"):
         if args.name is None and not scene_file.scenes:
@@ -334,10 +318,8 @@ def _flag_entries(args, scene_file) -> list[dict]:
         return [checked({**flags, "points": _parse_points(args.points)})]
     if kind == "linelimit" and args.n is not None:
         return [checked({"n": [int(tok) for tok in args.n.split(",") if tok]})]
-    if kind == "ampere" and scene_file is not None:
-        return [{"kind": kind}]  # every scene of the file
-    if scene_file is None:
-        return _KINDS[kind].default
+    if kind == "ampere":
+        return [checked({})]  # every scene of the file, or the built-in catalog
     entries = [e for e in scene_file.experiments if e["kind"] == kind]
     if not entries:
         raise SceneFormatError(f"scene file has no {kind} experiments")
@@ -431,7 +413,7 @@ def _dispatch(argv: list[str]) -> int:
         raise SceneFormatError("missing subcommand")
     if args.command == "selftest":
         return EXIT_OK if run_selftest(sys.stdout) else EXIT_CHECK_FAILED
-    scene_file = parse_scene_file(args.scene) if getattr(args, "scene", None) else None
+    scene_file = parse_scene_file(args.scene) if getattr(args, "scene", None) else BUILTIN
     if args.command == "run":
         return _run_scene_file(scene_file)
     return _run_entries(args.command, scene_file, _flag_entries(args, scene_file), args.out)
@@ -441,12 +423,13 @@ def run(argv=None) -> int:
     # progress lines reach stderr on exit 0 or 1; exit 2 or 3 prints one line
     progress = io.StringIO()
     try:
-        with contextlib.redirect_stderr(progress):
+        # an overflow or NaN raises rather than reaching the output as inf or nan
+        with contextlib.redirect_stderr(progress), np.errstate(over="raise", invalid="raise"):
             code = _dispatch(sys.argv[1:] if argv is None else argv)
     except SceneFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except LoopfieldError as exc:
+    except (LoopfieldError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:  # input the library rejects, or an unwritable out path

@@ -204,14 +204,15 @@ def _probe_field(field, probe_points, steps):
     return rows
 
 
-def _ratio_ok(rows_for_point: list[ProbeRow], lo: float, hi: float) -> bool:
-    """Check step-halving error ratios where both errors clear the floor."""
+def _ratio_ok(rows_for_point: list[ProbeRow]) -> bool:
+    """Check step-halving error ratios where both errors clear the floor:
+    each within a quarter of (step ratio)^2, a second-order stencil's."""
     ordered = sorted(rows_for_point, key=lambda r: -r.step)
     for coarse, fine in zip(ordered[:-1], ordered[1:]):
         if coarse.curl_norm > 10.0 * coarse.floor and fine.curl_norm > 10.0 * fine.floor:
             ratio = coarse.curl_norm / fine.curl_norm
             expected = (coarse.step / fine.step) ** 2
-            if not (lo * expected / 4.0 <= ratio <= hi * expected / 4.0):
+            if not (0.75 * expected <= ratio <= 1.25 * expected):
                 return False
     return True
 
@@ -236,17 +237,14 @@ def curl_vanishing(
     def field(p):
         return biot_savart(curve, p, consts, spec)
 
-    probe_rows = _probe_field(field, probe_points, steps)
     small = min(float(s) for s in steps)
-    passed = True
+    probe_rows, passed = [], True
     for p in probe_points:
-        pt = as_vec3(p, "probe point")
-        mine = [r for r in probe_rows if np.array_equal(r.point, pt)]
+        mine = _probe_field(field, [p], steps)
         finest = [r for r in mine if r.step == small]
-        if any(r.curl_norm > 1e-5 or r.div_norm > 1e-5 for r in finest):
+        if any(r.curl_norm > 1e-5 or r.div_norm > 1e-5 for r in finest) or not _ratio_ok(mine):
             passed = False
-        if not _ratio_ok(mine, 3.0, 5.0):
-            passed = False
+        probe_rows += mine
     rows = [
         ReportRow(r.step, r.curl_norm, 0.0, r.curl_norm) for r in probe_rows
     ]

@@ -606,21 +606,23 @@ def dipole_mesh_field(
     second-order accurate: corner anchoring would shed an O(1/M) Riemann
     boundary term, and on curved patches the parallelogram area vectors
     carry an O(1/M) net defect that the cell-boundary areas cancel by
-    telescoping.
+    telescoping.  A point within 1e-9 minimum edge lengths of a cell's
+    centre raises NearSingular, which names the first such point.
     """
-    r = as_vec3(x, "x")
+    points, single = as_points(x)
     areas = mesh.cell_vector_areas.reshape(-1, 3)
     anchors = mesh.cell_centers.reshape(-1, 3)
-    dist = np.linalg.norm(r - anchors, axis=1)
+    nearest = np.linalg.norm(points[:, None, :] - anchors, axis=2).min(axis=1)
     guard = 1e-9 * mesh.min_edge_length()
-    if float(dist.min()) <= guard:
+    if nearest.min() <= guard:
         raise NearSingular(
             "field point within guard distance of a panel center",
-            distance=float(dist.min()),
+            distance=float(nearest[nearest <= guard][0]),
             guard=guard,
             kind="mesh",
         )
-    return consts.k_E * dp.separation * dp.sigma * point_dipole_field(anchors, areas, r)[0]
+    field = consts.k_E * dp.separation * dp.sigma * point_dipole_field(anchors, areas, points)
+    return field[0] if single else field
 
 
 def differential_probe(

@@ -346,7 +346,8 @@ class RectLoop(PolyLine):
 
 
 class CompositeCurve(Curve):
-    """Concatenation of curves traversed in order, parameter ranges stacked."""
+    """Concatenation of curves traversed in order, parameter ranges stacked;
+    closed when each part ends where the next starts, the last the first."""
 
     def __init__(self, parts: Sequence[Curve]):
         if not parts:
@@ -357,10 +358,11 @@ class CompositeCurve(Curve):
         self._bounds = _frozen(bounds)
         self.t_start = 0.0
         self.t_end = float(bounds[-1])
-        start = self.parts[0].position(self.parts[0].t_start)
-        end = self.parts[-1].position(self.parts[-1].t_end)
+        starts = np.array([p.position(p.t_start) for p in self.parts])
+        ends = np.array([p.position(p.t_end) for p in self.parts])
+        gaps = np.linalg.norm(np.roll(starts, -1, axis=0) - ends, axis=1)
         scale = max(bounding_box_diagonal(self.parts), 1.0)
-        self.closed = bool(np.linalg.norm(end - start) <= 1e-12 * scale)
+        self.closed = bool(np.all(gaps <= 1e-12 * scale))
 
     def _map_params(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = np.searchsorted(self._bounds, t, side="right") - 1

@@ -5,25 +5,30 @@ parser rejects unknown fields and dangling references so that a file
 that parses is a file that runs.  Parsing, re-serializing, and re-parsing
 yields an identical structure.
 
-Each experiment kind lists its required and optional fields in
-`_EXPERIMENT_KINDS`; each field has one parser in `_EXPERIMENT_FIELDS`,
-and `parse_experiment` checks an entry against both.  The command line
-builds its own entries from flags and checks them with the same parser.
-Every entry may name an `out` path: `loopfield run` writes the entry's
-CSV there and its JSON record beside it.
+Each curve, surface and experiment kind lists its required and optional
+fields in `_CURVE_KINDS`, `_SURFACE_KINDS` or `_EXPERIMENT_KINDS` (a
+curve or surface kind also names the class built from them); each field
+has one parser in `_FIELDS`, and `parse_experiment` checks an entry
+against both.  The command line builds its own entries from flags and
+checks them with the same parser.  Every entry may name an `out` path:
+`loopfield run` writes the entry's CSV there and its JSON record beside
+it.  A `similitude` entry without a `surface` shrinks the built-in panel;
+an `ampere` entry in a file without scenes runs the built-in catalog.
 
-The optional `constants` block (k_E, k_B) reaches the link, ampere,
-maxwell, curl and field entries; `similitude` uses k_E = k_B = 1 by
-design.  Of the optional `quadrature` block, abs_tol, rel_tol and
-max_depth reach only the Gauss integrals of `link` and `ampere` entries,
-since every other field a scene can declare is closed form, and
-min_distance_guard reaches the guard of every kind but `linelimit`, whose
-geometry and settings are built in.
+The optional `constants` and `quadrature` blocks take the fields of
+`FieldConstants` and `QuadratureSpec`.  The constants reach the link,
+ampere, maxwell, curl and field entries; `similitude` uses k_E = k_B = 1
+by design.  Of the quadrature settings, abs_tol, rel_tol and max_depth
+reach only the Gauss integrals of `link` and `ampere` entries, since
+every other field a scene can declare is closed form, and
+min_distance_guard reaches the guard of every kind but `linelimit` and
+the shrinking panel, whose settings are built in.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -47,21 +52,20 @@ __all__ = ["SceneFile", "parse_scene_file", "parse_scene_dict", "parse_experimen
 
 SCENE_VERSION = 1
 
-_CONSTANT_KEYS = {"k_E", "k_B"}
-_QUADRATURE_KEYS = {"abs_tol", "rel_tol", "max_depth", "min_distance_guard"}
-
 _SCENE_KEYS = {"curve_c", "curve_l"}
 
+# kind -> (class, required fields, optional fields); the class takes a
+# curve's fields, or a surface's required ones, as keyword arguments
 _CURVE_KINDS = {
-    "circle": ({"center", "radius", "axis"}, {"orientation"}),
-    "polyline": ({"vertices"}, {"closed"}),
-    "rect_loop": ({"n"}, set()),
-    "composite": ({"parts"}, set()),
+    "circle": (Circle, {"center", "radius", "axis"}, {"orientation"}),
+    "polyline": (PolyLine, {"vertices"}, {"closed"}),
+    "rect_loop": (RectLoop, {"n"}, set()),
+    "composite": (CompositeCurve, {"parts"}, set()),
 }
 
 _SURFACE_KINDS = {
-    "planar_rect": ({"corner", "edge_a", "edge_b"}, {"mesh"}),
-    "disk": ({"center", "radius", "axis"}, {"mesh"}),
+    "planar_rect": (PlanarRect, {"corner", "edge_a", "edge_b"}, {"mesh"}),
+    "disk": (Disk, {"center", "radius", "axis"}, {"mesh"}),
 }
 
 _EXPERIMENT_KINDS = {
@@ -69,7 +73,7 @@ _EXPERIMENT_KINDS = {
     "lk": ({"scene"}, {"out"}),
     "ampere": (set(), {"scenes", "out"}),
     "linelimit": ({"n"}, {"out"}),
-    "similitude": ({"surface", "r", "h"}, {"mesh_sizes", "out"}),
+    "similitude": ({"r", "h"}, {"surface", "mesh_sizes", "out"}),
     "maxwell": ({"surface", "sigma", "points", "steps"}, {"dipole_separation", "out"}),
     "curl": ({"curve", "points", "steps"}, {"out"}),
     "field": ({"points"}, {"curve", "surface", "sigma", "out"}),
@@ -138,24 +142,16 @@ class SceneFile:
     def build_curve(self, name: str, _stack: tuple = ()):
         if name in _stack:
             raise SceneFormatError(f"curve {name!r}: circular composite reference")
-        spec = self.curves[name]
-        kind = spec["kind"]
-        if kind == "circle":
-            return Circle(spec["center"], spec["radius"], spec["axis"], spec["orientation"])
-        if kind == "polyline":
-            return PolyLine(spec["vertices"], closed=spec["closed"])
-        if kind == "rect_loop":
-            return RectLoop(spec["n"])
-        if kind == "composite":
-            parts = [self.build_curve(p, _stack + (name,)) for p in spec["parts"]]
-            return CompositeCurve(parts)
-        raise SceneFormatError(f"curve {name!r}: unknown kind {kind!r}")
+        args = dict(self.curves[name])
+        build = _CURVE_KINDS[args.pop("kind")][0]
+        if "parts" in args:
+            args["parts"] = [self.build_curve(p, _stack + (name,)) for p in args["parts"]]
+        return build(**args)
 
     def build_patch(self, name: str):
         spec = self.surfaces[name]
-        if spec["kind"] == "planar_rect":
-            return PlanarRect(spec["corner"], spec["edge_a"], spec["edge_b"])
-        return Disk(spec["center"], spec["radius"], spec["axis"])
+        build, required, _ = _SURFACE_KINDS[spec["kind"]]
+        return build(**{k: spec[k] for k in required})
 
     def build_mesh(self, name: str):
         spec = self.surfaces[name]
@@ -294,7 +290,7 @@ def _parse_kind(obj, kinds: dict, where, scene_file, fields=_FIELDS) -> dict:
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in kinds:
         raise SceneFormatError(f"{where}: unknown kind {kind!r}")
-    required, optional = kinds[kind]
+    required, optional = kinds[kind][-2:]
     parsed = _parse_fields(obj, required | {"kind"}, optional, where, scene_file, fields)
     return {"kind": kind, **parsed}
 
@@ -318,10 +314,9 @@ def parse_scene_dict(data) -> SceneFile:
     if version != SCENE_VERSION:
         raise SceneFormatError(f"unsupported scene file version {version}")
     sf = SceneFile(version)
-    sf.constants = _parse_fields(data.get("constants", {}), set(), _CONSTANT_KEYS, "constants", sf)
-    sf.quadrature = _parse_fields(
-        data.get("quadrature", {}), set(), _QUADRATURE_KEYS, "quadrature", sf
-    )
+    for block, settings in (("constants", FieldConstants), ("quadrature", QuadratureSpec)):
+        keys = {f.name for f in dataclasses.fields(settings)}
+        setattr(sf, block, _parse_fields(data.get(block, {}), set(), keys, block, sf))
     raw = {table: data.get(table, {}) for table in ("curves", "surfaces", "scenes")}
     for table, named in raw.items():
         if not isinstance(named, dict):

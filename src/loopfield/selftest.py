@@ -4,9 +4,11 @@ Used by the `selftest` CLI subcommand and by the pytest acceptance
 module.  Output lines contain only deterministic quantities (no timing),
 so repeated runs are byte-identical.
 
-`BUILTIN` and `INFINITESIMAL` hold the built-in parameter sets, each
-written once: the command line runs them when there is no --scene, and
-criteria 01 and 04-07 check them.
+`BUILTIN` is the built-in scene file: one schema-valid experiment entry
+per built-in run, each parameter written once.  The command line runs
+its entries when there is no --scene, and criteria 01 and 04-07 check
+them.  `INFINITESIMAL` is the panel that a `similitude` entry without a
+surface shrinks.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ def default_probe_points():
 
 _SQUARE = {"kind": "planar_rect", "corner": [0, 0, 0], "edge_a": [1, 0, 0], "edge_b": [0, 1, 0]}
 
-# One entry per kind; each names its geometry by the label it reports.
+# The built-in runs, in the order the command line runs them; each entry
+# names its geometry by the label it reports.  With no scenes, the ampere
+# entry runs the built-in catalog.
 BUILTIN = parse_scene_dict({
     "version": 1,
     "curves": {
@@ -67,6 +71,7 @@ BUILTIN = parse_scene_dict({
     "experiments": [
         {"kind": "ampere"},
         {"kind": "linelimit", "n": [2, 4, 8, 16, 32]},
+        {"kind": "similitude", "r": [0.0, 0.0, 2.0], "h": 1e-4},  # the shrinking panel
         {"kind": "similitude", "surface": "general_square", "r": [0.5, 0.5, 2.0], "h": 1e-4},
         {"kind": "maxwell", "surface": "square_sheet", "sigma": 1.0,
          "points": [[0.5, 0.5, 1.0], [0.2, 0.8, 0.9]], "steps": [2e-3, 1e-3]},
@@ -75,20 +80,21 @@ BUILTIN = parse_scene_dict({
     ],
 })
 
-# similitude_infinitesimal(base, a, b, r, eps_list, h): the unit square's
-# corner panel, shrinking
-INFINITESIMAL = (
-    (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 2.0),
-    [0.2, 0.1, 0.05, 0.025], 1e-4,
-)
+# similitude_infinitesimal's panel: the unit square's corner, shrinking
+INFINITESIMAL = {
+    "base": (0.0, 0.0, 0.0), "a": (1.0, 0.0, 0.0), "b": (0.0, 1.0, 0.0),
+    "eps_list": [0.2, 0.1, 0.05, 0.025],
+}
 
 
-def builtin_entry(kind: str) -> dict:
-    return next(e for e in BUILTIN.experiments if e["kind"] == kind)
+def _builtin(kind: str) -> list[dict]:
+    """BUILTIN's entries of one kind, in order."""
+    return [e for e in BUILTIN.experiments if e["kind"] == kind]
 
 
 def _c1_line_limit() -> CriterionResult:
-    report = line_limit_study(builtin_entry("linelimit")["n"])
+    (entry,) = _builtin("linelimit")
+    report = line_limit_study(entry["n"])
     last = report.detail[-1]
     tail = [r.a_far_legs for r in report.detail]
     monotone = all(b < a for a, b in zip(tail[:-1], tail[1:]))
@@ -126,7 +132,8 @@ def _c3_symmetry() -> CriterionResult:
 
 
 def _c4_similitude_infinitesimal() -> CriterionResult:
-    report = similitude_infinitesimal(*INFINITESIMAL)
+    panel, _ = _builtin("similitude")
+    report = similitude_infinitesimal(**INFINITESIMAL, r=panel["r"], h=panel["h"])
     return CriterionResult(
         "04",
         "infinitesimal similitude",
@@ -137,7 +144,7 @@ def _c4_similitude_infinitesimal() -> CriterionResult:
 
 
 def _c5_similitude_general() -> CriterionResult:
-    entry = builtin_entry("similitude")
+    _, entry = _builtin("similitude")
     patch = BUILTIN.build_patch(entry["surface"])
     report = similitude_general(patch, entry["r"], entry["h"], entry["mesh_sizes"])
     return CriterionResult(
@@ -154,7 +161,7 @@ def _step_label(step: float) -> str:
 
 
 def _c6_curl() -> CriterionResult:
-    entry = builtin_entry("curl")
+    (entry,) = _builtin("curl")
     report = curl_vanishing(BUILTIN.build_curve(entry["curve"]), entry["points"], entry["steps"])
     small = min(entry["steps"])
     worst = max(r.curl_norm for r in report.point_rows if r.step == small)
@@ -169,7 +176,7 @@ _DISK_PROBE_POINTS = ((0.0, 0.0, 1.5), (0.3, -0.2, 1.2))
 
 
 def _c7_maxwell() -> CriterionResult:
-    entry = builtin_entry("maxwell")
+    (entry,) = _builtin("maxwell")
     steps = entry["steps"]
     rep_square = maxwell_probe(
         BUILTIN.build_patch(entry["surface"]), entry["sigma"], entry["points"], steps,

@@ -396,6 +396,49 @@ def test_every_scene_kind_has_a_runner():
     assert set(cli._KINDS) == set(scenefile._EXPERIMENT_KINDS)
 
 
+@pytest.mark.parametrize("kind", ["ampere", "similitude", "maxwell", "curl"])
+def test_builtin_runs_are_the_builtin_scene_file(kind, tmp_path):
+    # with no --scene a subcommand runs the entries of selftest.BUILTIN,
+    # exactly as it runs any file's
+    from loopfield.selftest import BUILTIN
+
+    path = tmp_path / "builtin.json"
+    path.write_text(BUILTIN.to_json())
+    plain, scened = tmp_path / "plain.csv", tmp_path / "scened.csv"
+    assert _run_in_process([kind, "--out", str(plain)])[0] == 0
+    assert _run_in_process([kind, "--scene", str(path), "--out", str(scened)])[0] == 0
+    for suffix in (".csv", ".json"):
+        assert plain.with_suffix(suffix).read_bytes() == scened.with_suffix(suffix).read_bytes()
+
+
+def test_ampere_in_a_file_without_scenes_runs_the_builtin_catalog(tmp_path):
+    # it once passed vacuously: exit 0 with a header and no rows
+    path = tmp_path / "no_scenes.json"
+    path.write_text(json.dumps({"version": 1, "experiments": [{"kind": "ampere"}]}))
+    code, stdout, stderr = _run_in_process(["run", "--scene", str(path)])
+    assert code == 0, stderr
+    lines = stdout.splitlines()
+    assert lines[0] == "scene_id,A,Lk,abs_diff,pass" and len(lines) == 7
+    assert stdout == _run_in_process(["ampere"])[1]
+
+
+def test_a_composite_whose_parts_jump_is_refused(tmp_path):
+    scene = json.loads((SCENES / "hopf.json").read_text())
+    # link exited 3 (NoConvergence), and lk printed Lk = 0
+    scene["curves"].update(
+        inward={"kind": "polyline", "vertices": [[3, 0, 0.5], [2, 0, 0.25], [1.000000001, 0, 0]],
+                "closed": False},
+        outside={"kind": "polyline", "vertices": [[3, 0, -0.5], [3, 0, 0], [3, 0, 0.5]], "closed": False},
+        jumping={"kind": "composite", "parts": ["inward", "outside"]},
+    )
+    scene["scenes"]["hopf"]["curve_c"] = "jumping"
+    path = tmp_path / "jumping.json"
+    path.write_text(json.dumps(scene))
+    for kind in ("link", "lk"):
+        code, _, stderr = _run_in_process([kind, "--scene", str(path)])
+        assert code == 2 and "curve_c must be" in stderr, stderr
+
+
 def test_run_without_out_writes_csv_to_stdout(tmp_path):
     scene = {"version": 1, "experiments": [{"kind": "linelimit", "n": [2, 3]}]}
     path = tmp_path / "limit.json"
@@ -563,7 +606,10 @@ def test_cli_fuzz_never_crashes(data):
     with tempfile.TemporaryDirectory() as tmp:
         scene = Path(tmp) / "fuzz.json"
         entries = data.draw(st.lists(_experiment(), min_size=1, max_size=2))
-        scene.write_text(json.dumps(dict(_FUZZ_SCENE, experiments=entries)))
+        scene_dict = dict(_FUZZ_SCENE, experiments=entries)
+        if data.draw(st.booleans()):
+            del scene_dict["scenes"]  # ampere then runs the built-in catalog
+        scene.write_text(json.dumps(scene_dict))
         if data.draw(st.booleans()):
             argv = ["run", "--scene", str(scene)]
         else:
@@ -578,3 +624,19 @@ def test_cli_fuzz_never_crashes(data):
     assert "Traceback" not in stderr
     if code in (2, 3):
         assert stderr.count("\n") == 1 and stderr.endswith("\n"), (argv, entries, stderr)
+
+
+def test_a_field_beyond_the_float_range_is_a_numerical_error(tmp_path):
+    # sigma 1e308 overflows the sheet field; the output once held inf,
+    # after a numpy warning on stderr
+    scene = json.loads((SCENES / "square_sheet.json").read_text())
+    maxwell = next(e for e in scene["experiments"] if e["kind"] == "maxwell")
+    scene["experiments"] = [dict(maxwell, sigma=1e308, out=str(tmp_path / "maxwell.csv"))]
+    path = tmp_path / "huge_sigma.json"
+    path.write_text(json.dumps(scene))
+    field = ["field", "--scene", str(path), "--surface", "sheet", "--sigma=1e308",
+             "--points=0.5,0.5,0.01"]
+    for argv in (field, ["maxwell", "--scene", str(path)], ["run", "--scene", str(path)]):
+        code, stdout, stderr = _run_in_process(argv)
+        assert code == 3 and stdout == "", (argv, stderr)
+        assert stderr.startswith("numerical error: overflow") and stderr.count("\n") == 1, stderr

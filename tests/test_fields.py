@@ -106,6 +106,11 @@ def test_near_singular_names_the_distance_guard_and_source_kind():
     with pytest.raises(NearSingular, match="^field point within guard distance of a panel center$") as raised:
         dipole_mesh_field(mesh_surface(patch, 1, 1), DipoleSheetSpec(1.0, 1e-3), (0.5, 0.5, 1e-12), UNIT)
     assert (raised.value.kind, raised.value.distance, raised.value.guard) == ("mesh", 1e-12, 1e-9)
+    # of many points, the first inside the guard
+    points = [(0.0, 0.0, 2.0), (0.5, 0.5, 2e-12), (0.5, 0.5, 1e-12)]
+    with pytest.raises(NearSingular, match="^field point within guard distance of a panel center$") as raised:
+        dipole_mesh_field(mesh_surface(patch, 1, 1), DipoleSheetSpec(1.0, 1e-3), points, UNIT)
+    assert (raised.value.kind, raised.value.distance, raised.value.guard) == ("mesh", 2e-12, 1e-9)
 
 
 def test_prefactor_linearity():
@@ -1082,6 +1087,17 @@ def test_sheet_fields_batch_match_one_point_at_a_time(name, points, sigma):
         sheets = [np.linalg.norm(coulomb_surface_field(patch, sigma, points + s), axis=1) for s in (shift, -shift)]
         _assert_rows_match(batch, rows, _BATCH_ULPS[name], sheets[0] + sheets[1])
         assert not batch[far].any()
+
+
+@given(points=st.lists(_NEAR_POINTS, min_size=1, max_size=8).map(np.array))
+def test_dipole_mesh_field_batch_matches_one_point_at_a_time(points):
+    # near points only: the dipole sum has no far-field cut-off, and its
+    # squares overflow beyond about 1e154
+    mesh = mesh_surface(_PATCHES["rect"], 3, 4)
+    layer = DipoleSheetSpec(0.7, 0.25)
+    batch, rows = _batch_and_rows(lambda x: dipole_mesh_field(mesh, layer, x, UNIT), points)
+    if batch is not None:
+        _assert_rows_match(batch, rows, 0)
 
 
 def test_one_point_in_the_guard_fails_the_whole_batch():

@@ -248,6 +248,24 @@ def test_open_curve_rejected():
         gauss_linking(LinkScene(arc, unit_circle()))
 
 
+def test_a_composite_whose_parts_jump_is_not_closed():
+    # the first part ends 1e-9 from the unit ring, the second starts 2 from
+    # it; only the first start and the last end meet.  Taken as closed,
+    # the guard read 0.0205 and the integral did not converge
+    jumping = CompositeCurve([
+        PolyLine([(3, 0, 0.5), (2, 0, 0.25), (1 + 1e-9, 0, 0)]),
+        PolyLine([(3, 0, -0.5), (3, 0, 0), (3, 0, 0.5)]),
+    ])
+    assert not jumping.closed
+    with pytest.raises(ValueError, match="curve_c must be a closed curve"):
+        LinkScene(jumping, unit_circle()).validate()
+    with pytest.raises(ValueError, match="curve_c must be closed"):
+        combinatorial_lk(jumping, unit_disk_mesh())
+    # the same legs joined end to start form a closed composite
+    joined = CompositeCurve([jumping.parts[0], PolyLine([(1 + 1e-9, 0, 0), (3, 0, 0.5)])])
+    assert joined.closed
+
+
 # ---------------------------------------------------------------------------
 # Closest approach and the guard
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from loopfield import Circle, LinkScene, SceneFormatError
-from loopfield.scenefile import parse_scene_dict, parse_scene_file
+from loopfield.scenefile import parse_experiment, parse_scene_dict, parse_scene_file
+from loopfield.selftest import BUILTIN
 
 SCENES_DIR = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -59,9 +60,7 @@ def test_round_trip_is_identical():
     assert again.to_dict() == sf.to_dict()
 
 
-@pytest.mark.parametrize("path", sorted(SCENES_DIR.glob("*.json")))
-def test_shipped_scene_files_round_trip(path):
-    sf = parse_scene_file(path)
+def _assert_round_trips_and_builds(sf):
     again = parse_scene_dict(json.loads(sf.to_json()))
     assert sf == again
     for name in sf.scenes:
@@ -70,6 +69,32 @@ def test_shipped_scene_files_round_trip(path):
         sf.build_curve(name)
     for name in sf.surfaces:
         sf.build_mesh(name)
+
+
+@pytest.mark.parametrize("path", sorted(SCENES_DIR.glob("*.json")))
+def test_shipped_scene_files_round_trip(path):
+    _assert_round_trips_and_builds(parse_scene_file(path))
+
+
+def test_builtin_scene_file_round_trips():
+    # the command line's built-in runs are ordinary, schema-valid entries
+    _assert_round_trips_and_builds(BUILTIN)
+    for k, entry in enumerate(BUILTIN.experiments):
+        assert parse_experiment(entry, f"experiments[{k}]", BUILTIN) == entry
+    assert [e["kind"] for e in BUILTIN.experiments] == [
+        "ampere", "linelimit", "similitude", "similitude", "maxwell", "curl"
+    ]
+
+
+def test_similitude_surface_is_optional_but_r_and_h_are_not():
+    data = {"version": 1, "experiments": [{"kind": "similitude", "r": [0, 0, 2], "h": 1e-4}]}
+    (panel,) = parse_scene_dict(data).experiments
+    assert "surface" not in panel
+    for key in ("r", "h"):
+        entry = {"kind": "similitude", "r": [0, 0, 2], "h": 1e-4}
+        del entry[key]
+        with pytest.raises(SceneFormatError, match=f"missing fields \\['{key}'\\]"):
+            parse_scene_dict({"version": 1, "experiments": [entry]})
 
 
 def test_version_must_match():
