@@ -607,21 +607,30 @@ def dipole_mesh_field(
     boundary term, and on curved patches the parallelogram area vectors
     carry an O(1/M) net defect that the cell-boundary areas cancel by
     telescoping.  A point within 1e-9 minimum edge lengths of a cell's
-    centre raises NearSingular, which names the first such point.
+    centre raises NearSingular, which names the first such point; beyond
+    about 1e100 mesh sizes the field is zero.
     """
     points, single = as_points(x)
     areas = mesh.cell_vector_areas.reshape(-1, 3)
     anchors = mesh.cell_centers.reshape(-1, 3)
-    nearest = np.linalg.norm(points[:, None, :] - anchors, axis=2).min(axis=1)
+    # as in _beyond_reach, decided without the distances, whose squares
+    # and cubes overflow; every node, and so every anchor, lies within
+    # size of the first node (a whole-array max, far cheaper than a box)
+    corner = mesh.nodes[0, 0]
+    size = math.sqrt(3.0) * float(np.abs(mesh.nodes - corner).max())
+    far = np.hypot.reduce(points - corner, axis=1) > (_FAR + 1.0) * size
+    near = ~far if far.any() else slice(None)
+    nearest = np.linalg.norm(points[near, None, :] - anchors, axis=2).min(axis=1)
     guard = 1e-9 * mesh.min_edge_length()
-    if nearest.min() <= guard:
+    if nearest.min(initial=math.inf) <= guard:
         raise NearSingular(
             "field point within guard distance of a panel center",
             distance=float(nearest[nearest <= guard][0]),
             guard=guard,
             kind="mesh",
         )
-    field = consts.k_E * dp.separation * dp.sigma * point_dipole_field(anchors, areas, points)
+    prefactor = consts.k_E * dp.separation * dp.sigma
+    field = _within_reach(lambda p: prefactor * point_dipole_field(anchors, areas, p), points, far)
     return field[0] if single else field
 
 

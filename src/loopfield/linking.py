@@ -4,8 +4,9 @@
   quadrature; with k_B = 1/(4*pi) it equals the circulation of the
   Biot-Savart field of one loop around the other.  That field is summed
   in closed form over the loop's polyline and circle leaves, and only
-  the circulation is integrated; a bare circle still takes the 2-D
-  double integral.
+  the circulation is integrated, from first cells graded toward the
+  closest approach that validation certified; a bare circle still takes
+  the 2-D double integral.
 * combinatorial_lk counts signed transversal crossings of one loop
   through a panel mesh spanning the other, split into triangles.
 
@@ -18,7 +19,10 @@ touch, so LinkScene.validate guards it: curve_min_distance brackets the
 closest approach with a certified lower bound, and a pair is refused
 whenever that bound is within the guard distance.  Every pair that comes
 within the guard is refused; every pair that stays beyond twice the
-guard is accepted.
+guard is accepted.  The accepted approach then places the circulation's
+breakpoints: cells shrink geometrically toward curve_l's point nearest
+it, in the spirit of QUADPACK's QAGP (Piessens et al. 1983), so a gap
+just beyond the guard is resolved in a few refinement levels.
 """
 
 from __future__ import annotations
@@ -69,6 +73,11 @@ _CHUNK = 1024
 # either curve; every gap's bound gives it up, and a gap whose Lipschitz
 # slack L*h falls below it can no longer be decided by splitting
 _ROUNDING = 2.0**-44
+
+# samples per round of the scan for curve_l's parameter nearest the
+# approach; each round spans the two sample steps around the last round's
+# nearest sample
+_SCAN = 65
 
 
 class Approach(NamedTuple):
@@ -197,13 +206,16 @@ class LinkScene:
     spanning_mesh: Optional[SurfaceMesh] = None
     name: str = ""
 
-    def validate(self, spec: QuadratureSpec = QuadratureSpec()) -> None:
+    def validate(self, spec: QuadratureSpec = QuadratureSpec()) -> Approach:
+        """The certified closest approach of curve_c to curve_l, t on
+        curve_c; raises CurvesTooClose when it is within the guard."""
         for label, curve in (("curve_c", self.curve_c), ("curve_l", self.curve_l)):
             if not curve.closed:
                 raise ValueError(f"{label} must be a closed curve")
         scale = bounding_box_diagonal([self.curve_c, self.curve_l])
         guard = spec.resolve_guard(scale)
-        lower, upper, at = curve_min_distance(self.curve_c, self.curve_l, guard)
+        approach = curve_min_distance(self.curve_c, self.curve_l, guard)
+        lower, upper, at = approach
         if lower <= guard:
             raise CurvesTooClose(
                 f"curves approach within {upper:g} (guard {guard:g})",
@@ -214,6 +226,7 @@ class LinkScene:
             )
         if self.spanning_mesh is not None:
             self._validate_mesh(scale)
+        return approach
 
     def _validate_mesh(self, scale: float) -> None:
         boundary = mesh_boundary(self.spanning_mesh)
@@ -233,11 +246,57 @@ class LinkScene:
         return LinkScene(self.curve_l, self.curve_c, None, name=self.name + "_swapped")
 
 
+def _nearest_parameter(curve: Curve, point: np.ndarray, width: float) -> float:
+    """The curve's parameter nearest the point, to within width and
+    modulo its span: rounds of _SCAN positions, each over the two sample
+    steps around the previous round's nearest sample."""
+    span = curve.t_end - curve.t_start
+    low, high = curve.t_start, curve.t_end
+    while True:
+        ts = np.linspace(low, high, _SCAN)
+        off = curve.position(curve.t_start + np.mod(ts - curve.t_start, span)) - point
+        near = float(ts[np.argmin(np.einsum("ij,ij->i", off, off))])
+        step = (high - low) / (_SCAN - 1)
+        if step <= width:
+            return near
+        low, high = near - step, near + step
+
+
+def _graded_cuts(curve_c: Curve, curve_l: Curve, approach: Optional[Approach]) -> tuple[float, ...]:
+    """curve_l's smooth cuts, and cuts at s* +- w * 4^k below half its
+    span, modulo the span: s* its parameter nearest curve_c(approach.t),
+    w = approach.upper / curve_l's largest speed.  A cut within w / 2 of
+    another gives way, a smooth cut to none.  No cut is added without an
+    approach, or for one at least curve_l's bounding-box diagonal away
+    (or at distance 0, where no grading ends)."""
+    cuts = curve_l.smooth_cuts()
+    if approach is None or not 0.0 < approach.upper < bounding_box_diagonal([curve_l]):
+        return cuts
+    width = approach.upper / _max_speed(curve_l)
+    span = curve_l.t_end - curve_l.t_start
+    offsets = [width]
+    while offsets[-1] < 0.5 * span:
+        offsets.append(4.0 * offsets[-1])
+    offsets = np.array(offsets[:-1])
+    if not offsets.size:
+        return cuts
+    near = _nearest_parameter(curve_l, curve_c.position(approach.t), width)
+    graded = near + np.concatenate((-offsets, offsets))
+    graded = curve_l.t_start + np.mod(graded - curve_l.t_start, span)
+    every = np.concatenate((cuts, graded))
+    order = np.argsort(every, kind="stable")
+    every = every[order]
+    room = np.diff(every, prepend=-math.inf, append=math.inf)
+    apart = np.minimum(room[:-1], room[1:]) > 0.5 * width
+    return tuple(every[(order < len(cuts)) | apart].tolist())
+
+
 def gauss_pair_integral(
     curve_c: Curve,
     curve_l: Curve,
     consts: FieldConstants = FieldConstants(),
     spec: QuadratureSpec = QuadratureSpec(),
+    approach: Optional[Approach] = None,
 ) -> tuple[float, float]:
     """Gauss double integral over an arbitrary pair of curve pieces.
 
@@ -248,25 +307,30 @@ def gauss_pair_integral(
     over the full parameter rectangle.  The inner integral is curve_c's
     field, which curve_field sums in closed form over its PolyLine and
     Circle leaves, so the result is the circulation k_B * integral of
-    B_C . dl: one 1-D quadrature over curve_l's smooth pieces.  Only a
-    bare Circle source still takes one 2-D quadrature, whose first cells
-    are the products of both curves' smooth pieces, so every cell sees a
-    smooth integrand.  Its numerator is expanded about the circle's
-    centre o as dm . ((l - o) x dl) + ((m - o) x dm) . dl, whose cross
-    products are cached with each set of nodes, so a cell takes one
-    matrix product of its nodes' terms.  No closedness is required, which
+    B_C . dl: one 1-D quadrature over curve_l's smooth pieces.  With
+    approach, the result of curve_min_distance(curve_c, curve_l, guard),
+    the first cells also shrink geometrically toward curve_l's point
+    nearest the approach, down to the gap (_graded_cuts), so a gap of a
+    few guards takes a few refinement levels rather than max_depth;
+    without one, or for a gap at least curve_l's bounding-box diagonal,
+    they are its smooth pieces.  Only a bare Circle source still takes
+    one 2-D quadrature, whose first cells are the products of both
+    curves' smooth pieces, so every cell sees a smooth integrand.  Its
+    numerator is expanded about the circle's centre o as
+    dm . ((l - o) x dl) + ((m - o) x dm) . dl, whose cross products are
+    cached with each set of nodes, so a cell takes one matrix product of
+    its nodes' terms.  No closedness is required, which
     lets limit studies integrate over sub-arcs.  Returns (value,
     error_estimate), the estimate being the quadrature's.  A source with
     no closed-form field raises TypeError.
     """
-    cuts_s = curve_l.smooth_cuts()
     if not isinstance(curve_c, Circle):
 
         def circulation(ss):
             field = curve_field(curve_c, curve_l.position(ss))
             return np.einsum("ij,ij->i", field, curve_l.tangent(ss))
 
-        value, err = integrate_1d(circulation, cuts_s, spec)
+        value, err = integrate_1d(circulation, _graded_cuts(curve_c, curve_l, approach), spec)
     else:
         # A Circle has a closed form too, but the benchmark's span test pins
         # a circle-circle pair to one integrate_2d call with 8x8 nodes per
@@ -301,7 +365,7 @@ def gauss_pair_integral(
             inv_r3 = np.einsum("ijk,ijk->ij", rel, rel) ** -1.5
             return (terms_c @ terms_l.T) * inv_r3
 
-        value, err = integrate_2d(integrand, (curve_c.smooth_cuts(), cuts_s), spec)
+        value, err = integrate_2d(integrand, (curve_c.smooth_cuts(), curve_l.smooth_cuts()), spec)
     return consts.k_B * float(value), abs(consts.k_B) * err
 
 
@@ -310,9 +374,11 @@ def gauss_linking(
     consts: FieldConstants = FieldConstants(),
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> tuple[float, float]:
-    """Gauss linking integral of a validated scene; (value, error_estimate)."""
-    scene.validate(spec)
-    return gauss_pair_integral(scene.curve_c, scene.curve_l, consts, spec)
+    """Gauss linking integral of a validated scene; (value, error_estimate).
+    The approach that validation certifies grades the quadrature's first
+    cells."""
+    approach = scene.validate(spec)
+    return gauss_pair_integral(scene.curve_c, scene.curve_l, consts, spec, approach)
 
 
 def sample_closed_polyline(curve: Curve, max_edge: float) -> np.ndarray:

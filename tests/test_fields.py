@@ -1089,15 +1089,26 @@ def test_sheet_fields_batch_match_one_point_at_a_time(name, points, sigma):
         assert not batch[far].any()
 
 
-@given(points=st.lists(_NEAR_POINTS, min_size=1, max_size=8).map(np.array))
+@given(points=_BATCHES)
 def test_dipole_mesh_field_batch_matches_one_point_at_a_time(points):
-    # near points only: the dipole sum has no far-field cut-off, and its
-    # squares overflow beyond about 1e154
     mesh = mesh_surface(_PATCHES["rect"], 3, 4)
     layer = DipoleSheetSpec(0.7, 0.25)
     batch, rows = _batch_and_rows(lambda x: dipole_mesh_field(mesh, layer, x, UNIT), points)
     if batch is not None:
         _assert_rows_match(batch, rows, 0)
+        assert not batch[np.abs(points).max(axis=1) >= 1e299].any()
+
+
+def test_dipole_mesh_field_is_zero_beyond_reach():
+    # the dipole sum's squares and cubes overflowed there, with a warning
+    mesh = mesh_surface(PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0)), 3, 3)
+    layer = DipoleSheetSpec(1.0, 1e-3)
+    for x in ((1e120, 0.0, 0.0), (1e300, 0.0, 0.0)):
+        assert not dipole_mesh_field(mesh, layer, x).any()
+    # a point within reach keeps its value beside a far one
+    near = (0.3, 0.4, 2.0)
+    both = dipole_mesh_field(mesh, layer, [near, (1e300, 0.0, 0.0)])
+    assert np.array_equal(both, [dipole_mesh_field(mesh, layer, near), np.zeros(3)])
 
 
 def test_one_point_in_the_guard_fails_the_whole_batch():
