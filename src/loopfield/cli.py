@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import functools
 import io
 import json
@@ -64,23 +65,9 @@ def _fmt(value) -> str:
 
 
 def _csv_lines(header: list[str], rows: list[list]) -> str:
-    return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(map(_fmt, row) for row in [header, *rows])
+    return text.getvalue()
 
 
 def _emit(csv_text: str, record: dict, out: str | None) -> None:
@@ -91,7 +78,8 @@ def _emit(csv_text: str, record: dict, out: str | None) -> None:
             fh.write(csv_text)
         json_path = path.with_suffix(".json")
         with open(json_path, "w", newline="\n") as fh:
-            json.dump(_jsonable(record), fh, indent=2, sort_keys=True)
+            # numpy scalars and arrays as Python numbers and lists
+            json.dump(record, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
             fh.write("\n")
         print(f"wrote {path} and {json_path}", file=sys.stderr)
     else:
@@ -108,15 +96,7 @@ def _study(label: str, report, rows: list, summary: str):
     """Result of a convergence study: its rows, its record under its label."""
     print(f"{label}: {summary}", file=sys.stderr)
     record = {
-        "rows": [
-            {
-                "scale_parameter": r.scale_parameter,
-                "measured": r.measured,
-                "reference": r.reference,
-                "abs_error": r.abs_error,
-            }
-            for r in report.rows
-        ],
+        "rows": [vars(r) for r in report.rows],
         "fitted_order": report.fitted_order,
         "passed": report.passed,
         "notes": list(report.notes),

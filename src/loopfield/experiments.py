@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -191,16 +191,15 @@ class ProbeRow:
     floor: float
 
 
-def _probe_field(field, probe_points, steps):
+def _probe_field(field, point, steps):
+    p = as_vec3(point, "probe point")
     rows = []
-    for point in probe_points:
-        p = as_vec3(point, "probe point")
-        for step in steps:
-            curl, div = differential_probe(field, p, float(step))
-            # PROBE_SPEC's, whatever spec the field has: a looser one
-            # would lift the floor and skip the step-halving checks
-            floor = 3.0 * PROBE_SPEC.abs_tol / float(step)
-            rows.append(ProbeRow(p, float(step), float(np.linalg.norm(curl)), abs(div), floor))
+    for step in steps:
+        curl, div = differential_probe(field, p, float(step))
+        # PROBE_SPEC's, whatever spec the field has: a looser one
+        # would lift the floor and skip the step-halving checks
+        floor = 3.0 * PROBE_SPEC.abs_tol / float(step)
+        rows.append(ProbeRow(p, float(step), float(np.linalg.norm(curl)), abs(div), floor))
     return rows
 
 
@@ -221,7 +220,7 @@ def curl_vanishing(
     curve,
     probe_points: Sequence,
     steps: Sequence[float],
-    consts: Optional[FieldConstants] = None,
+    consts: FieldConstants = FieldConstants(),
     spec: QuadratureSpec = PROBE_SPEC,
 ) -> ConvergenceReport:
     """Finite-difference curl of the loop field at points off the curve.
@@ -232,7 +231,6 @@ def curl_vanishing(
     floor, 3 * PROBE_SPEC.abs_tol / step.  The divergence is probed with the same stencil
     as a bonus check.
     """
-    consts = consts or FieldConstants()
 
     def field(p):
         return biot_savart(curve, p, consts, spec)
@@ -240,7 +238,7 @@ def curl_vanishing(
     small = min(float(s) for s in steps)
     probe_rows, passed = [], True
     for p in probe_points:
-        mine = _probe_field(field, [p], steps)
+        mine = _probe_field(field, p, steps)
         finest = [r for r in mine if r.step == small]
         if any(r.curl_norm > 1e-5 or r.div_norm > 1e-5 for r in finest) or not _ratio_ok(mine):
             passed = False
@@ -258,7 +256,7 @@ def maxwell_probe(
     sigma: float,
     probe_points: Sequence,
     steps: Sequence[float],
-    consts: Optional[FieldConstants] = None,
+    consts: FieldConstants = FieldConstants(),
     spec: QuadratureSpec = PROBE_SPEC,
     dipole_separation: float = 1e-3,
 ) -> ConvergenceReport:
@@ -273,7 +271,6 @@ def maxwell_probe(
     probed, and fails the report: it is not off the support.  A curved
     patch, which has no dipole layer, raises ValueError.
     """
-    consts = consts or FieldConstants()
     normal = patch.constant_normal()
     if normal is None:
         raise ValueError("the dipole layer needs a flat patch")
@@ -299,7 +296,7 @@ def maxwell_probe(
                 )
                 continue
             try:
-                point_rows = _probe_field(field_fn, [p], steps)
+                point_rows = _probe_field(field_fn, p, steps)
             except NearSingular as exc:
                 notes.append(f"{kind} probe at {p.tolist()} skipped: {exc}")
                 continue
@@ -402,7 +399,7 @@ class CatalogRow:
     scene_id: str
     gauss_value: float
     error_estimate: float
-    lk: Optional[int]
+    lk: int | None
     abs_diff: float
     passed: bool
     note: str = ""
@@ -411,14 +408,13 @@ class CatalogRow:
 def ampere_catalog(
     scenes: Sequence[LinkScene],
     spec: QuadratureSpec = QuadratureSpec(),
-    consts: Optional[FieldConstants] = None,
+    consts: FieldConstants = FieldConstants(),
 ) -> list[CatalogRow]:
     """Gauss integral vs combinatorial count for every scene.
 
     A row passes when |A - Lk| <= 1e-4 + error estimate.  Per-scene
     failures are recorded in the row instead of aborting the batch.
     """
-    consts = consts or FieldConstants()
     rows = []
     for scene in scenes:
         sid = scene.name or f"scene{len(rows)}"

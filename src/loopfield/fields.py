@@ -107,10 +107,10 @@ class DipoleSheetSpec:
 _FAR = 1e100
 
 
-def _beyond_reach(source, points, spec: QuadratureSpec, what: str) -> np.ndarray:
-    """Which of the (n, 3) points lie beyond _FAR source sizes (their
-    field is then zero); raises NearSingular if any lies within the guard
-    distance of the source, naming the first."""
+def _guarded(source, field, points, spec: QuadratureSpec, what: str) -> np.ndarray:
+    """field(points) of the (n, 3) points, zero at those beyond _FAR source
+    sizes, which field never sees; raises NearSingular if any point lies
+    within the guard distance of the source, naming the first."""
     lo, hi = source.bounding_box()
     span = hi - lo
     scale = math.sqrt(span @ span)
@@ -132,7 +132,7 @@ def _beyond_reach(source, points, spec: QuadratureSpec, what: str) -> np.ndarray
             kind=what,
         )
     far[near] = dist > _FAR * scale
-    return far
+    return _within_reach(field, points, far)
 
 
 def _within_reach(field, points, far) -> np.ndarray:
@@ -512,8 +512,7 @@ def biot_savart(
     beyond 1e100 times its bounding-box diagonal the field is zero.
     """
     points, single = as_points(x)
-    far = _beyond_reach(curve, points, spec, "curve")
-    field = _within_reach(lambda p: consts.k_B * curve_field(curve, p), points, far)
+    field = _guarded(curve, lambda p: consts.k_B * curve_field(curve, p), points, spec, "curve")
     return field[0] if single else field
 
 
@@ -547,8 +546,7 @@ def coulomb_surface_field(
     if sigma == 0.0:
         field = np.zeros(points.shape)
     else:
-        far = _beyond_reach(patch, points, spec, "sheet")
-        field = _within_reach(lambda p: consts.k_E * sigma * sheet(p), points, far)
+        field = _guarded(patch, lambda p: consts.k_E * sigma * sheet(p), points, spec, "sheet")
     return field[0] if single else field
 
 
@@ -586,8 +584,7 @@ def dipole_sheet_field_exact(
         shift = 0.5 * dp.separation * normal
         # x - s n and x + s n of each point side by side, in the order the guard checks them
         seen = np.stack((points - shift, points + shift), axis=1).reshape(-1, 3)
-        far = _beyond_reach(patch, seen, spec, "sheet")
-        sheets = _within_reach(sheet, seen, far).reshape(-1, 2, 3)
+        sheets = _guarded(patch, sheet, seen, spec, "sheet").reshape(-1, 2, 3)
         field = consts.k_E * dp.sigma * (sheets[:, 0] - sheets[:, 1])
     return field[0] if single else field
 
@@ -611,26 +608,32 @@ def dipole_mesh_field(
     about 1e100 mesh sizes the field is zero.
     """
     points, single = as_points(x)
-    areas = mesh.cell_vector_areas.reshape(-1, 3)
-    anchors = mesh.cell_centers.reshape(-1, 3)
-    # as in _beyond_reach, decided without the distances, whose squares
+    # as in _guarded, decided without the distances, whose squares
     # and cubes overflow; every node, and so every anchor, lies within
     # size of the first node (a whole-array max, far cheaper than a box)
     corner = mesh.nodes[0, 0]
     size = math.sqrt(3.0) * float(np.abs(mesh.nodes - corner).max())
     far = np.hypot.reduce(points - corner, axis=1) > (_FAR + 1.0) * size
     near = ~far if far.any() else slice(None)
-    nearest = np.linalg.norm(points[near, None, :] - anchors, axis=2).min(axis=1)
-    guard = 1e-9 * mesh.min_edge_length()
+    # the rest in units of a power of two near size, exactly: out to _FAR
+    # sizes the squares and cubes of the distances stay in range
+    unit = math.ldexp(1.0, math.frexp(size)[1])
+    scaled = points / unit
+    anchors = mesh.cell_centers.reshape(-1, 3) / unit
+    areas = mesh.cell_vector_areas.reshape(-1, 3) / unit / unit
+    nearest = np.linalg.norm(scaled[near, None, :] - anchors, axis=2).min(axis=1)
+    guard = 1e-9 * mesh.min_edge_length() / unit
     if nearest.min(initial=math.inf) <= guard:
         raise NearSingular(
             "field point within guard distance of a panel center",
-            distance=float(nearest[nearest <= guard][0]),
-            guard=guard,
+            distance=unit * float(nearest[nearest <= guard][0]),
+            guard=unit * guard,
             kind="mesh",
         )
     prefactor = consts.k_E * dp.separation * dp.sigma
-    field = _within_reach(lambda p: prefactor * point_dipole_field(anchors, areas, p), points, far)
+    field = _within_reach(
+        lambda p: prefactor * (point_dipole_field(anchors, areas, p) / unit), scaled, far
+    )
     return field[0] if single else field
 
 

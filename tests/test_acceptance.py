@@ -196,19 +196,18 @@ def test_criterion_9_taylor_probe():
     )
 
 
+def _no_integrals(*args, **kwargs):
+    raise AssertionError("the integrator was called")
+
+
 def test_criterion_10_route_independence(monkeypatch):
-    import loopfield.fields as fields
     import loopfield.linking as linking
+    import loopfield.quadrature as quadrature
 
     partner = Circle((1, 0, 0), 1.0, (0, 1, 0), "ccw")
 
-    # the combinatorial route must never integrate
-    def no_integrals(*args, **kwargs):
-        raise AssertionError("combinatorial route called the integrator")
-
-    for module in (linking, fields):
-        monkeypatch.setattr(module, "integrate_1d", no_integrals)
-        monkeypatch.setattr(module, "integrate_2d", no_integrals)
+    # the combinatorial route must never run the routine behind both integrators
+    monkeypatch.setattr(quadrature, "_integrate", _no_integrals)
     lk = combinatorial_lk(partner, unit_disk_mesh())
     monkeypatch.undo()
 
@@ -228,15 +227,31 @@ def test_criterion_10_route_independence(monkeypatch):
     )
 
 
+def test_poisoned_integrator_reaches_every_integral_route(monkeypatch):
+    import loopfield.quadrature as quadrature
+    from loopfield.linking import LinkScene, gauss_linking
+
+    partner = Circle((1, 0, 0), 1.0, (0, 1, 0), "ccw")
+    monkeypatch.setattr(quadrature, "_integrate", _no_integrals)
+    # a circle source (2-D quadrature) and a polygon source (1-D)
+    for source in (partner, RectLoop(8)):
+        with pytest.raises(AssertionError, match="integrator was called"):
+            gauss_pair_integral(source, unit_circle())
+    # a polygon source with the cuts graded toward the closest approach
+    scene = LinkScene(RectLoop(8), unit_circle(), unit_disk_mesh())
+    with pytest.raises(AssertionError, match="integrator was called"):
+        gauss_linking(scene)
+    assert combinatorial_lk(partner, unit_disk_mesh()) == 1
+
+
 @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
 def test_selftest_poisoning_restores_every_name(raises):
-    import loopfield.fields as fields
     import loopfield.linking as linking
+    import loopfield.quadrature as quadrature
     from loopfield.selftest import _poisoned
 
     # every name criterion 10 poisons
-    targets = [(module, f"integrate_{d}d") for module in (linking, fields) for d in (1, 2)]
-    targets.append((linking, "segment_crossings"))
+    targets = [(quadrature, "_integrate"), (linking, "segment_crossings")]
     before = [getattr(module, name) for module, name in targets]
 
     with pytest.raises(KeyError) if raises else contextlib.nullcontext():

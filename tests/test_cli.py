@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -283,6 +285,19 @@ def test_python_dash_m_loopfield_runs_the_cli():
     assert result.stdout == run_cli(*argv).stdout
 
 
+def test_shipped_outputs_tool_writes_every_output(tmp_path):
+    tool = REPO / "tools" / "shipped_outputs.py"
+    result = subprocess.run([sys.executable, str(tool), str(tmp_path)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    logs = sorted(tmp_path.rglob("*.log"))
+    assert len(logs) == len(list(SCENES.glob("*.json"))) + 9  # 8 subcommands and selftest
+    assert all(log.read_text().startswith("exit 0\n") for log in logs)
+    assert "selftest PASS" in (tmp_path / "selftest.log").read_text()
+    for scene in SCENES.glob("*.json"):
+        for entry in json.loads(scene.read_text())["experiments"]:
+            assert (tmp_path / f"run_{scene.stem}" / entry["out"]).with_suffix(".json").exists()
+
+
 def test_field_far_away_is_zero_not_nan(capsys):
     # the closed forms' squares overflow beyond about 1.3e154; past 1e100
     # sheet sizes the field, below 1e-200, is zero
@@ -358,6 +373,35 @@ def _run_in_process(argv):
         code = cli.run(argv)
     return code, stdout.getvalue(), stderr.getvalue()
 
+
+
+@pytest.mark.parametrize("name", ["a,b", '"quoted" name', "two\nlines"])
+def test_csv_quotes_names_that_hold_commas_quotes_or_newlines(name, tmp_path):
+    scene = json.loads((SCENES / "hopf.json").read_text())
+    scene["scenes"] = {name: scene["scenes"]["hopf"]}
+    del scene["experiments"]
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(scene))
+    code, stdout, stderr = _run_in_process(["lk", "--scene", str(path)])
+    assert code == 0, stderr
+    assert list(csv.reader(io.StringIO(stdout))) == [["scene", "lk"], [name, "1"]]
+
+
+def test_json_record_writes_numpy_values_as_python_numbers(tmp_path):
+    from loopfield import cli
+
+    record = {
+        "f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-7),
+        "flag": np.bool_(True), "array": np.array([1.5, -0.0, 1e-300, np.nan]),
+        "pair": (np.float64(2.0), 3), "nan": float("nan"),
+    }
+    with contextlib.redirect_stderr(io.StringIO()):
+        cli._emit("h\n", record, str(tmp_path / "r.csv"))
+    assert (tmp_path / "r.json").read_text() == (
+        '{\n  "array": [\n    1.5,\n    -0.0,\n    1e-300,\n    NaN\n  ],\n'
+        '  "f32": 0.10000000149011612,\n  "f64": 0.1,\n  "flag": true,\n  "i64": -7,\n'
+        '  "nan": NaN,\n  "pair": [\n    2.0,\n    3\n  ]\n}\n'
+    )
 
 @pytest.mark.parametrize("path", sorted(SCENES.glob("*.json")), ids=lambda p: p.name)
 def test_run_writes_every_entry_of_a_shipped_scene(path, tmp_path, monkeypatch):

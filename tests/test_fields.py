@@ -1111,6 +1111,28 @@ def test_dipole_mesh_field_is_zero_beyond_reach():
     assert np.array_equal(both, [dipole_mesh_field(mesh, layer, near), np.zeros(3)])
 
 
+@pytest.mark.parametrize("size, x", [(1e5, 1e103), (1e5, 1e104), (1e60, 1e155)])
+def test_dipole_mesh_field_of_a_wide_mesh_within_reach(size, x):
+    # in absolute units the cubes of these distances overflowed, and at
+    # 1e155 the squares of the guard's distances as well, though that
+    # field is below the float range
+    mesh = mesh_surface(PlanarRect((0, 0, 0), (size, 0, 0), (0, size, 0)), 3, 3)
+    layer = DipoleSheetSpec(1.0, 1.0)
+    got = dipole_mesh_field(mesh, layer, (x, 0.0, 0.0))
+    with mpmath.workdps(40):
+        expected = [mpmath.mpf(0)] * 3
+        cells = zip(mesh.cell_centers.reshape(-1, 3), mesh.cell_vector_areas.reshape(-1, 3))
+        for anchor, area in cells:
+            rel = [mpmath.mpf(p) - mpmath.mpf(float(a)) for p, a in zip((x, 0.0, 0.0), anchor)]
+            dist = mpmath.sqrt(mpmath.fsum(r * r for r in rel))
+            proj = mpmath.fsum(r * mpmath.mpf(float(m)) for r, m in zip(rel, area)) / dist
+            for i in range(3):
+                expected[i] += (3 * proj * rel[i] / dist - mpmath.mpf(float(area[i]))) / dist**3
+        expected = np.array([float(e) for e in expected])
+    assert (expected[2] != 0.0) == (x < 1e155)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def test_one_point_in_the_guard_fails_the_whole_batch():
     points = np.array([(0.0, 0.0, 2.0), (3.0, 1.0, -1.0), (1e300, 0.0, 0.0)])
     rect, disk = _PATCHES["rect"], _PATCHES["disk"]
