@@ -19,6 +19,7 @@ from .errors import (
     NoConvergence,
     NonTransversal,
     NotUnit,
+    PrefactorOverflow,
     SceneFormatError,
 )
 from .geometry import (
@@ -60,7 +61,6 @@ from .linking import (
     curve_min_distance,
     gauss_linking,
     gauss_pair_integral,
-    vector_area,
 )
 from .experiments import (
     CatalogRow,

@@ -27,6 +27,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 import numpy as np
 
 from .errors import LoopfieldError, SceneFormatError
@@ -65,9 +66,14 @@ def _fmt(value) -> str:
 
 
 def _csv_lines(header: list[str], rows: list[list]) -> str:
-    text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(map(_fmt, row) for row in [header, *rows])
-    return text.getvalue()
+    """The rows as CSV with LF endings.  The writer ends each row with CRLF,
+    so that it quotes a field holding either character, and that ending
+    becomes LF."""
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(
+        map(_fmt, row) for row in [header, *rows]
+    )
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def _emit(csv_text: str, record: dict, out: str | None) -> None:
@@ -371,7 +377,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("run", help="every experiment of a scene file, each to its out path")
     p.add_argument("--scene", required=True)
 
-    add("selftest", "run the acceptance suite")
+    sub.add_parser("selftest", help="run the acceptance suite")
     return parser
 
 

@@ -78,6 +78,16 @@ class CurvesTooClose(LoopfieldError):
         self.distance, self.lower, self.guard, self.t = distance, lower, guard, t
 
 
+class PrefactorOverflow(LoopfieldError):
+    """A prefactor (k_B, k_E sigma, ...) times a field's closed form or
+    the Gauss integral is not finite: the product left the float range.
+    `prefactor` is the prefactor."""
+
+    def __init__(self, message, *, prefactor=None):
+        super().__init__(message)
+        self.prefactor = prefactor
+
+
 class NotUnit(LoopfieldError, ValueError):
     """Vector expected to have unit norm does not."""
 

@@ -436,8 +436,6 @@ def ampere_catalog(
 @dataclass(frozen=True)
 class SymmetryRow:
     scene_id: str
-    a_forward: float
-    a_swapped: float
     diff: float
     bound: float
     passed: bool
@@ -452,7 +450,7 @@ def symmetry_sweep(scenes: Sequence[LinkScene]) -> list[SymmetryRow]:
         a_swp, e_swp = gauss_linking(scene.swapped())
         diff = abs(a_fwd - a_swp)
         bound = 2.0 * (e_fwd + e_swp)
-        rows.append(SymmetryRow(sid, a_fwd, a_swp, diff, max(bound, 1e-12), diff <= max(bound, 1e-12)))
+        rows.append(SymmetryRow(sid, diff, max(bound, 1e-12), diff <= max(bound, 1e-12)))
     return rows
 
 

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateBase, NearSingular, NotUnit
+from .errors import DegenerateBase, NearSingular, NotUnit, PrefactorOverflow
 from .geometry import (
     Circle,
     CompositeCurve,
@@ -105,6 +105,20 @@ class DipoleSheetSpec:
 # and the in-plane components read 0 (ROADMAP.md, "Closed forms that hold
 # far from their source")
 _FAR = 1e100
+
+
+def prefactor_times(prefactor: float, value):
+    """prefactor * value, of a finite float or array value; raises
+    PrefactorOverflow, which names the prefactor, when the product is not
+    finite."""
+    size = abs(prefactor)
+    # rounding is monotone: a prefactor of size at most 1 keeps a finite
+    # value finite, and a larger one makes no product bigger than the
+    # largest |value|'s, so that one decides; a NaN prefactor fails both
+    if not (size <= 1.0 or math.isfinite(size * float(np.abs(value).max(initial=0.0)))):
+        raise PrefactorOverflow(f"overflow: prefactor {prefactor:g} takes the result beyond the float range",
+                                prefactor=prefactor)
+    return prefactor * value
 
 
 def _guarded(source, field, points, spec: QuadratureSpec, what: str) -> np.ndarray:
@@ -509,10 +523,13 @@ def biot_savart(
     parts of a CompositeCurve; any other curve raises TypeError.  All
     points go to the closed form in one call.  Raises NearSingular when
     any point is within the guard distance (from spec) of the curve;
-    beyond 1e100 times its bounding-box diagonal the field is zero.
+    beyond 1e100 times its bounding-box diagonal the field is zero.  A
+    field that k_B takes beyond the float range raises PrefactorOverflow.
     """
     points, single = as_points(x)
-    field = _guarded(curve, lambda p: consts.k_B * curve_field(curve, p), points, spec, "curve")
+    field = _guarded(
+        curve, lambda p: prefactor_times(consts.k_B, curve_field(curve, p)), points, spec, "curve"
+    )
     return field[0] if single else field
 
 
@@ -539,14 +556,17 @@ def coulomb_surface_field(
     rim, or none (a curved one), raises TypeError before any other check.
     Raises NearSingular when any point is within the guard distance of
     the sheet; beyond 1e100 times its bounding-box diagonal the field is
-    returned as zero.
+    returned as zero.  A field that k_E sigma takes beyond the float range
+    raises PrefactorOverflow.
     """
     sheet = _sheet_field(patch)
     points, single = as_points(x)
     if sigma == 0.0:
         field = np.zeros(points.shape)
     else:
-        field = _guarded(patch, lambda p: consts.k_E * sigma * sheet(p), points, spec, "sheet")
+        field = _guarded(
+            patch, lambda p: prefactor_times(consts.k_E * sigma, sheet(p)), points, spec, "sheet"
+        )
     return field[0] if single else field
 
 
@@ -570,7 +590,8 @@ def dipole_sheet_field_exact(
     points in one call of its rim's closed form.  Each sheet has the
     patch's guard, and its field is zero beyond 1e100 bounding-box
     diagonals.  Raises ValueError for a curved patch, which has no
-    constant normal.
+    constant normal, and PrefactorOverflow for a field that k_E sigma
+    takes beyond the float range.
     """
     points, single = as_points(x)
     normal = patch.constant_normal()
@@ -585,7 +606,7 @@ def dipole_sheet_field_exact(
         # x - s n and x + s n of each point side by side, in the order the guard checks them
         seen = np.stack((points - shift, points + shift), axis=1).reshape(-1, 3)
         sheets = _guarded(patch, sheet, seen, spec, "sheet").reshape(-1, 2, 3)
-        field = consts.k_E * dp.sigma * (sheets[:, 0] - sheets[:, 1])
+        field = prefactor_times(consts.k_E * dp.sigma, sheets[:, 0] - sheets[:, 1])
     return field[0] if single else field
 
 
@@ -605,7 +626,8 @@ def dipole_mesh_field(
     carry an O(1/M) net defect that the cell-boundary areas cancel by
     telescoping.  A point within 1e-9 minimum edge lengths of a cell's
     centre raises NearSingular, which names the first such point; beyond
-    about 1e100 mesh sizes the field is zero.
+    about 1e100 mesh sizes the field is zero.  A field that k_E h sigma
+    takes beyond the float range raises PrefactorOverflow.
     """
     points, single = as_points(x)
     # as in _guarded, decided without the distances, whose squares
@@ -632,7 +654,7 @@ def dipole_mesh_field(
         )
     prefactor = consts.k_E * dp.separation * dp.sigma
     field = _within_reach(
-        lambda p: prefactor * (point_dipole_field(anchors, areas, p) / unit), scaled, far
+        lambda p: prefactor_times(prefactor, point_dipole_field(anchors, areas, p) / unit), scaled, far
     )
     return field[0] if single else field
 

@@ -7,7 +7,9 @@ Conventions used throughout the package:
   patches, n-D) parameter arrays and then return arrays with a trailing
   axis of length 3.
 * Curves are parametrized on [t_start, t_end].  Polylines use arc-length
-  parametrization, so their tangent is the unit segment direction.
+  parametrization, so their tangent is the unit segment direction.  Each
+  curve kind states its smooth cuts, its largest parameter speed and its
+  vector area exactly, a composite from its parts.
 * A surface patch maps the unit square by point(u, v); its positive side
   is the direction of dpoint/du x dpoint/dv and the induced boundary runs
   counterclockwise as seen from that side.
@@ -123,8 +125,8 @@ def _merge_boxes(boxes: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.nda
 
 
 def bounding_box_diagonal(objects: Sequence) -> float:
-    """Diagonal of the joint bounding box of curves, patches or meshes;
-    the scene length scale."""
+    """Diagonal of the joint bounding box of curves or patches; the scene
+    length scale."""
     boxes = [obj.bounding_box() for obj in objects]
     lo, hi = boxes[0] if len(boxes) == 1 else _merge_boxes(boxes)
     span = hi - lo
@@ -150,14 +152,19 @@ class Curve:
     def tangent(self, t):
         raise NotImplementedError
 
-    def breakpoints(self) -> np.ndarray:
-        """Interior parameters where the tangent may jump (none by default)."""
-        return np.empty(0)
-
     def smooth_cuts(self) -> tuple[float, ...]:
         """Increasing parameters t_start, ..., t_end; the curve is smooth between them."""
-        cuts = [self.t_start, *np.asarray(self.breakpoints(), float), self.t_end]
-        return tuple(float(b) for a, b in zip([-math.inf, *cuts], cuts) if b > a)
+        raise NotImplementedError
+
+    def max_speed(self) -> float:
+        """Largest |tangent(t)| along the curve, exactly: the Lipschitz
+        constant of the position in t."""
+        raise TypeError(f"no parameter speed bound for a {type(self).__name__}")
+
+    def vector_area(self) -> np.ndarray:
+        """Vector area (1/2) * integral of r x dr along the curve, exactly;
+        for a closed curve, the vector area it spans."""
+        raise TypeError(f"no closed-form vector area for a {type(self).__name__}")
 
     def reversed(self) -> "Curve":
         raise NotImplementedError
@@ -211,6 +218,17 @@ class Circle(Curve):
         return self.radius * (
             np.multiply.outer(-st, self._u) + np.multiply.outer(ct, self._v)
         )
+
+    def smooth_cuts(self) -> tuple[float, ...]:
+        return (self.t_start, self.t_end)
+
+    def max_speed(self) -> float:
+        return self.radius
+
+    def vector_area(self) -> np.ndarray:
+        # +-pi R^2 along the unit axis, by the traversal's sense about it
+        sign = 1.0 if self.orientation == "ccw" else -1.0
+        return sign * math.pi * self.radius**2 * self._a
 
     def reversed(self) -> "Circle":
         flipped = "cw" if self.orientation == "ccw" else "ccw"
@@ -299,8 +317,16 @@ class PolyLine(Curve):
         tan = self._dirs[idx]
         return tan[0] if arr.ndim == 0 else tan.copy()
 
-    def breakpoints(self) -> np.ndarray:
-        return self._cum[1:-1].copy()
+    def smooth_cuts(self) -> tuple[float, ...]:
+        # the vertices' parameters; a segment too short to move the running
+        # sum leaves a repeat, which dict.fromkeys drops
+        return tuple(dict.fromkeys(self._cum.tolist()))
+
+    def max_speed(self) -> float:
+        return 1.0  # arc length
+
+    def vector_area(self) -> np.ndarray:
+        return 0.5 * cross(*self.segments()).sum(axis=0)
 
     def reversed(self) -> "PolyLine":
         if self.closed:
@@ -335,7 +361,6 @@ class RectLoop(PolyLine):
     def __init__(self, n: int):
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
-        self.n = int(n)
         verts = [
             (0.0, 0.0, -float(n)),
             (0.0, 0.0, float(n)),
@@ -386,13 +411,21 @@ class CompositeCurve(Curve):
     def tangent(self, t):
         return self._eval(t, "tangent")
 
-    def breakpoints(self) -> np.ndarray:
-        cuts = [self._bounds[1:-1]]
-        for k, part in enumerate(self.parts):
-            inner = np.asarray(part.breakpoints(), float)
-            if inner.size:
-                cuts.append(inner - part.t_start + self._bounds[k])
-        return np.sort(np.concatenate(cuts))
+    def smooth_cuts(self) -> tuple[float, ...]:
+        # each part's cuts moved to its place in the stack, in order: a part's
+        # ends land exactly on the bounds it shares with its neighbours, and
+        # rounding is monotone, so its other cuts stay between them
+        stack = zip(self.parts, self._bounds.tolist())
+        shifted = (c - part.t_start + bound for part, bound in stack for c in part.smooth_cuts())
+        return tuple(dict.fromkeys(shifted))
+
+    def max_speed(self) -> float:
+        # each part's parameter is a shifted copy of its own
+        return max(p.max_speed() for p in self.parts)
+
+    def vector_area(self) -> np.ndarray:
+        # the integral is additive over the parts
+        return sum(p.vector_area() for p in self.parts)
 
     def reversed(self) -> "CompositeCurve":
         return CompositeCurve([p.reversed() for p in reversed(self.parts)])
@@ -561,11 +594,15 @@ class SurfaceMesh:
         bases = nodes[:-1, :-1, :]
         self._edges_a = _frozen(nodes[1:, :-1, :] - bases)
         self._edges_b = _frozen(nodes[:-1, 1:, :] - bases)
-        norms = np.linalg.norm(np.cross(self._edges_a, self._edges_b), axis=-1)
+        # the cross products in units of a power of two at most the largest
+        # edge component, exactly, so that their squares neither over- nor
+        # underflow
+        largest = max(np.abs(self._edges_a).max(), np.abs(self._edges_b).max())
+        unit = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+        norms = np.linalg.norm(cross(self._edges_a / unit, self._edges_b / unit), axis=-1)
         if float(norms.min()) <= 1e-13 * float(norms.max()):
-            raise DegeneratePatch(
-                f"mesh {self.m}x{self.n} has (near-)degenerate panels: min area {norms.min():g}"
-            )
+            area = float(norms.min()) * unit * unit
+            raise DegeneratePatch(f"mesh {self.m}x{self.n} has (near-)degenerate panels: min area {area:g}")
 
     @property
     def cell_centers(self) -> np.ndarray:
@@ -591,10 +628,6 @@ class SurfaceMesh:
         la = np.linalg.norm(self._edges_a, axis=-1)
         lb = np.linalg.norm(self._edges_b, axis=-1)
         return float(min(la.min(), lb.min()))
-
-    def bounding_box(self):
-        pts = self.nodes.reshape(-1, 3)
-        return pts.min(axis=0), pts.max(axis=0)
 
 
 def mesh_surface(patch: SurfacePatch, m: int, n: int) -> SurfaceMesh:

@@ -34,10 +34,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CurvesTooClose
-from .fields import FieldConstants, curve_field
+from .fields import FieldConstants, curve_field, prefactor_times
 from .geometry import (
     Circle,
-    CompositeCurve,
     Curve,
     PolyLine,
     SurfaceMesh,
@@ -52,7 +51,6 @@ __all__ = [
     "LinkScene",
     "Approach",
     "curve_min_distance",
-    "vector_area",
     "gauss_pair_integral",
     "gauss_linking",
     "combinatorial_lk",
@@ -89,22 +87,6 @@ class Approach(NamedTuple):
     t: float
 
 
-def _max_speed(curve: Curve) -> float:
-    """Largest |d position / dt| along a curve, exactly.
-
-    A Circle's radius, 1 for an arc-length PolyLine, and the largest of a
-    CompositeCurve's parts, whose parameters are shifted copies of their
-    own.  Any other kind of curve raises TypeError.
-    """
-    if isinstance(curve, PolyLine):
-        return 1.0
-    if isinstance(curve, Circle):
-        return curve.radius
-    if isinstance(curve, CompositeCurve):
-        return max(_max_speed(part) for part in curve.parts)
-    raise TypeError(f"no parameter speed bound for a {type(curve).__name__}")
-
-
 def _distances(curve_a: Curve, curve_b: Curve, ts: np.ndarray) -> np.ndarray:
     """curve_b's exact distance from curve_a at the parameters ts, _CHUNK
     points per call."""
@@ -134,11 +116,10 @@ def curve_min_distance(curve_a: Curve, curve_b: Curve, guard: float) -> Approach
     [lower, upper], lower is certified, and lower <= guard exactly when
     the search refused.  upper is the least sampled distance, at curve_a's
     parameter t.  A pair whose closest approach exceeds 2 * guard is
-    always accepted.  curve_a must be a Circle, a PolyLine or a
-    CompositeCurve of them whose parts join end to start; any other kind
-    raises TypeError.
+    always accepted.  curve_a must state its largest parameter speed
+    (Curve.max_speed); a curve that cannot raises TypeError.
     """
-    speed = _max_speed(curve_a)
+    speed = curve_a.max_speed()
     corners = np.concatenate((*curve_a.bounding_box(), *curve_b.bounding_box()))
     rounding = _ROUNDING * float(np.abs(corners).max())
     settled = math.inf  # the least bound of a gap that cleared the guard
@@ -173,24 +154,6 @@ def curve_min_distance(curve_a: Curve, curve_b: Curve, guard: float) -> Approach
         gaps = np.concatenate(kept)
     lower = float(bounds(gaps).min()) if len(gaps) else settled
     return Approach(float(max(min(lower, upper), 0.0)), upper, at)
-
-
-def vector_area(curve: Curve) -> np.ndarray:
-    """Vector area (1/2) * integral of r x dr along a curve, exactly.
-
-    Half the sum of start x end over a PolyLine's segments, +-pi R^2
-    times the unit axis for a Circle, and the sum over a CompositeCurve's
-    parts, since the integral is additive.  Any other kind of curve
-    raises TypeError.  For a closed curve it is the vector area it spans.
-    """
-    if isinstance(curve, PolyLine):
-        return 0.5 * np.cross(*curve.segments()).sum(axis=0)
-    if isinstance(curve, Circle):
-        sign = 1.0 if curve.orientation == "ccw" else -1.0
-        return sign * math.pi * curve.radius**2 * (curve.axis / np.linalg.norm(curve.axis))
-    if isinstance(curve, CompositeCurve):
-        return sum(vector_area(part) for part in curve.parts)
-    raise TypeError(f"no closed-form vector area for a {type(curve).__name__}")
 
 
 @dataclass
@@ -236,8 +199,8 @@ class LinkScene:
                 f"mesh boundary strays {worst:g} from curve_l "
                 f"(allowed {1e-6 * scale:g})"
             )
-        va = vector_area(boundary)
-        vl = vector_area(self.curve_l)
+        va = boundary.vector_area()
+        vl = self.curve_l.vector_area()
         denom = float(np.linalg.norm(va) * np.linalg.norm(vl))
         if denom == 0.0 or float(va @ vl) / denom < 0.9:
             raise ValueError("mesh boundary orientation disagrees with curve_l")
@@ -272,7 +235,7 @@ def _graded_cuts(curve_c: Curve, curve_l: Curve, approach: Optional[Approach]) -
     cuts = curve_l.smooth_cuts()
     if approach is None or not 0.0 < approach.upper < bounding_box_diagonal([curve_l]):
         return cuts
-    width = approach.upper / _max_speed(curve_l)
+    width = approach.upper / curve_l.max_speed()
     span = curve_l.t_end - curve_l.t_start
     offsets = [width]
     while offsets[-1] < 0.5 * span:
@@ -322,7 +285,8 @@ def gauss_pair_integral(
     its nodes' terms.  No closedness is required, which
     lets limit studies integrate over sub-arcs.  Returns (value,
     error_estimate), the estimate being the quadrature's.  A source with
-    no closed-form field raises TypeError.
+    no closed-form field raises TypeError, and a value or estimate that
+    k_B takes beyond the float range PrefactorOverflow.
     """
     if not isinstance(curve_c, Circle):
 
@@ -366,7 +330,7 @@ def gauss_pair_integral(
             return (terms_c @ terms_l.T) * inv_r3
 
         value, err = integrate_2d(integrand, (curve_c.smooth_cuts(), curve_l.smooth_cuts()), spec)
-    return consts.k_B * float(value), abs(consts.k_B) * err
+    return prefactor_times(consts.k_B, float(value)), prefactor_times(abs(consts.k_B), err)
 
 
 def gauss_linking(

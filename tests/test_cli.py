@@ -285,17 +285,27 @@ def test_python_dash_m_loopfield_runs_the_cli():
     assert result.stdout == run_cli(*argv).stdout
 
 
+def _tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
 def test_shipped_outputs_tool_writes_every_output(tmp_path):
+    # two runs at once, into two directories, write byte-identical trees
     tool = REPO / "tools" / "shipped_outputs.py"
-    result = subprocess.run([sys.executable, str(tool), str(tmp_path)], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    logs = sorted(tmp_path.rglob("*.log"))
+    runs = [subprocess.Popen([sys.executable, str(tool), str(tmp_path / side)], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True) for side in ("first", "second")]
+    errors = [run.communicate()[1] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0], errors
+    out = tmp_path / "first"
+    assert _tree(out) == _tree(tmp_path / "second")
+    logs = sorted(out.rglob("*.log"))
     assert len(logs) == len(list(SCENES.glob("*.json"))) + 9  # 8 subcommands and selftest
     assert all(log.read_text().startswith("exit 0\n") for log in logs)
-    assert "selftest PASS" in (tmp_path / "selftest.log").read_text()
+    assert "selftest PASS" in (out / "selftest.log").read_text()
     for scene in SCENES.glob("*.json"):
         for entry in json.loads(scene.read_text())["experiments"]:
-            assert (tmp_path / f"run_{scene.stem}" / entry["out"]).with_suffix(".json").exists()
+            assert (out / f"run_{scene.stem}" / entry["out"]).with_suffix(".json").exists()
 
 
 def test_field_far_away_is_zero_not_nan(capsys):
@@ -375,7 +385,7 @@ def _run_in_process(argv):
 
 
 
-@pytest.mark.parametrize("name", ["a,b", '"quoted" name', "two\nlines"])
+@pytest.mark.parametrize("name", ["a,b", '"quoted" name', "two\nlines", "carriage\rreturn", "crlf\r\nname"])
 def test_csv_quotes_names_that_hold_commas_quotes_or_newlines(name, tmp_path):
     scene = json.loads((SCENES / "hopf.json").read_text())
     scene["scenes"] = {name: scene["scenes"]["hopf"]}
@@ -668,6 +678,25 @@ def test_cli_fuzz_never_crashes(data):
     assert "Traceback" not in stderr
     if code in (2, 3):
         assert stderr.count("\n") == 1 and stderr.endswith("\n"), (argv, entries, stderr)
+
+
+def test_a_gauss_integral_beyond_the_float_range_exits_3(tmp_path):
+    # k_B 1e308 once printed the value inf and exited 0
+    scene = json.loads((SCENES / "double_wind.json").read_text())
+    scene["constants"] = {"k_B": 1e308}
+    path = tmp_path / "huge_k_B.json"
+    path.write_text(json.dumps(scene))
+    code, stdout, stderr = _run_in_process(["link", "--scene", str(path)])
+    assert code == 3 and stdout == "", stderr
+    assert stderr == "numerical error: overflow: prefactor 1e+308 takes the result beyond the float range\n"
+
+
+def test_selftest_takes_no_out_path(tmp_path):
+    # --out was accepted and ignored
+    out = tmp_path / "selftest.csv"
+    code, stdout, stderr = _run_in_process(["selftest", "--out", str(out)])
+    assert code == 2 and stdout == "" and stderr.startswith("error: unrecognized arguments: --out"), stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_a_field_beyond_the_float_range_is_a_numerical_error(tmp_path):

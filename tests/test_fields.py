@@ -19,6 +19,7 @@ from loopfield import (
     NoConvergence,
     NotUnit,
     PlanarRect,
+    PrefactorOverflow,
     PolyLine,
     QuadratureSpec,
     RectLoop,
@@ -1131,6 +1132,35 @@ def test_dipole_mesh_field_of_a_wide_mesh_within_reach(size, x):
         expected = np.array([float(e) for e in expected])
     assert (expected[2] != 0.0) == (x < 1e155)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def _overflows():
+    """Each prefactor's call whose result leaves the float range: the
+    expected prefactor, and the call."""
+    rect = PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0))
+    mesh = mesh_surface(rect, 3, 3)
+    near = (0.5, 0.5, 0.01)
+    hopf = Circle((1, 0, 0), 1.0, (0, 1, 0))
+    return {
+        "biot_savart": (1e308, lambda: biot_savart(unit_circle(), (0, 0, 0), FieldConstants(k_B=1e308))),
+        "coulomb_surface_field": (1e308, lambda: coulomb_surface_field(rect, 1e308, near)),
+        # k_E sigma is inf already, and inf times a zero component NaN
+        "dipole_sheet_field_exact": (
+            math.inf,
+            lambda: dipole_sheet_field_exact(rect, DipoleSheetSpec(1e308, 1e-3), near, FieldConstants(k_E=1e10)),
+        ),
+        "dipole_mesh_field": (1e308, lambda: dipole_mesh_field(mesh, DipoleSheetSpec(1e308, 1.0), (0.5, 0.5, 0.1))),
+        "gauss_pair_integral": (1e308, lambda: gauss_pair_integral(hopf, unit_circle(), FieldConstants(k_B=1e308))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_overflows()))
+def test_a_prefactor_beyond_the_float_range_raises_a_typed_error(name):
+    # each returned inf or NaN, with a numpy warning or none at all
+    prefactor, call = _overflows()[name]
+    with pytest.raises(PrefactorOverflow, match="^overflow: prefactor") as caught:
+        call()
+    assert caught.value.prefactor == prefactor
 
 
 def test_one_point_in_the_guard_fails_the_whole_batch():

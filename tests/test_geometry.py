@@ -4,12 +4,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from loopfield import (
     Circle,
     CompositeCurve,
+    Curve,
     DegenerateIntersection,
     DegeneratePatch,
     DipoleSheetSpec,
@@ -18,6 +19,7 @@ from loopfield import (
     PlanarRect,
     PolyLine,
     RectLoop,
+    SurfaceMesh,
     SurfacePatch,
     as_vec3,
     bounding_box_diagonal,
@@ -101,7 +103,7 @@ def test_reversal_negates_tangent_at_matching_positions(curve):
     span = curve.t_end - curve.t_start
     ts = curve.t_start + span * (np.linspace(0.013, 0.987, 31))
     # stay away from vertices, where the outgoing-tangent convention applies
-    breaks = np.concatenate([curve.breakpoints(), rev.breakpoints()])
+    breaks = np.concatenate([curve.smooth_cuts(), rev.smooth_cuts()])
     checked = 0
     for t in ts:
         t_rev = rev.t_end - (t - curve.t_start)
@@ -125,7 +127,87 @@ def test_composite_curve_concatenates():
     assert np.allclose(combo.position(0.5), [0.5, 0, 0])
     assert np.allclose(combo.position(1.5), [1, 0.5, 0])
     assert np.allclose(combo.tangent(1.5), [0, 1, 0])
-    assert len(combo.breakpoints()) == 1
+    assert combo.smooth_cuts() == (0.0, 1.0, 2.0)
+
+
+def test_nested_composite_keeps_its_smooth_cuts():
+    # the parts' cuts, each moved to its place in the stack, with the
+    # shared ends once; the values the base class's dedup of the parts'
+    # interior breakpoints gave
+    ring = Circle((0, 0, 0), 1.0, (0, 0, 1))
+    spur = PolyLine([(1, 0, 0), (1, 0, 0.3), (0.6, 0.1, 0.3), (1, 0, 0)])
+    hook = PolyLine([(1, 0, 0), (1.2, 0.1, 0), (1.3, 0.4, 0.2)])
+    tilted = Circle((1, 1, 1), 0.7, (1, 2, 3), "cw")
+    curve = CompositeCurve([ring, CompositeCurve([spur, CompositeCurve([hook, tilted])]), hook.reversed()])
+    assert curve.smooth_cuts() == (
+        0.0, 6.283185307179586, 6.583185307179586, 6.995495869741353, 7.505397821100631,
+        7.72900461885061, 8.103170357528004, 14.38635566470759, 14.760521403384985, 14.984128201134963,
+    )
+
+
+def _rotation(q):
+    """The rotation matrix of the quaternion q, normalized."""
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+_UNIT_BOX = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _moved_curves(draw):
+    """A Circle, a PolyLine or composites of them nested up to three deep,
+    under one rotation, scale from 1e-3 to 1e3 and shift."""
+    q = draw(hnp.arrays(float, 4, elements=_UNIT_BOX))
+    assume(np.linalg.norm(q) > 0.1)
+    rotation = _rotation(q)
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    shift = draw(hnp.arrays(float, 3, elements=st.floats(-1e3, 1e3)))
+
+    def curve(depth):
+        kind = draw(st.sampled_from(["circle", "polyline", "composite"][: 3 if depth < 3 else 2]))
+        if kind == "circle":
+            axis = draw(hnp.arrays(float, 3, elements=_UNIT_BOX))
+            assume(np.linalg.norm(axis) > 0.1)
+            center = draw(hnp.arrays(float, 3, elements=_UNIT_BOX))
+            radius = draw(st.floats(0.1, 3.0))
+            orientation = draw(st.sampled_from(["ccw", "cw"]))
+            return Circle(scale * rotation @ center + shift, scale * radius, rotation @ axis, orientation)
+        if kind == "polyline":
+            vertices = draw(hnp.arrays(float, (draw(st.integers(2, 6)), 3), elements=_UNIT_BOX))
+            closed = draw(st.booleans())
+            legs = np.diff(np.concatenate((vertices, vertices[:1])) if closed else vertices, axis=0)
+            assume(np.linalg.norm(legs, axis=1).min() > 1e-3)
+            return PolyLine(scale * vertices @ rotation.T + shift, closed=closed)
+        return CompositeCurve([curve(depth + 1) for _ in range(draw(st.integers(1, 3)))])
+
+    return curve(0)
+
+
+@given(curve=_moved_curves())
+def test_max_speed_bounds_the_tangent_and_is_reached(curve):
+    # dense samples, and one inside each smooth piece, so the fastest
+    # part is sampled however short it is
+    cuts = np.array(curve.smooth_cuts())
+    ts = np.concatenate((np.linspace(curve.t_start, curve.t_end, 1025), 0.5 * (cuts[:-1] + cuts[1:])))
+    speeds = np.linalg.norm(curve.tangent(ts), axis=1)
+    bound = curve.max_speed()
+    assert speeds.max() <= bound * (1.0 + 2.0**-50)
+    assert speeds.max() >= bound * (1.0 - 2.0**-50)
+
+
+def test_a_curve_kind_without_the_closed_forms_raises_type_error():
+    class Bare(Curve):
+        pass
+
+    with pytest.raises(TypeError, match="no parameter speed bound for a Bare"):
+        Bare().max_speed()
+    with pytest.raises(TypeError, match="no closed-form vector area for a Bare"):
+        Bare().vector_area()
 
 
 def test_polyline_distance_exact():
@@ -457,6 +539,27 @@ def test_degenerate_patch_rejected():
         assert np.array_equal(patch.constant_normal(), [0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         mesh_surface(PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0)), 0, 4)
+
+
+def test_meshes_of_any_size_build_and_a_collapsed_one_raises():
+    # the degeneracy check's cross products overflowed at 1e80 and
+    # underflowed to zero, a degenerate mesh, at 1e-200
+    for patch, edge in ((PlanarRect((0, 0, 0), (1e80, 0, 0), (0, 1e80, 0)), 1e80 / 3.0),
+                        (Disk((0, 0, 0), 1e-200, (0, 0, 1)), None)):
+        mesh = mesh_surface(patch, 3, 3)
+        assert edge is None or mesh.min_edge_length() == pytest.approx(edge)
+    nodes = PlanarRect((0, 0, 0), (1e80, 0, 0), (0, 1e80, 0)).point(
+        np.linspace(0, 1, 4)[:, None], np.linspace(0, 1, 4)[None, :]
+    )
+    collapsed = nodes.copy()
+    collapsed[1] = collapsed[0]
+    with pytest.raises(DegeneratePatch, match="min area 0$"):
+        SurfaceMesh(collapsed)
+    # a sliver's area in absolute units: 1e60 by a third of 1e80
+    sliver = nodes.copy()
+    sliver[1, :, 0] = 1e60
+    with pytest.raises(DegeneratePatch, match=r"min area 3\.33333e\+139$"):
+        SurfaceMesh(sliver)
 
 
 # ---------------------------------------------------------------------------
