@@ -474,7 +474,18 @@ def point_dipole_field(anchors, moments, points) -> np.ndarray:
     anchors = np.asarray(anchors, dtype=float).reshape(-1, 3)
     moments = np.asarray(moments, dtype=float).reshape(-1, 3)
     rel = np.asarray(points, dtype=float).reshape(-1, 3)[:, None, :] - anchors
-    dist = np.linalg.norm(rel, axis=2)
+    return _dipole_sum(rel, _lengths(rel), moments)
+
+
+def _lengths(rel: np.ndarray) -> np.ndarray:
+    """|rel| over the last axis: np.linalg.norm's products and sum, without
+    its dispatch."""
+    return np.sqrt((rel * rel).sum(axis=-1))
+
+
+def _dipole_sum(rel: np.ndarray, dist: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """point_dipole_field's (p, 3) sums, from the (p, k, 3) offsets x - a
+    and their (p, k) lengths."""
     u_hat = rel / dist[..., None]
     proj = np.einsum("pij,ij->pi", u_hat, moments)
     return ((3.0 * proj[..., None] * u_hat - moments) / (dist**3)[..., None]).sum(axis=1)
@@ -628,22 +639,28 @@ def dipole_mesh_field(
     centre raises NearSingular, which names the first such point; beyond
     about 1e100 mesh sizes the field is zero.  A field that k_E h sigma
     takes beyond the float range raises PrefactorOverflow.
+
+    The cells come in the mesh's power-of-two unit (SurfaceMesh.scaled_cells),
+    and each point's offsets from the cell centres and their distances are
+    formed once, for the guard and the sum.  The scaling is exact: the
+    result is bitwise k_E h sigma point_dipole_field(cell_centers,
+    cell_vector_areas, x) wherever that stays in range, and a mesh and
+    points 2^k times larger give 2^-k times the field, for |k| up to 600
+    at least.
     """
     points, single = as_points(x)
-    # as in _guarded, decided without the distances, whose squares
-    # and cubes overflow; every node, and so every anchor, lies within
-    # size of the first node (a whole-array max, far cheaper than a box)
-    corner = mesh.nodes[0, 0]
-    size = math.sqrt(3.0) * float(np.abs(mesh.nodes - corner).max())
-    far = np.hypot.reduce(points - corner, axis=1) > (_FAR + 1.0) * size
+    # as in _guarded, decided without the distances, whose squares and
+    # cubes overflow; every node, and so every anchor, lies within the
+    # mesh's size of its first node
+    far = np.hypot.reduce(points - mesh.nodes[0, 0], axis=1) > (_FAR + 1.0) * mesh.size
     near = ~far if far.any() else slice(None)
-    # the rest in units of a power of two near size, exactly: out to _FAR
-    # sizes the squares and cubes of the distances stay in range
-    unit = math.ldexp(1.0, math.frexp(size)[1])
-    scaled = points / unit
-    anchors = mesh.cell_centers.reshape(-1, 3) / unit
-    areas = mesh.cell_vector_areas.reshape(-1, 3) / unit / unit
-    nearest = np.linalg.norm(scaled[near, None, :] - anchors, axis=2).min(axis=1)
+    # the rest in the mesh's unit, a power of two near its size, exactly:
+    # out to _FAR sizes the squares and cubes of the distances stay in range
+    unit = mesh.unit
+    anchors, areas = mesh.scaled_cells()
+    rel = points[near, None, :] / unit - anchors
+    dist = _lengths(rel)
+    nearest = dist.min(axis=1)
     guard = 1e-9 * mesh.min_edge_length() / unit
     if nearest.min(initial=math.inf) <= guard:
         raise NearSingular(
@@ -653,8 +670,9 @@ def dipole_mesh_field(
             kind="mesh",
         )
     prefactor = consts.k_E * dp.separation * dp.sigma
+    # _within_reach hands over the points that are not far: those of rel
     field = _within_reach(
-        lambda p: prefactor_times(prefactor, point_dipole_field(anchors, areas, p) / unit), scaled, far
+        lambda _: prefactor_times(prefactor, _dipole_sum(rel, dist, areas) / unit), points, far
     )
     return field[0] if single else field
 

@@ -586,29 +586,49 @@ class SurfaceMesh:
     (cell_centers, cell_vector_areas), and the counting route as the two
     triangles of its 0-2 diagonal (see segment_crossings), which tile the
     mesh without gaps or overlaps on a curved patch too.
+
+    A grid of any other shape, with M or N below 1, with a non-finite node
+    or with a (near-)degenerate cell raises DegeneratePatch.  Every node
+    lies within `size`, sqrt(3) times the largest coordinate offset from
+    nodes[0, 0], of that node.  The mesh works in `unit`, the largest power
+    of two at most that offset: its degeneracy check, its edge lengths and
+    the cells that dipole_mesh_field sums (scaled_cells) come from
+    nodes / unit, where the squares of edges and of their cross products
+    neither over- nor underflow.  The scaling is exact, so these agree
+    bitwise with the same formulas in absolute units wherever those stay
+    in range, and a mesh 2^k times another has the same cells in units,
+    for |k| up to 600 at least.
     """
 
     def __init__(self, nodes: np.ndarray):
+        nodes = np.asarray(nodes, dtype=float)
+        if nodes.ndim != 3 or nodes.shape[0] < 2 or nodes.shape[1] < 2 or nodes.shape[2] != 3:
+            raise DegeneratePatch(f"mesh nodes must be an (M+1, N+1, 3) grid with M, N >= 1, got shape {nodes.shape}")
+        if not np.isfinite(nodes).all():
+            raise DegeneratePatch("mesh has non-finite nodes")
         self.m, self.n = nodes.shape[0] - 1, nodes.shape[1] - 1
         self.nodes = _frozen(nodes)
-        bases = nodes[:-1, :-1, :]
-        self._edges_a = _frozen(nodes[1:, :-1, :] - bases)
-        self._edges_b = _frozen(nodes[:-1, 1:, :] - bases)
-        # the cross products in units of a power of two at most the largest
-        # edge component, exactly, so that their squares neither over- nor
-        # underflow
-        largest = max(np.abs(self._edges_a).max(), np.abs(self._edges_b).max())
-        unit = math.ldexp(1.0, math.frexp(largest)[1] - 1)
-        norms = np.linalg.norm(cross(self._edges_a / unit, self._edges_b / unit), axis=-1)
-        if float(norms.min()) <= 1e-13 * float(norms.max()):
-            area = float(norms.min()) * unit * unit
+        offset = float(np.abs(nodes - nodes[0, 0]).max())
+        self.size = math.sqrt(3.0) * offset
+        self.unit = math.ldexp(1.0, math.frexp(offset)[1] - 1)
+        self._scaled = scaled = _frozen(nodes / self.unit)
+        # in units the squares of the edges and of their cross products
+        # neither over- nor underflow, and sqrt is monotone: the root of the
+        # least square is the least norm
+        along_i, along_j = scaled[1:] - scaled[:-1], scaled[:, 1:] - scaled[:, :-1]
+        self._shortest = math.sqrt(min(float((e * e).sum(axis=-1).min()) for e in (along_i, along_j)))
+        # each cell's normal, from the two edges that leave its first node
+        normals = cross(along_i[:, :-1], along_j[:-1])
+        squares = (normals * normals).sum(axis=-1)
+        least = math.sqrt(squares.min())
+        if least <= 1e-13 * math.sqrt(squares.max()):
+            area = least * self.unit * self.unit
             raise DegeneratePatch(f"mesh {self.m}x{self.n} has (near-)degenerate panels: min area {area:g}")
 
     @property
     def cell_centers(self) -> np.ndarray:
         """Average of the four grid-node corners per cell."""
-        n = self.nodes
-        return 0.25 * (n[:-1, :-1] + n[1:, :-1] + n[:-1, 1:] + n[1:, 1:])
+        return _cell_centers(self.nodes)
 
     @property
     def cell_vector_areas(self) -> np.ndarray:
@@ -619,15 +639,24 @@ class SurfaceMesh:
         boundary polygon.  For a parallelogram cell it is the cross
         product of the two edges leaving node (i, j).
         """
-        n = self.nodes
-        d1 = n[1:, 1:] - n[:-1, :-1]
-        d2 = n[:-1, 1:] - n[1:, :-1]
-        return 0.5 * np.cross(d1, d2)
+        return _cell_vector_areas(self.nodes)
+
+    def scaled_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (m * n, 3) cell centres in units of `unit` and the cell
+        vector areas in units of its square, rows in cell order."""
+        return _cell_centers(self._scaled).reshape(-1, 3), _cell_vector_areas(self._scaled).reshape(-1, 3)
 
     def min_edge_length(self) -> float:
-        la = np.linalg.norm(self._edges_a, axis=-1)
-        lb = np.linalg.norm(self._edges_b, axis=-1)
-        return float(min(la.min(), lb.min()))
+        """Length of the shortest grid edge."""
+        return self._shortest * self.unit
+
+
+def _cell_centers(nodes: np.ndarray) -> np.ndarray:
+    return 0.25 * (nodes[:-1, :-1] + nodes[1:, :-1] + nodes[:-1, 1:] + nodes[1:, 1:])
+
+
+def _cell_vector_areas(nodes: np.ndarray) -> np.ndarray:
+    return 0.5 * cross(nodes[1:, 1:] - nodes[:-1, :-1], nodes[:-1, 1:] - nodes[1:, :-1])
 
 
 def mesh_surface(patch: SurfacePatch, m: int, n: int) -> SurfaceMesh:
@@ -637,12 +666,7 @@ def mesh_surface(patch: SurfacePatch, m: int, n: int) -> SurfaceMesh:
         raise ValueError(f"mesh dimensions must be >= 1, got {m}x{n}")
     uu = np.linspace(0.0, 1.0, m + 1)
     vv = np.linspace(0.0, 1.0, n + 1)
-    nodes = patch.point(uu[:, None], vv[None, :])
-    if nodes.shape != (m + 1, n + 1, 3):
-        raise DegeneratePatch(f"patch evaluator returned shape {nodes.shape}")
-    if not np.all(np.isfinite(nodes)):
-        raise DegeneratePatch("patch evaluator returned non-finite nodes")
-    return SurfaceMesh(nodes)
+    return SurfaceMesh(patch.point(uu[:, None], vv[None, :]))
 
 
 def mesh_boundary(mesh: SurfaceMesh) -> PolyLine:

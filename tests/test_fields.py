@@ -23,6 +23,7 @@ from loopfield import (
     PolyLine,
     QuadratureSpec,
     RectLoop,
+    SurfaceMesh,
     biot_savart,
     circle_field,
     coulomb_surface_field,
@@ -1132,6 +1133,60 @@ def test_dipole_mesh_field_of_a_wide_mesh_within_reach(size, x):
         expected = np.array([float(e) for e in expected])
     assert (expected[2] != 0.0) == (x < 1e155)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def _dome_mesh(m, n):
+    """A curved mesh: the nodes of the unit disk's mesh lifted to
+    z = 0.35 (1 - rho^2)."""
+    nodes = mesh_surface(Disk((0, 0, 0), 1.0, (0, 0, 1)), m, n).nodes.copy()
+    nodes[..., 2] = 0.35 * (1.0 - nodes[..., 0] ** 2 - nodes[..., 1] ** 2)
+    return SurfaceMesh(nodes)
+
+
+_MESHES = {
+    "rect": mesh_surface(_PATCHES["rect"], 5, 7),
+    "disk": mesh_surface(_PATCHES["disk"], 8, 8),
+    "dome": _dome_mesh(6, 9),
+}
+# points on a grid of hundredths: scaled by 2^k for |k| <= 600 they stay
+# normal floats, so the scaling is exact
+_GRID_POINTS = st.lists(st.lists(st.integers(-300, 300), min_size=3, max_size=3), min_size=1, max_size=4).map(
+    lambda rows: np.array(rows) / 100.0
+)
+
+
+@pytest.mark.parametrize("name", sorted(_MESHES))
+@given(points=_GRID_POINTS)
+def test_dipole_mesh_field_is_the_prefactor_times_its_cells_point_dipoles(name, points):
+    # the sum in the mesh's unit is the sum in absolute units, bitwise
+    mesh = _MESHES[name]
+    consts, layer = FieldConstants(k_E=0.8), DipoleSheetSpec(-1.3, 0.25)
+    prefactor = consts.k_E * layer.separation * layer.sigma
+    expected = prefactor * point_dipole_field(mesh.cell_centers, mesh.cell_vector_areas, points)
+    assert np.array_equal(dipole_mesh_field(mesh, layer, points, consts), expected)
+    assert np.array_equal(dipole_mesh_field(mesh, layer, points[0], consts), expected[0])
+
+
+@pytest.mark.parametrize("name", sorted(_MESHES))
+@given(k=st.integers(-600, 600), points=_GRID_POINTS)
+def test_dipole_mesh_field_scales_exactly_by_powers_of_two(name, k, points):
+    # below about 2^-510 the cell areas' squares underflowed and the field
+    # read exactly zero; from about 2^530 they overflowed
+    mesh, layer, scale = _MESHES[name], DipoleSheetSpec(1.0, 1e-4), 2.0**k
+    unscaled = dipole_mesh_field(mesh, layer, points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = dipole_mesh_field(SurfaceMesh(mesh.nodes * scale), layer, points * scale)
+    assert np.array_equal(scaled, unscaled * 2.0**-k)
+
+
+def test_dipole_mesh_field_of_a_tiny_disk_is_not_zero():
+    # radius 2^-660: the field is 2^660 times that of the unit disk
+    layer, x = DipoleSheetSpec(1.0, 1e-4), np.array([0.1, 0.2, 1.0])
+    unit = dipole_mesh_field(mesh_surface(Disk((0, 0, 0), 1.0, (0, 0, 1)), 8, 8), layer, x)
+    tiny = dipole_mesh_field(mesh_surface(Disk((0, 0, 0), 2.0**-660, (0, 0, 1)), 8, 8), layer, x * 2.0**-660)
+    assert tiny[2] == pytest.approx(1.03e195, rel=1e-2)
+    assert np.array_equal(tiny, unit * 2.0**660)
 
 
 def _overflows():

@@ -543,11 +543,15 @@ def test_degenerate_patch_rejected():
 
 def test_meshes_of_any_size_build_and_a_collapsed_one_raises():
     # the degeneracy check's cross products overflowed at 1e80 and
-    # underflowed to zero, a degenerate mesh, at 1e-200
+    # underflowed to zero, a degenerate mesh, at 1e-200; the edge lengths'
+    # squares read 0.0 at 1e-170 and overflowed at 1e160
+    unit_disk_edge = math.sqrt(2.0) / 3.0
     for patch, edge in ((PlanarRect((0, 0, 0), (1e80, 0, 0), (0, 1e80, 0)), 1e80 / 3.0),
-                        (Disk((0, 0, 0), 1e-200, (0, 0, 1)), None)):
+                        (Disk((0, 0, 0), 1e-200, (0, 0, 1)), 1e-200 * unit_disk_edge),
+                        (Disk((0, 0, 0), 1e-170, (0, 0, 1)), 1e-170 * unit_disk_edge),
+                        (Disk((0, 0, 0), 1e160, (0, 0, 1)), 1e160 * unit_disk_edge)):
         mesh = mesh_surface(patch, 3, 3)
-        assert edge is None or mesh.min_edge_length() == pytest.approx(edge)
+        assert mesh.min_edge_length() == pytest.approx(edge, rel=1e-15)
     nodes = PlanarRect((0, 0, 0), (1e80, 0, 0), (0, 1e80, 0)).point(
         np.linspace(0, 1, 4)[:, None], np.linspace(0, 1, 4)[None, :]
     )
@@ -560,6 +564,67 @@ def test_meshes_of_any_size_build_and_a_collapsed_one_raises():
     sliver[1, :, 0] = 1e60
     with pytest.raises(DegeneratePatch, match=r"min area 3\.33333e\+139$"):
         SurfaceMesh(sliver)
+
+
+def _bad_grid(case):
+    """A 2 x 2 grid of the unit square, spoilt as `case` says."""
+    u = np.linspace(0, 1, 3)
+    nodes = PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0)).point(u[:, None], u[None, :])
+    if case in ("nan", "inf"):
+        nodes[1, 1, 2] = float(case)
+        return nodes
+    return {"2-D": nodes[0], "one row": nodes[:1], "one column": nodes[:, :1], "two components": nodes[..., :2]}[case]
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "2-D", "one row", "one column", "two components"])
+def test_a_bad_node_grid_raises_degenerate_patch(case):
+    # a NaN node passed the degeneracy check, so the dipole sum read NaN
+    # and a loop through the unit square counted Lk 0; the others raised
+    # a RuntimeWarning, an IndexError or a ValueError
+    match = "non-finite" if case in ("nan", "inf") else r"\(M\+1, N\+1, 3\) grid"
+    with pytest.raises(DegeneratePatch, match=match):
+        SurfaceMesh(_bad_grid(case))
+
+
+def test_a_patch_with_non_finite_points_does_not_mesh():
+    class Cusp(PlanarRect):
+        def point(self, u, v):
+            return super().point(u, v) + np.where(np.asarray(u)[..., None] == 0.5, np.inf, 0.0)
+
+    with pytest.raises(DegeneratePatch, match="non-finite"):
+        mesh_surface(Cusp((0, 0, 0), (1, 0, 0), (0, 1, 0)), 2, 2)
+
+
+_EDGE_MESHES = {
+    "rect": lambda: mesh_surface(PlanarRect((0.1, -0.2, 0.3), (1.2, 0.3, -0.1), (-0.2, 0.9, 0.4)), 5, 7),
+    "disk": lambda: mesh_surface(Disk((0.1, -0.2, 0.3), 0.8, (0.3, -0.4, 1.0)), 8, 8),
+    "dome": lambda: mesh_surface(Dome(0.35), 6, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_MESHES))
+def test_mesh_areas_and_edges_are_the_absolute_formulas_bitwise(name):
+    # the mesh works in a power-of-two unit, exactly
+    mesh = _EDGE_MESHES[name]()
+    n = mesh.nodes
+    assert np.array_equal(mesh.cell_vector_areas, 0.5 * np.cross(n[1:, 1:] - n[:-1, :-1], n[:-1, 1:] - n[1:, :-1]))
+    assert mesh.min_edge_length() == min(np.linalg.norm(np.diff(n, axis=axis), axis=-1).min() for axis in (0, 1))
+
+
+def test_min_edge_length_sees_the_last_row_and_column():
+    # a trapezoid whose edges along i shrink from 1/3 at j = 0 to 1/3000
+    # at j = n: only the edges leaving each cell's first node were
+    # measured, which gave 0.111
+    u, v = np.linspace(0, 1, 4)[:, None], np.linspace(0, 1, 4)[None, :]
+    nodes = np.stack(np.broadcast_arrays(u * (1.0 - 0.999 * v), v, 0.0), axis=-1)
+    assert SurfaceMesh(nodes).min_edge_length() == pytest.approx(1.0 / 3000.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_MESHES))
+@given(k=st.integers(-600, 600))
+def test_min_edge_length_scales_exactly_by_powers_of_two(name, k):
+    mesh = _EDGE_MESHES[name]()
+    assert SurfaceMesh(mesh.nodes * 2.0**k).min_edge_length() == mesh.min_edge_length() * 2.0**k
 
 
 # ---------------------------------------------------------------------------
