@@ -14,14 +14,15 @@ Conventions used throughout the package:
   is the direction of dpoint/du x dpoint/dv and the induced boundary runs
   counterclockwise as seen from that side.
 * All objects are immutable after construction and safe to share across
-  threads.
+  threads.  A mesh builds its crossing index on its first count and keeps
+  it; two threads that count at once may both build it, to equal arrays.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, reduce
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "as_points",
     "bounding_box_diagonal",
     "cross",
+    "power_of_two_unit",
     "Curve",
     "Circle",
     "PolyLine",
@@ -92,6 +94,15 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[..., 1] = a2 * b0 - a0 * b2
     out[..., 2] = a0 * b1 - a1 * b0
     return out
+
+
+def power_of_two_unit(size: float) -> float:
+    """The largest power of two at most size > 0 (0.5 for size 0): lengths
+    near size, in this unit, have squares and products that neither over-
+    nor underflow, and dividing by it is exact, so a formula in units
+    agrees bitwise with itself in absolute units wherever those stay in
+    range."""
+    return math.ldexp(1.0, math.frexp(size)[1] - 1)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -276,7 +287,11 @@ class PolyLine(Curve):
         if not closed:
             starts = verts[:-1]
         chords = ends - starts
-        lengths = np.linalg.norm(chords, axis=1)
+        # np.linalg.norm's own sum, without its per-call set-up, in units
+        # where the squares neither over- nor underflow
+        unit = power_of_two_unit(float(np.abs(chords).max()))
+        scaled = chords / unit
+        lengths = np.sqrt(np.add.reduce(scaled * scaled, axis=1)) * unit
         if np.any(lengths == 0.0):
             raise ValueError("polyline has a zero-length segment")
         self.vertices = _frozen(verts)
@@ -490,19 +505,22 @@ class PlanarRect(SurfacePatch):
         self.corner = _frozen(as_vec3(corner, "corner"))
         self.edge_a = _frozen(as_vec3(edge_a, "edge_a"))
         self.edge_b = _frozen(as_vec3(edge_b, "edge_b"))
-        n = np.cross(self.edge_a, self.edge_b)
-        # hypot scales before it squares, so no edge length over- or underflows
+        # the normal and the dual basis in units of the edges' size, where
+        # their products neither over- nor underflow
+        unit = power_of_two_unit(float(np.abs((self.edge_a, self.edge_b)).max()))
+        a, b = self.edge_a / unit, self.edge_b / unit
+        n = cross(a, b)
         mag = math.hypot(*n)
-        if mag <= 1e-12 * math.hypot(*self.edge_a) * math.hypot(*self.edge_b):
+        if mag <= 1e-12 * math.hypot(*a) * math.hypot(*b):
             raise DegeneratePatch("edge_a x edge_b vanishes")
         self._normal = _frozen(n / mag)
-        c, a, b = self.corner, self.edge_a, self.edge_b
-        corners = np.array([c, c + a, c + a + b, c + b])
+        c, ea, eb = self.corner, self.edge_a, self.edge_b
+        corners = np.array([c, c + ea, c + ea + eb, c + eb])
         self._rim = PolyLine(corners, closed=True)
         # columns e_a*, e_b* of the dual basis and the unit normal:
         # (alpha, beta, height) = (p - corner) @ frame
         gram = np.array([[a @ a, a @ b], [a @ b, b @ b]])
-        duals = np.linalg.inv(gram) @ np.array([a, b])
+        duals = np.linalg.inv(gram) @ np.array([a, b]) / unit
         self._frame = _frozen(np.column_stack((*duals, self._normal)))
 
     def point(self, u, v):
@@ -597,7 +615,9 @@ class SurfaceMesh:
     neither over- nor underflow.  The scaling is exact, so these agree
     bitwise with the same formulas in absolute units wherever those stay
     in range, and a mesh 2^k times another has the same cells in units,
-    for |k| up to 600 at least.
+    for |k| up to 600 at least.  The counting route's index of the mesh's
+    triangles (scaled_crossings) is in the same unit.  The mesh keeps a
+    read-only copy of the nodes it is given.
     """
 
     def __init__(self, nodes: np.ndarray):
@@ -607,10 +627,11 @@ class SurfaceMesh:
         if not np.isfinite(nodes).all():
             raise DegeneratePatch("mesh has non-finite nodes")
         self.m, self.n = nodes.shape[0] - 1, nodes.shape[1] - 1
-        self.nodes = _frozen(nodes)
+        # a copy, so that no caller can rewrite the nodes its index was built from
+        self.nodes = nodes = _frozen(nodes.copy())
         offset = float(np.abs(nodes - nodes[0, 0]).max())
         self.size = math.sqrt(3.0) * offset
-        self.unit = math.ldexp(1.0, math.frexp(offset)[1] - 1)
+        self.unit = power_of_two_unit(offset)
         self._scaled = scaled = _frozen(nodes / self.unit)
         # in units the squares of the edges and of their cross products
         # neither over- nor underflow, and sqrt is monotone: the root of the
@@ -649,6 +670,17 @@ class SurfaceMesh:
     def min_edge_length(self) -> float:
         """Length of the shortest grid edge."""
         return self._shortest * self.unit
+
+    def scaled_crossings(self, starts, ends):
+        """segment_crossings of the segments from starts to ends, given in
+        units of `unit`, through this mesh, crossing points in the same
+        units; the first call indexes the mesh's triangles, and every
+        later one reuses that index."""
+        return _crossings(starts, ends, self._triangles)
+
+    @cached_property
+    def _triangles(self) -> "_TriangleIndex":
+        return _triangle_index(self._scaled)
 
 
 def _cell_centers(nodes: np.ndarray) -> np.ndarray:
@@ -693,9 +725,6 @@ def mesh_boundary(mesh: SurfaceMesh) -> PolyLine:
 _FAN = 4
 _SEGMENT_CHUNK = 1 << 12
 
-# each cell (c0, c1, c2, c3) splits along its 0-2 diagonal
-_CELL_TRIANGLES = np.array([[0, 1, 2], [0, 2, 3]])
-
 # a crossing this close to parallel to its triangle (|cos angle| between
 # the segment and the normal) is glancing, not transversal
 _TRANSVERSALITY_TOL = 1e-9
@@ -721,20 +750,59 @@ def _edge_orientations(tri, origin, direction):
     return _dot(d, cross(rel, nxt)), _ORIENT_ERR * permanent
 
 
-def _candidate_pairs(p0s, p1s, cells):
+class _TriangleIndex(NamedTuple):
+    """What the crossing kernel reads of an m x n grid, built once per
+    grid: the broad phase's tree of boxes, root first, each level as its
+    (6, rows * cols) boxes and its cols; and the (2mn, 3, 3) corners and
+    (2mn, 3) normals of the triangles, triangle h of cell c = i * n + j at
+    row 2c + h."""
+
+    levels: list
+    corners: np.ndarray
+    normals: np.ndarray
+    m: int
+    n: int
+
+
+def _triangle_index(nodes: np.ndarray) -> _TriangleIndex:
+    """The index of an (m+1, n+1, 3) node grid (see _candidate_pairs and
+    segment_crossings)."""
+    m, n = nodes.shape[0] - 1, nodes.shape[1] - 1
+    c0, c1, c2, c3 = nodes[:-1, :-1], nodes[1:, :-1], nodes[1:, 1:], nodes[:-1, 1:]
+    # each cell splits along its 0-2 diagonal
+    triangles = np.stack((c0, c1, c2, c0, c2, c3), axis=2).reshape(-1, 3, 3)
+    a = triangles[:, 0]
+    normals = cross(triangles[:, 1] - a, triangles[:, 2] - a)
+    # components first, so that a gather takes whole rows and the six
+    # comparisons reduce across them
+    quad = (c0, c1, c2, c3)
+    box = np.concatenate((reduce(np.maximum, quad), -reduce(np.minimum, quad)), axis=2).transpose(2, 0, 1)
+    levels = []
+    while box.shape[1:] != (1, 1):
+        rows, cols = box.shape[1:]
+        padded = np.full((6, _FAN * -(-rows // _FAN), _FAN * -(-cols // _FAN)), -np.inf)
+        padded[:, :rows, :cols] = box
+        levels.append(padded)
+        box = reduce(np.maximum, (padded[:, k::_FAN] for k in range(_FAN)))
+        box = reduce(np.maximum, (box[:, :, k::_FAN] for k in range(_FAN)))
+    levels.append(box)
+    levels = [(_frozen(level.reshape(6, -1)), level.shape[2]) for level in reversed(levels)]
+    return _TriangleIndex(levels, _frozen(triangles), _frozen(normals), m, n)
+
+
+def _candidate_pairs(p0s, p1s, index: _TriangleIndex):
     """Segment and cell indices of every pair whose bounding boxes overlap,
     grouped by segment in ascending order.
 
-    `cells` holds the (m, n, 4, 3) cell corners.  The leaves of a tree of
-    boxes are the cells of the grid padded to the least power _FAN^k >=
-    max(m, n) on each side, so a 17 x 17 mesh has 64 x 64 leaf boxes, and
-    each level above merges _FAN x _FAN boxes.  The tree is rebuilt on
-    every call, on purpose: callers mesh once per run, and elementwise
-    maxima of strided slices fold each level in a few numpy calls.  The
-    build is a fixed cost that grows with the padded leaf count, not with
-    the segments.  Segments go down the tree level by level in whole arrays:
-    only this traversal grows with the logarithm of the mesh size, and it
-    follows the segments near the mesh whatever its turn in space.
+    The leaves of the index's tree of boxes are the grid's cells, and each
+    level above merges _FAN x _FAN boxes; a level is padded to _FAN times
+    the size of the level above, so every box's children are in it.  The
+    index is built once per mesh and kept, because meshes are counted
+    through more than once: the shipped catalog counts six loops through
+    one mesh, and the straight-wire limit study three.  Segments go down
+    the tree level by level in whole arrays: only this traversal grows
+    with the logarithm of the mesh size, and it follows the segments near
+    the mesh whatever its turn in space.
 
     A box is stored as (hi, -lo) and a segment as the key (lo, -hi): they
     overlap exactly when key <= box in all six components, so a level
@@ -742,36 +810,20 @@ def _candidate_pairs(p0s, p1s, cells):
     and comparison are exact, so no crossing is lost.  Padding boxes are
     -inf and overlap nothing.
     """
-    m, n = cells.shape[:2]
-    size = _FAN
-    while size < max(m, n):
-        size *= _FAN
-    # components first, so that a gather takes whole rows and the six
-    # comparisons reduce across them
-    box = np.full((6, size, size), -np.inf)
-    corners = cells.transpose(2, 3, 0, 1)
-    box[:3, :m, :n] = reduce(np.maximum, corners)
-    box[3:, :m, :n] = -reduce(np.minimum, corners)
-    levels = [box]
-    while box.shape[1] > 1:
-        box = reduce(np.maximum, (box[:, k::_FAN] for k in range(_FAN)))
-        box = reduce(np.maximum, (box[:, :, k::_FAN] for k in range(_FAN)))
-        levels.append(box)
     di, dj = np.divmod(np.arange(_FAN * _FAN), _FAN)
     keys = np.concatenate([np.minimum(p0s, p1s).T, -np.maximum(p0s, p1s).T])
     seg_ids, cell_ids = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     for start in range(0, len(p0s), _SEGMENT_CHUNK):
         seg = np.arange(start, min(start + _SEGMENT_CHUNK, len(p0s)))
         i = j = np.zeros(len(seg), dtype=int)
-        for depth, box in enumerate(reversed(levels)):
+        for depth, (boxes, cols) in enumerate(index.levels):
             if depth:
                 seg = np.repeat(seg, _FAN * _FAN)
                 i, j = (_FAN * i[:, None] + di).ravel(), (_FAN * j[:, None] + dj).ravel()
-            boxes = box.reshape(6, -1).take(i * box.shape[1] + j, axis=1)
-            hit = np.flatnonzero((keys.take(seg, axis=1) <= boxes).all(axis=0))
+            hit = np.flatnonzero((keys.take(seg, axis=1) <= boxes.take(i * cols + j, axis=1)).all(axis=0))
             seg, i, j = seg[hit], i[hit], j[hit]
         seg_ids.append(seg)
-        cell_ids.append(i * n + j)
+        cell_ids.append(i * index.n + j)
     return np.concatenate(seg_ids), np.concatenate(cell_ids)
 
 
@@ -808,7 +860,10 @@ def segment_crossings(starts, ends, nodes):
     nodes[i, j], nodes[i+1, j], nodes[i+1, j+1], nodes[i, j+1] and splits
     along its 0-2 diagonal into two triangles, which tile the grid with no
     gaps or overlaps.  A bounding-box broad phase picks the candidate
-    segment x cell pairs.  A segment crosses a triangle when its endpoints
+    segment x cell pairs.  This is the one-shot form: it indexes the grid's
+    triangles for this call alone, where a SurfaceMesh keeps its index for
+    every count (SurfaceMesh.scaled_crossings); both run the same kernel.
+    A segment crosses a triangle when its endpoints
     lie strictly on opposite sides of the triangle's plane and its line
     passes through the triangle, judged by the signs of the three edge
     orientations (p1 - p0) . ((A - p0) x (B - p0)).  Each is computed in
@@ -829,14 +884,19 @@ def segment_crossings(starts, ends, nodes):
     DegenerateIntersection names the first such pair, and NonTransversal
     the most glancing crossing, with its `cos_angle`.
     """
+    return _crossings(starts, ends, _triangle_index(np.asarray(nodes, dtype=float)))
+
+
+def _crossings(starts, ends, index: _TriangleIndex):
+    """The kernel of segment_crossings and SurfaceMesh.scaled_crossings:
+    the signed crossings of the segments through an indexed grid."""
     p0s = np.asarray(starts, dtype=float).reshape(-1, 3)
     p1s = np.asarray(ends, dtype=float).reshape(-1, 3)
-    m, n = nodes.shape[0] - 1, nodes.shape[1] - 1
-    cells = np.stack([nodes[:-1, :-1], nodes[1:, :-1], nodes[1:, 1:], nodes[:-1, 1:]], axis=2)
-    seg, cell = (np.repeat(ids, 2) for ids in _candidate_pairs(p0s, p1s, cells))
-    cells = cells.reshape(-1, 4, 3)
+    m, n = index.m, index.n
+    seg, cell = (np.repeat(ids, 2) for ids in _candidate_pairs(p0s, p1s, index))
     half = np.tile([0, 1], len(cell) // 2)
-    tri = cells[cell[:, None], _CELL_TRIANGLES[half]]
+    rows = 2 * cell + half
+    tri, normal = index.corners[rows], index.normals[rows]
 
     def pair(row):
         """The error attributes of candidate row `row`."""
@@ -845,7 +905,6 @@ def segment_crossings(starts, ends, nodes):
     p0, p1 = p0s[seg], p1s[seg]
     d = p1 - p0
     a = tri[:, 0]
-    normal = cross(tri[:, 1] - a, tri[:, 2] - a)
     s0, s1 = _dot(normal, p0 - a), _dot(normal, p1 - a)
     for end, s in ((p0, s0), (p1, s1)):
         k = np.flatnonzero(s == 0.0)

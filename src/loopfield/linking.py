@@ -43,7 +43,7 @@ from .geometry import (
     bounding_box_diagonal,
     cross,
     mesh_boundary,
-    segment_crossings,
+    power_of_two_unit,
 )
 from .quadrature import QuadratureSpec, integrate_1d, integrate_2d
 
@@ -349,30 +349,34 @@ def sample_closed_polyline(curve: Curve, max_edge: float) -> np.ndarray:
     """Vertices of a closed polyline tracing the curve.
 
     A closed PolyLine is returned as its own vertices, whatever max_edge:
-    its legs are already straight, and segment_crossings counts a whole
+    its legs are already straight, and the crossing count takes a whole
     leg as exactly as its pieces.  Other curves are sampled with piece
     subdivision counts forced odd, so that the midpoint of a symmetric
     leg is never a sample endpoint; crossings then fall in segment
     interiors for the shipped scenes.  Their edges are at most max_edge.
+    The probe chords that set the counts are measured in a power-of-two
+    unit of max_edge, so the counts do not change when the curve and
+    max_edge are scaled by a power of two.
     """
     if max_edge <= 0.0:
         raise ValueError("max_edge must be positive")
     if isinstance(curve, PolyLine) and curve.closed:
         return curve.vertices.copy()
+    unit = power_of_two_unit(max_edge)
     pieces: list[np.ndarray] = []
     cuts = curve.smooth_cuts()
     for a, b in zip(cuts[:-1], cuts[1:]):
-        probe = curve.position(np.linspace(a, b, 65))
+        probe = curve.position(np.linspace(a, b, 65)) / unit
         arc = float(np.linalg.norm(np.diff(probe, axis=0), axis=1).sum())
-        count = max(int(math.ceil(1.02 * arc / max_edge)), 1)
+        count = max(int(math.ceil(1.02 * arc / (max_edge / unit))), 1)
         if count % 2 == 0:
             count += 1
         ts = np.linspace(a, b, count + 1)[:-1]
         pieces.append(curve.position(ts))
     pts = np.concatenate(pieces)
-    # drop consecutive duplicates (piece joints)
+    # drop consecutive repeats (piece joints)
     keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.linalg.norm(np.diff(pts, axis=0), axis=1) > 0.0
+    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
     return pts[keep]
 
 
@@ -380,18 +384,19 @@ def combinatorial_lk(curve_c: Curve, spanning_mesh: SurfaceMesh) -> int:
     """Signed count of transversal crossings of curve_c through the mesh.
 
     The curve is traced by a closed polyline (a polyline's own legs, or
-    chords of at most a quarter of the smallest panel edge), and
-    segment_crossings tests it against the two triangles of every mesh
-    cell.  The triangles tile the mesh, and a crossing through an
-    interior edge or node is settled by an infinitesimal shift of the
-    segment's line, so each crossing counts exactly once with the sign of
-    (tangent . triangle normal).  Raises
+    chords of at most a quarter of the smallest panel edge), and the
+    mesh's kept index of its triangles tests it against the two triangles
+    of every mesh cell, in the mesh's power-of-two unit
+    (SurfaceMesh.scaled_crossings).  The triangles tile the mesh, and a
+    crossing through an interior edge or node is settled by an
+    infinitesimal shift of the segment's line, so each crossing counts
+    exactly once with the sign of (tangent . triangle normal).  Raises
     DegenerateIntersection only when a crossing lies exactly on the mesh
     boundary or a sample point lies exactly on the mesh, and
     NonTransversal for a glancing crossing.
     """
     if not curve_c.closed:
         raise ValueError("curve_c must be closed")
-    pts = sample_closed_polyline(curve_c, spanning_mesh.min_edge_length() / 4.0)
-    signs, _ = segment_crossings(pts, np.roll(pts, -1, axis=0), spanning_mesh.nodes)
+    pts = sample_closed_polyline(curve_c, spanning_mesh.min_edge_length() / 4.0) / spanning_mesh.unit
+    signs, _ = spanning_mesh.scaled_crossings(pts, np.roll(pts, -1, axis=0))
     return int(signs.sum())

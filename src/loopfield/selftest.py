@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linking, quadrature
+from . import geometry, quadrature
 from .experiments import (
     ampere_catalog,
     curl_vanishing,
@@ -253,8 +253,8 @@ def _c10_independence(catalog_rows) -> CriterionResult:
             Circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), "ccw"), unit_disk_mesh()
         )
     count_ok = lk == 1
-    # integral route must not intersect panels
-    with _poisoned("integral route invoked panel intersection", (linking, "segment_crossings")):
+    # integral route must not run the one kernel behind every crossing count
+    with _poisoned("integral route invoked panel intersection", (geometry, "_crossings")):
         value, _ = gauss_pair_integral(
             Circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), "ccw"), unit_circle()
         )

@@ -201,7 +201,7 @@ def _no_integrals(*args, **kwargs):
 
 
 def test_criterion_10_route_independence(monkeypatch):
-    import loopfield.linking as linking
+    import loopfield.geometry as geometry
     import loopfield.quadrature as quadrature
 
     partner = Circle((1, 0, 0), 1.0, (0, 1, 0), "ccw")
@@ -211,12 +211,13 @@ def test_criterion_10_route_independence(monkeypatch):
     lk = combinatorial_lk(partner, unit_disk_mesh())
     monkeypatch.undo()
 
-    # the integral route must never intersect panels, with a circle source
-    # (2-D quadrature) or a polygon source (closed-form field, 1-D quadrature)
+    # the integral route must never run the crossing kernel, with a circle
+    # source (2-D quadrature) or a polygon source (closed-form field, 1-D
+    # quadrature)
     def no_intersections(*args, **kwargs):
         raise AssertionError("integral route called the intersector")
 
-    monkeypatch.setattr(linking, "segment_crossings", no_intersections)
+    monkeypatch.setattr(geometry, "_crossings", no_intersections)
     value, err = gauss_pair_integral(partner, unit_circle())
     rect_value, rect_err = gauss_pair_integral(RectLoop(8), unit_circle())
     monkeypatch.undo()
@@ -244,14 +245,32 @@ def test_poisoned_integrator_reaches_every_integral_route(monkeypatch):
     assert combinatorial_lk(partner, unit_disk_mesh()) == 1
 
 
+def test_poisoned_kernel_reaches_every_crossing_count():
+    import loopfield.geometry as geometry
+    from loopfield.geometry import segment_crossings
+    from loopfield.selftest import _poisoned
+
+    partner = Circle((1, 0, 0), 1.0, (0, 1, 0), "ccw")
+    mesh = unit_disk_mesh()
+    assert combinatorial_lk(partner, mesh) == 1  # the mesh now keeps its index
+    with _poisoned("kernel was called", (geometry, "_crossings")):
+        # through the kept index, a fresh mesh's first count and the one-shot form
+        for spanning in (mesh, unit_disk_mesh()):
+            with pytest.raises(AssertionError, match="kernel was called"):
+                combinatorial_lk(partner, spanning)
+        with pytest.raises(AssertionError, match="kernel was called"):
+            segment_crossings((0.5, 0.5, -1.0), (0.5, 0.5, 1.0), mesh.nodes)
+    assert combinatorial_lk(partner, mesh) == 1
+
+
 @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
 def test_selftest_poisoning_restores_every_name(raises):
-    import loopfield.linking as linking
+    import loopfield.geometry as geometry
     import loopfield.quadrature as quadrature
     from loopfield.selftest import _poisoned
 
     # every name criterion 10 poisons
-    targets = [(quadrature, "_integrate"), (linking, "segment_crossings")]
+    targets = [(quadrature, "_integrate"), (geometry, "_crossings")]
     before = [getattr(module, name) for module, name in targets]
 
     with pytest.raises(KeyError) if raises else contextlib.nullcontext():

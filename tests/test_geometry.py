@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -23,6 +24,7 @@ from loopfield import (
     SurfacePatch,
     as_vec3,
     bounding_box_diagonal,
+    combinatorial_lk,
     coulomb_surface_field,
     dipole_sheet_field_exact,
     mesh_boundary,
@@ -566,6 +568,19 @@ def test_meshes_of_any_size_build_and_a_collapsed_one_raises():
         SurfaceMesh(sliver)
 
 
+def test_planar_rects_of_any_size_build():
+    # the normal's cross product underflowed to zero at 1e-170, so the
+    # patch read as degenerate, and overflowed at 1e160; so did the dual
+    # basis's Gram matrix and the rim's squared edge lengths
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for size in (1e-170, 1e160):
+            rect = PlanarRect((0, 0, 0), (size, 0, 0), (0, size, 0))
+            assert np.array_equal(rect.constant_normal(), [0.0, 0.0, 1.0])
+            assert rect.rim().t_end == pytest.approx(4.0 * size, rel=1e-15)
+            assert rect.distance_to((0.25 * size, 0.5 * size, 3.0 * size)) == 3.0 * size
+
+
 def _bad_grid(case):
     """A 2 x 2 grid of the unit square, spoilt as `case` says."""
     u = np.linspace(0, 1, 3)
@@ -593,6 +608,22 @@ def test_a_patch_with_non_finite_points_does_not_mesh():
 
     with pytest.raises(DegeneratePatch, match="non-finite"):
         mesh_surface(Cusp((0, 0, 0), (1, 0, 0), (0, 1, 0)), 2, 2)
+
+
+def test_a_mesh_keeps_its_own_copy_of_the_nodes():
+    # the mesh froze the caller's array, so the first assignment raised
+    # "assignment destination is read-only"; neither the mesh's nodes nor
+    # the crossing index built from them may follow the caller's edits
+    nodes = mesh_surface(Disk((0, 0, 0), 1.0, (0, 0, 1)), 15, 15).nodes.copy()
+    mesh = SurfaceMesh(nodes)
+    loop = Circle((1, 0, 0), 1.0, (0, 1, 0), "ccw")
+    assert combinatorial_lk(loop, mesh) == 1
+    kept = mesh.nodes.copy()
+    nodes[0, 0, 0] = 5.0
+    nodes[..., 2] += 3.0  # a disk this high would miss the loop
+    assert np.array_equal(mesh.nodes, kept)
+    assert not mesh.nodes.flags.writeable
+    assert combinatorial_lk(loop, mesh) == 1
 
 
 _EDGE_MESHES = {
@@ -763,7 +794,7 @@ def test_broad_phase_finds_every_overlapping_box(monkeypatch, chunk, m, n):
     cells = np.stack([nodes[:-1, :-1], nodes[1:, :-1], nodes[1:, 1:], nodes[:-1, 1:]], axis=2)
     starts = rng.uniform(-0.2, 1.2, (60, 3))
     ends = starts + rng.normal(scale=0.15, size=(60, 3))
-    seg, cell = geometry._candidate_pairs(starts, ends, cells)
+    seg, cell = geometry._candidate_pairs(starts, ends, geometry._triangle_index(nodes))
     lo, hi = cells.min(axis=2).reshape(-1, 3), cells.max(axis=2).reshape(-1, 3)
     s_lo, s_hi = np.minimum(starts, ends), np.maximum(starts, ends)
     expected = np.all((s_lo[:, None] <= hi) & (s_hi[:, None] >= lo), axis=-1)
@@ -799,13 +830,68 @@ def test_broad_phase_returns_the_brute_force_pairs(m, n, count, jitter, length, 
         # on a coarse grid, so that segment and cell boxes touch exactly
         nodes, starts, ends = (np.round(16 * x) / 16 for x in (nodes, starts, ends))
     cells = np.stack([nodes[:-1, :-1], nodes[1:, :-1], nodes[1:, 1:], nodes[:-1, 1:]], axis=2)
-    seg, cell = geometry._candidate_pairs(starts, ends, cells)
+    seg, cell = geometry._candidate_pairs(starts, ends, geometry._triangle_index(nodes))
     lo, hi = cells.min(axis=2).reshape(-1, 3), cells.max(axis=2).reshape(-1, 3)
     s_lo, s_hi = np.minimum(starts, ends), np.maximum(starts, ends)
     expected = np.all((s_lo[:, None] <= hi) & (s_hi[:, None] >= lo), axis=-1)
     assert np.all(np.diff(seg) >= 0)
     pairs = sorted(zip(seg.tolist(), cell.tolist()))
     assert pairs == [tuple(pair) for pair in np.argwhere(expected).tolist()]
+
+
+def _crossings_outcome(count):
+    """A count's signs and crossing points as bytes, or its error's type,
+    message and attributes."""
+    try:
+        signs, points = count()
+    except (DegenerateIntersection, NonTransversal) as exc:
+        return type(exc), str(exc), exc.segment, exc.cell, exc.triangle, getattr(exc, "cos_angle", None)
+    return signs.tobytes(), points.tobytes()
+
+
+@given(
+    surface=st.sampled_from(["flat", "curved", "disk"]),
+    m=st.integers(1, 12),
+    n=st.integers(1, 12),
+    count=st.integers(1, 40),
+    snap=st.booleans(),
+    glancing=st.booleans(),
+    k=st.integers(-40, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_kept_index_counts_as_the_one_shot_form(surface, m, n, count, snap, glancing, k, seed):
+    # twice through one mesh, the second time through the index its first
+    # count kept, and once through segment_crossings, which indexes the
+    # grid for that call alone: one kernel, so the same crossings bitwise,
+    # or the same error.  Snapped to eighths, segments run exactly through
+    # nodes and edges and end on flat grids, which reaches the tie-break
+    # and both degenerate cases; a glancing segment reaches NonTransversal
+    rng = np.random.default_rng(seed)
+    if surface == "disk":
+        nodes = mesh_surface(Disk((0.1, -0.2, 0.3), 0.4 * max(m, n), (0.3, -0.4, 1.0)), m, n).nodes
+    else:
+        u, v = np.meshgrid(np.arange(m + 1.0), np.arange(n + 1.0), indexing="ij")
+        nodes = np.stack([u, v, 0.0 * u if surface == "flat" else 0.3 * np.sin(u) * v], axis=-1)
+    starts = rng.uniform(-1.0, max(m, n) + 1.0, (count, 3))
+    starts[:, 2] = rng.uniform(-2.0, 2.0, count)
+    ends = starts + rng.normal(scale=2.0, size=(count, 3))
+    if glancing:
+        starts[-1, 2] = -1e-11
+        ends[-1] = starts[-1] + (2.0, 1.0, 2e-11)
+    if snap:
+        nodes, starts, ends = (np.round(8.0 * x) / 8.0 for x in (nodes, starts, ends))
+    nodes, starts, ends = (x * 2.0**k for x in (nodes, starts, ends))
+    try:
+        mesh = SurfaceMesh(nodes)
+    except DegeneratePatch:
+        assume(False)
+
+    def through_the_mesh():
+        signs, points = mesh.scaled_crossings(starts / mesh.unit, ends / mesh.unit)
+        return signs, points * mesh.unit
+
+    first, kept = _crossings_outcome(through_the_mesh), _crossings_outcome(through_the_mesh)
+    assert first == kept == _crossings_outcome(lambda: segment_crossings(starts, ends, nodes))
 
 
 def _orientations_by_np_cross(tri, origin, direction):

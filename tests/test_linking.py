@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from loopfield import (
     PolyLine,
     QuadratureSpec,
     RectLoop,
+    SurfaceMesh,
     bounding_box_diagonal,
     combinatorial_lk,
     curve_min_distance,
@@ -749,6 +751,40 @@ def _moved_catalog(seed, m):
 def test_catalog_counts_survive_rigid_motion_and_scaling(seed, m):
     for name, curve, _, disk in _moved_catalog(seed, m):
         assert combinatorial_lk(curve, disk) == CATALOG_LK[name], name
+
+
+def _scaled(curve, factor):
+    """A catalog loop scaled by factor, rebuilt from its center and radius
+    or its vertices."""
+    if isinstance(curve, Circle):
+        return Circle(curve.center * factor, curve.radius * factor, curve.axis, curve.orientation)
+    return PolyLine(curve.vertices * factor, closed=True)
+
+
+@given(k=st.integers(-600, 600))
+def test_catalog_counts_are_scale_free(k):
+    # the count works in the mesh's power-of-two unit and the sampling in
+    # one of its chord bound, so 2^k times a scene counts what the scene
+    # does and samples 2^k times its samples, bitwise
+    factor = 2.0**k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scene in default_catalog(15, 15):
+            mesh = SurfaceMesh(scene.spanning_mesh.nodes * factor)
+            curve = _scaled(scene.curve_c, factor)
+            assert combinatorial_lk(curve, mesh) == CATALOG_LK[scene.name], scene.name
+            edge = scene.spanning_mesh.min_edge_length() / 4.0
+            samples = linking.sample_closed_polyline(curve, edge * factor)
+            assert np.array_equal(samples, linking.sample_closed_polyline(scene.curve_c, edge) * factor)
+
+
+def test_hopf_pair_counts_at_two_to_the_minus_560():
+    # the circle's squared probe chords underflowed, so it was sampled as
+    # one point and both orientations counted 0
+    factor = 2.0**-560
+    mesh = SurfaceMesh(unit_disk_mesh().nodes * factor)
+    assert combinatorial_lk(_scaled(hopf_partner(), factor), mesh) == 1
+    assert combinatorial_lk(_scaled(hopf_partner().reversed(), factor), mesh) == -1
 
 
 @settings(max_examples=10)
