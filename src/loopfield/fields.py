@@ -44,6 +44,7 @@ from .geometry import (
     SurfacePatch,
     as_points,
     as_vec3,
+    bounding_box_diagonal,
     cross,
 )
 # integrate_1d and integrate_2d are not called here, but bench/spans.py
@@ -126,8 +127,7 @@ def _guarded(source, field, points, spec: QuadratureSpec, what: str) -> np.ndarr
     sizes, which field never sees; raises NearSingular if any point lies
     within the guard distance of the source, naming the first."""
     lo, hi = source.bounding_box()
-    span = hi - lo
-    scale = math.sqrt(span @ span)
+    scale = bounding_box_diagonal([source])
     guard = spec.resolve_guard(scale)
     # every point of the source lies within scale / 2 of its box's centre:
     # a point this far from it is beyond reach and outside the guard,

@@ -20,6 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property, reduce
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -140,9 +141,17 @@ def bounding_box_diagonal(objects: Sequence) -> float:
     length scale."""
     boxes = [obj.bounding_box() for obj in objects]
     lo, hi = boxes[0] if len(boxes) == 1 else _merge_boxes(boxes)
-    span = hi - lo
     # the products and sum of np.linalg.norm, without its dispatch
-    return math.sqrt(span @ span)
+    span = hi - lo
+    square = float(span @ span)
+    if 2.0**-900 < square < 2.0**900:
+        return math.sqrt(square)
+    # out of that range some square over- or underflows; in a power-of-two
+    # unit of the span none does, and in range the two roots agree bitwise,
+    # since a square below 2^-1022 is far below half an ulp of the sum
+    unit = power_of_two_unit(float(np.abs(span).max()))
+    span = span / unit
+    return math.sqrt(span @ span) * unit
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +221,7 @@ class Circle(Curve):
         # per-axis half-extent of a 3-D circle: R * sqrt(1 - a_i^2)
         ext = self.radius * np.sqrt(np.clip(1.0 - a**2, 0.0, 1.0))
         self._box = (_frozen(self.center - ext), _frozen(self.center + ext))
+        self._unit = power_of_two_unit(self.radius)
         self.t_start = 0.0
         self.t_end = _TWO_PI
         self.closed = True
@@ -249,8 +259,10 @@ class Circle(Curve):
         return self._box
 
     def _axial(self, pts):
-        """(height along the axis, distance from the axis) of (n, 3) points."""
-        rel = pts - self.center
+        """(height along the axis, distance from the axis) of (n, 3) points,
+        in _unit, the power of two near the radius in which the squares of
+        offsets neither over- nor underflow."""
+        rel = (pts - self.center) / self._unit
         z = rel @ self._a
         radial = rel - z[:, None] * self._a
         # np.linalg.norm's own sum, without its per-call set-up
@@ -259,7 +271,7 @@ class Circle(Curve):
     def distance_to(self, point):
         pts, single = as_points(point)
         z, rho = self._axial(pts)
-        dist = np.hypot(rho - self.radius, z)
+        dist = np.hypot(rho - self.radius / self._unit, z) * self._unit
         return float(dist[0]) if single else dist
 
 
@@ -291,9 +303,14 @@ class PolyLine(Curve):
         # where the squares neither over- nor underflow
         unit = power_of_two_unit(float(np.abs(chords).max()))
         scaled = chords / unit
-        lengths = np.sqrt(np.add.reduce(scaled * scaled, axis=1)) * unit
+        scaled_lengths = np.sqrt(np.add.reduce(scaled * scaled, axis=1))
+        lengths = scaled_lengths * unit
         if np.any(lengths == 0.0):
             raise ValueError("polyline has a zero-length segment")
+        # distance_to works in the same unit, where the squares of gaps
+        # neither over- nor underflow
+        self._unit = unit
+        self._scaled = (_frozen(starts / unit), _frozen(scaled_lengths))
         self.vertices = _frozen(verts)
         self._box = (_frozen(verts.min(axis=0)), _frozen(verts.max(axis=0)))
         self.closed = bool(closed)
@@ -356,12 +373,13 @@ class PolyLine(Curve):
 
     def distance_to(self, point):
         pts, single = as_points(point)
-        p = pts[:, None, :]
-        proj = np.einsum("pij,ij->pi", p - self._starts, self._dirs)
-        proj = np.minimum(np.maximum(proj, 0.0), self._lengths)  # np.clip, without its set-up
-        closest = self._starts + proj[..., None] * self._dirs
+        starts, lengths = self._scaled
+        p = pts[:, None, :] / self._unit
+        proj = np.einsum("pij,ij->pi", p - starts, self._dirs)
+        proj = np.minimum(np.maximum(proj, 0.0), lengths)  # np.clip, without its set-up
+        closest = starts + proj[..., None] * self._dirs
         gap = p - closest
-        dist = np.sqrt(np.add.reduce(gap * gap, axis=2)).min(axis=1)
+        dist = np.sqrt(np.add.reduce(gap * gap, axis=2)).min(axis=1) * self._unit
         return float(dist[0]) if single else dist
 
 
@@ -584,8 +602,9 @@ class Disk(SurfacePatch):
     def distance_to(self, point):
         pts, single = as_points(point)
         z, rho = self._rim._axial(pts)
+        radius = self.radius / self._rim._unit
         # over the disk the height, beside it the rim's distance
-        dist = np.where(rho <= self.radius, np.abs(z), np.hypot(rho - self.radius, z))
+        dist = np.where(rho <= radius, np.abs(z), np.hypot(rho - radius, z)) * self._rim._unit
         return float(dist[0]) if single else dist
 
 
@@ -733,34 +752,57 @@ _TRANSVERSALITY_TOL = 1e-9
 # as a multiple of its permanent (Shewchuk 1997, orient3d, (7 + 56u)u)
 _ORIENT_ERR = 8.0 * 2.0**-53
 
+# a row's orientation signs on AB, BC, CA as one number 9 s_AB + 3 s_BC +
+# s_CA, from -13 to 13, and whether each sign triple is closed (no two
+# signs opposite), in that order: one product and one gather per test
+_SIGN_DIGITS = np.array([9, 3, 1])
+_CLOSED = np.array([min(t) >= 0 or max(t) <= 0 for t in itertools.product((-1, 0, 1), repeat=3)])
+
 
 def _dot(u, v):
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
+# the places, among a triangle's nine values in row order, of its corners
+# A, B, C, A, each with the components x, y, z, x, y: one gather, after
+# which the vertex and component rolls of an orientation are slices
+_ROLLED = (3 * np.array([0, 1, 2, 0])[:, None] + [0, 1, 2, 0, 1]).ravel()
+
+
 def _edge_orientations(tri, origin, direction):
     """direction . ((A - origin) x (B - origin)) for edges AB, BC, CA, and
-    a bound on its rounding error."""
-    rel = tri - origin[:, None, :]
-    nxt = rel[:, [1, 2, 0]]
+    a bound on its rounding error.
+
+    Both come from the six products r_i q_j of the components of
+    r = A - origin and q = B - origin, formed once: |r_i| |q_j| =
+    |r_i q_j| exactly, so the bound is the permanent of the same terms."""
+    rel = (tri - origin[:, None, :]).reshape(-1, 9).take(_ROLLED, axis=1).reshape(-1, 4, 5)
+    r, q = rel[:, :3], rel[:, 1:]
+    plus, minus = r[..., 1:4] * q[..., 2:5], r[..., 2:5] * q[..., 1:4]
     d = direction[:, None, :]
-    r, q = np.abs(rel), np.abs(nxt)
-    abs_cross = r[..., [1, 2, 0]] * q[..., [2, 0, 1]] + r[..., [2, 0, 1]] * q[..., [1, 2, 0]]
-    permanent = _dot(np.abs(d), abs_cross)
-    return _dot(d, cross(rel, nxt)), _ORIENT_ERR * permanent
+    permanent = _dot(np.abs(d), np.abs(plus) + np.abs(minus))
+    return _dot(d, plus - minus), _ORIENT_ERR * permanent
 
 
 class _TriangleIndex(NamedTuple):
     """What the crossing kernel reads of an m x n grid, built once per
     grid: the broad phase's tree of boxes, root first, each level as its
-    (6, rows * cols) boxes and its cols; and the (2mn, 3, 3) corners and
-    (2mn, 3) normals of the triangles, triangle h of cell c = i * n + j at
-    row 2c + h."""
+    (6, rows * cols) boxes and its cols; and of the triangles, triangle h
+    of cell c = i * n + j at row 2c + h, their (2mn, 3, 3) corners, their
+    (2mn, 3) normals and the normals' (2mn,) lengths, and which of their
+    edges AB, BC and CA lie on the grid's outer boundary, (2mn, 3).
+
+    The triangles take 214 bytes per cell: corners 144, normals 48,
+    lengths 16 and boundary flags 6.  Each box of the tree takes 48, and
+    the levels are padded to multiples of _FAN, so a grid of 8 to 70
+    cells a side keeps at most 310 bytes per cell in all (272 at 15 x 15,
+    265 at 16 x 16)."""
 
     levels: list
     corners: np.ndarray
     normals: np.ndarray
-    m: int
+    lengths: np.ndarray
+    rim: np.ndarray
     n: int
 
 
@@ -773,6 +815,11 @@ def _triangle_index(nodes: np.ndarray) -> _TriangleIndex:
     triangles = np.stack((c0, c1, c2, c0, c2, c3), axis=2).reshape(-1, 3, 3)
     a = triangles[:, 0]
     normals = cross(triangles[:, 1] - a, triangles[:, 2] - a)
+    lengths = np.sqrt(_dot(normals, normals))
+    # the grid edges of triangle 0 are AB at j = 0 and BC at i = m - 1, those
+    # of triangle 1 BC at j = n - 1 and CA at i = 0; the diagonal is interior
+    rim = np.zeros((m, n, 2, 3), dtype=bool)
+    rim[:, 0, 0, 0] = rim[-1, :, 0, 1] = rim[:, -1, 1, 1] = rim[0, :, 1, 2] = True
     # components first, so that a gather takes whole rows and the six
     # comparisons reduce across them
     quad = (c0, c1, c2, c3)
@@ -787,7 +834,8 @@ def _triangle_index(nodes: np.ndarray) -> _TriangleIndex:
         box = reduce(np.maximum, (box[:, :, k::_FAN] for k in range(_FAN)))
     levels.append(box)
     levels = [(_frozen(level.reshape(6, -1)), level.shape[2]) for level in reversed(levels)]
-    return _TriangleIndex(levels, _frozen(triangles), _frozen(normals), m, n)
+    return _TriangleIndex(levels, _frozen(triangles), _frozen(normals), _frozen(lengths),
+                          _frozen(rim.reshape(-1, 3)), n)
 
 
 def _candidate_pairs(p0s, p1s, index: _TriangleIndex):
@@ -889,70 +937,73 @@ def segment_crossings(starts, ends, nodes):
 
 def _crossings(starts, ends, index: _TriangleIndex):
     """The kernel of segment_crossings and SurfaceMesh.scaled_crossings:
-    the signed crossings of the segments through an indexed grid."""
+    the signed crossings of the segments through an indexed grid.
+
+    Candidate row f is triangle f & 1 of candidate pair f >> 1.  The plane
+    test reads only the normals and the corner that a cell's two triangles
+    share first; everything after it reads only the rows that straddle a
+    plane.  Gathers of whole rows go by take and compress, which cost
+    less per call than fancy indexing."""
     p0s = np.asarray(starts, dtype=float).reshape(-1, 3)
     p1s = np.asarray(ends, dtype=float).reshape(-1, 3)
-    m, n = index.m, index.n
-    seg, cell = (np.repeat(ids, 2) for ids in _candidate_pairs(p0s, p1s, index))
-    half = np.tile([0, 1], len(cell) // 2)
-    rows = 2 * cell + half
-    tri, normal = index.corners[rows], index.normals[rows]
+    seg, cell = _candidate_pairs(p0s, p1s, index)
 
-    def pair(row):
-        """The error attributes of candidate row `row`."""
-        return {"segment": int(seg[row]), "cell": divmod(int(cell[row]), n), "triangle": int(half[row])}
+    def pair(f):
+        """The error attributes of candidate row f."""
+        return {"segment": int(seg[f >> 1]), "cell": divmod(int(cell[f >> 1]), index.n), "triangle": int(f & 1)}
 
-    p0, p1 = p0s[seg], p1s[seg]
+    normals = index.normals.reshape(-1, 2, 3).take(cell, axis=0)
+    a = index.corners[::2, 0].take(cell, axis=0)
+    p0, p1 = p0s.take(seg, axis=0), p1s.take(seg, axis=0)
+    s0 = _dot(normals, (p0 - a)[:, None, :]).ravel()
+    s1 = _dot(normals, (p1 - a)[:, None, :]).ravel()
+    sides = np.sign(s0) * np.sign(s1)
+    if not sides.all():
+        for end, s in ((p0, s0), (p1, s1)):
+            f = (s == 0.0).nonzero()[0]
+            if not len(f):
+                continue
+            rows = 2 * cell[f >> 1] + (f & 1)
+            tri, normal = index.corners.take(rows, axis=0), index.normals.take(rows, axis=0)
+            inside = np.all(_edge_orientations(tri, end.take(f >> 1, axis=0), normal)[0] >= 0.0, axis=1)
+            if inside.any():
+                raise DegenerateIntersection(
+                    "sample endpoint lies on a triangle's plane inside the triangle; "
+                    "refine or perturb the sampling",
+                    **pair(f[inside.argmax()]),
+                )
+
+    f = (sides < 0.0).nonzero()[0]
+    if not len(f):
+        return np.empty(0, dtype=int), np.empty((0, 3))
+    k = f >> 1
+    rows = 2 * cell[k] + (f & 1)
+    tri, p0, p1 = index.corners.take(rows, axis=0), p0.take(k, axis=0), p1.take(k, axis=0)
     d = p1 - p0
-    a = tri[:, 0]
-    s0, s1 = _dot(normal, p0 - a), _dot(normal, p1 - a)
-    for end, s in ((p0, s0), (p1, s1)):
-        k = np.flatnonzero(s == 0.0)
-        if not len(k):
-            continue
-        inside = np.all(_edge_orientations(tri[k], end[k], normal[k])[0] >= 0.0, axis=1)
-        if inside.any():
-            raise DegenerateIntersection(
-                "sample endpoint lies on a triangle's plane inside the triangle; "
-                "refine or perturb the sampling",
-                **pair(k[inside.argmax()]),
-            )
-
-    k = np.flatnonzero(np.sign(s0) * np.sign(s1) < 0.0)
-    w, err = _edge_orientations(tri[k], p0[k], d[k])
+    w, err = _edge_orientations(tri, p0, d)
     side, tie = np.sign(w).astype(int), np.zeros_like(w, dtype=int)
     for r, e in zip(*np.nonzero(np.abs(w) <= err)):
-        q = k[r]
-        side[r, e], tie[r, e] = _exact_side(p0[q], p1[q], tri[q, e], tri[q, (e + 1) % 3])
-    closed = np.all(side >= 0, axis=1) | np.all(side <= 0, axis=1)
-    k, side, tie = k[closed], side[closed], tie[closed]
-    cos_angle = np.abs(_dot(d[k], normal[k])) / (
-        np.linalg.norm(d[k], axis=1) * np.linalg.norm(normal[k], axis=1)
-    )
+        side[r, e], tie[r, e] = _exact_side(p0[r], p1[r], tri[r, e], tri[r, (e + 1) % 3])
+    closed = _CLOSED[side @ _SIGN_DIGITS + 13]
+    f, rows = f[closed], rows[closed]
+    side, tie, p0, d = (x.compress(closed, axis=0) for x in (side, tie, p0, d))
+    normal = index.normals.take(rows, axis=0)
+    cos_angle = np.abs(_dot(d, normal)) / (np.sqrt(_dot(d, d)) * index.lengths[rows])
     if np.any(cos_angle < _TRANSVERSALITY_TOL):
         r = cos_angle.argmin()
         raise NonTransversal(
             f"crossing direction nearly parallel to the surface (|cos| = {cos_angle[r]:g})",
             cos_angle=float(cos_angle[r]),
-            **pair(k[r]),
+            **pair(f[r]),
         )
-    i, j = np.divmod(cell[k], n)
-    upper = half[k] == 1
-    # edges AB, BC, CA of each triangle on the outer boundary; the
-    # diagonal never is
-    rim = np.column_stack(
-        [~upper & (j == 0), np.where(upper, j == n - 1, i == m - 1), upper & (i == 0)]
-    )
-    on_rim = rim & (side == 0)
+    on_rim = index.rim.take(rows, axis=0) & (side == 0)
     if on_rim.any():
-        r = on_rim.any(axis=1).argmax()
         raise DegenerateIntersection(
             "crossing lies exactly on the surface's outer boundary",
-            **pair(k[r]),
+            **pair(f[on_rim.any(axis=1).argmax()]),
         )
     side = np.where(side == 0, tie, side)
-    hit = np.all(side > 0, axis=1) | np.all(side < 0, axis=1)
-    k = k[hit]
-    tau = s0[k] / (s0[k] - s1[k])
-    return side[hit, 0], p0[k] + tau[:, None] * d[k]
-
+    hit = np.abs(side @ _SIGN_DIGITS) == 13
+    f = f[hit]
+    tau = s0[f] / (s0[f] - s1[f])
+    return side[hit, 0], p0.compress(hit, axis=0) + tau[:, None] * d.compress(hit, axis=0)

@@ -367,17 +367,19 @@ def sample_closed_polyline(curve: Curve, max_edge: float) -> np.ndarray:
     cuts = curve.smooth_cuts()
     for a, b in zip(cuts[:-1], cuts[1:]):
         probe = curve.position(np.linspace(a, b, 65)) / unit
-        arc = float(np.linalg.norm(np.diff(probe, axis=0), axis=1).sum())
+        chords = probe[1:] - probe[:-1]
+        # np.linalg.norm's own sum, without its per-call set-up
+        arc = float(np.sqrt(np.add.reduce(chords * chords, axis=1)).sum())
         count = max(int(math.ceil(1.02 * arc / (max_edge / unit))), 1)
         if count % 2 == 0:
             count += 1
         ts = np.linspace(a, b, count + 1)[:-1]
         pieces.append(curve.position(ts))
-    pts = np.concatenate(pieces)
+    pts = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
     # drop consecutive repeats (piece joints)
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-    return pts[keep]
+    same = pts[1:] == pts[:-1]
+    repeats = (same[:, 0] & same[:, 1] & same[:, 2]).nonzero()[0]
+    return np.delete(pts, repeats + 1, axis=0) if len(repeats) else pts
 
 
 def combinatorial_lk(curve_c: Curve, spanning_mesh: SurfaceMesh) -> int:
@@ -398,5 +400,6 @@ def combinatorial_lk(curve_c: Curve, spanning_mesh: SurfaceMesh) -> int:
     if not curve_c.closed:
         raise ValueError("curve_c must be closed")
     pts = sample_closed_polyline(curve_c, spanning_mesh.min_edge_length() / 4.0) / spanning_mesh.unit
-    signs, _ = spanning_mesh.scaled_crossings(pts, np.roll(pts, -1, axis=0))
+    # each sample to the next, the last back to the first
+    signs, _ = spanning_mesh.scaled_crossings(pts, np.concatenate((pts[1:], pts[:1])))
     return int(signs.sum())

@@ -783,6 +783,25 @@ def test_circle_and_disk_fields_are_scale_free(radius):
     assert _relative_error(e, e_unit) <= 1e-12
 
 
+def test_the_guard_reaches_a_source_of_size_2_to_the_minus_565():
+    # the guard's box diagonal and the distances once squared absolute
+    # offsets, which underflow at this size: every point was beyond reach
+    # and both fields read exactly zero.  In units, the loop field is 2^565
+    # times the unscaled one and the sheet field equals it, bitwise
+    s = 2.0**-565
+    x = np.array([0.5, 0.5, 0.3])
+    square = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], dtype=float)
+    b_unit = biot_savart(PolyLine(square, closed=True), x, UNIT)
+    e_unit = coulomb_surface_field(PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0)), 1.0, x, UNIT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = biot_savart(PolyLine(s * square, closed=True), s * x, UNIT)
+        e = coulomb_surface_field(PlanarRect((0, 0, 0), (s, 0, 0), (0, s, 0)), 1.0, s * x, UNIT)
+    assert np.abs(b_unit).max() > 0.0 and np.abs(e_unit).max() > 0.0
+    assert b.tobytes() == (b_unit * 2.0**565).tobytes()
+    assert e.tobytes() == e_unit.tobytes()
+
+
 @given(seed=st.integers(0, 2**32 - 1), power=st.integers(-300, 300))
 def test_disk_field_turns_with_the_disk_mirrors_and_ignores_scale(seed, power):
     # a disk and a point at least a tenth of its radius from the sheet,

@@ -272,6 +272,40 @@ def test_patch_distance_to_takes_many_points():
     assert disk.distance_to((2.0, 0.0, 1.0)) == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
+def _objects_of_size(rng, s):
+    """A circle, a disk, a parallelogram, and a closed and an open polyline,
+    of size about s near s * (1, 1, 1); rng draws the same shapes for
+    every s."""
+    c = s * (1.0 + rng.normal(size=3))
+    verts = c + s * rng.normal(size=(5, 3))
+    return [
+        Circle(c, s * rng.uniform(0.5, 2.0), rng.normal(size=3)),
+        Disk(c, s * rng.uniform(0.5, 2.0), rng.normal(size=3)),
+        PlanarRect(c, s * rng.normal(size=3), s * rng.normal(size=3)),
+        PolyLine(verts, closed=True),
+        PolyLine(verts[:3]),
+    ]
+
+
+@given(k=st.integers(-600, 600), seed=st.integers(0, 2**32 - 1))
+def test_distances_and_the_box_diagonal_scale_by_powers_of_two(k, seed):
+    # each distance and the box diagonal work in a power-of-two unit of
+    # their object's size, so at 2^k they are 2^k times the unscaled ones,
+    # bitwise and under warnings as errors, for points from 1e-3 to 1e3
+    # sizes away
+    s = 2.0**k
+    rng = np.random.default_rng(seed)
+    points = 1.0 + rng.normal(size=(9, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (9, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unscaled = _objects_of_size(np.random.default_rng(seed), 1.0)
+        scaled = _objects_of_size(np.random.default_rng(seed), s)
+        for one, other in zip(unscaled, scaled):
+            assert other.distance_to(s * points).tobytes() == (s * one.distance_to(points)).tobytes(), type(one)
+            assert bounding_box_diagonal([other]) == s * bounding_box_diagonal([one])
+        assert bounding_box_diagonal(scaled) == s * bounding_box_diagonal(unscaled)
+
+
 # ---------------------------------------------------------------------------
 # Cross product
 # ---------------------------------------------------------------------------
@@ -839,6 +873,21 @@ def test_broad_phase_returns_the_brute_force_pairs(m, n, count, jitter, length, 
     assert pairs == [tuple(pair) for pair in np.argwhere(expected).tolist()]
 
 
+@pytest.mark.parametrize("m, n", [(8, 8), (9, 9), (15, 15), (16, 16), (17, 17), (8, 70), (65, 64)])
+def test_the_triangle_index_keeps_its_stated_bytes_per_cell(m, n):
+    # _TriangleIndex states 214 bytes per cell for the triangles and at most
+    # 310 in all from 8 to 70 cells a side; growth has to change both
+    from loopfield import geometry
+
+    u, v = np.meshgrid(np.linspace(0, 1, m + 1), np.linspace(0, 1, n + 1), indexing="ij")
+    index = geometry._triangle_index(np.stack([u, v, 0.2 * u * v], axis=-1))
+    arrays = [value for value in index if isinstance(value, np.ndarray)]
+    triangles = sum(x.nbytes for x in arrays)
+    boxes = sum(level.nbytes for level, _ in index.levels)
+    assert triangles == 214 * m * n
+    assert triangles + boxes <= 310 * m * n
+
+
 def _crossings_outcome(count):
     """A count's signs and crossing points as bytes, or its error's type,
     message and attributes."""
@@ -986,3 +1035,137 @@ def test_exact_side_matches_fractions_on_near_degenerate_lines():
                     assert geometry._exact_side(p0, p1, a, b) == expected
                     exact_zero += expected[0] == 0
     assert exact_zero >= 100
+
+
+def _reference_crossings(starts, ends, nodes, oriented):
+    """A plain narrow phase over the broad phase's pairs, in their order,
+    for segment_crossings to agree with bitwise: plane sides, endpoints on
+    a plane, orientations by np.cross with fractions where their sign is in
+    doubt, then the glancing and boundary checks and the tie-break.
+
+    Appends to `oriented` the number of rows it orients at each step:
+    those with an endpoint on their plane, and those that straddle it."""
+    from loopfield import geometry
+
+    p0s = np.asarray(starts, dtype=float).reshape(-1, 3)
+    p1s = np.asarray(ends, dtype=float).reshape(-1, 3)
+    m, n = nodes.shape[0] - 1, nodes.shape[1] - 1
+    pairs = geometry._candidate_pairs(p0s, p1s, geometry._triangle_index(nodes))
+    # two rows per pair, triangle 0 = corners (0, 1, 2) of the cell and 1 = (0, 2, 3)
+    seg, cell = (np.repeat(ids, 2) for ids in pairs)
+    half = np.tile([0, 1], len(seg) // 2)
+    i, j = np.divmod(cell, n)
+    quad = np.stack([nodes[i, j], nodes[i + 1, j], nodes[i + 1, j + 1], nodes[i, j + 1]], axis=1)
+    tri = np.where(half[:, None, None] == 0, quad[:, [0, 1, 2]], quad[:, [0, 2, 3]])
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    rim = np.column_stack([(half == 0) & (j == 0), np.where(half == 0, i == m - 1, j == n - 1), (half == 1) & (i == 0)])
+    p0, p1 = p0s[seg], p1s[seg]
+    d = p1 - p0
+
+    def dot(x, y):
+        return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+    def error(kind, message, row, **extra):
+        return kind(message, segment=int(seg[row]), cell=(int(i[row]), int(j[row])), triangle=int(half[row]), **extra)
+
+    s0, s1 = dot(normal, p0 - tri[:, 0]), dot(normal, p1 - tri[:, 0])
+    for end, s in ((p0, s0), (p1, s1)):
+        on_plane = np.flatnonzero(s == 0.0)
+        oriented.append(len(on_plane))
+        if len(on_plane):
+            w, _ = _orientations_by_np_cross(tri[on_plane], end[on_plane], normal[on_plane])
+            inside = on_plane[np.all(w >= 0.0, axis=1)]
+            if len(inside):
+                message = "sample endpoint lies on a triangle's plane inside the triangle; refine or perturb the sampling"
+                raise error(DegenerateIntersection, message, inside[0])
+    k = np.flatnonzero(np.sign(s0) * np.sign(s1) < 0.0)
+    oriented.append(len(k))
+    w, err = _orientations_by_np_cross(tri[k], p0[k], d[k])
+    side, tie = np.sign(w).astype(int), np.zeros(w.shape, dtype=int)
+    for r, e in zip(*np.nonzero(np.abs(w) <= err)):
+        q = k[r]
+        side[r, e], tie[r, e] = _fraction_side(p0[q], p1[q], tri[q, e], tri[q, (e + 1) % 3])
+    closed = np.all(side >= 0, axis=1) | np.all(side <= 0, axis=1)
+    k, side, tie = k[closed], side[closed], tie[closed]
+    cos_angle = np.abs(dot(d[k], normal[k])) / (np.linalg.norm(d[k], axis=1) * np.linalg.norm(normal[k], axis=1))
+    if np.any(cos_angle < 1e-9):
+        r = cos_angle.argmin()
+        message = f"crossing direction nearly parallel to the surface (|cos| = {cos_angle[r]:g})"
+        raise error(NonTransversal, message, k[r], cos_angle=float(cos_angle[r]))
+    on_rim = np.flatnonzero((rim[k] & (side == 0)).any(axis=1))
+    if len(on_rim):
+        raise error(DegenerateIntersection, "crossing lies exactly on the surface's outer boundary", k[on_rim[0]])
+    side = np.where(side == 0, tie, side)
+    hit = np.all(side > 0, axis=1) | np.all(side < 0, axis=1)
+    k = k[hit]
+    tau = s0[k] / (s0[k] - s1[k])
+    return side[hit, 0], p0[k] + tau[:, None] * d[k]
+
+
+@given(
+    surface=st.sampled_from(["flat", "curved", "disk"]),
+    m=st.integers(1, 10),
+    n=st.integers(1, 10),
+    count=st.integers(0, 20),
+    special=st.sampled_from([None, "node", "endpoint", "boundary", "glancing"]),
+    snap=st.booleans(),
+    k=st.integers(-40, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_narrow_phase_agrees_with_a_plain_reference(surface, m, n, count, special, snap, k, seed):
+    # signs and points bitwise, or the same error with the same attributes;
+    # and only the rows with an endpoint on their plane and the rows that
+    # straddle it reach the orientations, none when no row does.  Snapped
+    # to eighths, segments run exactly through nodes and along edges, which
+    # reaches the exact fallback and the tie-break; the special segment runs
+    # through a node, ends on one, crosses the outer boundary or glances
+    from unittest import mock
+
+    from loopfield import geometry
+
+    rng = np.random.default_rng(seed)
+    if surface == "disk":
+        nodes = mesh_surface(Disk((0.1, -0.2, 0.3), 0.4 * max(m, n), (0.3, -0.4, 1.0)), m, n).nodes
+    else:
+        u, v = np.meshgrid(np.arange(m + 1.0), np.arange(n + 1.0), indexing="ij")
+        nodes = np.stack([u, v, 0.0 * u if surface == "flat" else 0.3 * np.sin(u) * v], axis=-1)
+    starts = rng.uniform(-1.0, max(m, n) + 1.0, (count, 3))
+    starts[:, 2] = rng.uniform(-2.0, 2.0, count)
+    ends = starts + rng.normal(scale=2.0, size=(count, 3))
+    if snap:
+        nodes, starts, ends = (np.round(8.0 * x) / 8.0 for x in (nodes, starts, ends))
+    a, b = rng.integers(0, m), rng.integers(0, n)
+    node = nodes[a, b]
+    if special == "node":
+        starts, ends = np.append(starts, [node - (0.25, 0.125, 1.0)], 0), np.append(ends, [node + (0.25, 0.125, 1.0)], 0)
+    elif special == "endpoint":
+        starts, ends = np.append(starts, [node - (0.25, 0.5, 1.0)], 0), np.append(ends, [node], 0)
+    elif special == "boundary":
+        rim = [nodes[:, 0], nodes[-1], nodes[::-1, -1], nodes[0, ::-1]][int(rng.integers(4))]
+        edge = 0.5 * (rim[0] + rim[1])
+        starts, ends = np.append(starts, [edge - (0.0, 0.0, 1.0)], 0), np.append(ends, [edge + (0.0, 0.0, 1.0)], 0)
+    elif special == "glancing":
+        # across triangle 0 of cell (a, b), 1e-11 out of its plane
+        corner, along, across = node, nodes[a + 1, b] - node, nodes[a + 1, b + 1] - node
+        normal = np.cross(along, across)
+        lift = 1e-11 * normal / np.linalg.norm(normal)
+        middle = corner + 0.6 * along + 0.3 * across
+        starts, ends = np.append(starts, [middle - 0.5 * along - lift], 0), np.append(ends, [middle + 0.5 * along + lift], 0)
+    nodes, starts, ends = (x * 2.0**k for x in (nodes, starts, ends))
+    try:
+        SurfaceMesh(nodes)
+    except DegeneratePatch:
+        assume(False)
+
+    rows = []
+    orientations = geometry._edge_orientations
+
+    def counted(tri, origin, direction):
+        rows.append(len(origin))
+        return orientations(tri, origin, direction)
+
+    with mock.patch.object(geometry, "_edge_orientations", counted):
+        ours = _crossings_outcome(lambda: segment_crossings(starts, ends, nodes))
+    oriented = []
+    assert ours == _crossings_outcome(lambda: _reference_crossings(starts, ends, nodes, oriented))
+    assert sum(rows) == sum(oriented)
