@@ -46,6 +46,7 @@ from .geometry import (
     as_vec3,
     bounding_box_diagonal,
     cross,
+    power_of_two_unit,
 )
 # integrate_1d and integrate_2d are not called here, but bench/spans.py
 # wraps both under this module's name
@@ -184,7 +185,7 @@ def segment_field(starts, ends, points) -> np.ndarray:
     starts = np.asarray(starts, dtype=float).reshape(-1, 3)
     ends = np.asarray(ends, dtype=float).reshape(-1, 3)
     chords = ends - starts
-    unit = math.ldexp(1.0, math.frexp(float(np.abs(chords).max()))[1])
+    unit = power_of_two_unit(float(np.abs(chords).max()))
     starts, ends, chords = starts / unit, ends / unit, chords / unit
     x = np.asarray(points, dtype=float).reshape(-1, 3)[:, None, :] / unit
     length = np.sqrt(np.einsum("ij,ij->i", chords, chords))
@@ -207,15 +208,12 @@ _AGM_TOL = math.sqrt(float(np.finfo(float).eps))
 
 
 class _Ring(NamedTuple):
-    """A circle seen from p points, in units of a power of two near its
-    radius: the unit, the circle's unit axis, the height z of x above the
-    centre along it, the part `radial` of x - centre across it, its length
-    rho, the radius r, A = (r + rho)^2 + z^2, Q = (r - rho)^2 + z^2,
-    m = 4 r rho / A, k_c = sqrt(Q / A), K and T of the AGM of 1 and k_c
-    (see circle_field), and the AGM's (a_n, b_n, c_n) from n = 1 on."""
+    """A circle seen from p points, in the circle's unit: its axial split
+    of x - centre (Circle.axial: z, radial, rho), the radius r,
+    A = (r + rho)^2 + z^2, Q = (r - rho)^2 + z^2, m = 4 r rho / A,
+    k_c = sqrt(Q / A), K and T of the AGM of 1 and k_c (see
+    circle_field), and the AGM's (a_n, b_n, c_n) from n = 1 on."""
 
-    unit: float
-    axis: np.ndarray
     z: np.ndarray
     radial: np.ndarray
     rho: np.ndarray
@@ -230,21 +228,15 @@ class _Ring(NamedTuple):
 
 
 def _ring(circle: Circle, points) -> _Ring:
-    """The circle's frame and complete elliptic integrals at the points.
+    """The circle's axial frame and complete elliptic integrals at the points.
 
     Dividing lengths by a power of two is exact, and keeps A and Q,
     squares of lengths, from over- or underflowing at any radius.  The AGM
     runs until c_n <= sqrt(eps) a_n at every point.  Raises ValueError for
     a point on the circle, where the AGM of 1 and 0 never converges.
     """
-    unit = math.ldexp(1.0, math.frexp(circle.radius)[1])
-    # np.linalg.norm's own dot and square root, without its per-call set-up
-    axis = circle.axis / math.sqrt(circle.axis @ circle.axis)
-    rel = (np.asarray(points, dtype=float).reshape(-1, 3) - circle.center) / unit
-    z = rel @ axis
-    radial = rel - z[:, None] * axis
-    rho = np.sqrt(np.einsum("ij,ij->i", radial, radial))
-    r = circle.radius / unit
+    z, radial, rho = circle.axial(np.asarray(points, dtype=float).reshape(-1, 3))
+    r = circle.radius / circle.unit
     big = (r + rho) ** 2 + z * z
     small = (r - rho) ** 2 + z * z
     if not (small > 0.0).all():
@@ -260,7 +252,7 @@ def _ring(circle: Circle, points) -> _Ring:
         weight *= 2.0
         t = t + weight * c * c
         agm.append((a, b, c))
-    return _Ring(unit, axis, z, radial, rho, r, big, small, m, kc, 0.5 * math.pi / a, t, agm)
+    return _Ring(z, radial, rho, r, big, small, m, kc, 0.5 * math.pi / a, t, agm)
 
 
 def circle_field(circle: Circle, points) -> np.ndarray:
@@ -300,7 +292,7 @@ def circle_field(circle: Circle, points) -> np.ndarray:
         root * small
     )
     sign = 1.0 if circle.orientation == "ccw" else -1.0
-    return sign / ring.unit * (b_rho_over_rho[:, None] * ring.radial + b_z[:, None] * ring.axis)
+    return sign / circle.unit * (b_rho_over_rho[:, None] * ring.radial + b_z[:, None] * circle.unit_axis)
 
 
 def _cel_excess(ring: _Ring, sigma, one_plus) -> np.ndarray:
@@ -394,7 +386,7 @@ def disk_sheet_field(circle: Circle, points) -> np.ndarray:
     in_plane = np.divide(
         2.0 * ring.k * ring.t * root, rho * rho, out=np.zeros_like(rho), where=rho > 0.0
     )
-    return omega[:, None] * ring.axis + in_plane[:, None] * ring.radial
+    return omega[:, None] * circle.unit_axis + in_plane[:, None] * ring.radial
 
 
 def polygon_sheet_field(vertices, points) -> np.ndarray:
@@ -429,7 +421,7 @@ def polygon_sheet_field(vertices, points) -> np.ndarray:
     """
     verts = np.asarray(vertices, dtype=float).reshape(-1, 3)
     spokes = verts[1:] - verts[0]
-    unit = math.ldexp(1.0, math.frexp(float(np.abs(spokes).max()))[1])
+    unit = power_of_two_unit(float(np.abs(spokes).max()))
     verts, spokes = verts / unit, spokes / unit
     x = np.asarray(points, dtype=float).reshape(-1, 3) / unit
     ends = np.concatenate((verts[1:], verts[:1]))  # np.roll's values, without its set-up

@@ -111,8 +111,23 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _length(v: np.ndarray) -> float:
+    """|v| of a (3,) vector.  While its largest component lies in
+    (2^-450, 2^450) this is sqrt(v @ v), numpy's norm; otherwise the root
+    is taken in a power-of-two unit of that component, where no square
+    over- or underflows.  The two agree wherever both apply (a square
+    below 2^-1022 is far below half an ulp of the sum), so |2^k v| is
+    2^k |v| bitwise."""
+    big = max(map(abs, v.tolist()))  # no numpy pass: every field guard comes here
+    if 2.0**-450 < big < 2.0**450:
+        return math.sqrt(v @ v)
+    unit = power_of_two_unit(big)
+    v = v / unit
+    return math.sqrt(v @ v) * unit
+
+
 def _unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
-    n = float(np.linalg.norm(v))
+    n = _length(v)
     if n == 0.0:
         raise ValueError(f"{name} must be nonzero")
     return v / n
@@ -141,17 +156,7 @@ def bounding_box_diagonal(objects: Sequence) -> float:
     length scale."""
     boxes = [obj.bounding_box() for obj in objects]
     lo, hi = boxes[0] if len(boxes) == 1 else _merge_boxes(boxes)
-    # the products and sum of np.linalg.norm, without its dispatch
-    span = hi - lo
-    square = float(span @ span)
-    if 2.0**-900 < square < 2.0**900:
-        return math.sqrt(square)
-    # out of that range some square over- or underflows; in a power-of-two
-    # unit of the span none does, and in range the two roots agree bitwise,
-    # since a square below 2^-1022 is far below half an ulp of the sum
-    unit = power_of_two_unit(float(np.abs(span).max()))
-    span = span / unit
-    return math.sqrt(span @ span) * unit
+    return _length(hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +207,9 @@ class Circle(Curve):
 
     Parametrized on [0, 2*pi].  With orientation "ccw" the traversal is
     counterclockwise as seen from the +axis side (right-hand rule); "cw"
-    is the reverse traversal.
+    is the reverse traversal.  `unit_axis` is the axis over its length and
+    `unit` is power_of_two_unit(radius), the unit of axial(), which its
+    distance and its closed-form fields share.
     """
 
     def __init__(self, center, radius: float, axis, orientation: str = "ccw"):
@@ -217,11 +224,11 @@ class Circle(Curve):
         u, v, a = _orthonormal_frame(self.axis)
         self._u = _frozen(u)
         self._v = _frozen(v if orientation == "ccw" else -v)
-        self._a = _frozen(a)
+        self.unit_axis = _frozen(a)
         # per-axis half-extent of a 3-D circle: R * sqrt(1 - a_i^2)
         ext = self.radius * np.sqrt(np.clip(1.0 - a**2, 0.0, 1.0))
         self._box = (_frozen(self.center - ext), _frozen(self.center + ext))
-        self._unit = power_of_two_unit(self.radius)
+        self.unit = power_of_two_unit(self.radius)
         self.t_start = 0.0
         self.t_end = _TWO_PI
         self.closed = True
@@ -249,7 +256,7 @@ class Circle(Curve):
     def vector_area(self) -> np.ndarray:
         # +-pi R^2 along the unit axis, by the traversal's sense about it
         sign = 1.0 if self.orientation == "ccw" else -1.0
-        return sign * math.pi * self.radius**2 * self._a
+        return sign * math.pi * self.radius**2 * self.unit_axis
 
     def reversed(self) -> "Circle":
         flipped = "cw" if self.orientation == "ccw" else "ccw"
@@ -258,20 +265,20 @@ class Circle(Curve):
     def bounding_box(self):
         return self._box
 
-    def _axial(self, pts):
-        """(height along the axis, distance from the axis) of (n, 3) points,
-        in _unit, the power of two near the radius in which the squares of
-        offsets neither over- nor underflow."""
-        rel = (pts - self.center) / self._unit
-        z = rel @ self._a
-        radial = rel - z[:, None] * self._a
-        # np.linalg.norm's own sum, without its per-call set-up
-        return z, np.sqrt(np.add.reduce(radial * radial, axis=1))
+    def axial(self, pts):
+        """(height z along unit_axis, the part `radial` across it, its
+        length rho) of the offsets of (n, 3) points from the centre, in
+        `unit`, where their squares neither over- nor underflow."""
+        rel = (pts - self.center) / self.unit
+        z = rel @ self.unit_axis
+        radial = rel - z[:, None] * self.unit_axis
+        # the products and sum of numpy's norm, without its per-call set-up
+        return z, radial, np.sqrt(np.einsum("ij,ij->i", radial, radial))
 
     def distance_to(self, point):
         pts, single = as_points(point)
-        z, rho = self._axial(pts)
-        dist = np.hypot(rho - self.radius / self._unit, z) * self._unit
+        z, _, rho = self.axial(pts)
+        dist = np.hypot(rho - self.radius / self.unit, z) * self.unit
         return float(dist[0]) if single else dist
 
 
@@ -299,7 +306,7 @@ class PolyLine(Curve):
         if not closed:
             starts = verts[:-1]
         chords = ends - starts
-        # np.linalg.norm's own sum, without its per-call set-up, in units
+        # the sum of numpy's norm, without its per-call set-up, in units
         # where the squares neither over- nor underflow
         unit = power_of_two_unit(float(np.abs(chords).max()))
         scaled = chords / unit
@@ -416,11 +423,11 @@ class CompositeCurve(Curve):
         self._bounds = _frozen(bounds)
         self.t_start = 0.0
         self.t_end = float(bounds[-1])
-        starts = np.array([p.position(p.t_start) for p in self.parts])
-        ends = np.array([p.position(p.t_end) for p in self.parts])
-        gaps = np.linalg.norm(np.roll(starts, -1, axis=0) - ends, axis=1)
-        scale = max(bounding_box_diagonal(self.parts), 1.0)
-        self.closed = bool(np.all(gaps <= 1e-12 * scale))
+        starts = [p.position(p.t_start) for p in self.parts]
+        ends = [p.position(p.t_end) for p in self.parts]
+        # every joint within 1e-12 diagonals, a rule that no scaling changes
+        tol = 1e-12 * bounding_box_diagonal(self.parts)
+        self.closed = all(_length(start - end) <= tol for start, end in zip(starts[1:] + starts[:1], ends))
 
     def _map_params(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = np.searchsorted(self._bounds, t, side="right") - 1
@@ -583,7 +590,7 @@ class Disk(SurfacePatch):
         # about the positive side
         rim = self._rim = Circle(center, radius, axis, "ccw")
         self.center, self.radius, self.axis = rim.center, rim.radius, rim.axis
-        self._u, self._v, self._a = rim._u, rim._v, rim._a
+        self._u, self._v = rim._u, rim._v
 
     def point(self, u, v):
         x = 2.0 * np.asarray(u, dtype=float) - 1.0
@@ -594,17 +601,17 @@ class Disk(SurfacePatch):
         )
 
     def constant_normal(self):
-        return self._a.copy()
+        return self._rim.unit_axis.copy()
 
     def rim(self) -> Circle:
         return self._rim
 
     def distance_to(self, point):
         pts, single = as_points(point)
-        z, rho = self._rim._axial(pts)
-        radius = self.radius / self._rim._unit
+        z, _, rho = self._rim.axial(pts)
+        radius = self.radius / self._rim.unit
         # over the disk the height, beside it the rim's distance
-        dist = np.where(rho <= radius, np.abs(z), np.hypot(rho - radius, z)) * self._rim._unit
+        dist = np.where(rho <= radius, np.abs(z), np.hypot(rho - radius, z)) * self._rim.unit
         return float(dist[0]) if single else dist
 
 

@@ -40,6 +40,7 @@ from .geometry import (
     Curve,
     PolyLine,
     SurfaceMesh,
+    _unit,
     bounding_box_diagonal,
     cross,
     mesh_boundary,
@@ -199,10 +200,9 @@ class LinkScene:
                 f"mesh boundary strays {worst:g} from curve_l "
                 f"(allowed {1e-6 * scale:g})"
             )
-        va = boundary.vector_area()
-        vl = self.curve_l.vector_area()
-        denom = float(np.linalg.norm(va) * np.linalg.norm(vl))
-        if denom == 0.0 or float(va @ vl) / denom < 0.9:
+        # directions: the product of the areas' lengths is a length^4
+        va, vl = boundary.vector_area(), self.curve_l.vector_area()
+        if not (va.any() and vl.any()) or float(_unit(va) @ _unit(vl)) < 0.9:
             raise ValueError("mesh boundary orientation disagrees with curve_l")
 
     def swapped(self) -> "LinkScene":
@@ -368,7 +368,7 @@ def sample_closed_polyline(curve: Curve, max_edge: float) -> np.ndarray:
     for a, b in zip(cuts[:-1], cuts[1:]):
         probe = curve.position(np.linspace(a, b, 65)) / unit
         chords = probe[1:] - probe[:-1]
-        # np.linalg.norm's own sum, without its per-call set-up
+        # the sum of numpy's norm, without its per-call set-up
         arc = float(np.sqrt(np.add.reduce(chords * chords, axis=1)).sum())
         count = max(int(math.ceil(1.02 * arc / (max_edge / unit))), 1)
         if count % 2 == 0:

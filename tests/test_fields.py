@@ -783,6 +783,32 @@ def test_circle_and_disk_fields_are_scale_free(radius):
     assert _relative_error(e, e_unit) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_circle_and_disk_fields_scale_exactly_by_powers_of_two():
+    # the guard, the distance and both closed forms share the circle's
+    # frame in a power-of-two unit of its radius, so at 2^k, for every k
+    # from -600 to 600, the loop field is 2^-k times the field and the
+    # sheet field the same, bit for bit; the axis enters only as
+    # unit_axis, so one 2^j times longer, for j from -1000 to 1000, gives
+    # the same fields bit for bit
+    center, radius, axis = np.array([0.1, -0.2, 0.3]), 0.9, np.array([0.3, -0.4, 0.8])
+    x = np.array([(0.3, 0.2, 0.5), (1.4, -0.3, 0.1), (0.1, -0.2, 2.0), (-0.5, 0.4, -0.6)])
+
+    def fields(k, axis):
+        """The loop and the sheet field of the circle at 2^k, at the points."""
+        at, c, r = np.ldexp(x, k), np.ldexp(center, k), math.ldexp(radius, k)
+        return biot_savart(Circle(c, r, axis), at, UNIT), coulomb_surface_field(Disk(c, r, axis), 1.0, at, UNIT)
+
+    loop, sheet = fields(0, axis)
+    for k in range(-600, 601):
+        b, e = fields(k, axis)
+        assert b.tobytes() == np.ldexp(loop, -k).tobytes(), k
+        assert e.tobytes() == sheet.tobytes(), k
+    for j in range(-1000, 1001):
+        b, e = fields(0, np.ldexp(axis, j))
+        assert b.tobytes() == loop.tobytes() and e.tobytes() == sheet.tobytes(), j
+
+
 def test_the_guard_reaches_a_source_of_size_2_to_the_minus_565():
     # the guard's box diagonal and the distances once squared absolute
     # offsets, which underflow at this size: every point was beyond reach

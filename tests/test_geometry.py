@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from loopfield import (
@@ -130,6 +130,35 @@ def test_composite_curve_concatenates():
     assert np.allclose(combo.position(1.5), [1, 0.5, 0])
     assert np.allclose(combo.tangent(1.5), [0, 1, 0])
     assert combo.smooth_cuts() == (0.0, 1.0, 2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_composite_closedness_does_not_change_under_scaling():
+    # a composite is closed when every joint lies within 1e-12 box
+    # diagonals, with no absolute floor, and its gaps are measured in a
+    # power-of-two unit: at 2^k, for k from -600 to 600, each composite is
+    # as closed as it is at size 1, and the two open polylines below stay
+    # open at 1e-13
+    ring = Circle((0.1, -0.2, 0.3), 0.9, (1, 2, 3))
+    joint = ring.position(0.0)
+    corner = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0)], dtype=float)
+
+    def composites(s):
+        """(composite, closed) pairs at size s."""
+        return [
+            (CompositeCurve([PolyLine(s * corner), PolyLine(s * np.array([(0, 2, 0), (0, 3, 0)]))]), False),
+            (CompositeCurve([PolyLine(s * corner), PolyLine(s * np.array([(1, 1, 0), (0, 0, 0)]))]), True),
+            (CompositeCurve([PolyLine(s * corner), PolyLine(s * np.array([(1, 1, 0), (0, 1e-13, 0)]))]), True),
+            (CompositeCurve([PolyLine(s * corner), PolyLine(s * np.array([(1, 1, 0), (0, 1e-11, 0)]))]), False),
+            (CompositeCurve([Circle(s * ring.center, s * ring.radius, ring.axis),
+                             PolyLine(s * np.array([joint, (1, 1, 1), joint]))]), True),
+            (CompositeCurve([Circle(s * ring.center, s * ring.radius, ring.axis),
+                             PolyLine(s * np.array([joint, (1, 1, 1)]))]), False),
+        ]
+
+    for s in [1e-13] + [2.0**k for k in range(-600, 601)]:
+        for n, (composite, closed) in enumerate(composites(s)):
+            assert composite.closed == closed, (s, n)
 
 
 def test_nested_composite_keeps_its_smooth_cuts():
@@ -288,6 +317,10 @@ def _objects_of_size(rng, s):
 
 
 @given(k=st.integers(-600, 600), seed=st.integers(0, 2**32 - 1))
+@example(k=511, seed=0)
+@example(k=-511, seed=0)
+@example(k=600, seed=0)
+@example(k=-600, seed=0)
 def test_distances_and_the_box_diagonal_scale_by_powers_of_two(k, seed):
     # each distance and the box diagonal work in a power-of-two unit of
     # their object's size, so at 2^k they are 2^k times the unscaled ones,

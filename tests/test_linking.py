@@ -762,16 +762,22 @@ def _scaled(curve, factor):
 
 
 @given(k=st.integers(-600, 600))
+@example(k=500)
+@example(k=-500)
 def test_catalog_counts_are_scale_free(k):
     # the count works in the mesh's power-of-two unit and the sampling in
     # one of its chord bound, so 2^k times a scene counts what the scene
-    # does and samples 2^k times its samples, bitwise
+    # does and samples 2^k times its samples, bitwise; the scene validates
+    # with its mesh as long as the vector areas, lengths squared, are
+    # normal floats
     factor = 2.0**k
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for scene in default_catalog(15, 15):
             mesh = SurfaceMesh(scene.spanning_mesh.nodes * factor)
             curve = _scaled(scene.curve_c, factor)
+            if abs(k) <= 500:
+                LinkScene(curve, _scaled(scene.curve_l, factor), mesh, scene.name).validate()
             assert combinatorial_lk(curve, mesh) == CATALOG_LK[scene.name], scene.name
             edge = scene.spanning_mesh.min_edge_length() / 4.0
             samples = linking.sample_closed_polyline(curve, edge * factor)
