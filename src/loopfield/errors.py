@@ -56,13 +56,14 @@ class NearSingular(LoopfieldError):
     """Field evaluation point lies within the guard distance of a source.
 
     `distance` is the offending point's distance, `guard` the guard it
-    fell within and `kind` the source's: "curve", "sheet" or "mesh".  Each
-    is None when not given.
+    fell within, `kind` the source's: "curve", "sheet" or "mesh", and
+    `point` the index of the first offending point among the caller's
+    points (0 for one (3,) point).  Each is None when not given.
     """
 
-    def __init__(self, message, *, distance=None, guard=None, kind=None):
+    def __init__(self, message, *, distance=None, guard=None, kind=None, point=None):
         super().__init__(message)
-        self.distance, self.guard, self.kind = distance, guard, kind
+        self.distance, self.guard, self.kind, self.point = distance, guard, kind, point
 
 
 class CurvesTooClose(LoopfieldError):

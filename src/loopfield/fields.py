@@ -22,14 +22,18 @@ by its rim, and dipole_mesh_field the dipoles' for a mesh's cells, which
 may span a curved surface.  The two-sheet dipole layer of a flat patch
 is its sheet field seen from x -/+ (separation / 2) n.  biot_savart,
 coulomb_surface_field and dipole_sheet_field_exact take one (3,) point
-or (n, 3) points, check all of them against the guard in one pass, and
-hand them to the closed form in one call.
+or (n, 3) points and measure them against the source once: the source's
+offsets of the points (Curve.offsets), in its power-of-two unit, give
+both the guard's distances and the closed form, summed in one call.  The
+source-only half of each closed form (a PolyLine's scaled segments, a
+polygon's plane, a circle's frame) is kept with the source.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -40,13 +44,14 @@ from .geometry import (
     CompositeCurve,
     Curve,
     PolyLine,
+    ScaledSegments,
     SurfaceMesh,
     SurfacePatch,
     as_points,
     as_vec3,
     bounding_box_diagonal,
     cross,
-    power_of_two_unit,
+    scale_segments,
 )
 # integrate_1d and integrate_2d are not called here, but bench/spans.py
 # wraps both under this module's name
@@ -103,9 +108,11 @@ class DipoleSheetSpec:
 # forms work in units of the source's size, so a source of any size is
 # fine, but they give out sooner for far points: circle_field's
 # rho * rho * small and segment_field's n1 * n2 * rho2 overflow from about
-# 1e77 source sizes away, so between there and _FAR numpy warns on stderr
-# and the in-plane components read 0 (ROADMAP.md, "Closed forms that hold
-# far from their source")
+# 1e77 source sizes away.  Between there and _FAR numpy's default error
+# state prints a RuntimeWarning on stderr and the in-plane components read
+# 0, while under np.errstate(over="raise"), as the CLI runs, the overflow
+# raises FloatingPointError (ROADMAP.md, "Closed forms that hold far from
+# their source")
 _FAR = 1e100
 
 
@@ -124,41 +131,63 @@ def prefactor_times(prefactor: float, value):
 
 
 def _guarded(source, field, points, spec: QuadratureSpec, what: str) -> np.ndarray:
-    """field(points) of the (n, 3) points, zero at those beyond _FAR source
-    sizes, which field never sees; raises NearSingular if any point lies
-    within the guard distance of the source, naming the first."""
+    """field(offsets) at the (n, 3) points, from the source's offsets of
+    them (Curve.offsets), zero at those beyond _FAR source sizes, which
+    field never sees; raises NearSingular if any point lies within the
+    guard distance of the source, naming the first.
+
+    The points are measured against the source once: the guard's
+    distances come from the same offsets as the field, by the source's
+    distance_from, so they are bitwise its distance_to."""
     lo, hi = source.bounding_box()
     scale = bounding_box_diagonal([source])
     guard = spec.resolve_guard(scale)
     # every point of the source lies within scale / 2 of its box's centre:
     # a point this far from it is beyond reach and outside the guard,
-    # decided without the distances, whose squares overflow
+    # decided before the offsets, whose squares overflow
     off = points - 0.5 * (lo + hi)
     far = np.hypot.reduce(off, axis=1) > max(guard, _FAR * scale) + scale
     # with no point far, a slice: a view of the points, not a copy
     near = ~far if far.any() else slice(None)
-    dist = source.distance_to(points[near])
+    offsets = source.offsets(points[near])
+    dist = source.distance_from(offsets)
     if dist.min(initial=math.inf) <= guard:
-        first = float(dist[dist <= guard][0])
+        first = int((dist <= guard).argmax())
         raise NearSingular(
-            f"field point at distance {first:g} from the {what} (guard {guard:g})",
-            distance=first,
+            f"field point at distance {dist[first]:g} from the {what} (guard {guard:g})",
+            distance=float(dist[first]),
             guard=guard,
             kind=what,
+            point=int(np.arange(len(points))[near][first]),
         )
-    far[near] = dist > _FAR * scale
-    return _within_reach(field, points, far)
+    beyond = dist > _FAR * scale
+    if beyond.any():
+        far[near] = beyond
+        offsets = _rows(offsets, ~beyond)
+    return _within_reach(lambda: field(offsets), far)
 
 
-def _within_reach(field, points, far) -> np.ndarray:
-    """field(points) at the points that are not far, zero at those that
-    are; field never sees a far point."""
+def _rows(offsets, keep):
+    """The rows keep of a source's offsets: an array, or a tuple of arrays
+    or of such tuples, each with one row per point."""
+    if isinstance(offsets, tuple):
+        return tuple(_rows(o, keep) for o in offsets)
+    return offsets[keep]
+
+
+def _within_reach(field, far) -> np.ndarray:
+    """field(), the values at the points that are not far, among zeros at
+    those that are; field is not called when every point is far."""
     if not far.any():
-        return field(points)
-    out = np.zeros(points.shape)
+        return field()
+    out = np.zeros((len(far), 3))
     if not far.all():
-        out[~far] = field(points[~far])
+        out[~far] = field()
     return out
+
+
+def _as_rows(points) -> np.ndarray:
+    return np.asarray(points, dtype=float).reshape(-1, 3)
 
 
 def segment_field(starts, ends, points) -> np.ndarray:
@@ -179,18 +208,19 @@ def segment_field(starts, ends, points) -> np.ndarray:
     so neither cancels near the wire or on its extended line, where the
     textbook |R1| |R2| + R1 . R2 does.  The denominators multiply four
     lengths, so the sums are taken in units of a power of two near the
-    segments' size: exactly, and with no over- or underflow at any size.
-    Points must not lie on a segment.
+    segments' size (scale_segments): exactly, and with no over- or
+    underflow at any size.  Points must not lie on a segment.
     """
-    starts = np.asarray(starts, dtype=float).reshape(-1, 3)
-    ends = np.asarray(ends, dtype=float).reshape(-1, 3)
-    chords = ends - starts
-    unit = power_of_two_unit(float(np.abs(chords).max()))
-    starts, ends, chords = starts / unit, ends / unit, chords / unit
-    x = np.asarray(points, dtype=float).reshape(-1, 3)[:, None, :] / unit
-    length = np.sqrt(np.einsum("ij,ij->i", chords, chords))
-    d = chords / length[:, None]
-    r1, r2 = x - starts, x - ends
+    segments = scale_segments(starts, ends)
+    return _segments_at(segments, segments.offsets(_as_rows(points)))
+
+
+def _segments_at(segments: ScaledSegments, offsets) -> np.ndarray:
+    """segment_field from the segments in their unit and the points'
+    offsets from them (ScaledSegments.offsets)."""
+    x, r1 = offsets
+    length, d = segments.lengths, segments.dirs
+    r2 = x - segments.ends
     n1 = np.sqrt(np.einsum("pij,pij->pi", r1, r1))
     n2 = np.sqrt(np.einsum("pij,pij->pi", r2, r2))
     t1, t2 = -np.einsum("pij,ij->pi", r1, d), -np.einsum("pij,ij->pi", r2, d)
@@ -199,7 +229,7 @@ def segment_field(starts, ends, points) -> np.ndarray:
     inside = (t1 < 0.0) & (t2 > 0.0)
     num = np.where(inside, t2 * n1 - t1 * n2, length * (t1 + t2))
     den = n1 * n2 * np.where(inside, rho2, t2 * n1 + t1 * n2)
-    return np.einsum("pij,pi->pj", perp, num / den) / unit
+    return np.einsum("pij,pi->pj", perp, num / den) / segments.unit
 
 
 # c_n <= sqrt(eps) a_n: the next AGM step moves a_n by under eps a_n / 4,
@@ -209,7 +239,7 @@ _AGM_TOL = math.sqrt(float(np.finfo(float).eps))
 
 class _Ring(NamedTuple):
     """A circle seen from p points, in the circle's unit: its axial split
-    of x - centre (Circle.axial: z, radial, rho), the radius r,
+    of x - centre (Circle.offsets: z, radial, rho), the radius r,
     A = (r + rho)^2 + z^2, Q = (r - rho)^2 + z^2, m = 4 r rho / A,
     k_c = sqrt(Q / A), K and T of the AGM of 1 and k_c (see
     circle_field), and the AGM's (a_n, b_n, c_n) from n = 1 on."""
@@ -227,15 +257,16 @@ class _Ring(NamedTuple):
     agm: list
 
 
-def _ring(circle: Circle, points) -> _Ring:
-    """The circle's axial frame and complete elliptic integrals at the points.
+def _ring(circle: Circle, offsets) -> _Ring:
+    """The circle's axial frame and complete elliptic integrals at the
+    points, from the circle's offsets of them.
 
     Dividing lengths by a power of two is exact, and keeps A and Q,
     squares of lengths, from over- or underflowing at any radius.  The AGM
     runs until c_n <= sqrt(eps) a_n at every point.  Raises ValueError for
     a point on the circle, where the AGM of 1 and 0 never converges.
     """
-    z, radial, rho = circle.axial(np.asarray(points, dtype=float).reshape(-1, 3))
+    z, radial, rho = offsets
     r = circle.radius / circle.unit
     big = (r + rho) ** 2 + z * z
     small = (r - rho) ** 2 + z * z
@@ -279,7 +310,12 @@ def circle_field(circle: Circle, points) -> np.ndarray:
     back by 1 / length: exactly, and with no over- or underflow at any
     size.  Raises ValueError for a point on the circle.
     """
-    ring = _ring(circle, points)
+    return _circle_at(circle, circle.offsets(_as_rows(points)))
+
+
+def _circle_at(circle: Circle, offsets) -> np.ndarray:
+    """circle_field from the circle's offsets of the points."""
+    ring = _ring(circle, offsets)
     r, rho, z, m, k, t = ring.r, ring.rho, ring.z, ring.m, ring.k, ring.t
     big, small = ring.big, ring.small
     root = np.sqrt(big)
@@ -374,7 +410,12 @@ def disk_sheet_field(circle: Circle, points) -> np.ndarray:
     and it does not depend on the circle's orientation.  Raises ValueError
     for a point on the rim; points must not lie on the disk.
     """
-    ring = _ring(circle, points)
+    return _disk_at(circle, circle.offsets(_as_rows(points)))
+
+
+def _disk_at(circle: Circle, offsets) -> np.ndarray:
+    """disk_sheet_field from the rim's offsets of the points."""
+    ring = _ring(circle, offsets)
     r, rho, z = ring.r, ring.rho, ring.z
     root, height = np.sqrt(ring.big), np.abs(z)
     sigma, one_plus = (r - rho) / (r + rho), 2.0 * r / (r + rho)
@@ -415,25 +456,27 @@ def polygon_sheet_field(vertices, points) -> np.ndarray:
       the ends along the edge seen from x, adds two one-signed gaps, each
       R + t taken as q^2 / (R - t) where t < 0, as in segment_field.
 
-    The field is dimensionless, so it is evaluated in units of a power of
-    two near the polygon's size: exactly, and with no over- or underflow
-    at any size.  Points must not lie on the polygon.
+    The field is dimensionless, so it is evaluated in the unit of the
+    polygon's edges, the closed PolyLine through the vertices: exactly,
+    and with no over- or underflow at any size.  That PolyLine's checks
+    apply to the vertices, and points must not lie on the polygon.
     """
-    verts = np.asarray(vertices, dtype=float).reshape(-1, 3)
-    spokes = verts[1:] - verts[0]
-    unit = power_of_two_unit(float(np.abs(spokes).max()))
-    verts, spokes = verts / unit, spokes / unit
-    x = np.asarray(points, dtype=float).reshape(-1, 3) / unit
-    ends = np.concatenate((verts[1:], verts[:1]))  # np.roll's values, without its set-up
-    normal = cross(spokes[:-1], spokes[1:]).sum(axis=0)
-    normal = normal / math.sqrt(normal @ normal)
-    chords = ends - verts
-    length = np.sqrt(np.einsum("ij,ij->i", chords, chords))
-    d = chords / length[:, None]
+    rim = PolyLine(_as_rows(vertices), closed=True)
+    return _polygon_at(rim, rim.offsets(_as_rows(points)))
+
+
+def _polygon_at(rim: PolyLine, offsets) -> np.ndarray:
+    """polygon_sheet_field of the polygon bounded by the closed rim, from
+    the rim's offsets of the points, with the rim's kept segments and
+    plane."""
+    segments = rim.scaled_segments
+    length, d = segments.lengths, segments.dirs
+    normal, outward = rim.plane
+    x, r_a = offsets
     # einsum, not matmul: numpy's matmul of one row takes another BLAS
     # kernel than that of several, which rounds differently
-    height = np.einsum("pj,j->p", x - verts[0], normal)
-    r_a, r_b = x[:, None, :] - verts, x[:, None, :] - ends
+    height = np.einsum("pj,j->p", r_a[:, 0], normal)
+    r_b = x - segments.ends
     n_a = np.sqrt(np.einsum("pij,pij->pi", r_a, r_a))
     n_b = np.concatenate((n_a[:, 1:], n_a[:, :1]), axis=1)  # each edge ends where the next starts
     t_a, t_b = -np.einsum("pij,ij->pi", r_a, d), -np.einsum("pij,ij->pi", r_b, d)
@@ -449,7 +492,7 @@ def polygon_sheet_field(vertices, points) -> np.ndarray:
     gap_a = np.where(t_a >= 0.0, n_a + t_a, q2 / (n_a + np.abs(t_a)))
     gap_b = np.where(t_b <= 0.0, n_b - t_b, q2 / (n_b + np.abs(t_b)))
     line = np.log1p(2.0 * length / (gap_a + gap_b))
-    return omega[:, None] * normal + np.einsum("pi,ij->pj", line, cross(d, normal))
+    return omega[:, None] * normal + np.einsum("pi,ij->pj", line, outward)
 
 
 def point_dipole_field(anchors, moments, points) -> np.ndarray:
@@ -490,25 +533,34 @@ def curve_field(curve: Curve, points) -> np.ndarray:
     PolyLine (segment_field) and Circle (circle_field) leaves, since the
     Biot-Savart law is additive; any other curve raises TypeError.
     """
+    field = _curve_form(curve)
+    return field(curve.offsets(_as_rows(points)))
+
+
+def _curve_form(curve: Curve) -> Callable:
+    """curve_field as a function of the curve's offsets of the points
+    (Curve.offsets); any curve but a PolyLine, a Circle or a composite of
+    them raises TypeError."""
     if isinstance(curve, PolyLine):
-        return segment_field(*curve.segments(), points)
+        return partial(_segments_at, curve.scaled_segments)
     if isinstance(curve, Circle):
-        return circle_field(curve, points)
+        return partial(_circle_at, curve)
     if isinstance(curve, CompositeCurve):
-        return sum(curve_field(part, points) for part in curve.parts)
+        forms = [_curve_form(part) for part in curve.parts]
+        return lambda offsets: sum(form(o) for form, o in zip(forms, offsets))
     raise TypeError(f"no closed-form field for a {type(curve).__name__}")
 
 
-def _sheet_field(patch: SurfacePatch) -> Callable[[np.ndarray], np.ndarray]:
+def _sheet_form(patch: SurfacePatch) -> Callable:
     """The field of a patch without the prefactor k_E sigma, as a function
-    of (p, 3) points: the closed form of its rim, a PolyLine's polygon or
-    a Circle's disk.  A patch with any other rim, or none, raises
-    TypeError."""
+    of the patch's offsets of the points (SurfacePatch.offsets, its rim's):
+    the closed form of its rim, a PolyLine's polygon or a Circle's disk.
+    A patch with any other rim, or none, raises TypeError."""
     rim = patch.rim()
     if isinstance(rim, PolyLine):
-        return lambda points: polygon_sheet_field(rim.vertices, points)
+        return partial(_polygon_at, rim)
     if isinstance(rim, Circle):
-        return lambda points: disk_sheet_field(rim, points)
+        return partial(_disk_at, rim)
     raise TypeError(f"no closed-form field for a {type(patch).__name__} sheet")
 
 
@@ -523,16 +575,17 @@ def biot_savart(
 
     k_B times segment_field for a PolyLine (RectLoop and mesh_boundary
     output included), circle_field for a Circle, and the sum over the
-    parts of a CompositeCurve; any other curve raises TypeError.  All
-    points go to the closed form in one call.  Raises NearSingular when
-    any point is within the guard distance (from spec) of the curve;
-    beyond 1e100 times its bounding-box diagonal the field is zero.  A
-    field that k_B takes beyond the float range raises PrefactorOverflow.
+    parts of a CompositeCurve; any other curve raises TypeError.  The
+    curve's offsets of the points, in its unit, are formed once (_guarded):
+    the guard's distances and the closed form, all points in one call,
+    both come from them.  Raises NearSingular when any point is within
+    the guard distance (from spec) of the curve, naming the first; beyond
+    1e100 times its bounding-box diagonal the field is zero.  A field that
+    k_B takes beyond the float range raises PrefactorOverflow.
     """
     points, single = as_points(x)
-    field = _guarded(
-        curve, lambda p: prefactor_times(consts.k_B, curve_field(curve, p)), points, spec, "curve"
-    )
+    form = _curve_form(curve)
+    field = _guarded(curve, lambda o: prefactor_times(consts.k_B, form(o)), points, spec, "curve")
     return field[0] if single else field
 
 
@@ -554,21 +607,22 @@ def coulomb_surface_field(
     the solid angle Omega the loop's scalar potential and the line
     integral the in-plane part, by the divergence theorem in the plane.
     Both are in closed form: polygon_sheet_field for a PolyLine rim (a
-    PlanarRect's) and disk_sheet_field for a Circle rim (a Disk's), and
-    all points go to the closed form in one call.  A patch with any other
-    rim, or none (a curved one), raises TypeError before any other check.
-    Raises NearSingular when any point is within the guard distance of
-    the sheet; beyond 1e100 times its bounding-box diagonal the field is
-    returned as zero.  A field that k_E sigma takes beyond the float range
-    raises PrefactorOverflow.
+    PlanarRect's) and disk_sheet_field for a Circle rim (a Disk's).  The
+    rim's offsets of the points are formed once (_guarded), for the
+    guard's distances and for the closed form, all points in one call.  A
+    patch with any other rim, or none (a curved one), raises TypeError
+    before any other check.  Raises NearSingular when any point is within
+    the guard distance of the sheet, naming the first; beyond 1e100 times
+    its bounding-box diagonal the field is returned as zero.  A field that
+    k_E sigma takes beyond the float range raises PrefactorOverflow.
     """
-    sheet = _sheet_field(patch)
+    sheet = _sheet_form(patch)
     points, single = as_points(x)
     if sigma == 0.0:
         field = np.zeros(points.shape)
     else:
         field = _guarded(
-            patch, lambda p: prefactor_times(consts.k_E * sigma, sheet(p)), points, spec, "sheet"
+            patch, lambda o: prefactor_times(consts.k_E * sigma, sheet(o)), points, spec, "sheet"
         )
     return field[0] if single else field
 
@@ -590,17 +644,18 @@ def dipole_sheet_field_exact(
         E(x - s n) - E(x + s n),
 
     with E the patch's own Coulomb field (coulomb_surface_field), all 2n
-    points in one call of its rim's closed form.  Each sheet has the
-    patch's guard, and its field is zero beyond 1e100 bounding-box
-    diagonals.  Raises ValueError for a curved patch, which has no
-    constant normal, and PrefactorOverflow for a field that k_E sigma
-    takes beyond the float range.
+    points measured once and in one call of its rim's closed form.  Each
+    sheet has the patch's guard, and NearSingular names the input point
+    whose shifted copy fell within it; its field is zero beyond 1e100
+    bounding-box diagonals.  Raises ValueError for a curved patch, which
+    has no constant normal, and PrefactorOverflow for a field that k_E
+    sigma takes beyond the float range.
     """
     points, single = as_points(x)
     normal = patch.constant_normal()
     if normal is None:
         raise ValueError("the two-sheet field needs a flat patch")
-    sheet = _sheet_field(patch)
+    sheet = _sheet_form(patch)
     if dp.sigma == 0.0 or dp.separation == 0.0:
         # zero density, or coincident sheets cancelling exactly
         field = np.zeros(points.shape)
@@ -608,7 +663,11 @@ def dipole_sheet_field_exact(
         shift = 0.5 * dp.separation * normal
         # x - s n and x + s n of each point side by side, in the order the guard checks them
         seen = np.stack((points - shift, points + shift), axis=1).reshape(-1, 3)
-        sheets = _guarded(patch, sheet, seen, spec, "sheet").reshape(-1, 2, 3)
+        try:
+            sheets = _guarded(patch, sheet, seen, spec, "sheet").reshape(-1, 2, 3)
+        except NearSingular as exc:
+            exc.point //= 2  # the input point of which seen's row is a copy
+            raise
         field = prefactor_times(consts.k_E * dp.sigma, sheets[:, 0] - sheets[:, 1])
     return field[0] if single else field
 
@@ -628,7 +687,8 @@ def dipole_mesh_field(
     boundary term, and on curved patches the parallelogram area vectors
     carry an O(1/M) net defect that the cell-boundary areas cancel by
     telescoping.  A point within 1e-9 minimum edge lengths of a cell's
-    centre raises NearSingular, which names the first such point; beyond
+    centre raises NearSingular, which names the first such point (its
+    distance, and its index in x as `point`); beyond
     about 1e100 mesh sizes the field is zero.  A field that k_E h sigma
     takes beyond the float range raises PrefactorOverflow.
 
@@ -655,17 +715,17 @@ def dipole_mesh_field(
     nearest = dist.min(axis=1)
     guard = 1e-9 * mesh.min_edge_length() / unit
     if nearest.min(initial=math.inf) <= guard:
+        first = int((nearest <= guard).argmax())
         raise NearSingular(
             "field point within guard distance of a panel center",
-            distance=unit * float(nearest[nearest <= guard][0]),
+            distance=unit * float(nearest[first]),
             guard=unit * guard,
             kind="mesh",
+            point=int(np.arange(len(points))[near][first]),
         )
     prefactor = consts.k_E * dp.separation * dp.sigma
-    # _within_reach hands over the points that are not far: those of rel
-    field = _within_reach(
-        lambda _: prefactor_times(prefactor, _dipole_sum(rel, dist, areas) / unit), points, far
-    )
+    # the points that are not far are those of rel
+    field = _within_reach(lambda: prefactor_times(prefactor, _dipole_sum(rel, dist, areas) / unit), far)
     return field[0] if single else field
 
 

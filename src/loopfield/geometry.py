@@ -35,6 +35,8 @@ __all__ = [
     "bounding_box_diagonal",
     "cross",
     "power_of_two_unit",
+    "ScaledSegments",
+    "scale_segments",
     "Curve",
     "Circle",
     "PolyLine",
@@ -109,6 +111,50 @@ def power_of_two_unit(size: float) -> float:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _distance_to(source, point):
+    """source.distance_from(source.offsets(points)) of one (3,) point, as
+    a float, or of (n, 3) points."""
+    pts, single = as_points(point)
+    dist = source.distance_from(source.offsets(pts))
+    return float(dist[0]) if single else dist
+
+
+class ScaledSegments(NamedTuple):
+    """Straight segments in `unit`, power_of_two_unit of their largest
+    coordinate extent: their (k, 3) starts and ends, (k,) lengths and
+    (k, 3) unit directions, all in the unit, where squares of lengths
+    near theirs neither over- nor underflow.  A PolyLine keeps its own
+    (PolyLine.scaled_segments), and fields.segment_field sums from them."""
+
+    unit: float
+    starts: np.ndarray
+    ends: np.ndarray
+    lengths: np.ndarray
+    dirs: np.ndarray
+
+    def offsets(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (n, 3) points in the unit, as (n, 1, 3), and their (n, k, 3)
+        offsets from the starts."""
+        p = pts[:, None, :] / self.unit
+        return p, p - self.starts
+
+
+def scale_segments(starts, ends) -> ScaledSegments:
+    """The segments from the (k, 3) starts to the (k, 3) ends, in their unit."""
+    starts = np.asarray(starts, dtype=float).reshape(-1, 3)
+    ends = np.asarray(ends, dtype=float).reshape(-1, 3)
+    chords = ends - starts
+    unit = power_of_two_unit(float(np.abs(chords).max()))
+    return _in_unit(unit, starts, ends, chords / unit)
+
+
+def _in_unit(unit: float, starts, ends, chords) -> ScaledSegments:
+    """The segments from starts to ends in the unit, given their chords in it."""
+    lengths = np.sqrt(np.einsum("ij,ij->i", chords, chords))
+    return ScaledSegments(unit, _frozen(starts / unit), _frozen(ends / unit), _frozen(lengths),
+                          _frozen(chords / lengths[:, None]))
 
 
 def _length(v: np.ndarray) -> float:
@@ -197,9 +243,20 @@ class Curve:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def distance_to(self, point):
-        """Distance from a point, or the (n,) distances from (n, 3) points."""
+    def offsets(self, pts: np.ndarray):
+        """The (n, 3) points as the curve's distance and closed-form field
+        see them: a tuple of arrays with one row per point, in the curve's
+        unit."""
         raise NotImplementedError
+
+    def distance_from(self, offsets) -> np.ndarray:
+        """The (n,) distances of the points from their offsets."""
+        raise NotImplementedError
+
+    def distance_to(self, point):
+        """Distance from a point, or the (n,) distances from (n, 3) points:
+        distance_from(offsets(points))."""
+        return _distance_to(self, point)
 
 
 class Circle(Curve):
@@ -208,7 +265,7 @@ class Circle(Curve):
     Parametrized on [0, 2*pi].  With orientation "ccw" the traversal is
     counterclockwise as seen from the +axis side (right-hand rule); "cw"
     is the reverse traversal.  `unit_axis` is the axis over its length and
-    `unit` is power_of_two_unit(radius), the unit of axial(), which its
+    `unit` is power_of_two_unit(radius), the unit of offsets(), which its
     distance and its closed-form fields share.
     """
 
@@ -265,21 +322,21 @@ class Circle(Curve):
     def bounding_box(self):
         return self._box
 
-    def axial(self, pts):
+    def offsets(self, pts):
         """(height z along unit_axis, the part `radial` across it, its
         length rho) of the offsets of (n, 3) points from the centre, in
         `unit`, where their squares neither over- nor underflow."""
         rel = (pts - self.center) / self.unit
-        z = rel @ self.unit_axis
+        # einsum, not matmul: numpy's matmul of one row takes another BLAS
+        # kernel than that of several, which rounds differently
+        z = np.einsum("ij,j->i", rel, self.unit_axis)
         radial = rel - z[:, None] * self.unit_axis
         # the products and sum of numpy's norm, without its per-call set-up
         return z, radial, np.sqrt(np.einsum("ij,ij->i", radial, radial))
 
-    def distance_to(self, point):
-        pts, single = as_points(point)
-        z, _, rho = self.axial(pts)
-        dist = np.hypot(rho - self.radius / self.unit, z) * self.unit
-        return float(dist[0]) if single else dist
+    def distance_from(self, offsets):
+        z, _, rho = offsets
+        return np.hypot(rho - self.radius / self.unit, z) * self.unit
 
 
 class PolyLine(Curve):
@@ -288,7 +345,9 @@ class PolyLine(Curve):
     `vertices` are traversed in order; with closed=True the final segment
     returns to the first vertex (a duplicated last vertex is dropped).
     The tangent is the unit direction of the current segment; at an
-    interior vertex parameter the outgoing segment wins.
+    interior vertex parameter the outgoing segment wins.  `unit` is the
+    unit of its segments (`scaled_segments`), in which its distance and
+    its closed-form fields take the offsets of points.
     """
 
     def __init__(self, vertices, closed: bool = False):
@@ -302,22 +361,25 @@ class PolyLine(Curve):
         if len(verts) < 2:
             raise ValueError("polyline needs at least 2 distinct vertices")
         starts = verts
-        ends = np.roll(verts, -1, axis=0) if closed else verts[1:]
+        # np.roll's values, without its set-up
+        ends = np.concatenate((verts[1:], verts[:1])) if closed else verts[1:]
         if not closed:
             starts = verts[:-1]
         chords = ends - starts
-        # the sum of numpy's norm, without its per-call set-up, in units
-        # where the squares neither over- nor underflow
+        # the arc lengths: the sum of numpy's norm, without its per-call
+        # set-up, in units where the squares neither over- nor underflow
         unit = power_of_two_unit(float(np.abs(chords).max()))
         scaled = chords / unit
         scaled_lengths = np.sqrt(np.add.reduce(scaled * scaled, axis=1))
         lengths = scaled_lengths * unit
         if np.any(lengths == 0.0):
             raise ValueError("polyline has a zero-length segment")
-        # distance_to works in the same unit, where the squares of gaps
-        # neither over- nor underflow
-        self._unit = unit
-        self._scaled = (_frozen(starts / unit), _frozen(scaled_lengths))
+        # the closed form's frame in the same unit, where the squares of gaps
+        # neither over- nor underflow; its lengths are einsum's, which rounds
+        # unlike the sum above, and the distance keeps the arc lengths
+        self.scaled_segments = _in_unit(unit, starts, ends, scaled)
+        self.unit = unit
+        self._scaled_lengths = _frozen(scaled_lengths)
         self.vertices = _frozen(verts)
         self._box = (_frozen(verts.min(axis=0)), _frozen(verts.max(axis=0)))
         self.closed = bool(closed)
@@ -378,16 +440,32 @@ class PolyLine(Curve):
     def bounding_box(self):
         return self._box
 
-    def distance_to(self, point):
-        pts, single = as_points(point)
-        starts, lengths = self._scaled
-        p = pts[:, None, :] / self._unit
-        proj = np.einsum("pij,ij->pi", p - starts, self._dirs)
-        proj = np.minimum(np.maximum(proj, 0.0), lengths)  # np.clip, without its set-up
+    @cached_property
+    def plane(self) -> tuple[np.ndarray, np.ndarray]:
+        """Of a closed polyline, the polygon's unit normal, about which its
+        vertices turn counterclockwise, summed over the fan of spokes from
+        its first vertex, and each edge's in-plane unit normal, its
+        direction x the normal, which points out of the polygon; from
+        scaled_segments, on first use."""
+        segments = self.scaled_segments
+        spokes = segments.starts[1:] - segments.starts[0]
+        normal = cross(spokes[:-1], spokes[1:]).sum(axis=0)
+        normal = normal / math.sqrt(normal @ normal)
+        return _frozen(normal), _frozen(cross(segments.dirs, normal))
+
+    def offsets(self, pts):
+        """ScaledSegments.offsets: the points in `unit`, (n, 1, 3), and
+        their (n, k, 3) offsets from the segments' starts."""
+        return self.scaled_segments.offsets(pts)
+
+    def distance_from(self, offsets):
+        p, rel = offsets
+        starts = self.scaled_segments.starts
+        proj = np.einsum("pij,ij->pi", rel, self._dirs)
+        proj = np.minimum(np.maximum(proj, 0.0), self._scaled_lengths)  # np.clip, without its set-up
         closest = starts + proj[..., None] * self._dirs
         gap = p - closest
-        dist = np.sqrt(np.add.reduce(gap * gap, axis=2)).min(axis=1) * self._unit
-        return float(dist[0]) if single else dist
+        return np.sqrt(np.add.reduce(gap * gap, axis=2)).min(axis=1) * self.unit
 
 
 class RectLoop(PolyLine):
@@ -473,10 +551,12 @@ class CompositeCurve(Curve):
     def bounding_box(self):
         return _merge_boxes(p.bounding_box() for p in self.parts)
 
-    def distance_to(self, point):
-        pts, single = as_points(point)
-        dist = np.min([p.distance_to(pts) for p in self.parts], axis=0)
-        return float(dist[0]) if single else dist
+    def offsets(self, pts):
+        """Each part's offsets of the points, in part order."""
+        return tuple(p.offsets(pts) for p in self.parts)
+
+    def distance_from(self, offsets):
+        return np.min([p.distance_from(o) for p, o in zip(self.parts, offsets)], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +597,19 @@ class SurfacePatch:
             raise TypeError(f"no bounding box for a {type(self).__name__} patch, which has no rim")
         return rim.bounding_box()
 
+    def offsets(self, pts: np.ndarray):
+        """The (n, 3) points as the patch's distance and closed-form sheet
+        field see them: its rim's offsets (Curve.offsets)."""
+        raise NotImplementedError
+
+    def distance_from(self, offsets) -> np.ndarray:
+        """The (n,) distances of the points from their offsets."""
+        raise NotImplementedError
+
     def distance_to(self, point):
         """Distance from a point to the patch, or the (n,) distances from
-        (n, 3) points."""
-        raise NotImplementedError
+        (n, 3) points: distance_from(offsets(points))."""
+        return _distance_to(self, point)
 
 
 class PlanarRect(SurfacePatch):
@@ -542,10 +631,10 @@ class PlanarRect(SurfacePatch):
         c, ea, eb = self.corner, self.edge_a, self.edge_b
         corners = np.array([c, c + ea, c + ea + eb, c + eb])
         self._rim = PolyLine(corners, closed=True)
-        # columns e_a*, e_b* of the dual basis and the unit normal:
-        # (alpha, beta, height) = (p - corner) @ frame
+        # columns e_a*, e_b* of the dual basis and the unit normal, for
+        # offsets in the rim's unit: (alpha, beta, height / unit) = rel @ frame
         gram = np.array([[a @ a, a @ b], [a @ b, b @ b]])
-        duals = np.linalg.inv(gram) @ np.array([a, b]) / unit
+        duals = np.linalg.inv(gram) @ np.array([a, b]) * (self._rim.unit / unit)
         self._frame = _frozen(np.column_stack((*duals, self._normal)))
 
     def point(self, u, v):
@@ -562,18 +651,22 @@ class PlanarRect(SurfacePatch):
     def rim(self) -> PolyLine:
         return self._rim
 
-    def distance_to(self, point):
-        pts, single = as_points(point)
-        coords = (pts - self.corner) @ self._frame
+    def offsets(self, pts):
+        return self._rim.offsets(pts)
+
+    def distance_from(self, offsets):
+        p, rel = offsets
+        # the offsets from the rim's first vertex, the corner
+        coords = rel[:, 0] @ self._frame
         # over the parallelogram the height, beside it the rim's distance;
         # min(t, 1 - t) < 0 exactly where t < 0 or t > 1
-        dist = np.abs(coords[:, 2])
+        dist = np.abs(coords[:, 2]) * self._rim.unit
         ab = coords[:, :2]
         margin = np.minimum(ab, 1.0 - ab)
         if margin.min(initial=0.0) < 0.0:
             beside = margin.min(axis=1) < 0.0
-            dist[beside] = self._rim.distance_to(pts[beside])
-        return float(dist[0]) if single else dist
+            dist[beside] = self._rim.distance_from((p[beside], rel[beside]))
+        return dist
 
 
 class Disk(SurfacePatch):
@@ -606,13 +699,14 @@ class Disk(SurfacePatch):
     def rim(self) -> Circle:
         return self._rim
 
-    def distance_to(self, point):
-        pts, single = as_points(point)
-        z, _, rho = self._rim.axial(pts)
+    def offsets(self, pts):
+        return self._rim.offsets(pts)
+
+    def distance_from(self, offsets):
+        z, _, rho = offsets
         radius = self.radius / self._rim.unit
         # over the disk the height, beside it the rim's distance
-        dist = np.where(rho <= radius, np.abs(z), np.hypot(rho - radius, z)) * self._rim.unit
-        return float(dist[0]) if single else dist
+        return np.where(rho <= radius, np.abs(z), np.hypot(rho - radius, z)) * self._rim.unit
 
 
 # ---------------------------------------------------------------------------

@@ -167,12 +167,15 @@ def test_circle_and_sheet_commands_need_no_quadrature(monkeypatch, tmp_path):
     # the unit circle, the square sheets and the disk sheet are closed
     # form; a silent fallback to quadrature over the unit square, or along
     # a curve or a rim, would raise here
-    from loopfield import cli, fields
+    from loopfield import cli, fields, quadrature
 
     def poisoned(*args, **kwargs):
         raise AssertionError("quadrature reached")
 
     out = str(tmp_path / "out.csv")
+    # the routine every quadrature route meets, as selftest criterion 10
+    # poisons it, and the names that bench/spans.py wraps under fields
+    monkeypatch.setattr(quadrature, "_integrate", poisoned)
     monkeypatch.setattr(fields, "integrate_1d", poisoned)
     monkeypatch.setattr(fields, "integrate_2d", poisoned)
     disk_scene = str(SCENES / "disk_sheet.json")
@@ -300,7 +303,7 @@ def test_shipped_outputs_tool_writes_every_output(tmp_path):
     out = tmp_path / "first"
     assert _tree(out) == _tree(tmp_path / "second")
     logs = sorted(out.rglob("*.log"))
-    assert len(logs) == len(list(SCENES.glob("*.json"))) + 9  # 8 subcommands and selftest
+    assert len(logs) == len(list(SCENES.glob("*.json"))) + 11  # 10 commands and selftest
     assert all(log.read_text().startswith("exit 0\n") for log in logs)
     assert "selftest PASS" in (out / "selftest.log").read_text()
     for scene in SCENES.glob("*.json"):

@@ -197,11 +197,15 @@ def test_differential_probe_calls_the_field_once_on_its_stencil():
 
 
 def test_curl_probe_makes_one_field_call_per_point_and_step(monkeypatch):
-    calls = []
+    calls, distance_calls = [], []
     monkeypatch.setattr(experiments, "biot_savart", _counting(calls, biot_savart, 1))
+    ring = unit_circle()
+    monkeypatch.setattr(ring, "distance_to", _counting(distance_calls, ring.distance_to, 0))
     points, steps = [(0, 0, 1.5), (1.3, 0.8, 1.0), (0.2, -0.4, 0.7)], [4e-3, 2e-3, 1e-3, 5e-4]
-    curl_vanishing(unit_circle(), points, steps)
+    curl_vanishing(ring, points, steps)
     assert calls == [(6, 3)] * (len(points) * len(steps))
+    # the guard takes its distances from the offsets the field is summed from
+    assert distance_calls == []
 
 
 def test_maxwell_probe_makes_one_field_call_per_point_and_step(monkeypatch):
@@ -214,9 +218,8 @@ def test_maxwell_probe_makes_one_field_call_per_point_and_step(monkeypatch):
     assert maxwell_probe(patch, 1.0, points, steps).passed
     assert sheet_calls == layer_calls == [(6, 3)] * (len(points) * len(steps))
     # per field one near test, over every point seen from each of its
-    # sheets, then one guard per stencil, over the stencil seen from them
-    probes = len(points) * len(steps)
-    assert distance_calls == [(3, 3)] + [(6, 3)] * probes + [(6, 3)] + [(12, 3)] * probes
+    # sheets; the guards take their distances from the field's own offsets
+    assert distance_calls == [(3, 3), (6, 3)]
 
 
 # ---------------------------------------------------------------------------

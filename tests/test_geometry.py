@@ -251,7 +251,10 @@ def test_polyline_distance_exact():
 def test_distance_to_takes_many_points():
     circle = Circle((1, 2, 3), 0.7, (0, 1, 1))
     line = PolyLine([(0, 0, 0), (2, 0, 0), (2, 1, 1)])
-    curves = (circle, line, CompositeCurve([line, PolyLine([(2, 1, 1), (1, 2, 3)])]))
+    # a tilted axis: the height along it was a matmul, whose one-row kernel
+    # rounds unlike its many-row one
+    tilted = Circle((0.1, -0.2, 0.3), 0.8, (0.3, -0.4, 1.0))
+    curves = (circle, tilted, line, CompositeCurve([line, PolyLine([(2, 1, 1), (1, 2, 3)])]))
     points = np.random.default_rng(5).uniform(-2.0, 4.0, (7, 3))
     for curve in curves:
         many = curve.distance_to(points)
@@ -287,7 +290,8 @@ def test_patch_distance_to_takes_many_points():
         [(0.5, 0.5, 0.3), (0.2, 0.1, -0.4), (2.0, 0.5, 0.0), (0.0, 0.0, 0.0)],
     ))
     rect, disk = patches = (PlanarRect((0, 0, 0), (1, 0, 0), (0.3, 1, 0)), Disk((0, 0, 0), 1.0, (0, 0, 1)))
-    for patch in patches:
+    tilted = (PlanarRect((0.1, -0.2, 0.3), (1.2, 0.3, -0.1), (-0.2, 0.9, 0.4)), Disk((0.1, -0.2, 0.3), 0.8, (0.3, -0.4, 1.0)))
+    for patch in patches + tilted:
         many = patch.distance_to(points)
         assert many.shape == (len(points),)
         assert np.array_equal(many, [patch.distance_to(p) for p in points]), patch

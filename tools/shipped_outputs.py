@@ -7,9 +7,10 @@ Calls `loopfield.cli.run` from this checkout's `src/` on:
 * `run --scene` for each `scenes/*.json`, inside `OUTDIR/run_<stem>/`,
   where the entries' relative `out` paths land;
 * the subcommands that run without `--scene` (`ampere`, `linelimit`,
-  `similitude`, `maxwell`, `curl`) and README's `link`, `lk` and `field`
-  examples, each with `--out OUTDIR/<name>.csv`, so that the JSON record
-  is written as well;
+  `similitude`, `maxwell`, `curl`), README's `link`, `lk` and `field`
+  examples and `field --surface sheet` on `scenes/square_sheet.json` and
+  `scenes/disk_sheet.json`, each with `--out OUTDIR/<name>.csv`, so that
+  the JSON record is written as well;
 * `selftest`.
 
 Each command's exit code, stdout and stderr go to `<name>.log` in the
@@ -40,6 +41,18 @@ COMMANDS = {
     "readme_field": [
         "field", "--scene", str(SCENES / "hopf.json"), "--curve", "ring",
         "--points", "0,0,0;0,0,1.5",
+    ],
+    # each sheet's closed form on its axis, off it, beside a rim or an
+    # edge, and far away
+    "square_sheet_field": [
+        "field", "--scene", str(SCENES / "square_sheet.json"), "--surface", "sheet",
+        "--points", "0.5,0.5,0.3;0.5,0.5,-2;0.2,0.7,0.4;1.3,-0.2,0.5;1.001,0.5,0.001;0.5,-0.001,-0.002;"
+        "1,1,0.001;40,-30,25;1e8,2e8,-1e8",
+    ],
+    "disk_sheet_field": [
+        "field", "--scene", str(SCENES / "disk_sheet.json"), "--surface", "sheet",
+        "--points", "0,0,0.5;0,0,-3;0.3,-0.2,1.2;1.5,0.2,-0.4;1.001,0,0;0,0.999,0.001;"
+        "0.6,0.8,0.002;40,-30,25;1e8,2e8,-1e8",
     ],
 }
 
