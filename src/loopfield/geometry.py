@@ -232,9 +232,11 @@ class Curve:
         constant of the position in t."""
         raise TypeError(f"no parameter speed bound for a {type(self).__name__}")
 
-    def vector_area(self) -> np.ndarray:
-        """Vector area (1/2) * integral of r x dr along the curve, exactly;
-        for a closed curve, the vector area it spans."""
+    def vector_area(self, unit: float = 1.0) -> np.ndarray:
+        """Vector area (1/2) * integral of r x dr along the curve, exactly,
+        in units of unit^2, taken from r / unit: for a closed curve, the
+        vector area it spans.  In a power-of-two unit of the curve's size
+        no square over- or underflows, and the scaling is exact."""
         raise TypeError(f"no closed-form vector area for a {type(self).__name__}")
 
     def reversed(self) -> "Curve":
@@ -310,10 +312,10 @@ class Circle(Curve):
     def max_speed(self) -> float:
         return self.radius
 
-    def vector_area(self) -> np.ndarray:
+    def vector_area(self, unit: float = 1.0) -> np.ndarray:
         # +-pi R^2 along the unit axis, by the traversal's sense about it
         sign = 1.0 if self.orientation == "ccw" else -1.0
-        return sign * math.pi * self.radius**2 * self.unit_axis
+        return sign * math.pi * (self.radius / unit) ** 2 * self.unit_axis
 
     def reversed(self) -> "Circle":
         flipped = "cw" if self.orientation == "ccw" else "ccw"
@@ -426,8 +428,8 @@ class PolyLine(Curve):
     def max_speed(self) -> float:
         return 1.0  # arc length
 
-    def vector_area(self) -> np.ndarray:
-        return 0.5 * cross(*self.segments()).sum(axis=0)
+    def vector_area(self, unit: float = 1.0) -> np.ndarray:
+        return 0.5 * cross(self._starts / unit, self._ends / unit).sum(axis=0)
 
     def reversed(self) -> "PolyLine":
         if self.closed:
@@ -541,9 +543,9 @@ class CompositeCurve(Curve):
         # each part's parameter is a shifted copy of its own
         return max(p.max_speed() for p in self.parts)
 
-    def vector_area(self) -> np.ndarray:
+    def vector_area(self, unit: float = 1.0) -> np.ndarray:
         # the integral is additive over the parts
-        return sum(p.vector_area() for p in self.parts)
+        return sum(p.vector_area(unit) for p in self.parts)
 
     def reversed(self) -> "CompositeCurve":
         return CompositeCurve([p.reversed() for p in reversed(self.parts)])

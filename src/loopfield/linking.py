@@ -4,9 +4,9 @@
   quadrature; with k_B = 1/(4*pi) it equals the circulation of the
   Biot-Savart field of one loop around the other.  That field is summed
   in closed form over the loop's polyline and circle leaves, and only
-  the circulation is integrated, from first cells graded toward the
-  closest approach that validation certified; a bare circle still takes
-  the 2-D double integral.
+  the circulation is integrated, from first cells no wider than a few
+  times their distance from the source; a bare circle still takes the
+  2-D double integral.
 * combinatorial_lk counts signed transversal crossings of one loop
   through a panel mesh spanning the other, split into triangles.
 
@@ -19,10 +19,11 @@ touch, so LinkScene.validate guards it: curve_min_distance brackets the
 closest approach with a certified lower bound, and a pair is refused
 whenever that bound is within the guard distance.  Every pair that comes
 within the guard is refused; every pair that stays beyond twice the
-guard is accepted.  The accepted approach then places the circulation's
-breakpoints: cells shrink geometrically toward curve_l's point nearest
-it, in the spirit of QUADPACK's QAGP (Piessens et al. 1983), so a gap
-just beyond the guard is resolved in a few refinement levels.
+guard is accepted.  The circulation needs no approach: its first cells
+are sized from curve_c's distance, each at most _KAPPA times as wide as
+its gap, in the spirit of QUADPACK's QAGP (Piessens et al. 1983), so
+every near approach of a pair just beyond the guard is resolved in a
+few refinement levels.
 """
 
 from __future__ import annotations
@@ -73,10 +74,13 @@ _CHUNK = 1024
 # slack L*h falls below it can no longer be decided by splitting
 _ROUNDING = 2.0**-44
 
-# samples per round of the scan for curve_l's parameter nearest the
-# approach; each round spans the two sample steps around the last round's
-# nearest sample
-_SCAN = 65
+# a first cell of the circulation is at most _KAPPA times as wide as its
+# gap from the source, so each cell's Bernstein ellipse clears the
+# field's singularities by one ratio and the 8-point rule's error falls
+# at one rate however near the curves come (Trefethen, Approximation
+# Theory and Approximation Practice, 2013, Thm 19.3); 2 doubles the
+# cells, and their cost, near an approach
+_KAPPA = 4.0
 
 
 class Approach(NamedTuple):
@@ -200,8 +204,10 @@ class LinkScene:
                 f"mesh boundary strays {worst:g} from curve_l "
                 f"(allowed {1e-6 * scale:g})"
             )
-        # directions: the product of the areas' lengths is a length^4
-        va, vl = boundary.vector_area(), self.curve_l.vector_area()
+        # directions, from the areas in the mesh's unit, where these lengths
+        # squared neither over- nor underflow
+        unit = self.spanning_mesh.unit
+        va, vl = boundary.vector_area(unit), self.curve_l.vector_area(unit)
         if not (va.any() and vl.any()) or float(_unit(va) @ _unit(vl)) < 0.9:
             raise ValueError("mesh boundary orientation disagrees with curve_l")
 
@@ -209,49 +215,32 @@ class LinkScene:
         return LinkScene(self.curve_l, self.curve_c, None, name=self.name + "_swapped")
 
 
-def _nearest_parameter(curve: Curve, point: np.ndarray, width: float) -> float:
-    """The curve's parameter nearest the point, to within width and
-    modulo its span: rounds of _SCAN positions, each over the two sample
-    steps around the previous round's nearest sample."""
-    span = curve.t_end - curve.t_start
-    low, high = curve.t_start, curve.t_end
-    while True:
-        ts = np.linspace(low, high, _SCAN)
-        off = curve.position(curve.t_start + np.mod(ts - curve.t_start, span)) - point
-        near = float(ts[np.argmin(np.einsum("ij,ij->i", off, off))])
-        step = (high - low) / (_SCAN - 1)
-        if step <= width:
-            return near
-        low, high = near - step, near + step
-
-
-def _graded_cuts(curve_c: Curve, curve_l: Curve, approach: Optional[Approach]) -> tuple[float, ...]:
-    """curve_l's smooth cuts, and cuts at s* +- w * 4^k below half its
-    span, modulo the span: s* its parameter nearest curve_c(approach.t),
-    w = approach.upper / curve_l's largest speed.  A cut within w / 2 of
-    another gives way, a smooth cut to none.  No cut is added without an
-    approach, or for one at least curve_l's bounding-box diagonal away
-    (or at distance 0, where no grading ends)."""
-    cuts = curve_l.smooth_cuts()
-    if approach is None or not 0.0 < approach.upper < bounding_box_diagonal([curve_l]):
-        return cuts
-    width = approach.upper / curve_l.max_speed()
-    span = curve_l.t_end - curve_l.t_start
-    offsets = [width]
-    while offsets[-1] < 0.5 * span:
-        offsets.append(4.0 * offsets[-1])
-    offsets = np.array(offsets[:-1])
-    if not offsets.size:
-        return cuts
-    near = _nearest_parameter(curve_l, curve_c.position(approach.t), width)
-    graded = near + np.concatenate((-offsets, offsets))
-    graded = curve_l.t_start + np.mod(graded - curve_l.t_start, span)
-    every = np.concatenate((cuts, graded))
-    order = np.argsort(every, kind="stable")
-    every = every[order]
-    room = np.diff(every, prepend=-math.inf, append=math.inf)
-    apart = np.minimum(room[:-1], room[1:]) > 0.5 * width
-    return tuple(every[(order < len(cuts)) | apart].tolist())
+def _first_cells(curve_c: Curve, curve_l: Curve, levels: int) -> np.ndarray:
+    """Breakpoints of curve_l's first cells: its smooth pieces, halved
+    level by level, at most levels times, until every cell of half-width
+    h about the parameter s satisfies (2 + _KAPPA) * speed * h <=
+    _KAPPA * d(s), speed being curve_l's largest parameter speed and d(s)
+    curve_c's distance from curve_l(s).  d(s) - speed * h bounds the
+    distance over the cell from below, so a cell is at most _KAPPA times
+    as wide as its gap from curve_c.  Each level takes its distances in
+    one pass, and a level with more than _CHUNK cells to halve ends the
+    halving."""
+    speed = curve_l.max_speed()
+    cuts = np.array(curve_l.smooth_cuts())
+    kept = [cuts]
+    a, b = cuts[:-1], cuts[1:]
+    for _ in range(levels):
+        mid = 0.5 * (a + b)
+        wide = (2.0 + _KAPPA) * speed * 0.5 * (b - a) > _KAPPA * _distances(curve_l, curve_c, mid)
+        # more than _CHUNK wide cells on one level are no approach but a
+        # long near run, or curves that meet: the quadrature refines those
+        # only where the integrand needs it, in bounded time and memory
+        if not wide.any() or np.count_nonzero(wide) > _CHUNK:
+            break
+        a, mid, b = a[wide], mid[wide], b[wide]
+        kept.append(mid)
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+    return np.unique(np.concatenate(kept))
 
 
 def gauss_pair_integral(
@@ -259,7 +248,6 @@ def gauss_pair_integral(
     curve_l: Curve,
     consts: FieldConstants = FieldConstants(),
     spec: QuadratureSpec = QuadratureSpec(),
-    approach: Optional[Approach] = None,
 ) -> tuple[float, float]:
     """Gauss double integral over an arbitrary pair of curve pieces.
 
@@ -270,14 +258,13 @@ def gauss_pair_integral(
     over the full parameter rectangle.  The inner integral is curve_c's
     field, which curve_field sums in closed form over its PolyLine and
     Circle leaves, so the result is the circulation k_B * integral of
-    B_C . dl: one 1-D quadrature over curve_l's smooth pieces.  With
-    approach, the result of curve_min_distance(curve_c, curve_l, guard),
-    the first cells also shrink geometrically toward curve_l's point
-    nearest the approach, down to the gap (_graded_cuts), so a gap of a
-    few guards takes a few refinement levels rather than max_depth;
-    without one, or for a gap at least curve_l's bounding-box diagonal,
-    they are its smooth pieces.  Only a bare Circle source still takes
-    one 2-D quadrature, whose first cells are the products of both
+    B_C . dl: one 1-D quadrature over curve_l.  Its first cells are
+    curve_l's smooth pieces, halved for at most spec.max_depth levels
+    until each is at most _KAPPA times as wide as its certified gap from
+    curve_c (_first_cells), so every near approach, one or several, is
+    resolved from the first call on; curve_l must state its largest
+    parameter speed (Curve.max_speed).  Only a bare Circle source still
+    takes one 2-D quadrature, whose first cells are the products of both
     curves' smooth pieces, so every cell sees a smooth integrand.  Its
     numerator is expanded about the circle's centre o as
     dm . ((l - o) x dl) + ((m - o) x dm) . dl, whose cross products are
@@ -294,7 +281,7 @@ def gauss_pair_integral(
             field = curve_field(curve_c, curve_l.position(ss))
             return np.einsum("ij,ij->i", field, curve_l.tangent(ss))
 
-        value, err = integrate_1d(circulation, _graded_cuts(curve_c, curve_l, approach), spec)
+        value, err = integrate_1d(circulation, _first_cells(curve_c, curve_l, spec.max_depth), spec)
     else:
         # A Circle has a closed form too, but the benchmark's span test pins
         # a circle-circle pair to one integrate_2d call with 8x8 nodes per
@@ -339,10 +326,10 @@ def gauss_linking(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> tuple[float, float]:
     """Gauss linking integral of a validated scene; (value, error_estimate).
-    The approach that validation certifies grades the quadrature's first
-    cells."""
-    approach = scene.validate(spec)
-    return gauss_pair_integral(scene.curve_c, scene.curve_l, consts, spec, approach)
+    Validation only guards the pair; the integral's first cells follow
+    the same rule as in gauss_pair_integral."""
+    scene.validate(spec)
+    return gauss_pair_integral(scene.curve_c, scene.curve_l, consts, spec)
 
 
 def sample_closed_polyline(curve: Curve, max_edge: float) -> np.ndarray:

@@ -238,7 +238,8 @@ def test_poisoned_integrator_reaches_every_integral_route(monkeypatch):
     for source in (partner, RectLoop(8)):
         with pytest.raises(AssertionError, match="integrator was called"):
             gauss_pair_integral(source, unit_circle())
-    # a polygon source with the cuts graded toward the closest approach
+    # a polygon source through validation, with first cells sized from
+    # their distance to it
     scene = LinkScene(RectLoop(8), unit_circle(), unit_disk_mesh())
     with pytest.raises(AssertionError, match="integrator was called"):
         gauss_linking(scene)

@@ -23,6 +23,7 @@ from loopfield import (
     quadrature,
 )
 from test_fields import biot_savart_by_quadrature, sheet_field_by_quadrature
+from test_linking import DEFECT_B_C, DEFECT_B_L, TWO_LEGS, defect_a_loop
 
 
 def test_polynomial():
@@ -190,20 +191,27 @@ def test_guard_resolution():
 # reaches quadrature through the tests' own Biot-Savart integrand, and
 # the rectangle's and the disk's through their own Coulomb integrand.  The
 # composite (the hopf circle with a spur out and back from where its
-# parameter starts) takes the 1-D circulation route.
+# parameter starts), the two-leg loop of two near approaches and the
+# Defect B polygon pair take the 1-D circulation route, whose first
+# cells are sized from their distance to the source.
 _UNIT_RING = Circle((0, 0, 0), 1.0, (0, 0, 1))
 _HOPF_CIRCLE = Circle((1.1, 0, 0), 0.7, (0, 1, 0))
 _JOINT = _HOPF_CIRCLE.position(_HOPF_CIRCLE.t_start)
 _COMPOSITE = CompositeCurve([_HOPF_CIRCLE, PolyLine([_JOINT, _JOINT + (0, 0.3, 0), _JOINT])])
 _REFERENCE_CELLS = {
     "hopf_pair": (lambda: linking.gauss_pair_integral(_HOPF_CIRCLE, _UNIT_RING), 213),
-    "composite_pair": (lambda: linking.gauss_pair_integral(_COMPOSITE, _UNIT_RING), 23),
+    "composite_pair": (lambda: linking.gauss_pair_integral(_COMPOSITE, _UNIT_RING), 18),
     "rect_sheet": (
         lambda: sheet_field_by_quadrature(PlanarRect((0, 0, 0), (1, 0, 0), (0, 0.8, 0)), (0.3, 0.48, 0.01)),
         309,
     ),
     "disk_axis": (lambda: sheet_field_by_quadrature(Disk((0, 0, 0), 1.0, (0, 0, 1)), (0, 0, 0.03)), 341),
     "circle_field": (lambda: biot_savart_by_quadrature(_UNIT_RING, (1.01, 0, 0)), 71),
+    "two_leg_loop": (lambda: linking.gauss_pair_integral(defect_a_loop(TWO_LEGS), _UNIT_RING), 233),
+    "defect_b_pair": (
+        lambda: linking.gauss_pair_integral(PolyLine(DEFECT_B_C, closed=True), PolyLine(DEFECT_B_L, closed=True)),
+        162,
+    ),
 }
 
 
