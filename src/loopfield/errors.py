@@ -71,7 +71,7 @@ class CurvesTooClose(LoopfieldError):
 
     The closest approach lies between `lower`, which is certified and at
     most `guard`, and `distance`, the least sampled distance; `t` is
-    curve_c's parameter at that sample.  Each is None when not given.
+    curve_l's parameter at that sample.  Each is None when not given.
     """
 
     def __init__(self, message, *, distance=None, lower=None, guard=None, t=None):

@@ -15,15 +15,13 @@ never intersects panels, the second never integrates.  Their agreement
 on integer values is the package's core cross-validation.
 
 The Gauss integral equals the linking number only for curves that never
-touch, so LinkScene.validate guards it: curve_min_distance brackets the
-closest approach with a certified lower bound, and a pair is refused
-whenever that bound is within the guard distance.  Every pair that comes
-within the guard is refused; every pair that stays beyond twice the
-guard is accepted.  The circulation needs no approach: its first cells
-are sized from curve_c's distance, each at most _KAPPA times as wide as
-its gap, in the spirit of QUADPACK's QAGP (Piessens et al. 1983), so
-every near approach of a pair just beyond the guard is resolved in a
-few refinement levels.
+touch.  One walk along curve_l (_halving) guards it with a certified
+lower bound of the closest approach, refusing every pair that comes
+within the guard and accepting every pair beyond twice the guard, and
+sizes the circulation's first cells, each at most _KAPPA times as wide
+as its gap from curve_c, in the spirit of QUADPACK's QAGP (Piessens et
+al. 1983), so every near approach of a pair just beyond the guard is
+resolved in a few refinement levels.
 """
 
 from __future__ import annotations
@@ -60,18 +58,14 @@ __all__ = [
 ]
 
 
-# evenly spaced samples of curve_a's parameter in the first pass, besides
-# its smooth cuts
-_SAMPLES = 64
-
-# points per distance_to call: a deep pass over many gaps holds no more
+# points per distance_to call: a deep pass over many cells holds no more
 # than this many points' temporaries at once, as quadrature's
 # _CALL_CELLS cells do per integrand call
 _CHUNK = 1024
 
 # the distances' rounding, as a fraction of the largest coordinate of
-# either curve; every gap's bound gives it up, and a gap whose Lipschitz
-# slack L*h falls below it can no longer be decided by splitting
+# either curve; every cell's bound gives it up, and a cell whose Lipschitz
+# slack L*h falls below it can no longer be decided by halving
 _ROUNDING = 2.0**-44
 
 # a first cell of the circulation is at most _KAPPA times as wide as its
@@ -84,81 +78,100 @@ _KAPPA = 4.0
 
 
 class Approach(NamedTuple):
-    """The closest approach lies in [lower, upper]; t is curve_a's
-    parameter at the closest sample, the one at distance upper."""
+    """The closest approach lies in [lower, upper]; t is the walked
+    curve's parameter at the closest sample, the one at distance upper."""
 
     lower: float
     upper: float
     t: float
 
 
-def _distances(curve_a: Curve, curve_b: Curve, ts: np.ndarray) -> np.ndarray:
-    """curve_b's exact distance from curve_a at the parameters ts, _CHUNK
-    points per call."""
-    return np.concatenate(
-        [curve_b.distance_to(curve_a.position(ts[k : k + _CHUNK])) for k in range(0, len(ts), _CHUNK)]
-    )
+def _halving(curve_c: Curve, curve_l: Curve, guard: float, levels: int) -> tuple[Approach, np.ndarray]:
+    """One walk along curve_l: curve_c's certified closest approach,
+    decided against guard, and the breakpoints of curve_l's first cells.
+
+    curve_c's distance d(s) from curve_l(s) is Lipschitz in s with
+    constant L = curve_l.max_speed(), so a cell of half-width h about s
+    keeps at least d(s) - L*h, less the distances' rounding, from curve_c
+    (Piyavskii 1972, Shubert 1972).  Each level halves the open cells,
+    from curve_l's smooth pieces on, and takes their midpoints' distances
+    in one pass, _CHUNK points per call.  A cell is open while its bound
+    is within the guard and, for the first levels levels and while a
+    level has at most _CHUNK such cells, while (2 + _KAPPA) * L * h >
+    _KAPPA * d(s): more than _KAPPA times as wide as its gap.  Once
+    (1 + _KAPPA) * L * h <= _KAPPA * d(s) as well, its halves meet that
+    rule by the Lipschitz bound and take no pass.  While a cell is within
+    the guard, the walk refuses once a sample lies within 2 * guard, or
+    the cell is too narrow for its bound to rise above the rounding, which
+    bounds the levels also at guard 0.  Guard -inf asks for the first
+    cells alone, levels 0 for the approach alone.
+
+    Returns (Approach(lower, upper, t), breakpoints): the closest approach
+    lies in [lower, upper], lower is certified and within the guard
+    exactly when the walk refused, and upper is the least sampled
+    distance, at curve_l's parameter t.  The breakpoints are the smooth
+    cuts and the midpoints of the cells halved for their width.  A
+    curve_l with no speed bound raises TypeError.
+    """
+    speed = curve_l.max_speed()
+    corners = np.concatenate((*curve_c.bounding_box(), *curve_l.bounding_box()))
+    rounding = _ROUNDING * float(np.abs(corners).max())
+    cuts = np.array(curve_l.smooth_cuts())
+    kept = [cuts]
+    a, b = cuts[:-1], cuts[1:]  # the open cells' ends
+    upper, at = math.inf, math.nan
+    settled = math.inf  # the least bound that cleared the guard
+    while len(a):
+        # _CHUNK cells at a time: which are within the guard, which are to
+        # be halved, and the midpoints of the wide ones
+        measured = []
+        lowest = narrowest = math.inf  # bound and slack within the guard
+        for k in range(0, len(a), _CHUNK):
+            ca, cb = a[k : k + _CHUNK], b[k : k + _CHUNK]
+            mid = 0.5 * (ca + cb)
+            d = curve_c.distance_to(curve_l.position(mid))
+            best = d.argmin()
+            if d[best] < upper:
+                upper, at = float(d[best]), float(mid[best])
+            slack = 0.5 * speed * (cb - ca)
+            bound = d - slack - rounding
+            near, low = bound <= guard, float(bound.min())
+            if low <= guard:
+                lowest = min(lowest, low)
+                narrowest = min(narrowest, float(slack[near].min()))
+                low = float(bound.min(where=~near, initial=math.inf))
+            settled = min(settled, low)
+            wide, split = mid[:0], near
+            if levels > 0:
+                # wide, and so wide that the halves may be too
+                gap = _KAPPA * d
+                wide = mid[(2.0 + _KAPPA) * slack > gap]
+                split = near | ((1.0 + _KAPPA) * slack > gap)
+            measured.append((near, split, wide))
+        if lowest <= guard and (upper <= 2.0 * guard or 2.0 * narrowest <= rounding):
+            return Approach(max(min(lowest, upper), 0.0), upper, at), cuts
+        near, split, wide = measured.pop() if len(measured) == 1 else map(np.concatenate, zip(*measured))
+        # more than _CHUNK wide cells on one level are no approach but a
+        # long near run, or curves that meet: the quadrature refines those
+        # only where the integrand needs it, in bounded time and memory
+        if len(wide) > _CHUNK:
+            split, levels = near, 0
+        elif len(wide):
+            kept.append(wide)
+        a, b = a[split], b[split]
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        levels -= 1
+    return Approach(max(min(settled, upper), 0.0), upper, at), np.unique(np.concatenate(kept)) if kept[1:] else cuts
 
 
 def curve_min_distance(curve_a: Curve, curve_b: Curve, guard: float) -> Approach:
-    """Certified closest approach between two curves, decided against guard.
-
-    d(t), curve_b's distance from curve_a(t), is Lipschitz in t with
-    constant L = curve_a's largest parameter speed.  So a gap of width h
-    between samples at distances d and d' holds no point nearer than
-    (d + d' - L*h) / 2, less the distances' rounding (Piyavskii 1972,
-    Shubert 1972).  The first pass samples 64 evenly spaced parameters
-    and curve_a's smooth cuts; each later pass bisects, in one batch,
-    every gap whose bound does not clear the guard.  The search stops
-
-    * and accepts once every gap's bound is above the guard;
-    * and refuses while some gap's is not, once a sample lies within
-      2 * guard, or a gap is too narrow for its bound to move above the
-      distances' rounding.  The latter bounds the number of passes, also
-      at guard 0.
-
-    Returns Approach(lower, upper, t): the true closest approach lies in
-    [lower, upper], lower is certified, and lower <= guard exactly when
-    the search refused.  upper is the least sampled distance, at curve_a's
-    parameter t.  A pair whose closest approach exceeds 2 * guard is
-    always accepted.  curve_a must state its largest parameter speed
-    (Curve.max_speed); a curve that cannot raises TypeError.
-    """
-    speed = curve_a.max_speed()
-    corners = np.concatenate((*curve_a.bounding_box(), *curve_b.bounding_box()))
-    rounding = _ROUNDING * float(np.abs(corners).max())
-    settled = math.inf  # the least bound of a gap that cleared the guard
-
-    def bounds(rows):
-        # of gap rows (t, t', d, d')
-        return 0.5 * (rows[:, 2] + rows[:, 3] - speed * (rows[:, 1] - rows[:, 0])) - rounding
-
-    def unsettled(rows):
-        nonlocal settled
-        bound = bounds(rows)
-        low = bound <= guard
-        settled = min(settled, bound[~low].min(initial=math.inf))
-        return rows[low]
-
-    ts = np.union1d(np.linspace(curve_a.t_start, curve_a.t_end, _SAMPLES), curve_a.smooth_cuts())
-    ds = _distances(curve_a, curve_b, ts)
-    best = int(np.argmin(ds))
-    upper, at = float(ds[best]), float(ts[best])
-    gaps = unsettled(np.stack((ts[:-1], ts[1:], ds[:-1], ds[1:]), axis=1))
-    while len(gaps) and upper > 2.0 * guard and speed * (gaps[:, 1] - gaps[:, 0]).min() > rounding:
-        kept = []
-        for start in range(0, len(gaps), _CHUNK):
-            ta, tb, da, db = gaps[start : start + _CHUNK].T
-            mid = 0.5 * (ta + tb)
-            dm = _distances(curve_a, curve_b, mid)
-            best = int(np.argmin(dm))
-            if dm[best] < upper:
-                upper, at = float(dm[best]), float(mid[best])
-            halves = np.concatenate((np.stack((ta, mid, da, dm), axis=1), np.stack((mid, tb, dm, db), axis=1)))
-            kept.append(unsettled(halves))
-        gaps = np.concatenate(kept)
-    lower = float(bounds(gaps).min()) if len(gaps) else settled
-    return Approach(float(max(min(lower, upper), 0.0)), upper, at)
+    """Certified closest approach between two curves, decided against
+    guard by the guard part of _halving's walk along curve_a: it lies in
+    [lower, upper], lower <= guard exactly when the walk refused, upper is
+    the least sampled distance, at curve_a's parameter t, and a pair beyond
+    2 * guard is always accepted.  curve_a must state Curve.max_speed."""
+    return _halving(curve_b, curve_a, guard, 0)[0]
 
 
 @dataclass
@@ -175,14 +188,19 @@ class LinkScene:
     name: str = ""
 
     def validate(self, spec: QuadratureSpec = QuadratureSpec()) -> Approach:
-        """The certified closest approach of curve_c to curve_l, t on
-        curve_c; raises CurvesTooClose when it is within the guard."""
+        """The certified closest approach of curve_l to curve_c, t on
+        curve_l; raises CurvesTooClose when it is within the guard."""
+        return self._walk(spec, 0)[0]
+
+    def _walk(self, spec: QuadratureSpec, levels: int) -> tuple[Approach, np.ndarray]:
+        """validate's checks, whose walk (_halving) also halves the first
+        cells for at most levels levels; the approach and their breakpoints."""
         for label, curve in (("curve_c", self.curve_c), ("curve_l", self.curve_l)):
             if not curve.closed:
                 raise ValueError(f"{label} must be a closed curve")
         scale = bounding_box_diagonal([self.curve_c, self.curve_l])
         guard = spec.resolve_guard(scale)
-        approach = curve_min_distance(self.curve_c, self.curve_l, guard)
+        approach, cuts = _halving(self.curve_c, self.curve_l, guard, levels)
         lower, upper, at = approach
         if lower <= guard:
             raise CurvesTooClose(
@@ -194,7 +212,7 @@ class LinkScene:
             )
         if self.spanning_mesh is not None:
             self._validate_mesh(scale)
-        return approach
+        return approach, cuts
 
     def _validate_mesh(self, scale: float) -> None:
         boundary = mesh_boundary(self.spanning_mesh)
@@ -215,34 +233,6 @@ class LinkScene:
         return LinkScene(self.curve_l, self.curve_c, None, name=self.name + "_swapped")
 
 
-def _first_cells(curve_c: Curve, curve_l: Curve, levels: int) -> np.ndarray:
-    """Breakpoints of curve_l's first cells: its smooth pieces, halved
-    level by level, at most levels times, until every cell of half-width
-    h about the parameter s satisfies (2 + _KAPPA) * speed * h <=
-    _KAPPA * d(s), speed being curve_l's largest parameter speed and d(s)
-    curve_c's distance from curve_l(s).  d(s) - speed * h bounds the
-    distance over the cell from below, so a cell is at most _KAPPA times
-    as wide as its gap from curve_c.  Each level takes its distances in
-    one pass, and a level with more than _CHUNK cells to halve ends the
-    halving."""
-    speed = curve_l.max_speed()
-    cuts = np.array(curve_l.smooth_cuts())
-    kept = [cuts]
-    a, b = cuts[:-1], cuts[1:]
-    for _ in range(levels):
-        mid = 0.5 * (a + b)
-        wide = (2.0 + _KAPPA) * speed * 0.5 * (b - a) > _KAPPA * _distances(curve_l, curve_c, mid)
-        # more than _CHUNK wide cells on one level are no approach but a
-        # long near run, or curves that meet: the quadrature refines those
-        # only where the integrand needs it, in bounded time and memory
-        if not wide.any() or np.count_nonzero(wide) > _CHUNK:
-            break
-        a, mid, b = a[wide], mid[wide], b[wide]
-        kept.append(mid)
-        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-    return np.unique(np.concatenate(kept))
-
-
 def gauss_pair_integral(
     curve_c: Curve,
     curve_l: Curve,
@@ -261,27 +251,37 @@ def gauss_pair_integral(
     B_C . dl: one 1-D quadrature over curve_l.  Its first cells are
     curve_l's smooth pieces, halved for at most spec.max_depth levels
     until each is at most _KAPPA times as wide as its certified gap from
-    curve_c (_first_cells), so every near approach, one or several, is
-    resolved from the first call on; curve_l must state its largest
-    parameter speed (Curve.max_speed).  Only a bare Circle source still
-    takes one 2-D quadrature, whose first cells are the products of both
-    curves' smooth pieces, so every cell sees a smooth integrand.  Its
-    numerator is expanded about the circle's centre o as
+    curve_c (_halving's width rule alone), so every near approach, one or
+    several, is resolved from the first call on; curve_l must state its
+    largest parameter speed (Curve.max_speed).  Only a bare Circle source
+    still takes one 2-D quadrature, whose first cells are the products of
+    both curves' smooth pieces, so every cell sees a smooth integrand.
+    Its numerator is expanded about the circle's centre o as
     dm . ((l - o) x dl) + ((m - o) x dm) . dl, whose cross products are
     cached with each set of nodes, so a cell takes one matrix product of
-    its nodes' terms.  No closedness is required, which
-    lets limit studies integrate over sub-arcs.  Returns (value,
-    error_estimate), the estimate being the quadrature's.  A source with
-    no closed-form field raises TypeError, and a value or estimate that
-    k_B takes beyond the float range PrefactorOverflow.
+    its nodes' terms; both curves are taken in the circle's unit.  No
+    closedness is required, which lets limit studies integrate over
+    sub-arcs.  Returns (value, error_estimate), the estimate being the
+    quadrature's.  A source with no closed-form field raises TypeError,
+    and a value or estimate that k_B takes beyond the float range
+    PrefactorOverflow.
     """
-    if not isinstance(curve_c, Circle):
+    cuts = None if isinstance(curve_c, Circle) else _halving(curve_c, curve_l, -math.inf, spec.max_depth)[1]
+    return _pair_integral(curve_c, curve_l, cuts, consts, spec)
+
+
+def _pair_integral(
+    curve_c: Curve, curve_l: Curve, cuts: Optional[np.ndarray], consts: FieldConstants, spec: QuadratureSpec
+) -> tuple[float, float]:
+    """gauss_pair_integral from curve_l's first cells' breakpoints cuts,
+    or by the 2-D route when cuts is None."""
+    if cuts is not None:
 
         def circulation(ss):
             field = curve_field(curve_c, curve_l.position(ss))
             return np.einsum("ij,ij->i", field, curve_l.tangent(ss))
 
-        value, err = integrate_1d(circulation, _first_cells(curve_c, curve_l, spec.max_depth), spec)
+        value, err = integrate_1d(circulation, cuts, spec)
     else:
         # A Circle has a closed form too, but the benchmark's span test pins
         # a circle-circle pair to one integrate_2d call with 8x8 nodes per
@@ -290,8 +290,11 @@ def gauss_pair_integral(
         # About one origin o, (dm x (l - m)) . dl splits into
         # dm . ((l - o) x dl) + ((m - o) x dm) . dl: one cross product per
         # node, not per node pair.  o is the source's centre, so both
-        # products stay as small as the curves wherever they sit.
-        o = curve_c.center
+        # products stay as small as the curves wherever they sit.  The
+        # integrand has no dimension, so both curves are taken in the
+        # source's unit, where values in range keep their bits.
+        unit = curve_c.unit
+        o = curve_c.center / unit
 
         # cells in one column of the tree share their t nodes, cells in one
         # row their s nodes; keyed by the nodes' exact bytes, a hit returns
@@ -305,7 +308,7 @@ def gauss_pair_integral(
             # sums both terms
             key = ts.tobytes()
             if key not in seen:
-                pos, tan = curve.position(ts), curve.tangent(ts)
+                pos, tan = curve.position(ts) / unit, curve.tangent(ts) / unit
                 seen[key] = pos, np.concatenate((tan, cross(pos - o, tan))[::order], axis=1)
             return seen[key]
 
@@ -326,10 +329,13 @@ def gauss_linking(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> tuple[float, float]:
     """Gauss linking integral of a validated scene; (value, error_estimate).
-    Validation only guards the pair; the integral's first cells follow
-    the same rule as in gauss_pair_integral."""
-    scene.validate(spec)
-    return gauss_pair_integral(scene.curve_c, scene.curve_l, consts, spec)
+    One walk along curve_l validates the pair and sizes the integral's
+    first cells by gauss_pair_integral's rule (LinkScene._walk); a bare
+    Circle source, whose 2-D route starts from the smooth pieces, takes
+    the guard part alone."""
+    circle = isinstance(scene.curve_c, Circle)
+    _, cuts = scene._walk(spec, 0 if circle else spec.max_depth)
+    return _pair_integral(scene.curve_c, scene.curve_l, None if circle else cuts, consts, spec)
 
 
 def sample_closed_polyline(curve: Curve, max_edge: float) -> np.ndarray:

@@ -464,7 +464,8 @@ def test_the_guard_decides_a_planted_approach(log_gap, sample, partner, tilt, se
             with pytest.raises(CurvesTooClose):
                 s.validate()
         elif gap > 2.0 * guard + slack:
-            assert s.validate() == approach
+            # validate walks curve_l
+            assert s.validate() == curve_min_distance(s.curve_l, s.curve_c, guard)
         if lower > guard and s.curve_c is other and partner == "polygon":
             value, err = gauss_linking(s)
             mesh = mesh_surface(Disk(moved_ring.center, moved_ring.radius, moved_ring.axis), 6, 6)
@@ -629,6 +630,108 @@ def test_guard_zero_refuses_a_crossing_within_bounded_passes():
         assert len(passes) <= 64
 
 
+def test_the_walk_refuses_a_crossing_at_guard_zero_within_bounded_passes():
+    # the crossing above, counted on the source, whose distance the walk
+    # along curve_l takes: the former search counted its passes on curve_l
+    ring = unit_circle()
+    near = _former_scan_angle(10.5)
+    foot = np.array([math.cos(near), math.sin(near), 0.0])
+    slant = np.array([0.1 * math.sin(near), -0.1 * math.cos(near), 0.5])
+    loop = PolyLine([foot - slant, foot + slant, 2.0 * foot + slant, 2.0 * foot - slant], closed=True)
+    spec = QuadratureSpec(min_distance_guard=0.0)
+    for curve_c, curve_l in ((ring, loop), (loop, ring)):
+        passes = _counting_distances(curve_c)
+        with pytest.raises(CurvesTooClose) as raised:
+            gauss_linking(LinkScene(curve_c, curve_l), spec=spec)
+        assert raised.value.lower == 0.0
+        assert len(passes) <= 64
+
+
+def _drawn_curve(kind, rng):
+    """A random closed polygon of 3 to 8 vertices drawn N(0, 1), a circle,
+    or the polygon as a composite of two open halves."""
+    if kind == "circle":
+        return Circle(rng.normal(size=3), rng.uniform(0.2, 2.0), rng.normal(size=3))
+    verts = rng.normal(size=(int(rng.integers(3, 9)), 3))
+    if kind == "polygon":
+        return PolyLine(verts, closed=True)
+    cut = len(verts) // 2
+    return CompositeCurve([PolyLine(verts[: cut + 1]), PolyLine(np.concatenate((verts[cut:], verts[:1])))])
+
+
+def _moved(curve, point, factor):
+    """curve under the map point, its radius scaled by factor."""
+    if isinstance(curve, Circle):
+        return Circle(point(curve.center), factor * curve.radius, point(curve.axis) - point(np.zeros(3)))
+    if isinstance(curve, CompositeCurve):
+        return CompositeCurve([_moved(part, point, factor) for part in curve.parts])
+    return PolyLine([point(v) for v in curve.vertices], closed=curve.closed)
+
+
+def _assert_graded(curve_c, curve_l, cuts, lower, guard, levels):
+    """Every first cell of the walk along curve_l is at most _KAPPA times
+    as wide as its gap from curve_c, unless its level met levels or held
+    more than _CHUNK wide cells, and lower is at most the bound of every
+    cell that clears the guard.  The distances' rounding, which every
+    bound gives up, is the test's slack."""
+    corners = np.concatenate((*curve_c.bounding_box(), *curve_l.bounding_box()))
+    rounding = linking._ROUNDING * float(np.abs(corners).max())
+    pieces = np.array(curve_l.smooth_cuts())
+    assert np.isin(pieces, cuts).all()
+    a, b = cuts[:-1], cuts[1:]
+    mid = 0.5 * (a + b)
+    d = curve_c.distance_to(curve_l.position(mid))
+    slack = 0.5 * curve_l.max_speed() * (b - a)
+    piece = np.searchsorted(pieces, mid) - 1
+    level = np.rint(np.log2((pieces[piece + 1] - pieces[piece]) / (b - a))).astype(int)
+    wide = (2.0 + linking._KAPPA) * slack > linking._KAPPA * (d + rounding)
+    for n in np.unique(level[wide]):
+        assert n == levels or np.count_nonzero(wide & (level == n)) > linking._CHUNK, n
+    bound = d - slack - rounding
+    assert lower <= bound[bound > guard].min(initial=math.inf) + rounding
+
+
+@settings(max_examples=40)
+@given(
+    kinds=st.tuples(*[st.sampled_from(["polygon", "circle", "composite"])] * 2),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-600, 600),
+    gaps=st.floats(0.0, 3.0),
+)
+def test_one_walk_brackets_the_approach_and_grades_the_first_cells(kinds, seed, k, gaps):
+    # two drawn curves, moved rigidly and scaled by 2^k, and a guard of 0
+    # to 3 times their sampled gap; the walk along either curve against
+    # the other, for the approach and the first cells together, and for
+    # the first cells alone
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rot *= np.linalg.det(rot)
+    shift, factor = rng.uniform(-2.0, 2.0, 3), 2.0**k
+    curves = [_moved(_drawn_curve(kind, rng), lambda p: factor * (rot @ p + shift), factor) for kind in kinds]
+    levels = QuadratureSpec().max_depth
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts = np.linspace(curves[1].t_start, curves[1].t_end, 257)
+        guard = gaps * float(curves[0].distance_to(curves[1].position(ts)).min())
+        pairs = [curves, curves[::-1]]
+        walks = [linking._halving(c, l, guard, levels) for c, l in pairs]
+        for (c, l), (approach, cuts), (other, _) in zip(pairs, walks, walks[::-1]):
+            corners = np.concatenate((*c.bounding_box(), *l.bounding_box()))
+            rounding = linking._ROUNDING * float(np.abs(corners).max())
+            # with the first cells and without: lower is certified, and the
+            # pair is refused exactly when lower is within the guard, and
+            # always accepted beyond twice the guard and the rounding
+            for lower, upper, t in (approach, curve_min_distance(l, c, guard)):
+                assert lower <= other.upper and lower <= upper
+                assert c.distance_to(l.position(t)) == upper
+                if other.lower > 2.0 * guard + 2.0 * rounding:
+                    assert lower > guard
+            if approach.lower > guard:
+                _assert_graded(c, l, cuts, approach.lower, guard, levels)
+            alone, cells = linking._halving(c, l, -math.inf, levels)
+            _assert_graded(c, l, cells, alone.lower, -math.inf, levels)
+
+
 def test_a_constant_distance_near_the_guard_takes_bounded_time_and_memory():
     # coplanar concentric circles 2.5 guards apart: no gap's bound clears
     # the guard until gaps are about 3 guards wide, about 2^20 of them
@@ -686,28 +789,47 @@ def _winding_loop(lk):
 
 
 def _pinned_pairs():
-    """(name, curve_c, curve_l, distance evaluations of one pass): the
-    shipped scenes, and the gauss_link benchmark's shapes about the unit
-    ring.  One pass is 64 samples plus curve_c's interior smooth cuts."""
+    """(name, curve_c, curve_l, the points of each curve_c.distance_to call
+    of one gauss_linking call): the shipped scenes, and the gauss_link
+    benchmark's shapes about the unit ring.  A bare circle source takes
+    the guard's walk alone."""
     ring = unit_circle()
     pairs = [
-        ("hopf", Circle((1.1, 0, 0), 0.7, (0, 1, 0)), ring, 64),
-        ("composite", *_hopf_composite(), 66),
-        ("axis_rect", PolyLine([(0, 0, -4), (0, 0, 4), (4, 0, 4), (4, 0, -4)], closed=True), ring, 66),
+        ("hopf", Circle((1.1, 0, 0), 0.7, (0, 1, 0)), ring, [1, 2, 4, 4]),
+        ("composite", *_hopf_composite(), [1, 2, 4, 4]),
+        ("axis_rect", PolyLine([(0, 0, -4), (0, 0, 4), (4, 0, 4), (4, 0, -4)], closed=True), ring, [1, 2, 4]),
     ]
-    pairs += [(f"winding_{lk}", _winding_loop(lk), ring, count) for lk, count in ((-2, 69), (-1, 66), (0, 67), (1, 66), (2, 69))]
-    for name, count in (("hopf", 64), ("double_wind", 70)):
+    pairs += [
+        (f"winding_{lk}", _winding_loop(lk), ring, [1, 2, 4, last])
+        for lk, last in ((-2, 8), (-1, 4), (0, 8), (1, 4), (2, 8))
+    ]
+    for name, passes in (("hopf", [1, 2, 4]), ("double_wind", [1, 2, 4, 8]), ("unlinked", [1])):
         scene = parse_scene_file(SCENES / f"{name}.json").build_scene(name)
-        pairs.append((f"{name}.json", scene.curve_c, scene.curve_l, count))
+        pairs.append((f"{name}.json", scene.curve_c, scene.curve_l, passes))
     return [pytest.param(*pair[1:], id=pair[0]) for pair in pairs]
 
 
-@pytest.mark.parametrize("curve_c, curve_l, count", _pinned_pairs())
-def test_validate_settles_the_shipped_pairs_in_one_pass(curve_c, curve_l, count):
-    # the former scan and zooms took 192 + 5 * 33 evaluations and more
-    evaluations = _counting_distances(curve_l)
-    LinkScene(curve_c, curve_l).validate()
-    assert sum(evaluations) == count
+@pytest.mark.parametrize("curve_c, curve_l, passes", _pinned_pairs())
+def test_validate_settles_the_shipped_pairs_in_one_pass(curve_c, curve_l, passes):
+    # one walk along curve_l validates the pair and sizes its first cells.
+    # The former search along curve_c took one pass of 64 samples and its
+    # smooth cuts, then the first cells four or five more passes of 11 to
+    # 19 points in all, the last of which only confirmed them
+    evaluations = _counting_distances(curve_c)
+    gauss_linking(LinkScene(curve_c, curve_l))
+    assert evaluations == passes
+
+
+def test_a_line_limit_leg_takes_no_confirming_pass():
+    # the axis leg is 1 from the ring everywhere, so the ring's cells at
+    # half-width pi / 4 are wide, and so narrow that their halves are not:
+    # those take no pass, where a fourth of 8 points confirmed them
+    for n in (2, 16):
+        leg = PolyLine([(0, 0, -n), (0, 0, n)])
+        evaluations = _counting_distances(leg)
+        value, err = gauss_pair_integral(leg, unit_circle())
+        assert abs(value - axis_leg_closed_form(n)) <= max(1e-14, err)
+        assert evaluations == [1, 2, 4]
 
 
 def test_too_close_names_the_bracket_guard_and_parameter():
@@ -721,7 +843,8 @@ def test_too_close_names_the_bracket_guard_and_parameter():
     assert err.guard == guard
     assert 0.0 <= err.lower <= 1e-9 <= err.distance
     assert err.lower <= guard
-    assert ring.distance_to(loop.position(err.t)) == err.distance
+    # t is curve_l's parameter
+    assert loop.distance_to(ring.position(err.t)) == err.distance
     assert f"within {err.distance:g} (guard {guard:g})" in str(err)
 
 
@@ -948,6 +1071,24 @@ def test_polygon_gauss_routes_survive_rigid_motion_and_scaling(seed):
         assert abs(a_cl - lk) <= 1e-4, name
         assert abs(a_lc - lk) <= 1e-4, name
         assert abs(a_cl - a_lc) <= e_cl + e_lc, name
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [1e-170, 1e-150, 1e120, 1e150, 1e160, 2.0**600, 2.0**-600],
+    ids=["1e-170", "1e-150", "1e120", "1e150", "1e160", "2^600", "2^-600"],
+)
+def test_ring_source_is_scale_free(factor):
+    # the 2-D route takes both curves in the ring's unit: its integrand's
+    # numerator and |l - m|^-3 overflowed or underflowed on their own,
+    # which raised RuntimeWarning at 1e-170, 1e-150 and 1e160 and returned
+    # (0.0, -0.0) at 1e120 and 1e150
+    polygon = _regular_polygon(40, lambda t: (1.1 + 0.7 * np.cos(t), 0.0 * t, 0.7 * np.sin(t)))
+    scene = LinkScene(_scaled(unit_circle(), factor), _scaled(polygon, factor))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, err = gauss_linking(scene)
+    assert abs(value + 1.0) <= err
 
 
 def test_scene_mesh_boundary_validation():
