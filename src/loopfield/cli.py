@@ -5,7 +5,9 @@ curl, run, selftest.  Each experiment kind of the scene schema has one
 entry in `_KINDS`: its CSV header and its runner.  A subcommand turns
 its flags into experiment entries, or takes its kind's entries from the
 scene file, and runs them through the same loop; with no --scene that
-file is `selftest.BUILTIN`, whose entries are the built-in runs.
+file is `selftest.BUILTIN`, whose entries are the built-in runs.  The
+selftest runs those entries through the same runners, and its criteria
+01, 02 and 04-07 judge the records they return.
 `run --scene F` runs every entry of F and writes each to its `out` path.
 Tabular results are CSV (17-significant-digit floats, fixed column
 order, LF endings); the full structured record is written as JSON next

@@ -153,6 +153,8 @@ def scale_segments(starts, ends) -> ScaledSegments:
 def _in_unit(unit: float, starts, ends, chords) -> ScaledSegments:
     """The segments from starts to ends in the unit, given their chords in it."""
     lengths = np.sqrt(np.einsum("ij,ij->i", chords, chords))
+    if not lengths.all():
+        raise ValueError("a segment has zero length")
     return ScaledSegments(unit, _frozen(starts / unit), _frozen(ends / unit), _frozen(lengths),
                           _frozen(chords / lengths[:, None]))
 
@@ -368,35 +370,24 @@ class PolyLine(Curve):
         if not closed:
             starts = verts[:-1]
         chords = ends - starts
-        # the arc lengths: the sum of numpy's norm, without its per-call
-        # set-up, in units where the squares neither over- nor underflow
+        # one frame for the arc lengths, the distance and the closed form, in
+        # a unit where the squares of lengths and gaps neither over- nor underflow
         unit = power_of_two_unit(float(np.abs(chords).max()))
-        scaled = chords / unit
-        scaled_lengths = np.sqrt(np.add.reduce(scaled * scaled, axis=1))
-        lengths = scaled_lengths * unit
-        if np.any(lengths == 0.0):
-            raise ValueError("polyline has a zero-length segment")
-        # the closed form's frame in the same unit, where the squares of gaps
-        # neither over- nor underflow; its lengths are einsum's, which rounds
-        # unlike the sum above, and the distance keeps the arc lengths
-        self.scaled_segments = _in_unit(unit, starts, ends, scaled)
+        self.scaled_segments = _in_unit(unit, starts, ends, chords / unit)
         self.unit = unit
-        self._scaled_lengths = _frozen(scaled_lengths)
         self.vertices = _frozen(verts)
         self._box = (_frozen(verts.min(axis=0)), _frozen(verts.max(axis=0)))
         self.closed = bool(closed)
         self._starts = _frozen(starts)
         self._ends = _frozen(ends)
-        self._dirs = _frozen(chords / lengths[:, None])
-        self._lengths = _frozen(lengths)
-        cum = np.concatenate(([0.0], np.cumsum(lengths)))
+        cum = np.concatenate(([0.0], np.cumsum(self.scaled_segments.lengths * unit)))
         self._cum = _frozen(cum)
         self.t_start = 0.0
         self.t_end = float(cum[-1])
 
     @property
     def segment_count(self) -> int:
-        return len(self._lengths)
+        return len(self._starts)
 
     def segments(self) -> tuple[np.ndarray, np.ndarray]:
         """Start and end points of the straight segments, (k, 3) each, in
@@ -411,13 +402,13 @@ class PolyLine(Curve):
         arr = np.asarray(t, dtype=float)
         idx = self._segment_index(np.atleast_1d(arr))
         local = np.atleast_1d(arr) - self._cum[idx]
-        pos = self._starts[idx] + local[:, None] * self._dirs[idx]
+        pos = self._starts[idx] + local[:, None] * self.scaled_segments.dirs[idx]
         return pos[0] if arr.ndim == 0 else pos
 
     def tangent(self, t):
         arr = np.asarray(t, dtype=float)
         idx = self._segment_index(np.atleast_1d(arr))
-        tan = self._dirs[idx]
+        tan = self.scaled_segments.dirs[idx]
         return tan[0] if arr.ndim == 0 else tan.copy()
 
     def smooth_cuts(self) -> tuple[float, ...]:
@@ -462,10 +453,10 @@ class PolyLine(Curve):
 
     def distance_from(self, offsets):
         p, rel = offsets
-        starts = self.scaled_segments.starts
-        proj = np.einsum("pij,ij->pi", rel, self._dirs)
-        proj = np.minimum(np.maximum(proj, 0.0), self._scaled_lengths)  # np.clip, without its set-up
-        closest = starts + proj[..., None] * self._dirs
+        segments = self.scaled_segments
+        proj = np.einsum("pij,ij->pi", rel, segments.dirs)
+        proj = np.minimum(np.maximum(proj, 0.0), segments.lengths)  # np.clip, without its set-up
+        closest = segments.starts + proj[..., None] * segments.dirs
         gap = p - closest
         return np.sqrt(np.add.reduce(gap * gap, axis=2)).min(axis=1) * self.unit
 

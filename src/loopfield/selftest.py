@@ -6,46 +6,31 @@ so repeated runs are byte-identical.
 
 `BUILTIN` is the built-in scene file: one schema-valid experiment entry
 per built-in run, each parameter written once.  The command line runs
-its entries when there is no --scene, and criteria 01 and 04-07 check
-them.  `INFINITESIMAL` is the panel that a `similitude` entry without a
+its entries when there is no --scene.  The selftest runs them through
+the command line's own runners, as those subcommands do, and criteria
+01, 02 and 04-07 judge the records those runs return; criterion 07 also
+judges one more maxwell entry, on BUILTIN's unit disk.
+`INFINITESIMAL` is the panel that a `similitude` entry without a
 surface shrinks.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
 from . import geometry, quadrature
-from .experiments import (
-    ampere_catalog,
-    curl_vanishing,
-    default_catalog,
-    line_limit_study,
-    maxwell_probe,
-    similitude_general,
-    similitude_infinitesimal,
-    symmetry_sweep,
-    unit_circle,
-    unit_disk_mesh,
-)
+from .experiments import default_catalog, symmetry_sweep, unit_circle, unit_disk_mesh
 from .fields import cross_projection_identity, taylor_probe
-from .geometry import Circle, Disk
+from .geometry import Circle
 from .linking import combinatorial_lk, gauss_pair_integral
-from .scenefile import parse_scene_dict
+from .scenefile import parse_experiment, parse_scene_dict
 
-__all__ = ["BUILTIN", "INFINITESIMAL", "CriterionResult", "default_probe_points", "run_selftest"]
-
-
-@dataclass(frozen=True)
-class CriterionResult:
-    ident: str
-    title: str
-    passed: bool
-    detail: str
+__all__ = ["BUILTIN", "INFINITESIMAL", "default_probe_points", "run_selftest"]
 
 
 def _fmt(x: float) -> str:
@@ -67,7 +52,11 @@ BUILTIN = parse_scene_dict({
     "curves": {
         "unit_circle": {"kind": "circle", "center": [0, 0, 0], "radius": 1, "axis": [0, 0, 1]},
     },
-    "surfaces": {"general_square": _SQUARE, "square_sheet": _SQUARE},
+    "surfaces": {
+        "general_square": _SQUARE,
+        "square_sheet": _SQUARE,
+        "unit_disk": {"kind": "disk", "center": [0, 0, 0], "radius": 1, "axis": [0, 0, 1]},
+    },
     "experiments": [
         {"kind": "ampere"},
         {"kind": "linelimit", "n": [2, 4, 8, 16, 32]},
@@ -86,118 +75,60 @@ INFINITESIMAL = {
     "eps_list": [0.2, 0.1, 0.05, 0.025],
 }
 
+# criterion 07 probes the unit disk as well, on its axis and off it; not a
+# built-in run, so `loopfield maxwell` leaves it out
+_DISK_MAXWELL = parse_experiment(
+    {"kind": "maxwell", "surface": "unit_disk", "sigma": 1.0,
+     "points": [[0.0, 0.0, 1.5], [0.3, -0.2, 1.2]], "steps": [2e-3, 1e-3]},
+    "criterion 07", BUILTIN,
+)
 
-def _builtin(kind: str) -> list[dict]:
-    """BUILTIN's entries of one kind, in order."""
-    return [e for e in BUILTIN.experiments if e["kind"] == kind]
 
-
-def _c1_line_limit() -> CriterionResult:
-    (entry,) = _builtin("linelimit")
-    report = line_limit_study(entry["n"])
-    last = report.detail[-1]
-    tail = [r.a_far_legs for r in report.detail]
+def _c1_line_limit(record, passed):
+    rows = record["rows"]
+    tail = [r["A_c2"] for r in rows]
     monotone = all(b < a for a, b in zip(tail[:-1], tail[1:]))
-    return CriterionResult(
-        "01",
-        "straight-wire limit",
-        report.passed,
-        f"|A(32)-1|={_fmt(abs(last.a_total - 1.0))} tail32={_fmt(last.a_far_legs)} "
-        f"monotone={monotone} lk={'/'.join(str(r.lk) for r in report.detail)}",
+    return passed, (
+        f"|A(32)-1|={_fmt(abs(rows[-1]['A_total'] - 1.0))} tail32={_fmt(tail[-1])} "
+        f"monotone={monotone} lk={'/'.join(str(r['lk']) for r in rows)}"
     )
 
 
-def _c2_catalog():
-    rows = ampere_catalog(default_catalog())
-    lks = {r.lk for r in rows if r.lk is not None}
+def _c2_catalog(record, passed):
+    rows = record["rows"]
+    lks = {r["Lk"] for r in rows if r["Lk"] is not None}
     coverage = {-1, 0, 1, 2} <= lks
-    ok = len(rows) >= 6 and coverage and all(r.passed for r in rows)
-    worst = max((r.abs_diff for r in rows if not math.isnan(r.abs_diff)), default=float("nan"))
-    result = CriterionResult(
-        "02",
-        "circulation law catalog",
-        ok,
-        f"scenes={len(rows)} lk_values={sorted(lks)} worst|A-Lk|={_fmt(worst)}",
-    )
-    return result, rows
+    ok = len(rows) >= 6 and coverage and passed
+    worst = max((r["abs_diff"] for r in rows if not math.isnan(r["abs_diff"])), default=float("nan"))
+    return ok, f"scenes={len(rows)} lk_values={sorted(lks)} worst|A-Lk|={_fmt(worst)}"
 
 
-def _c3_symmetry() -> CriterionResult:
+def _c3_symmetry():
     rows = symmetry_sweep(default_catalog())
     ok = all(r.passed for r in rows)
     worst = max(r.diff for r in rows)
-    return CriterionResult(
-        "03", "exchange symmetry", ok, f"scenes={len(rows)} worst|A(C,L)-A(L,C)|={_fmt(worst)}"
+    return ok, f"scenes={len(rows)} worst|A(C,L)-A(L,C)|={_fmt(worst)}"
+
+
+def _c45_similitude(record, passed):
+    (study,) = record["studies"].values()
+    return passed, (
+        f"fitted_order={_fmt(study['fitted_order'])} "
+        f"final_rel={_fmt(study['rows'][-1]['abs_error'])}"
     )
 
 
-def _c4_similitude_infinitesimal() -> CriterionResult:
-    panel, _ = _builtin("similitude")
-    report = similitude_infinitesimal(**INFINITESIMAL, r=panel["r"], h=panel["h"])
-    return CriterionResult(
-        "04",
-        "infinitesimal similitude",
-        report.passed,
-        f"fitted_order={_fmt(report.fitted_order)} "
-        f"final_rel={_fmt(report.rows[-1].abs_error)}",
-    )
+def _c67_probes(quantity: str, *runs):
+    """Of probe studies' runs: whether all pass, and the largest error (of
+    the named quantity) at their smallest step."""
+    rows = [row for rec, _ in runs for study in rec["studies"].values() for row in study["rows"]]
+    small = min(r["scale_parameter"] for r in rows)
+    worst = max(r["abs_error"] for r in rows if r["scale_parameter"] == small)
+    step = np.format_float_scientific(small, trim="-", exp_digits=1)
+    return all(passed for _, passed in runs), f"worst{quantity}@{step}={_fmt(worst)}"
 
 
-def _c5_similitude_general() -> CriterionResult:
-    _, entry = _builtin("similitude")
-    patch = BUILTIN.build_patch(entry["surface"])
-    report = similitude_general(patch, entry["r"], entry["h"], entry["mesh_sizes"])
-    return CriterionResult(
-        "05",
-        "general similitude",
-        report.passed,
-        f"fitted_order={_fmt(report.fitted_order)} "
-        f"final_rel={_fmt(report.rows[-1].abs_error)}",
-    )
-
-
-def _step_label(step: float) -> str:
-    return np.format_float_scientific(step, trim="-", exp_digits=1)
-
-
-def _c6_curl() -> CriterionResult:
-    (entry,) = _builtin("curl")
-    report = curl_vanishing(BUILTIN.build_curve(entry["curve"]), entry["points"], entry["steps"])
-    small = min(entry["steps"])
-    worst = max(r.curl_norm for r in report.point_rows if r.step == small)
-    return CriterionResult(
-        "06", "curl-free loop field", report.passed,
-        f"worst|curl|@{_step_label(small)}={_fmt(worst)}",
-    )
-
-
-# criterion 07 probes the unit disk about +z as well, on its axis and off it
-_DISK_PROBE_POINTS = ((0.0, 0.0, 1.5), (0.3, -0.2, 1.2))
-
-
-def _c7_maxwell() -> CriterionResult:
-    (entry,) = _builtin("maxwell")
-    steps = entry["steps"]
-    rep_square = maxwell_probe(
-        BUILTIN.build_patch(entry["surface"]), entry["sigma"], entry["points"], steps,
-        dipole_separation=entry["dipole_separation"],
-    )
-    rep_disk = maxwell_probe(
-        Disk((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0)), 1.0, _DISK_PROBE_POINTS, steps
-    )
-    small = min(steps)
-    finest = [
-        row for rep in (rep_square, rep_disk)
-        for _, row in rep.point_rows if row.step == small
-    ]
-    worst = max(max(r.curl_norm, r.div_norm) for r in finest)
-    ok = rep_square.passed and rep_disk.passed
-    return CriterionResult(
-        "07", "div/curl off the sheets", ok, f"worst@{_step_label(small)}={_fmt(worst)}"
-    )
-
-
-def _c8_identity() -> CriterionResult:
+def _c8_identity():
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for _ in range(10_000):
@@ -209,12 +140,10 @@ def _c8_identity() -> CriterionResult:
         scale = float(np.linalg.norm(a) * np.linalg.norm(b))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
     ok = worst <= 1e-12
-    return CriterionResult(
-        "08", "cross-projection identity", ok, f"worst_rel={_fmt(worst)} (10000 triples)"
-    )
+    return ok, f"worst_rel={_fmt(worst)} (10000 triples)"
 
 
-def _c9_taylor() -> CriterionResult:
+def _c9_taylor():
     eps = [0.02, 0.01, 0.005, 0.0025]
     slopes, analytic = taylor_probe((1.3, -0.4, 0.7), (0.5, 1.1, -0.2), eps)
     errs = [abs(s - analytic) for s in slopes]
@@ -223,13 +152,10 @@ def _c9_taylor() -> CriterionResult:
     slopes_axis, analytic_axis = taylor_probe((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), [1e-4])
     slope_ok = abs(slopes_axis[0] - analytic_axis) <= 1e-3 and analytic_axis == -3.0
     ok = ratio_ok and slope_ok
-    return CriterionResult(
-        "09", "inverse-cube Taylor probe", ok,
-        "ratios=" + "/".join(_fmt(r) for r in ratios),
-    )
+    return ok, "ratios=" + "/".join(_fmt(r) for r in ratios)
 
 
-@contextmanager
+@contextlib.contextmanager
 def _poisoned(message: str, *targets):
     """Within the block, calling any (module, name) of targets raises
     AssertionError(message); afterwards each name is what it was."""
@@ -246,7 +172,7 @@ def _poisoned(message: str, *targets):
             setattr(module, name, value)
 
 
-def _c10_independence(catalog_rows) -> CriterionResult:
+def _c10_independence(catalog_agrees: bool):
     # counting route must not run the one routine behind both integrators
     with _poisoned("combinatorial route invoked quadrature", (quadrature, "_integrate")):
         lk = combinatorial_lk(
@@ -259,15 +185,11 @@ def _c10_independence(catalog_rows) -> CriterionResult:
             Circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), "ccw"), unit_circle()
         )
     integral_ok = abs(value - 1.0) <= 1e-6
-    agreement_ok = all(r.passed for r in catalog_rows)
-    ok = count_ok and integral_ok and agreement_ok
-    return CriterionResult(
-        "10", "route independence", ok,
-        f"lk={lk} gauss={_fmt(value)} catalog_agreement={agreement_ok}",
-    )
+    ok = count_ok and integral_ok and catalog_agrees
+    return ok, f"lk={lk} gauss={_fmt(value)} catalog_agreement={catalog_agrees}"
 
 
-def _c11_determinism() -> CriterionResult:
+def _c11_determinism():
     partner = Circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), "ccw")
     outputs = []
     for _ in range(2):
@@ -275,33 +197,37 @@ def _c11_determinism() -> CriterionResult:
         lk = combinatorial_lk(partner, unit_disk_mesh())
         outputs.append(f"{_fmt(value)},{_fmt(err)},{lk}")
     ok = outputs[0] == outputs[1]
-    return CriterionResult("11", "run-to-run identical results", ok, f"outputs_equal={ok}")
+    return ok, f"outputs_equal={ok}"
 
 
 def run_selftest(stream=None) -> bool:
     """Run every acceptance criterion; print one line each; return all-pass."""
-    import sys
+    from . import cli  # not at the top: cli imports this module for BUILTIN
 
+    def run(entry):
+        """The entry's JSON record and pass flag, as its subcommand runs it."""
+        _, record, passed = cli._KINDS[entry["kind"]][1](BUILTIN, entry)
+        return record, passed
+
+    with contextlib.redirect_stderr(io.StringIO()):  # the runners' progress lines
+        ampere, linelimit, panel, general, square, curl = map(run, BUILTIN.experiments)
+        disk = run(_DISK_MAXWELL)
+    table = [
+        ("01", "straight-wire limit", *_c1_line_limit(*linelimit)),
+        ("02", "circulation law catalog", *_c2_catalog(*ampere)),
+        ("03", "exchange symmetry", *_c3_symmetry()),
+        ("04", "infinitesimal similitude", *_c45_similitude(*panel)),
+        ("05", "general similitude", *_c45_similitude(*general)),
+        ("06", "curl-free loop field", *_c67_probes("|curl|", curl)),
+        ("07", "div/curl off the sheets", *_c67_probes("", square, disk)),
+        ("08", "cross-projection identity", *_c8_identity()),
+        ("09", "inverse-cube Taylor probe", *_c9_taylor()),
+        ("10", "route independence", *_c10_independence(ampere[1])),
+        ("11", "run-to-run identical results", *_c11_determinism()),
+    ]
     stream = stream or sys.stdout
-    results: list[CriterionResult] = []
-
-    results.append(_c1_line_limit())
-    c2, catalog_rows = _c2_catalog()
-    results.append(c2)
-    results.append(_c3_symmetry())
-    results.append(_c4_similitude_infinitesimal())
-    results.append(_c5_similitude_general())
-    results.append(_c6_curl())
-    results.append(_c7_maxwell())
-    results.append(_c8_identity())
-    results.append(_c9_taylor())
-    results.append(_c10_independence(catalog_rows))
-    results.append(_c11_determinism())
-
-    all_ok = True
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        stream.write(f"criterion {res.ident} {status} {res.title}: {res.detail}\n")
-        all_ok = all_ok and res.passed
-    stream.write(f"selftest {'PASS' if all_ok else 'FAIL'} ({len(results)} criteria)\n")
+    for ident, title, passed, detail in table:
+        stream.write(f"criterion {ident} {'PASS' if passed else 'FAIL'} {title}: {detail}\n")
+    all_ok = all(passed for _, _, passed, _ in table)
+    stream.write(f"selftest {'PASS' if all_ok else 'FAIL'} ({len(table)} criteria)\n")
     return all_ok

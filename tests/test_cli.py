@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -700,6 +701,46 @@ def test_selftest_takes_no_out_path(tmp_path):
     code, stdout, stderr = _run_in_process(["selftest", "--out", str(out)])
     assert code == 2 and stdout == "" and stderr.startswith("error: unrecognized arguments: --out"), stderr
     assert not list(tmp_path.iterdir())
+
+
+def test_selftest_writes_nothing_to_stderr():
+    # it runs the built-in entries through the subcommands' runners, whose
+    # progress lines stay out of its report
+    code, stdout, stderr = _run_in_process(["selftest"])
+    assert code == 0 and stdout.endswith("\nselftest PASS (11 criteria)\n"), stdout + stderr
+    assert stderr == ""
+
+
+def test_selftest_judges_the_command_lines_runs(monkeypatch):
+    # every driver, under the name the command line calls it by, reports a
+    # failure: exactly the criteria that judge the built-in runs fail
+    from loopfield import cli
+    from loopfield.selftest import run_selftest
+
+    def failing(driver):
+        def wrapped(*args, **kwargs):
+            report = driver(*args, **kwargs)
+            if isinstance(report, list):  # ampere_catalog's rows
+                return [dataclasses.replace(row, passed=False) for row in report]
+            return dataclasses.replace(report, passed=False)
+
+        return wrapped
+
+    for name in ("line_limit_study", "ampere_catalog", "similitude_infinitesimal",
+                 "similitude_general", "curl_vanishing", "maxwell_probe"):
+        monkeypatch.setattr(cli, name, failing(getattr(cli, name)))
+    out = io.StringIO()
+    assert run_selftest(out) is False
+    *criteria, summary = out.getvalue().splitlines()
+    status = {}
+    for line in criteria:
+        _, ident, verdict = line.split()[:3]
+        status.setdefault(verdict, []).append(ident)
+    assert status == {
+        "FAIL": ["01", "02", "04", "05", "06", "07", "10"],
+        "PASS": ["03", "08", "09", "11"],
+    }
+    assert summary == "selftest FAIL (11 criteria)"
 
 
 def test_a_field_beyond_the_float_range_is_a_numerical_error(tmp_path):

@@ -264,6 +264,14 @@ def test_segment_field_is_scale_free():
         assert scaled.tobytes() == np.ldexp(field, -k).tobytes(), k
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_segment_field_rejects_a_zero_length_segment():
+    # it once divided by the zero length and returned NaN after a warning
+    starts, ends = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]
+    with pytest.raises(ValueError, match="zero length"):
+        segment_field(starts, ends, [[0.0, 0.0, 1.0]])
+
+
 def _pentagon():
     return PolyLine(
         [(0.0, 0.0, 0.0), (1.0, 0.1, 0.0), (1.2, 0.9, 0.3), (0.4, 1.3, 0.1), (-0.2, 0.6, -0.2)],
