@@ -21,12 +21,13 @@ coulomb_surface_field uses the polygon's or the disk's for a flat patch,
 by its rim, and dipole_mesh_field the dipoles' for a mesh's cells, which
 may span a curved surface.  The two-sheet dipole layer of a flat patch
 is its sheet field seen from x -/+ (separation / 2) n.  biot_savart,
-coulomb_surface_field and dipole_sheet_field_exact take one (3,) point
-or (n, 3) points and measure them against the source once: the source's
-offsets of the points (Curve.offsets), in its power-of-two unit, give
-both the guard's distances and the closed form, summed in one call.  The
-source-only half of each closed form (a PolyLine's scaled segments, a
-polygon's plane, a circle's frame) is kept with the source.
+coulomb_surface_field, dipole_sheet_field_exact and dipole_mesh_field
+take one (3,) point or (n, 3) points and measure them against the source
+once, by one guard (_guarded): the source's offsets of the points
+(Curve.offsets, SurfaceMesh.offsets), in its power-of-two unit, give
+both the guard's distances and the closed form or dipole sum.  The
+source-only half of each (a PolyLine's scaled segments, a polygon's
+plane, a circle's frame, a mesh's cells) is kept with the source.
 """
 
 from __future__ import annotations
@@ -132,9 +133,9 @@ def prefactor_times(prefactor: float, value):
 
 def _guarded(source, field, points, spec: QuadratureSpec, what: str) -> np.ndarray:
     """field(offsets) at the (n, 3) points, from the source's offsets of
-    them (Curve.offsets), zero at those beyond _FAR source sizes, which
-    field never sees; raises NearSingular if any point lies within the
-    guard distance of the source, naming the first.
+    them (Curve.offsets, SurfaceMesh.offsets), zero at those beyond _FAR
+    source sizes, which field never sees; raises NearSingular if any point
+    lies within the guard distance of the source, naming the first.
 
     The points are measured against the source once: the guard's
     distances come from the same offsets as the field, by the source's
@@ -164,7 +165,12 @@ def _guarded(source, field, points, spec: QuadratureSpec, what: str) -> np.ndarr
     if beyond.any():
         far[near] = beyond
         offsets = _rows(offsets, ~beyond)
-    return _within_reach(lambda: field(offsets), far)
+    if not far.any():
+        return field(offsets)
+    out = np.zeros((len(far), 3))
+    if not far.all():
+        out[~far] = field(offsets)
+    return out
 
 
 def _rows(offsets, keep):
@@ -173,17 +179,6 @@ def _rows(offsets, keep):
     if isinstance(offsets, tuple):
         return tuple(_rows(o, keep) for o in offsets)
     return offsets[keep]
-
-
-def _within_reach(field, far) -> np.ndarray:
-    """field(), the values at the points that are not far, among zeros at
-    those that are; field is not called when every point is far."""
-    if not far.any():
-        return field()
-    out = np.zeros((len(far), 3))
-    if not far.all():
-        out[~far] = field()
-    return out
 
 
 def _as_rows(points) -> np.ndarray:
@@ -686,46 +681,28 @@ def dipole_mesh_field(
     second-order accurate: corner anchoring would shed an O(1/M) Riemann
     boundary term, and on curved patches the parallelogram area vectors
     carry an O(1/M) net defect that the cell-boundary areas cancel by
-    telescoping.  A point within 1e-9 minimum edge lengths of a cell's
-    centre raises NearSingular, which names the first such point (its
-    distance, and its index in x as `point`); beyond
-    about 1e100 mesh sizes the field is zero.  A field that k_E h sigma
-    takes beyond the float range raises PrefactorOverflow.
+    telescoping.  The mesh is measured by the guard of every source
+    (_guarded), at 1e-9 times its shortest edge from a cell's centre: a
+    point that close raises NearSingular, which names the first (its
+    distance, and its index in x as `point`); beyond 1e100 bounding-box
+    diagonals the field is zero.  A field that k_E h sigma takes beyond
+    the float range raises PrefactorOverflow.
 
     The cells come in the mesh's power-of-two unit (SurfaceMesh.scaled_cells),
-    and each point's offsets from the cell centres and their distances are
-    formed once, for the guard and the sum.  The scaling is exact: the
-    result is bitwise k_E h sigma point_dipole_field(cell_centers,
-    cell_vector_areas, x) wherever that stays in range, and a mesh and
-    points 2^k times larger give 2^-k times the field, for |k| up to 600
-    at least.
+    and each point's offsets from the cell centres and their lengths
+    (SurfaceMesh.offsets) are formed once, for the guard and the sum.  The
+    scaling is exact: the result is bitwise k_E h sigma
+    point_dipole_field(cell_centers, cell_vector_areas, x) wherever that
+    stays in range, and a mesh and points 2^k times larger give 2^-k times
+    the field, for |k| up to 600 at least.
     """
     points, single = as_points(x)
-    # as in _guarded, decided without the distances, whose squares and
-    # cubes overflow; every node, and so every anchor, lies within the
-    # mesh's size of its first node
-    far = np.hypot.reduce(points - mesh.nodes[0, 0], axis=1) > (_FAR + 1.0) * mesh.size
-    near = ~far if far.any() else slice(None)
-    # the rest in the mesh's unit, a power of two near its size, exactly:
-    # out to _FAR sizes the squares and cubes of the distances stay in range
-    unit = mesh.unit
-    anchors, areas = mesh.scaled_cells()
-    rel = points[near, None, :] / unit - anchors
-    dist = _lengths(rel)
-    nearest = dist.min(axis=1)
-    guard = 1e-9 * mesh.min_edge_length() / unit
-    if nearest.min(initial=math.inf) <= guard:
-        first = int((nearest <= guard).argmax())
-        raise NearSingular(
-            "field point within guard distance of a panel center",
-            distance=unit * float(nearest[first]),
-            guard=unit * guard,
-            kind="mesh",
-            point=int(np.arange(len(points))[near][first]),
-        )
     prefactor = consts.k_E * dp.separation * dp.sigma
-    # the points that are not far are those of rel
-    field = _within_reach(lambda: prefactor_times(prefactor, _dipole_sum(rel, dist, areas) / unit), far)
+    areas = mesh.scaled_cells()[1]
+    spec = QuadratureSpec(min_distance_guard=1e-9 * mesh.min_edge_length())
+    field = _guarded(
+        mesh, lambda o: prefactor_times(prefactor, _dipole_sum(*o, areas) / mesh.unit), points, spec, "mesh"
+    )
     return field[0] if single else field
 
 

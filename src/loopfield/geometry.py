@@ -14,8 +14,8 @@ Conventions used throughout the package:
   is the direction of dpoint/du x dpoint/dv and the induced boundary runs
   counterclockwise as seen from that side.
 * All objects are immutable after construction and safe to share across
-  threads.  A mesh builds its crossing index on its first count and keeps
-  it; two threads that count at once may both build it, to equal arrays.
+  threads.  A mesh builds its crossing index and its cells in its unit on
+  first use and keeps them; two threads may both build them, to equal arrays.
 """
 
 from __future__ import annotations
@@ -147,11 +147,7 @@ def scale_segments(starts, ends) -> ScaledSegments:
     ends = np.asarray(ends, dtype=float).reshape(-1, 3)
     chords = ends - starts
     unit = power_of_two_unit(float(np.abs(chords).max()))
-    return _in_unit(unit, starts, ends, chords / unit)
-
-
-def _in_unit(unit: float, starts, ends, chords) -> ScaledSegments:
-    """The segments from starts to ends in the unit, given their chords in it."""
+    chords /= unit
     lengths = np.sqrt(np.einsum("ij,ij->i", chords, chords))
     if not lengths.all():
         raise ValueError("a segment has zero length")
@@ -369,12 +365,10 @@ class PolyLine(Curve):
         ends = np.concatenate((verts[1:], verts[:1])) if closed else verts[1:]
         if not closed:
             starts = verts[:-1]
-        chords = ends - starts
         # one frame for the arc lengths, the distance and the closed form, in
         # a unit where the squares of lengths and gaps neither over- nor underflow
-        unit = power_of_two_unit(float(np.abs(chords).max()))
-        self.scaled_segments = _in_unit(unit, starts, ends, chords / unit)
-        self.unit = unit
+        self.scaled_segments = scale_segments(starts, ends)
+        self.unit = unit = self.scaled_segments.unit
         self.vertices = _frozen(verts)
         self._box = (_frozen(verts.min(axis=0)), _frozen(verts.max(axis=0)))
         self.closed = bool(closed)
@@ -719,18 +713,19 @@ class SurfaceMesh:
     mesh without gaps or overlaps on a curved patch too.
 
     A grid of any other shape, with M or N below 1, with a non-finite node
-    or with a (near-)degenerate cell raises DegeneratePatch.  Every node
-    lies within `size`, sqrt(3) times the largest coordinate offset from
-    nodes[0, 0], of that node.  The mesh works in `unit`, the largest power
-    of two at most that offset: its degeneracy check, its edge lengths and
-    the cells that dipole_mesh_field sums (scaled_cells) come from
-    nodes / unit, where the squares of edges and of their cross products
-    neither over- nor underflow.  The scaling is exact, so these agree
-    bitwise with the same formulas in absolute units wherever those stay
-    in range, and a mesh 2^k times another has the same cells in units,
-    for |k| up to 600 at least.  The counting route's index of the mesh's
-    triangles (scaled_crossings) is in the same unit.  The mesh keeps a
-    read-only copy of the nodes it is given.
+    or with a (near-)degenerate cell raises DegeneratePatch.  The mesh
+    works in `unit`, the largest power of two at most the largest
+    coordinate offset of a node from nodes[0, 0]: its degeneracy check, its
+    edge lengths and the cells that dipole_mesh_field sums (scaled_cells)
+    come from nodes / unit, where the squares of edges and of their cross
+    products neither over- nor underflow.  The scaling is exact, so these
+    agree bitwise with the same formulas in absolute units wherever those
+    stay in range, and a mesh 2^k times another has the same cells in
+    units, for |k| up to 600 at least.  The counting route's index of the
+    mesh's triangles (scaled_crossings) is in the same unit.  The mesh
+    keeps a read-only copy of the nodes it is given.  Its field guard
+    (fields._guarded) reads bounding_box(), nodes[0, 0] -/+ that offset,
+    and the offsets and distance of points from the cell centres.
     """
 
     def __init__(self, nodes: np.ndarray):
@@ -743,7 +738,7 @@ class SurfaceMesh:
         # a copy, so that no caller can rewrite the nodes its index was built from
         self.nodes = nodes = _frozen(nodes.copy())
         offset = float(np.abs(nodes - nodes[0, 0]).max())
-        self.size = math.sqrt(3.0) * offset
+        self._box = (_frozen(nodes[0, 0] - offset), _frozen(nodes[0, 0] + offset))
         self.unit = power_of_two_unit(offset)
         self._scaled = scaled = _frozen(nodes / self.unit)
         # in units the squares of the edges and of their cross products
@@ -778,7 +773,25 @@ class SurfaceMesh:
     def scaled_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """The (m * n, 3) cell centres in units of `unit` and the cell
         vector areas in units of its square, rows in cell order."""
-        return _cell_centers(self._scaled).reshape(-1, 3), _cell_vector_areas(self._scaled).reshape(-1, 3)
+        return self._cells
+
+    @cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
+        scaled = self._scaled
+        return _frozen(_cell_centers(scaled).reshape(-1, 3)), _frozen(_cell_vector_areas(scaled).reshape(-1, 3))
+
+    def bounding_box(self):
+        return self._box
+
+    def offsets(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (n, m * n, 3) offsets of (n, 3) points from the cell centres,
+        in `unit`, and their (n, m * n) lengths."""
+        rel = pts[:, None, :] / self.unit - self._cells[0]
+        return rel, np.sqrt((rel * rel).sum(axis=-1))
+
+    def distance_from(self, offsets) -> np.ndarray:
+        """The (n,) distances of the points from the nearest cell centre."""
+        return offsets[1].min(axis=1) * self.unit
 
     def min_edge_length(self) -> float:
         """Length of the shortest grid edge."""

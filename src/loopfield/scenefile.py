@@ -1,8 +1,12 @@
 """Strict JSON scene files: named curves, surfaces, scenes, experiments.
 
 A scene file is plain data; geometry objects are built on demand.  The
-parser rejects unknown fields and dangling references so that a file
-that parses is a file that runs.  Parsing, re-serializing, and re-parsing
+parser rejects unknown fields and dangling references, and builds every
+curve and surface patch once, as it builds the constants and the
+quadrature settings, keeping none of them: a value that a constructor
+refuses (a zero radius or axis, a circular composite, a degenerate
+patch) is a SceneFormatError that names its entry, so that a file that
+parses is a file that runs.  Parsing, re-serializing, and re-parsing
 yields an identical structure.
 
 Each curve, surface and experiment kind lists its required and optional
@@ -32,6 +36,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .errors import SceneFormatError
@@ -225,6 +230,7 @@ def _items(item, what: str, least: int = 1, most: int | None = None, distinct: b
 
 
 _NUMBER, _INT, _VEC = _field(_as_number), _field(_as_int), _field(_as_vec)
+_SIZE = _field(_as_int, lambda m: m >= 1, "must be >= 1")
 
 # field name -> parser(value, where, scene_file), for every object of the
 # schema; a curve's "n" differs and is in _CURVE_FIELDS
@@ -245,7 +251,7 @@ _FIELDS = {
     "corner": _VEC,
     "edge_a": _VEC,
     "edge_b": _VEC,
-    "mesh": _items(_field(_as_int, lambda m: m >= 1, "must be >= 1"), "[M, N]", least=2, most=2),
+    "mesh": _items(_SIZE, "[M, N]", least=2, most=2),
     "curve_c": _ref("curves"),
     "curve_l": _ref("curves"),
     "spanning_surface": _ref("surfaces"),
@@ -260,8 +266,8 @@ _FIELDS = {
     "h": _field(_as_number, lambda h: h != 0.0, "must be nonzero"),
     "n": _items(_field(_as_int, lambda n: n >= 2, "must be >= 2"), "at least one value",
                 distinct=True),
-    "mesh_sizes": _items(_INT, "at least 3 sizes", least=3),
-    "dipole_separation": _NUMBER,
+    "mesh_sizes": _items(_SIZE, "at least 3 sizes", least=3),
+    "dipole_separation": _field(_as_number, lambda s: s >= 0.0, "must be >= 0"),
     "out": _field(_as_name),
 }
 _CURVE_FIELDS = {**_FIELDS, "n": _field(_as_int, lambda n: n >= 1, "must be positive")}
@@ -340,12 +346,18 @@ def parse_scene_dict(data) -> SceneFile:
     sf.experiments = [
         parse_experiment(spec, f"experiments[{i}]", sf) for i, spec in enumerate(raw_experiments)
     ]
-    # constructible check: bad numeric combinations surface at parse time
-    try:
-        sf.field_constants()
-        sf.quadrature_spec()
-    except ValueError as exc:
-        raise SceneFormatError(str(exc)) from exc
+    # constructible check: bad numeric combinations and geometry surface at
+    # parse time, named by their entry
+    builds = [("constants", sf.field_constants), ("quadrature", sf.quadrature_spec)]
+    builds += [(f"curves.{name}", partial(sf.build_curve, name)) for name in sf.curves]
+    builds += [(f"surfaces.{name}", partial(sf.build_patch, name)) for name in sf.surfaces]
+    for where, build in builds:
+        try:
+            build()
+        except SceneFormatError:
+            raise
+        except ValueError as exc:
+            raise SceneFormatError(f"{where}: {exc}") from exc
     return sf
 
 

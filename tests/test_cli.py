@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -312,6 +313,18 @@ def test_shipped_outputs_tool_writes_every_output(tmp_path):
             assert (out / f"run_{scene.stem}" / entry["out"]).with_suffix(".json").exists()
 
 
+def test_shipped_outputs_repeat_byte_for_byte_in_one_process(tmp_path, monkeypatch):
+    # the second run meets whatever the first left in module state and
+    # caches, which two processes never share
+    spec = importlib.util.spec_from_file_location("shipped_outputs", REPO / "tools" / "shipped_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts src/ in front
+    for side in ("first", "second"):
+        assert tool.main([str(tmp_path / side)]) == 0
+    assert _tree(tmp_path / "first") == _tree(tmp_path / "second")
+
+
 def test_field_far_away_is_zero_not_nan(capsys):
     # the closed forms' squares overflow beyond about 1.3e154; past 1e100
     # sheet sizes the field, below 1e-200, is zero
@@ -495,6 +508,20 @@ def test_a_composite_whose_parts_jump_is_refused(tmp_path):
     for kind in ("link", "lk"):
         code, _, stderr = _run_in_process([kind, "--scene", str(path)])
         assert code == 2 and "curve_c must be" in stderr, stderr
+
+
+def test_run_refuses_a_file_whose_second_entry_cannot_run_before_writing(tmp_path, monkeypatch):
+    # the maxwell entry wrote its CSV and JSON, then the similitude entry
+    # stopped the run with "mesh dimensions must be >= 1"
+    scene = json.loads((SCENES / "square_sheet.json").read_text())
+    scene["experiments"][1]["mesh_sizes"] = [0, 1, 2]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = _run_in_process(["run", "--scene", str(path)])
+    assert code == 2 and stderr == "error: experiments[1].mesh_sizes: must be >= 1, got 0\n", stderr
+    assert stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
 
 
 def test_run_without_out_writes_csv_to_stdout(tmp_path):

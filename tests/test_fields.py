@@ -96,7 +96,7 @@ def test_near_singular_guard():
 
 
 def test_near_singular_names_the_distance_guard_and_source_kind():
-    # messages are unchanged; the attributes say the same as numbers
+    # every source kind has the one message; the attributes say the same as numbers
     with pytest.raises(NearSingular, match=r"^field point at distance \S+ from the curve \(guard \S+\)$") as raised:
         biot_savart(unit_circle(), [(0.0, 0.0, 2.0), (1.0 + 1e-9, 0.0, 0.0)])
     err = raised.value
@@ -107,12 +107,12 @@ def test_near_singular_names_the_distance_guard_and_source_kind():
     with pytest.raises(NearSingular) as raised:
         coulomb_surface_field(patch, 1.0, (0.5, 0.5, 0.0), UNIT, QuadratureSpec(min_distance_guard=0.25))
     assert (raised.value.kind, raised.value.distance, raised.value.guard) == ("sheet", 0.0, 0.25)
-    with pytest.raises(NearSingular, match="^field point within guard distance of a panel center$") as raised:
+    with pytest.raises(NearSingular, match=r"^field point at distance \S+ from the mesh \(guard \S+\)$") as raised:
         dipole_mesh_field(mesh_surface(patch, 1, 1), DipoleSheetSpec(1.0, 1e-3), (0.5, 0.5, 1e-12), UNIT)
     assert (raised.value.kind, raised.value.distance, raised.value.guard) == ("mesh", 1e-12, 1e-9)
     # of many points, the first inside the guard
     points = [(0.0, 0.0, 2.0), (0.5, 0.5, 2e-12), (0.5, 0.5, 1e-12)]
-    with pytest.raises(NearSingular, match="^field point within guard distance of a panel center$") as raised:
+    with pytest.raises(NearSingular, match=r"^field point at distance \S+ from the mesh \(guard \S+\)$") as raised:
         dipole_mesh_field(mesh_surface(patch, 1, 1), DipoleSheetSpec(1.0, 1e-3), points, UNIT)
     assert (raised.value.kind, raised.value.distance, raised.value.guard) == ("mesh", 2e-12, 1e-9)
 
@@ -1332,7 +1332,7 @@ def _shell_point(source):
     for u in np.random.default_rng(3).normal(size=(200, 3)):
         for j in range(-3, 4):
             x = centre + reach * (1.0 + j * 2.0**-52) * u / np.linalg.norm(u)
-            if np.hypot.reduce(x - centre) <= reach + diag and source.distance_to(x) > reach:
+            if np.hypot.reduce(x - centre) <= reach + diag and source.distance_from(source.offsets(x[None]))[0] > reach:
                 return x
     raise AssertionError("no point in the shell")
 
@@ -1343,11 +1343,13 @@ def test_a_point_whose_distance_is_beyond_reach_reads_zero():
     # the same offsets as the field, takes it out: the closed forms, which
     # overflow there, never see it
     near = np.array([0.2, 0.4, 1.1])
+    mesh = mesh_surface(_PATCHES["rect"], 3, 3)
     cases = [
         (_CURVES["circle"], lambda x: biot_savart(_CURVES["circle"], x)),
         (_CURVES["composite"], lambda x: biot_savart(_CURVES["composite"], x)),
         (_PATCHES["rect"], lambda x: coulomb_surface_field(_PATCHES["rect"], 1.0, x)),
         (_PATCHES["disk"], lambda x: coulomb_surface_field(_PATCHES["disk"], 1.0, x)),
+        (mesh, lambda x: dipole_mesh_field(mesh, DipoleSheetSpec(1.0, 1e-3), x)),
     ]
     for source, field in cases:
         shell = _shell_point(source)

@@ -241,3 +241,44 @@ def test_composite_may_name_a_later_curve_but_not_a_missing_one():
     curves["both"]["parts"] = ["nope"]
     with pytest.raises(SceneFormatError):
         parse_scene_dict({"version": 1, "curves": curves})
+
+
+def _shipped(name, edit):
+    """The shipped scene file name, as data, after edit(data)."""
+    data = json.loads((SCENES_DIR / name).read_text())
+    edit(data)
+    return data
+
+
+def _swap_and_separate(data):
+    data["experiments"].reverse()
+    data["experiments"][1]["dipole_separation"] = -0.001
+
+
+# each parsed, then stopped `run --scene` after its earlier entries had
+# written their outputs
+_FAILS_AT_RUN = {
+    "mesh_sizes_zero": ("square_sheet.json", lambda d: d["experiments"][1].update(mesh_sizes=[0, 1, 2]),
+                        r"^experiments\[1\]\.mesh_sizes: must be >= 1, got 0$"),
+    "mesh_sizes_negative": ("square_sheet.json", lambda d: d["experiments"][1].update(mesh_sizes=[-3, 4, 5]),
+                            r"^experiments\[1\]\.mesh_sizes: must be >= 1, got -3$"),
+    "negative_separation": ("square_sheet.json", _swap_and_separate,
+                            r"^experiments\[1\]\.dipole_separation: must be >= 0, got -0\.001$"),
+    "zero_radius": ("hopf.json", lambda d: d["curves"]["ring"].update(radius=0),
+                    r"^curves\.ring: radius must be positive and finite, got 0\.0$"),
+    "zero_axis": ("hopf.json", lambda d: d["curves"]["ring"].update(axis=[0, 0, 0]),
+                  r"^curves\.ring: axis must be nonzero$"),
+    "unused_circular_composite": ("hopf.json", lambda d: d["curves"].update(loop={"kind": "composite",
+                                                                                   "parts": ["loop"]}),
+                                  r"^curve 'loop': circular composite reference$"),
+    "degenerate_patch": ("square_sheet.json", lambda d: d["surfaces"]["sheet"].update(edge_b=[2.0, 0.0, 0.0]),
+                         r"^surfaces\.sheet: edge_a x edge_b vanishes$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILS_AT_RUN))
+def test_a_scene_that_cannot_run_does_not_parse(case):
+    name, edit, message = _FAILS_AT_RUN[case]
+    with pytest.raises(SceneFormatError, match=message):
+        parse_scene_dict(_shipped(name, edit))
+
