@@ -73,7 +73,6 @@ from .experiments import (
     maxwell_probe,
     similitude_general,
     similitude_infinitesimal,
-    symmetry_sweep,
 )
 
 __version__ = "0.1.0"

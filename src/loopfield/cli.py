@@ -7,7 +7,9 @@ its flags into experiment entries, or takes its kind's entries from the
 scene file, and runs them through the same loop; with no --scene that
 file is `selftest.BUILTIN`, whose entries are the built-in runs.  The
 selftest runs those entries through the same runners, and its criteria
-01, 02 and 04-07 judge the records they return.
+01-07 and 11 judge the records they return; criterion 03 integrates
+only the swapped pairs, and criterion 11 compares two passes' records
+as the JSON text that `_emit` writes.
 `run --scene F` runs every entry of F and writes each to its `out` path.
 Tabular results are CSV (17-significant-digit floats, fixed column
 order, LF endings); the full structured record is written as JSON next
@@ -78,6 +80,11 @@ def _csv_lines(header: list[str], rows: list[list]) -> str:
     return "".join(line[:-2] + "\n" for line in lines)
 
 
+def _json_text(record: dict) -> str:
+    # numpy scalars and arrays as Python numbers and lists
+    return json.dumps(record, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n"
+
+
 def _emit(csv_text: str, record: dict, out: str | None) -> None:
     if out:
         path = Path(out)
@@ -86,9 +93,7 @@ def _emit(csv_text: str, record: dict, out: str | None) -> None:
             fh.write(csv_text)
         json_path = path.with_suffix(".json")
         with open(json_path, "w", newline="\n") as fh:
-            # numpy scalars and arrays as Python numbers and lists
-            json.dump(record, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
-            fh.write("\n")
+            fh.write(_json_text(record))
         print(f"wrote {path} and {json_path}", file=sys.stderr)
     else:
         sys.stdout.write(csv_text)

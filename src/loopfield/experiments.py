@@ -33,6 +33,7 @@ from .geometry import (
     RectLoop,
     SurfacePatch,
     as_vec3,
+    cross,
     mesh_boundary,
     mesh_surface,
 )
@@ -56,8 +57,6 @@ __all__ = [
     "LineLimitRow",
     "LineLimitReport",
     "ampere_catalog",
-    "symmetry_sweep",
-    "SymmetryRow",
     "default_catalog",
     "unit_circle",
     "unit_disk_mesh",
@@ -126,7 +125,7 @@ def similitude_infinitesimal(
     a = as_vec3(a, "a")
     b = as_vec3(b, "b")
     r = as_vec3(r, "r")
-    if np.linalg.norm(np.cross(a, b)) == 0.0:
+    if np.linalg.norm(cross(a, b)) == 0.0:
         raise ValueError("a x b must be nonzero")
     span = max(np.linalg.norm(a), np.linalg.norm(b))
     offset = float(np.linalg.norm(r - base))
@@ -138,7 +137,7 @@ def similitude_infinitesimal(
             [base, base + eps * a, base + eps * a + eps * b, base + eps * b],
             closed=True,
         )
-        e_dp = h * point_dipole_field(base, np.cross(eps * a, eps * b), r)[0]
+        e_dp = h * point_dipole_field(base, cross(eps * a, eps * b), r)[0]
         b_ref = h * biot_savart(loop, r, UNIT_CONSTS)
         rel = float(np.linalg.norm(e_dp - b_ref) / np.linalg.norm(b_ref))
         rows.append(ReportRow(float(eps), e_dp, b_ref, rel))
@@ -430,27 +429,6 @@ def ampere_catalog(
         except (LoopfieldError, ValueError) as exc:
             rows.append(CatalogRow(sid, float("nan"), float("nan"), None,
                                    float("nan"), False, note=str(exc)))
-    return rows
-
-
-@dataclass(frozen=True)
-class SymmetryRow:
-    scene_id: str
-    diff: float
-    bound: float
-    passed: bool
-
-
-def symmetry_sweep(scenes: Sequence[LinkScene]) -> list[SymmetryRow]:
-    """Exchange symmetry of the Gauss integral on every scene."""
-    rows = []
-    for scene in scenes:
-        sid = scene.name or f"scene{len(rows)}"
-        a_fwd, e_fwd = gauss_linking(scene)
-        a_swp, e_swp = gauss_linking(scene.swapped())
-        diff = abs(a_fwd - a_swp)
-        bound = 2.0 * (e_fwd + e_swp)
-        rows.append(SymmetryRow(sid, diff, max(bound, 1e-12), diff <= max(bound, 1e-12)))
     return rows
 
 

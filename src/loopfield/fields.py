@@ -750,9 +750,9 @@ def cross_projection_identity(a, b, r_hat) -> tuple[np.ndarray, np.ndarray]:
     norm = float(np.linalg.norm(r))
     if abs(norm - 1.0) > 1e-12:
         raise NotUnit(f"|r_hat| = {norm!r} is not 1 within 1e-12")
-    axb = np.cross(a, b)
+    axb = cross(a, b)
     lhs = float(axb @ r) * r
-    rhs = axb + float(r @ a) * np.cross(b, r) - float(r @ b) * np.cross(a, r)
+    rhs = axb + float(r @ a) * cross(b, r) - float(r @ b) * cross(a, r)
     return lhs, rhs
 
 

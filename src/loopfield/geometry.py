@@ -186,7 +186,7 @@ def _orthonormal_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     a = _unit(axis, "axis")
     seed = np.array([1.0, 0.0, 0.0]) if abs(a[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
     u = _unit(seed - a * float(seed @ a))
-    v = np.cross(a, u)
+    v = cross(a, u)
     return u, v, a
 
 

@@ -169,9 +169,10 @@ def _integrate(f, axes, spec: QuadratureSpec):
             total = reduce(add, map(itemgetter(5), sorted(heap, key=itemgetter(1))))
             mag = _magnitude(total)
             err_sum = -math.fsum(map(itemgetter(0), heap))
-            goal = max(spec.abs_tol, spec.rel_tol * mag, _ROUNDING * mag * math.sqrt(len(heap)))
+            rounding = _ROUNDING * mag * math.sqrt(len(heap))
+            goal = max(spec.abs_tol, spec.rel_tol * mag, rounding)
             if err_sum <= goal:
-                return total, err_sum
+                return total, err_sum + rounding
             refresh_at = 2 * len(heap)
         # every leaf above the goal must be split before any stop, so the
         # worst goes with the others above the goal, up to a call's worth
@@ -198,9 +199,11 @@ def _integrate(f, axes, spec: QuadratureSpec):
 def integrate_1d(f, interval, spec: QuadratureSpec = QuadratureSpec()):
     """Integrate f over [a, b]; returns (value, error_estimate).
 
-    The value sums the leaves' children; the estimate, |children - leaf|
-    summed, bounds the leaves' own coarser values, not the returned one,
-    which is usually far closer (double_wind: 1.0e-11 against 4.4e-16).
+    The value sums the leaves' children.  The estimate is |children - leaf|
+    summed, which bounds the leaves' own coarser values, plus the stop
+    goal's rounding term 8 eps |value| sqrt(leaves), which covers the
+    rounding of the returned value.  That value is usually far closer
+    than the estimate says (double_wind: 1.0e-11 against 4.4e-16).
 
     interval is (a, b) or increasing breakpoints (a, t1, ..., b), whose
     pieces are the first cells.  f must accept a 1-D array of parameters
@@ -215,7 +218,8 @@ def integrate_1d(f, interval, spec: QuadratureSpec = QuadratureSpec()):
 
 def integrate_2d(f, rect, spec: QuadratureSpec = QuadratureSpec()):
     """Integrate f over [a,b] x [c,d]; returns (value, error_estimate),
-    the estimate bounding the leaves' coarser values as in integrate_1d.
+    the estimate covering the leaves' coarser values and the rounding of
+    the value, as in integrate_1d.
 
     Each axis of rect is (a, b) or increasing breakpoints, and the
     products of the two axes' pieces are the first cells.  f must accept

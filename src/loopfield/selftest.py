@@ -8,8 +8,11 @@ so repeated runs are byte-identical.
 per built-in run, each parameter written once.  The command line runs
 its entries when there is no --scene.  The selftest runs them through
 the command line's own runners, as those subcommands do, and criteria
-01, 02 and 04-07 judge the records those runs return; criterion 07 also
-judges one more maxwell entry, on BUILTIN's unit disk.
+01-07 and 11 judge the records those runs return; criterion 07 also
+judges one more maxwell entry, on BUILTIN's unit disk.  Criterion 03
+takes A(C, L) from the ampere record and integrates only the swapped
+pairs, and criterion 11 runs every entry twice and compares the JSON
+text of the two passes' records.
 `INFINITESIMAL` is the panel that a `similitude` entry without a
 surface shrinks.
 """
@@ -24,10 +27,10 @@ import sys
 import numpy as np
 
 from . import geometry, quadrature
-from .experiments import default_catalog, symmetry_sweep, unit_circle, unit_disk_mesh
+from .experiments import default_catalog, unit_circle, unit_disk_mesh
 from .fields import cross_projection_identity, taylor_probe
 from .geometry import Circle
-from .linking import combinatorial_lk, gauss_pair_integral
+from .linking import combinatorial_lk, gauss_linking, gauss_pair_integral
 from .scenefile import parse_experiment, parse_scene_dict
 
 __all__ = ["BUILTIN", "INFINITESIMAL", "default_probe_points", "run_selftest"]
@@ -103,10 +106,18 @@ def _c2_catalog(record, passed):
     return ok, f"scenes={len(rows)} lk_values={sorted(lks)} worst|A-Lk|={_fmt(worst)}"
 
 
-def _c3_symmetry():
-    rows = symmetry_sweep(default_catalog())
-    ok = all(r.passed for r in rows)
-    worst = max(r.diff for r in rows)
+def _c3_symmetry(record):
+    """A(C, L) of each catalog scene, from the ampere record, against
+    A(L, C) of the scene swapped."""
+    consts, spec = BUILTIN.field_constants(), BUILTIN.quadrature_spec()  # the ampere run's
+    rows, scenes = record["rows"], default_catalog()
+    ok, worst = len(rows) == len(scenes), 0.0
+    for row, scene in zip(rows, scenes):
+        a_swp, e_swp = gauss_linking(scene.swapped(), consts, spec)
+        diff = abs(row["A"] - a_swp)
+        bound = max(2.0 * (row["error_estimate"] + e_swp), 1e-12)
+        ok = ok and row["scene_id"] == scene.name and diff <= bound
+        worst = max(worst, diff)
     return ok, f"scenes={len(rows)} worst|A(C,L)-A(L,C)|={_fmt(worst)}"
 
 
@@ -189,14 +200,10 @@ def _c10_independence(catalog_agrees: bool):
     return ok, f"lk={lk} gauss={_fmt(value)} catalog_agreement={catalog_agrees}"
 
 
-def _c11_determinism():
-    partner = Circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), "ccw")
-    outputs = []
-    for _ in range(2):
-        value, err = gauss_pair_integral(partner, unit_circle())
-        lk = combinatorial_lk(partner, unit_disk_mesh())
-        outputs.append(f"{_fmt(value)},{_fmt(err)},{lk}")
-    ok = outputs[0] == outputs[1]
+def _c11_determinism(json_text, first, second):
+    """Whether two passes of the same runs give records whose JSON text,
+    as `loopfield` writes it, is the same."""
+    ok = [json_text(rec) for rec, _ in first] == [json_text(rec) for rec, _ in second]
     return ok, f"outputs_equal={ok}"
 
 
@@ -209,13 +216,14 @@ def run_selftest(stream=None) -> bool:
         _, record, passed = cli._KINDS[entry["kind"]][1](BUILTIN, entry)
         return record, passed
 
+    entries = [*BUILTIN.experiments, _DISK_MAXWELL]
     with contextlib.redirect_stderr(io.StringIO()):  # the runners' progress lines
-        ampere, linelimit, panel, general, square, curl = map(run, BUILTIN.experiments)
-        disk = run(_DISK_MAXWELL)
+        runs, again = [list(map(run, entries)) for _ in range(2)]
+    ampere, linelimit, panel, general, square, curl, disk = runs
     table = [
         ("01", "straight-wire limit", *_c1_line_limit(*linelimit)),
         ("02", "circulation law catalog", *_c2_catalog(*ampere)),
-        ("03", "exchange symmetry", *_c3_symmetry()),
+        ("03", "exchange symmetry", *_c3_symmetry(ampere[0])),
         ("04", "infinitesimal similitude", *_c45_similitude(*panel)),
         ("05", "general similitude", *_c45_similitude(*general)),
         ("06", "curl-free loop field", *_c67_probes("|curl|", curl)),
@@ -223,7 +231,7 @@ def run_selftest(stream=None) -> bool:
         ("08", "cross-projection identity", *_c8_identity()),
         ("09", "inverse-cube Taylor probe", *_c9_taylor()),
         ("10", "route independence", *_c10_independence(ampere[1])),
-        ("11", "run-to-run identical results", *_c11_determinism()),
+        ("11", "run-to-run identical results", *_c11_determinism(cli._json_text, runs, again)),
     ]
     stream = stream or sys.stdout
     for ident, title, passed, detail in table:

@@ -30,11 +30,10 @@ from loopfield.experiments import (
     maxwell_probe,
     similitude_general,
     similitude_infinitesimal,
-    symmetry_sweep,
     unit_circle,
     unit_disk_mesh,
 )
-from loopfield.linking import combinatorial_lk, gauss_pair_integral
+from loopfield.linking import combinatorial_lk, gauss_linking, gauss_pair_integral
 from loopfield.selftest import default_probe_points
 
 REPO = Path(__file__).resolve().parents[1]
@@ -85,12 +84,16 @@ def test_criterion_2_ampere_catalog():
 
 
 def test_criterion_3_symmetry():
-    rows = symmetry_sweep(default_catalog())
-    ok = all(r.diff <= r.bound for r in rows)
+    diffs, ok = [], True
+    for scene in default_catalog():
+        a_fwd, e_fwd = gauss_linking(scene)
+        a_swp, e_swp = gauss_linking(scene.swapped())
+        diffs.append(abs(a_fwd - a_swp))
+        ok = ok and diffs[-1] <= max(2.0 * (e_fwd + e_swp), 1e-12)
     _report(
         "criterion-3 exchange symmetry",
         ok,
-        f"worst diff={max(r.diff for r in rows):.3e}",
+        f"worst diff={max(diffs):.3e}",
     )
 
 

@@ -770,6 +770,53 @@ def test_selftest_judges_the_command_lines_runs(monkeypatch):
     assert summary == "selftest FAIL (11 criteria)"
 
 
+def _failed_criteria(report: str) -> set[str]:
+    """The criteria a selftest report marks FAIL."""
+    return {line.split()[1] for line in report.splitlines()[:-1] if line.split()[2] == "FAIL"}
+
+
+def test_selftest_criterion_03_takes_a_c_l_from_the_ampere_record(monkeypatch):
+    # the ampere run's values, shifted by 1e-6, no longer match the
+    # swapped pairs' integrals; its pass flags and |A - Lk| are untouched
+    from loopfield import cli
+    from loopfield.selftest import run_selftest
+
+    catalog = cli.ampere_catalog
+
+    def shifted(*args, **kwargs):
+        rows = catalog(*args, **kwargs)
+        return [dataclasses.replace(row, gauss_value=row.gauss_value + 1e-6) for row in rows]
+
+    monkeypatch.setattr(cli, "ampere_catalog", shifted)
+    out = io.StringIO()
+    assert run_selftest(out) is False
+    assert _failed_criteria(out.getvalue()) == {"03"}
+
+
+def test_selftest_criterion_11_compares_the_records_of_two_passes(monkeypatch):
+    # the second linelimit run's first row moves by one ulp: only the
+    # record comparison of criterion 11 can see it
+    from loopfield import cli
+    from loopfield.selftest import run_selftest
+
+    study, calls = cli.line_limit_study, []
+
+    def drifting(*args, **kwargs):
+        report = study(*args, **kwargs)
+        calls.append(report)
+        if len(calls) == 2:
+            first, *rest = report.detail
+            moved = dataclasses.replace(first, a_total=math.nextafter(first.a_total, math.inf))
+            report = dataclasses.replace(report, detail=[moved, *rest])
+        return report
+
+    monkeypatch.setattr(cli, "line_limit_study", drifting)
+    out = io.StringIO()
+    assert run_selftest(out) is False
+    assert len(calls) == 2
+    assert _failed_criteria(out.getvalue()) == {"11"}
+
+
 def test_a_field_beyond_the_float_range_is_a_numerical_error(tmp_path):
     # sigma 1e308 overflows the sheet field; the output once held inf,
     # after a numpy warning on stderr

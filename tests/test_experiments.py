@@ -29,7 +29,6 @@ from loopfield.experiments import (
     maxwell_probe,
     similitude_general,
     similitude_infinitesimal,
-    symmetry_sweep,
     unit_circle,
 )
 from loopfield.scenefile import parse_scene_file
@@ -275,11 +274,6 @@ def test_ampere_catalog_records_scene_errors():
     assert len(rows) == 1
     assert not rows[0].passed
     assert rows[0].lk is None
-
-
-def test_symmetry_sweep_catalog():
-    rows = symmetry_sweep(default_catalog())
-    assert all(r.passed for r in rows)
 
 
 def test_reports_are_deterministic():

@@ -352,9 +352,10 @@ def _one_split_per_step(f, axes, spec):
             total = functools.reduce(operator.add, (entry[5] for entry in sorted(heap, key=lambda entry: entry[1])))
             mag = quadrature._magnitude(total)
             err_sum = -math.fsum(entry[0] for entry in heap)
-            goal = max(spec.abs_tol, spec.rel_tol * mag, quadrature._ROUNDING * mag * math.sqrt(len(heap)))
+            rounding = quadrature._ROUNDING * mag * math.sqrt(len(heap))
+            goal = max(spec.abs_tol, spec.rel_tol * mag, rounding)
             if err_sum <= goal:
-                return total, err_sum
+                return total, err_sum + rounding
             refresh_at = 2 * len(heap)
         neg_err, cell, depth, kids, values, _ = heapq.heappop(heap)
         if depth >= spec.max_depth:
