@@ -99,6 +99,14 @@ def _fit_order(rows: Sequence[ReportRow]) -> float:
     return float(slope)
 
 
+def _sweep(values: Sequence, name: str) -> list:
+    """The sweep as a list; an empty one, which measures nothing, raises ValueError."""
+    values = list(values)
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    return values
+
+
 def _sorted_rows(rows: list[ReportRow]) -> list[ReportRow]:
     return sorted(rows, key=lambda r: -r.scale_parameter)
 
@@ -130,7 +138,7 @@ def similitude_infinitesimal(
     span = max(np.linalg.norm(a), np.linalg.norm(b))
     offset = float(np.linalg.norm(r - base))
     rows = []
-    for eps in eps_list:
+    for eps in _sweep(eps_list, "eps_list"):
         if eps * span > offset / 10.0:
             raise ValueError(f"eps {eps} too large for field distance {offset}")
         loop = PolyLine(
@@ -163,7 +171,7 @@ def similitude_general(
     """
     r = as_vec3(r, "r")
     rows = []
-    for m in mesh_sizes:
+    for m in _sweep(mesh_sizes, "mesh_sizes"):
         mesh = mesh_surface(patch, m, m)
         boundary = mesh_boundary(mesh)
         e_dp = dipole_mesh_field(mesh, DipoleSheetSpec(1.0, h), r, UNIT_CONSTS)
@@ -234,9 +242,10 @@ def curl_vanishing(
     def field(p):
         return biot_savart(curve, p, consts, spec)
 
+    steps = _sweep(steps, "steps")
     small = min(float(s) for s in steps)
     probe_rows, passed = [], True
-    for p in probe_points:
+    for p in _sweep(probe_points, "probe_points"):
         mine = _probe_field(field, p, steps)
         finest = [r for r in mine if r.step == small]
         if any(r.curl_norm > 1e-5 or r.div_norm > 1e-5 for r in finest) or not _ratio_ok(mine):
@@ -280,8 +289,9 @@ def maxwell_probe(
         ("dipole", (shift, -shift), lambda p: dipole_sheet_field_exact(patch, layer, p, consts, spec)),
     ]
 
+    steps = _sweep(steps, "steps")
     reach = max(float(s) for s in steps)
-    points = np.array([as_vec3(p, "probe point") for p in probe_points]).reshape(-1, 3)
+    points = np.array([as_vec3(p, "probe point") for p in _sweep(probe_points, "probe_points")])
     probe_rows, notes = [], []
     for kind, sheets, field_fn in kinds:
         # the sheet moved by +o is the patch seen from p - o
@@ -366,7 +376,7 @@ def line_limit_study(n_list: Sequence[int]) -> LineLimitReport:
     circle = unit_circle()
     disk = unit_disk_mesh()
     detail = []
-    for n in n_list:
+    for n in _sweep(n_list, "n_list"):
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
         nf = float(n)

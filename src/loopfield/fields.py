@@ -48,9 +48,9 @@ from .geometry import (
     ScaledSegments,
     SurfaceMesh,
     SurfacePatch,
+    _length,
     as_points,
     as_vec3,
-    bounding_box_diagonal,
     cross,
     scale_segments,
 )
@@ -141,7 +141,7 @@ def _guarded(source, field, points, spec: QuadratureSpec, what: str) -> np.ndarr
     distances come from the same offsets as the field, by the source's
     distance_from, so they are bitwise its distance_to."""
     lo, hi = source.bounding_box()
-    scale = bounding_box_diagonal([source])
+    scale = _length(hi - lo)
     guard = spec.resolve_guard(scale)
     # every point of the source lies within scale / 2 of its box's centre:
     # a point this far from it is beyond reach and outside the guard,
@@ -607,18 +607,14 @@ def coulomb_surface_field(
     guard's distances and for the closed form, all points in one call.  A
     patch with any other rim, or none (a curved one), raises TypeError
     before any other check.  Raises NearSingular when any point is within
-    the guard distance of the sheet, naming the first; beyond 1e100 times
-    its bounding-box diagonal the field is returned as zero.  A field that
-    k_E sigma takes beyond the float range raises PrefactorOverflow.
+    the guard distance of the sheet, naming the first, sigma = 0 included
+    (its field is 0.0 times the sheet's); beyond 1e100 times its
+    bounding-box diagonal the field is zero.  A field that k_E sigma takes
+    beyond the float range raises PrefactorOverflow.
     """
     sheet = _sheet_form(patch)
     points, single = as_points(x)
-    if sigma == 0.0:
-        field = np.zeros(points.shape)
-    else:
-        field = _guarded(
-            patch, lambda o: prefactor_times(consts.k_E * sigma, sheet(o)), points, spec, "sheet"
-        )
+    field = _guarded(patch, lambda o: prefactor_times(consts.k_E * sigma, sheet(o)), points, spec, "sheet")
     return field[0] if single else field
 
 
@@ -641,29 +637,26 @@ def dipole_sheet_field_exact(
     with E the patch's own Coulomb field (coulomb_surface_field), all 2n
     points measured once and in one call of its rim's closed form.  Each
     sheet has the patch's guard, and NearSingular names the input point
-    whose shifted copy fell within it; its field is zero beyond 1e100
-    bounding-box diagonals.  Raises ValueError for a curved patch, which
-    has no constant normal, and PrefactorOverflow for a field that k_E
-    sigma takes beyond the float range.
+    whose shifted copy fell within it, a zero sigma or separation
+    included; its field is zero beyond 1e100 bounding-box diagonals.
+    Raises ValueError for a curved patch, which has no constant normal,
+    and PrefactorOverflow for a field that k_E sigma takes beyond the
+    float range.
     """
     points, single = as_points(x)
     normal = patch.constant_normal()
     if normal is None:
         raise ValueError("the two-sheet field needs a flat patch")
     sheet = _sheet_form(patch)
-    if dp.sigma == 0.0 or dp.separation == 0.0:
-        # zero density, or coincident sheets cancelling exactly
-        field = np.zeros(points.shape)
-    else:
-        shift = 0.5 * dp.separation * normal
-        # x - s n and x + s n of each point side by side, in the order the guard checks them
-        seen = np.stack((points - shift, points + shift), axis=1).reshape(-1, 3)
-        try:
-            sheets = _guarded(patch, sheet, seen, spec, "sheet").reshape(-1, 2, 3)
-        except NearSingular as exc:
-            exc.point //= 2  # the input point of which seen's row is a copy
-            raise
-        field = prefactor_times(consts.k_E * dp.sigma, sheets[:, 0] - sheets[:, 1])
+    shift = 0.5 * dp.separation * normal
+    # x - s n and x + s n of each point side by side, in the order the guard checks them
+    seen = np.stack((points - shift, points + shift), axis=1).reshape(-1, 3)
+    try:
+        sheets = _guarded(patch, sheet, seen, spec, "sheet").reshape(-1, 2, 3)
+    except NearSingular as exc:
+        exc.point //= 2  # the input point of which seen's row is a copy
+        raise
+    field = prefactor_times(consts.k_E * dp.sigma, sheets[:, 0] - sheets[:, 1])
     return field[0] if single else field
 
 

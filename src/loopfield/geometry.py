@@ -198,8 +198,7 @@ def _merge_boxes(boxes: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.nda
 def bounding_box_diagonal(objects: Sequence) -> float:
     """Diagonal of the joint bounding box of curves or patches; the scene
     length scale."""
-    boxes = [obj.bounding_box() for obj in objects]
-    lo, hi = boxes[0] if len(boxes) == 1 else _merge_boxes(boxes)
+    lo, hi = _merge_boxes(obj.bounding_box() for obj in objects)
     return _length(hi - lo)
 
 
@@ -576,18 +575,22 @@ class SurfacePatch:
         """
         return None
 
+    def _flat_rim(self) -> Curve:
+        rim = self.rim()
+        if rim is None:
+            raise TypeError(f"a {type(self).__name__} patch has no rim, box or offsets")
+        return rim
+
     def bounding_box(self):
         """A flat patch's box, which is its rim's; a patch with no rim
         raises TypeError."""
-        rim = self.rim()
-        if rim is None:
-            raise TypeError(f"no bounding box for a {type(self).__name__} patch, which has no rim")
-        return rim.bounding_box()
+        return self._flat_rim().bounding_box()
 
     def offsets(self, pts: np.ndarray):
         """The (n, 3) points as the patch's distance and closed-form sheet
-        field see them: its rim's offsets (Curve.offsets)."""
-        raise NotImplementedError
+        field see them: its rim's offsets (Curve.offsets), as its box is its
+        rim's; a patch with no rim raises TypeError."""
+        return self._flat_rim().offsets(pts)
 
     def distance_from(self, offsets) -> np.ndarray:
         """The (n,) distances of the points from their offsets."""
@@ -638,9 +641,6 @@ class PlanarRect(SurfacePatch):
     def rim(self) -> PolyLine:
         return self._rim
 
-    def offsets(self, pts):
-        return self._rim.offsets(pts)
-
     def distance_from(self, offsets):
         p, rel = offsets
         # the offsets from the rim's first vertex, the corner
@@ -685,9 +685,6 @@ class Disk(SurfacePatch):
 
     def rim(self) -> Circle:
         return self._rim
-
-    def offsets(self, pts):
-        return self._rim.offsets(pts)
 
     def distance_from(self, offsets):
         z, _, rho = offsets

@@ -66,12 +66,13 @@ class QuadratureSpec:
     min_distance_guard: float | None = None
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.min_distance_guard is not None and self.min_distance_guard < 0.0:
-            raise ValueError("min_distance_guard must be >= 0")
+        # written so that NaN fails every test
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
+        if not isinstance(self.max_depth, int) or self.max_depth < 1:
+            raise ValueError("max_depth must be an integer >= 1")
+        if self.min_distance_guard is not None and not self.min_distance_guard >= 0.0:
+            raise ValueError("min_distance_guard must be None or >= 0")
 
     def resolve_guard(self, scene_scale: float) -> float:
         if self.min_distance_guard is not None:

@@ -244,6 +244,29 @@ def test_line_limit_rejects_small_n():
         line_limit_study([1, 2])
 
 
+_SQUARE = PlanarRect((0, 0, 0), (1, 0, 0), (0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "name, run",
+    [
+        ("eps_list", lambda: similitude_infinitesimal((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 2), [], 1e-4)),
+        ("mesh_sizes", lambda: similitude_general(_SQUARE, (0.5, 0.5, 2.0), 1e-3, [])),
+        ("probe_points", lambda: curl_vanishing(unit_circle(), [], [1e-3])),
+        ("steps", lambda: curl_vanishing(unit_circle(), [(0, 0, 1.5)], [])),
+        ("probe_points", lambda: maxwell_probe(_SQUARE, 1.0, [], [1e-3])),
+        ("steps", lambda: maxwell_probe(_SQUARE, 1.0, [(0.5, 0.5, 1.0)], [])),
+        ("n_list", lambda: line_limit_study([])),
+    ],
+    ids=["similitude_infinitesimal", "similitude_general", "curl_points", "curl_steps",
+         "maxwell_points", "maxwell_steps", "line_limit"],
+)
+def test_an_empty_sweep_is_refused(name, run):
+    # a report over nothing measured would pass or fail on no evidence
+    with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
+        run()
+
+
 # ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------

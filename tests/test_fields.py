@@ -950,6 +950,12 @@ def test_dipole_sheet_zero_cases():
     assert np.allclose(
         dipole_sheet_field_exact(patch, DipoleSheetSpec(0.0, 1e-3), (0, 0, 2), UNIT), 0.0
     )
+    # a zero density takes the path of any other: 0.0 times the sheet's
+    # field, so its zeros carry the field's signs
+    points = [(0, 0, 2), (0.005, 0.005, -1e-3)]
+    zero = coulomb_surface_field(patch, 0.0, points, UNIT)
+    assert not zero.any()
+    assert zero.tobytes() == (0.0 * coulomb_surface_field(patch, 1.0, points, UNIT)).tobytes()
 
 
 def test_dipole_sheet_matches_center_anchored_closed_form():
@@ -1311,6 +1317,10 @@ def test_near_singular_names_the_first_offending_point():
         (lambda x: dipole_mesh_field(mesh, layer, x), centre, "mesh"),
         (lambda x: dipole_sheet_field_exact(rect, layer, x), on_sheet, "sheet"),
         (lambda x: coulomb_surface_field(rect, 1.0, x), rect.point(0.2, 0.9), "sheet"),
+        # a zero density or separation is measured and guarded like any other
+        (lambda x: coulomb_surface_field(rect, 0.0, x), rect.point(0.2, 0.9), "sheet"),
+        (lambda x: dipole_sheet_field_exact(rect, DipoleSheetSpec(0.0, 1e-3), x), on_sheet, "sheet"),
+        (lambda x: dipole_sheet_field_exact(rect, DipoleSheetSpec(1.0, 0.0), x), rect.point(0.2, 0.9), "sheet"),
     ]
     for field, on_source, kind in cases:
         points = np.array([(1e300, 0.0, 0.0), (0.3, 0.2, 2.0), on_source, on_source, (2.0, 1.0, -1.0)])

@@ -450,6 +450,9 @@ def test_curved_patches_have_no_bounding_box():
     # a patch's box is its rim's; a patch without one is refused by type
     with pytest.raises(TypeError, match="Dome"):
         bounding_box_diagonal([Dome(0.35)])
+    # nor offsets, which are its rim's too, nor so a distance
+    with pytest.raises(TypeError, match="Dome"):
+        Dome(0.35).distance_to((0.0, 0.0, 2.0))
 
 
 def test_curved_patches_have_no_sheet_field():

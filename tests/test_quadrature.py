@@ -155,6 +155,12 @@ def test_invalid_inputs():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_depth=0)
+    # NaN would switch the tolerances or the guard off; a depth is a count
+    for bad in (dict(abs_tol=math.nan), dict(rel_tol=math.nan), dict(abs_tol=math.inf), dict(rel_tol=math.inf),
+                dict(max_depth=2.5), dict(min_distance_guard=math.nan), dict(min_distance_guard=-1.0)):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**bad)
+    assert QuadratureSpec(min_distance_guard=math.inf).resolve_guard(1.0) == math.inf
 
 
 def test_breakpoints_are_the_first_cells():
