@@ -48,7 +48,6 @@ from .geometry import (
     ScaledSegments,
     SurfaceMesh,
     SurfacePatch,
-    _length,
     as_points,
     as_vec3,
     cross,
@@ -131,7 +130,7 @@ def prefactor_times(prefactor: float, value):
     return prefactor * value
 
 
-def _guarded(source, field, points, spec: QuadratureSpec, what: str) -> np.ndarray:
+def _guarded(source, field, points, guard: float, what: str) -> np.ndarray:
     """field(offsets) at the (n, 3) points, from the source's offsets of
     them (Curve.offsets, SurfaceMesh.offsets), zero at those beyond _FAR
     source sizes, which field never sees; raises NearSingular if any point
@@ -140,13 +139,11 @@ def _guarded(source, field, points, spec: QuadratureSpec, what: str) -> np.ndarr
     The points are measured against the source once: the guard's
     distances come from the same offsets as the field, by the source's
     distance_from, so they are bitwise its distance_to."""
-    lo, hi = source.bounding_box()
-    scale = _length(hi - lo)
-    guard = spec.resolve_guard(scale)
+    centre, scale = source.reach
     # every point of the source lies within scale / 2 of its box's centre:
     # a point this far from it is beyond reach and outside the guard,
     # decided before the offsets, whose squares overflow
-    off = points - 0.5 * (lo + hi)
+    off = points - centre
     far = np.hypot.reduce(off, axis=1) > max(guard, _FAR * scale) + scale
     # with no point far, a slice: a view of the points, not a copy
     near = ~far if far.any() else slice(None)
@@ -580,7 +577,8 @@ def biot_savart(
     """
     points, single = as_points(x)
     form = _curve_form(curve)
-    field = _guarded(curve, lambda o: prefactor_times(consts.k_B, form(o)), points, spec, "curve")
+    guard = spec.resolve_guard(curve.reach[1])
+    field = _guarded(curve, lambda o: prefactor_times(consts.k_B, form(o)), points, guard, "curve")
     return field[0] if single else field
 
 
@@ -614,7 +612,8 @@ def coulomb_surface_field(
     """
     sheet = _sheet_form(patch)
     points, single = as_points(x)
-    field = _guarded(patch, lambda o: prefactor_times(consts.k_E * sigma, sheet(o)), points, spec, "sheet")
+    guard = spec.resolve_guard(patch.reach[1])
+    field = _guarded(patch, lambda o: prefactor_times(consts.k_E * sigma, sheet(o)), points, guard, "sheet")
     return field[0] if single else field
 
 
@@ -652,7 +651,7 @@ def dipole_sheet_field_exact(
     # x - s n and x + s n of each point side by side, in the order the guard checks them
     seen = np.stack((points - shift, points + shift), axis=1).reshape(-1, 3)
     try:
-        sheets = _guarded(patch, sheet, seen, spec, "sheet").reshape(-1, 2, 3)
+        sheets = _guarded(patch, sheet, seen, spec.resolve_guard(patch.reach[1]), "sheet").reshape(-1, 2, 3)
     except NearSingular as exc:
         exc.point //= 2  # the input point of which seen's row is a copy
         raise
@@ -692,9 +691,9 @@ def dipole_mesh_field(
     points, single = as_points(x)
     prefactor = consts.k_E * dp.separation * dp.sigma
     areas = mesh.scaled_cells()[1]
-    spec = QuadratureSpec(min_distance_guard=1e-9 * mesh.min_edge_length())
+    guard = 1e-9 * mesh.min_edge_length()
     field = _guarded(
-        mesh, lambda o: prefactor_times(prefactor, _dipole_sum(*o, areas) / mesh.unit), points, spec, "mesh"
+        mesh, lambda o: prefactor_times(prefactor, _dipole_sum(*o, areas) / mesh.unit), points, guard, "mesh"
     )
     return field[0] if single else field
 

@@ -191,8 +191,16 @@ def _orthonormal_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _merge_boxes(boxes: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    # np.min over a list of arrays stacks them first, at 8 times the cost
     los, his = zip(*boxes)
-    return np.min(los, axis=0), np.max(his, axis=0)
+    return reduce(np.minimum, los), reduce(np.maximum, his)
+
+
+def _box_reach(source) -> tuple[np.ndarray, float]:
+    """The centre of a source's bounding box and its diagonal: every point
+    of the source lies within half the diagonal of the centre."""
+    lo, hi = source.bounding_box()
+    return 0.5 * (lo + hi), _length(hi - lo)
 
 
 def bounding_box_diagonal(objects: Sequence) -> float:
@@ -241,6 +249,9 @@ class Curve:
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    # the field guard's (fields._guarded), kept with the curve on first use
+    reach = cached_property(_box_reach)
 
     def offsets(self, pts: np.ndarray):
         """The (n, 3) points as the curve's distance and closed-form field
@@ -489,8 +500,9 @@ class CompositeCurve(Curve):
         self.t_end = float(bounds[-1])
         starts = [p.position(p.t_start) for p in self.parts]
         ends = [p.position(p.t_end) for p in self.parts]
+        lo, hi = self._box = tuple(map(_frozen, _merge_boxes(p.bounding_box() for p in self.parts)))
         # every joint within 1e-12 diagonals, a rule that no scaling changes
-        tol = 1e-12 * bounding_box_diagonal(self.parts)
+        tol = 1e-12 * _length(hi - lo)
         self.closed = all(_length(start - end) <= tol for start, end in zip(starts[1:] + starts[:1], ends))
 
     def _map_params(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -535,7 +547,7 @@ class CompositeCurve(Curve):
         return CompositeCurve([p.reversed() for p in reversed(self.parts)])
 
     def bounding_box(self):
-        return _merge_boxes(p.bounding_box() for p in self.parts)
+        return self._box
 
     def offsets(self, pts):
         """Each part's offsets of the points, in part order."""
@@ -585,6 +597,8 @@ class SurfacePatch:
         """A flat patch's box, which is its rim's; a patch with no rim
         raises TypeError."""
         return self._flat_rim().bounding_box()
+
+    reach = cached_property(_box_reach)
 
     def offsets(self, pts: np.ndarray):
         """The (n, 3) points as the patch's distance and closed-form sheet
@@ -779,6 +793,8 @@ class SurfaceMesh:
 
     def bounding_box(self):
         return self._box
+
+    reach = cached_property(_box_reach)
 
     def offsets(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (n, m * n, 3) offsets of (n, 3) points from the cell centres,

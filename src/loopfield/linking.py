@@ -21,7 +21,9 @@ within the guard and accepting every pair beyond twice the guard, and
 sizes the circulation's first cells, each at most _KAPPA times as wide
 as its gap from curve_c, in the spirit of QUADPACK's QAGP (Piessens et
 al. 1983), so every near approach of a pair just beyond the guard is
-resolved in a few refinement levels.
+resolved in a few refinement levels.  The walk measures several of its
+levels in one distance pass, as many as a fixed budget of source work
+holds (_BUDGET), so a circle pair settles in one pass.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .errors import CurvesTooClose
 from .fields import FieldConstants, curve_field, prefactor_times
 from .geometry import (
     Circle,
+    CompositeCurve,
     Curve,
     PolyLine,
     SurfaceMesh,
@@ -58,10 +61,23 @@ __all__ = [
 ]
 
 
-# points per distance_to call: a deep pass over many cells holds no more
-# than this many points' temporaries at once, as quadrature's
+# points per distance_from call: a deep pass over many cells holds no
+# more than this many points' temporaries at once, as quadrature's
 # _CALL_CELLS cells do per integrand call
 _CHUNK = 1024
+
+# the look-ahead of one pass of the walk, in points times curve_c's
+# segments and circles (_leaves).  A distance pass's fixed set-up costs
+# about as much as 150 to 250 point-leaves of its arithmetic (a ring
+# source: 15 us a call and 0.1 us a point; a hexagon: 20 us and 0.08 us a
+# point-segment; 2-vCPU x86-64).  Each level ahead doubles the points, so
+# the last one costs about half the budget: at 96 it stays below half a
+# pass's set-up, and a ring under a circle settles in one pass of 63
+# points, under a hexagon of 15; budgets of 64 and 128 made the gauss_link
+# benchmark's walks about 6% and 2% slower in sum.  A budget of points
+# alone made the walk of a ring under a 400-gon 3 times as long; with
+# this one that source looks no level ahead
+_BUDGET = 96
 
 # the distances' rounding, as a fraction of the largest coordinate of
 # either curve; every cell's bound gives it up, and a cell whose Lipschitz
@@ -94,17 +110,23 @@ def _halving(curve_c: Curve, curve_l: Curve, guard: float, levels: int) -> tuple
     constant L = curve_l.max_speed(), so a cell of half-width h about s
     keeps at least d(s) - L*h, less the distances' rounding, from curve_c
     (Piyavskii 1972, Shubert 1972).  Each level halves the open cells,
-    from curve_l's smooth pieces on, and takes their midpoints' distances
-    in one pass, _CHUNK points per call.  A cell is open while its bound
+    from curve_l's smooth pieces on.  A cell is open while its bound
     is within the guard and, for the first levels levels and while a
     level has at most _CHUNK such cells, while (2 + _KAPPA) * L * h >
     _KAPPA * d(s): more than _KAPPA times as wide as its gap.  Once
     (1 + _KAPPA) * L * h <= _KAPPA * d(s) as well, its halves meet that
-    rule by the Lipschitz bound and take no pass.  While a cell is within
-    the guard, the walk refuses once a sample lies within 2 * guard, or
-    the cell is too narrow for its bound to rise above the rounding, which
-    bounds the levels also at guard 0.  Guard -inf asks for the first
-    cells alone, levels 0 for the approach alone.
+    rule by the Lipschitz bound, and the walk reads no level below it.
+    While a cell is within the guard, the walk refuses once a sample lies
+    within 2 * guard, or the cell is too narrow for its bound to rise
+    above the rounding, which bounds the levels also at guard 0.  Guard
+    -inf asks for the first cells alone, levels 0 for the approach alone.
+
+    The walk looks ahead: one pass measures the midpoints of the open
+    cells and of all their halves for as many levels as _BUDGET holds, at
+    least one, by one curve_l.position and one curve_c.offsets and
+    distance_from call per _CHUNK points.  The rule then reads each
+    level's open cells among them, in the order of a pass per level, so
+    the results are bitwise those of a pass per level.
 
     Returns (Approach(lower, upper, t), breakpoints): the closest approach
     lies in [lower, upper], lower is certified and within the guard
@@ -116,53 +138,95 @@ def _halving(curve_c: Curve, curve_l: Curve, guard: float, levels: int) -> tuple
     speed = curve_l.max_speed()
     corners = np.concatenate((*curve_c.bounding_box(), *curve_l.bounding_box()))
     rounding = _ROUNDING * float(np.abs(corners).max())
+    leaves = _leaves(curve_c)
     cuts = np.array(curve_l.smooth_cuts())
     kept = [cuts]
     a, b = cuts[:-1], cuts[1:]  # the open cells' ends
     upper, at = math.inf, math.nan
     settled = math.inf  # the least bound that cleared the guard
     while len(a):
-        # _CHUNK cells at a time: which are within the guard, which are to
-        # be halved, and the midpoints of the wide ones
-        measured = []
-        lowest = narrowest = math.inf  # bound and slack within the guard
-        for k in range(0, len(a), _CHUNK):
-            ca, cb = a[k : k + _CHUNK], b[k : k + _CHUNK]
-            mid = 0.5 * (ca + cb)
-            d = curve_c.distance_to(curve_l.position(mid))
-            best = d.argmin()
-            if d[best] < upper:
-                upper, at = float(d[best]), float(mid[best])
-            slack = 0.5 * speed * (cb - ca)
-            bound = d - slack - rounding
-            near, low = bound <= guard, float(bound.min())
+        # the open cells, then each level's cells and their halves, left
+        # halves first: a pass per level keeps its open cells in this order
+        n = total = len(a)
+        los, his = [a], [b]
+        while leaves * (total + 2 * len(a)) <= _BUDGET:
+            mid = 0.5 * (a + b)
+            a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+            los.append(a)
+            his.append(b)
+            total += len(a)
+        lo, hi = (np.concatenate(los), np.concatenate(his)) if len(los) > 1 else (a, b)
+        # the midpoints' distances, _CHUNK at a time; in place: a level of
+        # 2^20 cells holds few arrays of their size
+        d = np.empty(len(lo))
+        for k in range(0, len(lo), _CHUNK):
+            mid = 0.5 * (lo[k : k + _CHUNK] + hi[k : k + _CHUNK])
+            d[k : k + _CHUNK] = curve_c.distance_from(curve_c.offsets(curve_l.position(mid)))
+        # each cell's slack L*h, then in its place its bound d - L*h - rounding
+        bound = hi - lo
+        bound *= 0.5 * speed
+        # too narrow to rise above the rounding; wide; and so wide that the
+        # halves may be too
+        narrow_at = 2.0 * bound <= rounding
+        if levels > 0:
+            gap = _KAPPA * d
+            wide_at, split_at = (2.0 + _KAPPA) * bound > gap, (1.0 + _KAPPA) * bound > gap
+        np.subtract(d, bound, out=bound)
+        bound -= rounding
+        near_at = bound <= guard
+        # which of a level's cells are open, where the level starts and its size
+        cells, start, size = np.ones(n, dtype=bool), 0, n
+        while start < len(lo):
+            level = slice(start, start + size)
+            dist = d[level]
+            least = float(dist.min(where=cells, initial=math.inf))
+            if least < upper:
+                # the first open cell at that distance
+                first = (cells & (dist == least)).argmax()
+                upper, at = float(dist[first]), float(0.5 * (lo[level][first] + hi[level][first]))
+            near, low = cells & near_at[level], float(bound[level].min(where=cells, initial=math.inf))
             if low <= guard:
-                lowest = min(lowest, low)
-                narrowest = min(narrowest, float(slack[near].min()))
-                low = float(bound.min(where=~near, initial=math.inf))
+                if upper <= 2.0 * guard or (near & narrow_at[level]).any():
+                    return Approach(max(min(low, upper), 0.0), upper, at), cuts
+                low = float(bound[level].min(where=cells & ~near, initial=math.inf))
             settled = min(settled, low)
-            wide, split = mid[:0], near
+            split = near
             if levels > 0:
-                # wide, and so wide that the halves may be too
-                gap = _KAPPA * d
-                wide = mid[(2.0 + _KAPPA) * slack > gap]
-                split = near | ((1.0 + _KAPPA) * slack > gap)
-            measured.append((near, split, wide))
-        if lowest <= guard and (upper <= 2.0 * guard or 2.0 * narrowest <= rounding):
-            return Approach(max(min(lowest, upper), 0.0), upper, at), cuts
-        near, split, wide = measured.pop() if len(measured) == 1 else map(np.concatenate, zip(*measured))
-        # more than _CHUNK wide cells on one level are no approach but a
-        # long near run, or curves that meet: the quadrature refines those
-        # only where the integrand needs it, in bounded time and memory
-        if len(wide) > _CHUNK:
-            split, levels = near, 0
-        elif len(wide):
-            kept.append(wide)
-        a, b = a[split], b[split]
+                wide = cells & wide_at[level]
+                count = np.count_nonzero(wide)
+                # more than _CHUNK wide cells on one level are no approach
+                # but a long near run, or curves that meet: the quadrature
+                # refines those only where the integrand needs it, in
+                # bounded time and memory
+                if count > _CHUNK:
+                    levels = 0
+                else:
+                    split = near | (cells & split_at[level])
+                    if count:
+                        kept.append(0.5 * (lo[level][wide] + hi[level][wide]))
+            levels -= 1
+            start, size = start + size, 2 * size
+            cells = np.concatenate((split, split))
+            if not split.any():
+                break
+        a, b = lo[level][split], hi[level][split]  # the last level's halved cells
         mid = 0.5 * (a + b)
         a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-        levels -= 1
-    return Approach(max(min(settled, upper), 0.0), upper, at), np.unique(np.concatenate(kept)) if kept[1:] else cuts
+    approach = Approach(max(min(settled, upper), 0.0), upper, at)
+    if len(kept) == 1:
+        return approach, cuts
+    # np.unique's own core, a sort that drops equal neighbours, without its
+    # import of numpy.ma
+    breaks = np.sort(np.concatenate(kept))
+    return approach, breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
+
+
+def _leaves(curve: Curve) -> int:
+    """The segments and circles whose distances curve_c.distance_from
+    takes per point: the source work of one sample."""
+    if isinstance(curve, CompositeCurve):
+        return sum(map(_leaves, curve.parts))
+    return curve.segment_count if isinstance(curve, PolyLine) else 1
 
 
 def curve_min_distance(curve_a: Curve, curve_b: Curve, guard: float) -> Approach:

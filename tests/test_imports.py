@@ -173,3 +173,17 @@ def test_importing_the_cli_loads_no_test_framework():
     probe = "import sys, loopfield.cli; print(sorted({'unittest.mock', 'asyncio'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_a_gauss_linking_call_loads_no_masked_arrays():
+    # importing numpy.ma takes about 15 ms of a process's start-up, which
+    # every link, ampere and selftest process paid while the walk's
+    # breakpoints went through np.unique
+    scene = ROOT / "scenes" / "double_wind.json"
+    probe = (
+        "import sys; from loopfield import gauss_linking; from loopfield.scenefile import parse_scene_file; "
+        f"gauss_linking(parse_scene_file({str(scene)!r}).build_scene('double_wind')); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

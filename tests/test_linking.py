@@ -598,15 +598,17 @@ def test_planted_near_approaches_all_converge(planted, slots, composite, seed, k
 
 
 def _counting_distances(curve):
-    """Records the number of points of each distance_to call on curve."""
+    """Records the number of points of each distance_from call on curve,
+    where the walk and distance_to measure points."""
     counts = []
-    measure = curve.distance_to
+    measure = curve.distance_from
 
-    def counted(points):
-        counts.append(len(np.atleast_2d(points)))
-        return measure(points)
+    def counted(offsets):
+        distances = measure(offsets)
+        counts.append(len(distances))
+        return distances
 
-    curve.distance_to = counted
+    curve.distance_from = counted
     return counts
 
 
@@ -731,6 +733,127 @@ def test_one_walk_brackets_the_approach_and_grades_the_first_cells(kinds, seed, 
             _assert_graded(c, l, cells, alone.lower, -math.inf, levels)
 
 
+def _level_by_level_walk(curve_c, curve_l, guard, levels):
+    """linking._halving as it was before its passes looked ahead: one
+    distance_to pass per level, _CHUNK points per call, and np.unique of
+    the breakpoints; the reference for the bits of the walk's results."""
+    chunk, kappa = linking._CHUNK, linking._KAPPA
+    speed = curve_l.max_speed()
+    corners = np.concatenate((*curve_c.bounding_box(), *curve_l.bounding_box()))
+    rounding = linking._ROUNDING * float(np.abs(corners).max())
+    cuts = np.array(curve_l.smooth_cuts())
+    kept = [cuts]
+    a, b = cuts[:-1], cuts[1:]
+    upper, at = math.inf, math.nan
+    settled = math.inf
+    while len(a):
+        measured = []
+        lowest = narrowest = math.inf
+        for k in range(0, len(a), chunk):
+            ca, cb = a[k : k + chunk], b[k : k + chunk]
+            mid = 0.5 * (ca + cb)
+            d = curve_c.distance_to(curve_l.position(mid))
+            best = d.argmin()
+            if d[best] < upper:
+                upper, at = float(d[best]), float(mid[best])
+            slack = 0.5 * speed * (cb - ca)
+            bound = d - slack - rounding
+            near, low = bound <= guard, float(bound.min())
+            if low <= guard:
+                lowest = min(lowest, low)
+                narrowest = min(narrowest, float(slack[near].min()))
+                low = float(bound.min(where=~near, initial=math.inf))
+            settled = min(settled, low)
+            wide, split = mid[:0], near
+            if levels > 0:
+                gap = kappa * d
+                wide = mid[(2.0 + kappa) * slack > gap]
+                split = near | ((1.0 + kappa) * slack > gap)
+            measured.append((near, split, wide))
+        if lowest <= guard and (upper <= 2.0 * guard or 2.0 * narrowest <= rounding):
+            return linking.Approach(max(min(lowest, upper), 0.0), upper, at), cuts
+        near, split, wide = measured.pop() if len(measured) == 1 else map(np.concatenate, zip(*measured))
+        if len(wide) > chunk:
+            split, levels = near, 0
+        elif len(wide):
+            kept.append(wide)
+        a, b = a[split], b[split]
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        levels -= 1
+    approach = linking.Approach(max(min(settled, upper), 0.0), upper, at)
+    return approach, np.unique(np.concatenate(kept)) if kept[1:] else cuts
+
+
+def _assert_same_bits(walked, reference):
+    (approach, cuts), (expected, expected_cuts) = walked, reference
+    assert np.array(approach).tobytes() == np.array(expected).tobytes(), (approach, expected)
+    assert cuts.dtype == expected_cuts.dtype and cuts.tobytes() == expected_cuts.tobytes()
+
+
+@settings(max_examples=200)
+@given(
+    kinds=st.tuples(*[st.sampled_from(["polygon", "circle", "composite"])] * 2),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-600, 600),
+    guard=st.sampled_from(["zero", "none", "default", "sampled"]),
+    levels=st.sampled_from([0, QuadratureSpec().max_depth]),
+)
+def test_the_look_ahead_walks_as_a_pass_a_level_did(kinds, seed, k, guard, levels):
+    # two drawn curves, moved rigidly and scaled by 2^k, walked along
+    # either against the other: the passes that measure several levels
+    # at once give the approach and the breakpoints of a pass a level, bit
+    # for bit, at guard 0, -inf (the first cells alone), the default, and
+    # 0 to 3 times their sampled gap, where cells stay near the guard
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rot *= np.linalg.det(rot)
+    shift, factor = rng.uniform(-2.0, 2.0, 3), 2.0**k
+    curves = [_moved(_drawn_curve(kind, rng), lambda p: factor * (rot @ p + shift), factor) for kind in kinds]
+    ts = np.linspace(curves[1].t_start, curves[1].t_end, 257)
+    guard = {
+        "zero": 0.0,
+        "none": -math.inf,
+        "default": QuadratureSpec().resolve_guard(bounding_box_diagonal(curves)),
+        "sampled": rng.uniform(0.0, 3.0) * float(curves[0].distance_to(curves[1].position(ts)).min()),
+    }[guard]
+    for c, l in (curves, curves[::-1]):
+        _assert_same_bits(linking._halving(c, l, guard, levels), _level_by_level_walk(c, l, guard, levels))
+
+
+def test_a_many_segment_source_looks_no_level_ahead():
+    # the 400-gons of test_many_segment_pair_takes_bounded_calls, either as
+    # the source, and the far_400gon pair's 400-gon above the ring: one
+    # cell and its two halves are 3 * 400 point-segments, beyond the walk's
+    # budget, so each pass measures one level, the points the level-by-level
+    # walk measured (400 edges in one level; the ring's piece and its
+    # halves in two), and never the 30 times as costly look-ahead
+    ring = _regular_polygon(400, lambda t: (np.cos(t), np.sin(t), 0.0 * t))
+    partner = _regular_polygon(400, lambda t: (1.1 + 0.7 * np.cos(t), 0.0 * t, 0.7 * np.sin(t)))
+    above = _regular_polygon(400, lambda t: (np.cos(t), np.sin(t), 3.0 + 0.0 * t))
+    assert 3 * 400 > linking._BUDGET
+    depth = QuadratureSpec().max_depth
+    for curve_c, curve_l, levels in ((ring, partner, [400]), (partner, ring, [400]), (above, unit_circle(), [1, 2])):
+        passes = _counting_distances(curve_c)
+        reference = _level_by_level_walk(curve_c, curve_l, -math.inf, depth)
+        assert passes == levels
+        passes.clear()
+        _assert_same_bits(linking._halving(curve_c, curve_l, -math.inf, depth), reference)
+        assert passes == levels
+
+
+def test_the_look_ahead_walks_a_long_near_run_as_a_pass_a_level_did():
+    # the concentric circles 2.5 guards apart of the two bounded-time tests
+    # below: levels of up to 2^20 cells near the guard, and one of more than
+    # _CHUNK wide cells, which ends the first cells' levels
+    guard = 2.83e-6
+    ring, wider = unit_circle(), Circle((0, 0, 0), 1.0 + 2.5 * guard, (0, 0, 1))
+    depth = QuadratureSpec().max_depth
+    for curve_c, curve_l in ((ring, wider), (wider, ring), (CompositeCurve([wider]), ring)):
+        walked = linking._halving(curve_c, curve_l, guard, depth)
+        _assert_same_bits(walked, _level_by_level_walk(curve_c, curve_l, guard, depth))
+
+
 def test_a_constant_distance_near_the_guard_takes_bounded_time_and_memory():
     # coplanar concentric circles 2.5 guards apart: no gap's bound clears
     # the guard until gaps are about 3 guards wide, about 2^20 of them
@@ -788,21 +911,24 @@ def _winding_loop(lk):
 
 
 def _pinned_pairs():
-    """(name, curve_c, curve_l, the points of each curve_c.distance_to call
-    of one gauss_linking call): the shipped scenes, and the gauss_link
+    """(name, curve_c, curve_l, the points of each curve_c.distance_from
+    call of one gauss_linking call): the shipped scenes, and the gauss_link
     benchmark's shapes about the unit ring.  A bare circle source takes
-    the guard's walk alone."""
+    the guard's walk alone.  Each pass measures as many levels below the
+    ring's cells as linking._BUDGET holds: 63 points under a circle, 31
+    under 3 segments or a circle and a 2-segment spur, 15 under 4 to 6
+    segments, 7 and then the 8 still open under the 8-gon."""
     ring = unit_circle()
     pairs = [
-        ("hopf", Circle((1.1, 0, 0), 0.7, (0, 1, 0)), ring, [1, 2, 4, 4]),
-        ("composite", *_hopf_composite(), [1, 2, 4, 4]),
-        ("axis_rect", PolyLine([(0, 0, -4), (0, 0, 4), (4, 0, 4), (4, 0, -4)], closed=True), ring, [1, 2, 4]),
+        ("hopf", Circle((1.1, 0, 0), 0.7, (0, 1, 0)), ring, [63]),
+        ("composite", *_hopf_composite(), [31]),
+        ("axis_rect", PolyLine([(0, 0, -4), (0, 0, 4), (4, 0, 4), (4, 0, -4)], closed=True), ring, [15]),
     ]
     pairs += [
-        (f"winding_{lk}", _winding_loop(lk), ring, [1, 2, 4, last])
-        for lk, last in ((-2, 8), (-1, 4), (0, 8), (1, 4), (2, 8))
+        (f"winding_{lk}", _winding_loop(lk), ring, passes)
+        for lk, passes in ((-2, [15]), (-1, [31]), (0, [15]), (1, [31]), (2, [15]))
     ]
-    for name, passes in (("hopf", [1, 2, 4]), ("double_wind", [1, 2, 4, 8]), ("unlinked", [1])):
+    for name, passes in (("hopf", [63]), ("double_wind", [7, 8]), ("unlinked", [63])):
         scene = parse_scene_file(SCENES / f"{name}.json").build_scene(name)
         pairs.append((f"{name}.json", scene.curve_c, scene.curve_l, passes))
     return [pytest.param(*pair[1:], id=pair[0]) for pair in pairs]
@@ -810,10 +936,12 @@ def _pinned_pairs():
 
 @pytest.mark.parametrize("curve_c, curve_l, passes", _pinned_pairs())
 def test_validate_settles_the_shipped_pairs_in_one_pass(curve_c, curve_l, passes):
-    # one walk along curve_l validates the pair and sizes its first cells.
-    # The former search along curve_c took one pass of 64 samples and its
-    # smooth cuts, then the first cells four or five more passes of 11 to
-    # 19 points in all, the last of which only confirmed them
+    # one walk along curve_l validates the pair and sizes its first cells,
+    # in passes that look levels ahead: one, or two under the 8-gon, where
+    # a pass a level took three or four of 1 to 8 points.  The former search along curve_c took one
+    # pass of 64 samples and its smooth cuts, then the first cells four or
+    # five more passes of 11 to 19 points in all, the last of which only
+    # confirmed them
     evaluations = _counting_distances(curve_c)
     gauss_linking(LinkScene(curve_c, curve_l))
     assert evaluations == passes
@@ -822,13 +950,15 @@ def test_validate_settles_the_shipped_pairs_in_one_pass(curve_c, curve_l, passes
 def test_a_line_limit_leg_takes_no_confirming_pass():
     # the axis leg is 1 from the ring everywhere, so the ring's cells at
     # half-width pi / 4 are wide, and so narrow that their halves are not:
-    # those take no pass, where a fourth of 8 points confirmed them
+    # the walk reads no level below them, where a fourth pass of 8 points
+    # confirmed them.  Its one pass looks 63 points ahead, where a pass a
+    # level took three
     for n in (2, 16):
         leg = PolyLine([(0, 0, -n), (0, 0, n)])
         evaluations = _counting_distances(leg)
         value, err = gauss_pair_integral(leg, unit_circle())
         assert abs(value - axis_leg_closed_form(n)) <= max(1e-14, err)
-        assert evaluations == [1, 2, 4]
+        assert evaluations == [63]
 
 
 def test_too_close_names_the_bracket_guard_and_parameter():
