@@ -145,8 +145,9 @@ def _guarded(source, field, points, guard: float, what: str) -> np.ndarray:
     # decided before the offsets, whose squares overflow
     off = points - centre
     far = np.hypot.reduce(off, axis=1) > max(guard, _FAR * scale) + scale
+    some_far = far.any()
     # with no point far, a slice: a view of the points, not a copy
-    near = ~far if far.any() else slice(None)
+    near = ~far if some_far else slice(None)
     offsets = source.offsets(points[near])
     dist = source.distance_from(offsets)
     if dist.min(initial=math.inf) <= guard:
@@ -160,9 +161,9 @@ def _guarded(source, field, points, guard: float, what: str) -> np.ndarray:
         )
     beyond = dist > _FAR * scale
     if beyond.any():
-        far[near] = beyond
+        far[near], some_far = beyond, True
         offsets = _rows(offsets, ~beyond)
-    if not far.any():
+    if not some_far:
         return field(offsets)
     out = np.zeros((len(far), 3))
     if not far.all():
@@ -257,23 +258,30 @@ def _ring(circle: Circle, offsets) -> _Ring:
     squares of lengths, from over- or underflowing at any radius.  The AGM
     runs until c_n <= sqrt(eps) a_n at every point.  Raises ValueError for
     a point on the circle, where the AGM of 1 and 0 never converges.
+
+    One point's offsets become numpy scalars, an array's rounding without
+    its set-up; a scalar's ** 2 calls C pow, so every square is a product.
     """
     z, radial, rho = offsets
+    if len(z) == 1:
+        z, rho = z[0], rho[0]
     r = circle.radius / circle.unit
-    big = (r + rho) ** 2 + z * z
-    small = (r - rho) ** 2 + z * z
+    outer, inner, height2 = r + rho, r - rho, z * z
+    big, small = outer * outer + height2, inner * inner + height2
     if not (small > 0.0).all():
         raise ValueError("points must not lie on the circle")
     m = 4.0 * r * rho / big
     kc = np.sqrt(small / big)
     # a_1, b_1 and c_1 = (1 - k_c) / 2, written without the cancelling difference
-    a, b, c = 0.5 * (1.0 + kc), np.sqrt(kc), m / (2.0 * (1.0 + kc))
-    t, weight, agm = c * c, 1.0, [(a, b, c)]
+    one_kc = 1.0 + kc
+    a, b, c = 0.5 * one_kc, np.sqrt(kc), m / (2.0 * one_kc)
+    square = t = c * c
+    weight, agm = 1.0, [(a, b, c)]
     while (c > _AGM_TOL * a).any():
         total = a + b
-        a, b, c = 0.5 * total, np.sqrt(a * b), c * c / (2.0 * total)
-        weight *= 2.0
-        t = t + weight * c * c
+        a, b, c = 0.5 * total, np.sqrt(a * b), square / (2.0 * total)
+        weight, square = 2.0 * weight, c * c
+        t = t + weight * square
         agm.append((a, b, c))
     return _Ring(z, radial, rho, r, big, small, m, kc, 0.5 * math.pi / a, t, agm)
 
@@ -300,7 +308,8 @@ def circle_field(circle: Circle, points) -> np.ndarray:
     itself, never from 1 - m, so the AGM keeps its digits beside the wire.
     B is evaluated in units of a power of two near R (_ring) and scaled
     back by 1 / length: exactly, and with no over- or underflow at any
-    size.  Raises ValueError for a point on the circle.
+    size.  One point runs on numpy scalars, with the bits of a batch of
+    one (_ring).  Raises ValueError for a point on the circle.
     """
     return _circle_at(circle, circle.offsets(_as_rows(points)))
 
@@ -315,12 +324,12 @@ def _circle_at(circle: Circle, offsets) -> np.ndarray:
     b_rho_over_rho = np.divide(
         2.0 * z * root * g, rho * rho * small, out=np.zeros_like(rho), where=rho > 0.0
     )
-    square_gap = (r - rho) * (r + rho)
-    b_z = 2.0 * k * (2.0 * r * r * (square_gap + z * z) / big - (square_gap - z * z) * t) / (
+    square_gap, height2 = (r - rho) * (r + rho), z * z
+    b_z = 2.0 * k * (2.0 * r * r * (square_gap + height2) / big - (square_gap - height2) * t) / (
         root * small
     )
     sign = 1.0 if circle.orientation == "ccw" else -1.0
-    return sign / circle.unit * (b_rho_over_rho[:, None] * ring.radial + b_z[:, None] * circle.unit_axis)
+    return sign / circle.unit * (b_rho_over_rho[..., None] * ring.radial + b_z[..., None] * circle.unit_axis)
 
 
 def _cel_excess(ring: _Ring, sigma, one_plus) -> np.ndarray:
@@ -349,10 +358,10 @@ def _cel_excess(ring: _Ring, sigma, one_plus) -> np.ndarray:
     the mean of the limits from either side, as H(0) = 1/2 does in Omega.
     The sum runs one step past the AGM's last c_n, to c_n^2 / (4 a_(n+1)).
     """
-    kc, size, sign = ring.kc, np.abs(sigma), np.sign(sigma)
+    kc, size, sign, outer = ring.kc, np.abs(sigma), np.sign(sigma), ring.r + ring.rho
     # outside the rim k_c + s = (k_c^2 - s^2) / (k_c - s), with k_c^2 - s^2 = m z^2 / (R + rho)^2
-    spread = (ring.r + ring.rho) ** 2 * (kc - sigma)
-    kc_plus = np.divide(ring.m * ring.z**2, spread, out=kc + sigma, where=sigma < 0.0)
+    spread = outer * outer * (kc - sigma)
+    kc_plus = np.divide(ring.m * (ring.z * ring.z), spread, out=np.asarray(kc + sigma), where=sigma < 0.0)
     excess = 2.0 * ring.agm[0][2] * (sign * (1.0 + size) + (1.0 + sign) * kc) / (
         (1.0 + size) * (1.0 + kc) * (size + kc)
     )
@@ -399,8 +408,9 @@ def disk_sheet_field(circle: Circle, points) -> np.ndarray:
       (4 R / sqrt(A)) ((2/m - 1) K - (2/m) E) / rho with E = K (1 - m/2 - T).
 
     The field is dimensionless, so it is evaluated in the units of _ring,
-    and it does not depend on the circle's orientation.  Raises ValueError
-    for a point on the rim; points must not lie on the disk.
+    and it does not depend on the circle's orientation; one point runs on
+    numpy scalars, with the bits of a batch of one (_ring).  Raises
+    ValueError for a point on the rim; points must not lie on the disk.
     """
     return _disk_at(circle, circle.offsets(_as_rows(points)))
 
@@ -408,18 +418,18 @@ def disk_sheet_field(circle: Circle, points) -> np.ndarray:
 def _disk_at(circle: Circle, offsets) -> np.ndarray:
     """disk_sheet_field from the rim's offsets of the points."""
     ring = _ring(circle, offsets)
-    r, rho, z = ring.r, ring.rho, ring.z
+    r, rho, z, outer = ring.r, ring.rho, ring.z, ring.r + ring.rho
     root, height = np.sqrt(ring.big), np.abs(z)
-    sigma, one_plus = (r - rho) / (r + rho), 2.0 * r / (r + rho)
+    sigma, one_plus = (r - rho) / outer, 2.0 * r / outer
     excess = _cel_excess(ring, sigma, one_plus)
-    uncovered = (r + rho) ** 2 / (root * (root + height))  # 1 - |z| / sqrt(A)
+    uncovered = outer * outer / (root * (root + height))  # 1 - |z| / sqrt(A)
     omega = (math.pi * np.sign(z)) * (
         (1.0 + np.sign(sigma)) * uncovered - height / root * one_plus * excess
     )
     in_plane = np.divide(
         2.0 * ring.k * ring.t * root, rho * rho, out=np.zeros_like(rho), where=rho > 0.0
     )
-    return omega[:, None] * circle.unit_axis + in_plane[:, None] * ring.radial
+    return omega[..., None] * circle.unit_axis + in_plane[..., None] * ring.radial
 
 
 def polygon_sheet_field(vertices, points) -> np.ndarray:

@@ -59,7 +59,7 @@ def as_vec3(value, name: str = "vector") -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{name} must have exactly 3 components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must have finite components, got {arr}")
     return arr.copy()
 
@@ -293,7 +293,7 @@ class Circle(Curve):
         self._v = _frozen(v if orientation == "ccw" else -v)
         self.unit_axis = _frozen(a)
         # per-axis half-extent of a 3-D circle: R * sqrt(1 - a_i^2)
-        ext = self.radius * np.sqrt(np.clip(1.0 - a**2, 0.0, 1.0))
+        ext = self.radius * np.sqrt(np.maximum(1.0 - a * a, 0.0))
         self._box = (_frozen(self.center - ext), _frozen(self.center + ext))
         self.unit = power_of_two_unit(self.radius)
         self.t_start = 0.0
@@ -400,7 +400,7 @@ class PolyLine(Curve):
 
     def _segment_index(self, t: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._cum, t, side="right") - 1
-        return np.clip(idx, 0, self.segment_count - 1)
+        return np.minimum(np.maximum(idx, 0), self.segment_count - 1)
 
     def position(self, t):
         arr = np.asarray(t, dtype=float)
@@ -507,7 +507,7 @@ class CompositeCurve(Curve):
 
     def _map_params(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = np.searchsorted(self._bounds, t, side="right") - 1
-        idx = np.clip(idx, 0, len(self.parts) - 1)
+        idx = np.minimum(np.maximum(idx, 0), len(self.parts) - 1)
         return idx, t - self._bounds[idx]
 
     def _eval(self, t, attr: str):

@@ -817,6 +817,17 @@ def test_selftest_criterion_11_compares_the_records_of_two_passes(monkeypatch):
     assert _failed_criteria(out.getvalue()) == {"11"}
 
 
+@pytest.mark.parametrize("points", ["1e80,3e79,2e79", "1e80,3e79,2e79;0,0,2;3,0,0"])
+def test_a_ring_field_that_overflows_is_a_numerical_error(points):
+    # from about 1e77 radii out to the zero-field cut-off the ring's closed
+    # form overflows; one point runs it on numpy scalars and a batch on
+    # arrays, whose messages differ, and each is one line
+    argv = ["field", "--scene", str(SCENES / "hopf.json"), "--curve", "ring", f"--points={points}"]
+    code, stdout, stderr = _run_in_process(argv)
+    assert code == 3 and stdout == "", stderr
+    assert stderr.startswith("numerical error: overflow") and stderr.count("\n") == 1, stderr
+
+
 def test_a_field_beyond_the_float_range_is_a_numerical_error(tmp_path):
     # sigma 1e308 overflows the sheet field; the output once held inf,
     # after a numpy warning on stderr

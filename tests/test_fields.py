@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from loopfield import (
     Circle,
@@ -1163,6 +1163,50 @@ def test_dipole_mesh_field_batch_matches_one_point_at_a_time(points):
     if batch is not None:
         _assert_rows_match(batch, rows, 0)
         assert not batch[np.abs(points).max(axis=1) >= 1e299].any()
+
+
+@st.composite
+def _ring_offsets(draw):
+    """Offsets in radii from a ring about +z: on the axis (rho = 0), in its
+    plane inside or beyond the rim (z = 0), within 1e-6 radii of the wire,
+    or 1 to 1e90 radii away."""
+    kind = draw(st.sampled_from(["axis", "plane", "wire", "far"]))
+    if kind == "axis":
+        return 0.0, 0.0, draw(st.floats(-1e3, 1e3))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    if kind == "plane":
+        rho = draw(st.floats(0.0, 1e3))
+        return rho * math.cos(angle), rho * math.sin(angle), 0.0
+    if kind == "wire":
+        rho, z = 1.0 + draw(st.floats(-1e-6, 1e-6)), draw(st.floats(-1e-6, 1e-6))
+        return rho * math.cos(angle), rho * math.sin(angle), z
+    distance, tilt = 10.0 ** draw(st.floats(0.0, 90.0)), draw(st.floats(0.0, math.pi))
+    across = distance * math.sin(tilt)
+    return across * math.cos(angle), across * math.sin(angle), distance * math.cos(tilt)
+
+
+def _outcome(field):
+    """A field's shape and bytes, or the text of its ValueError."""
+    try:
+        value = field()
+    except ValueError as exc:
+        return str(exc)
+    return value.shape, value.tobytes()
+
+
+@given(k=st.integers(-600, 600), offset=_ring_offsets(), orientation=st.sampled_from(["ccw", "cw"]))
+# a point where the scalar ** 2 of (r + rho) ** 2 rounds otherwise than an array's
+@example(k=370, offset=(-287.3394157971261, 830.3571662644524, 0.0), orientation="ccw")
+def test_one_point_ring_fields_are_row_0_of_a_batch_of_two(k, offset, orientation):
+    # one point runs the ring's closed forms on numpy scalars and two on
+    # arrays; x and x take the AGM steps that x alone takes, so the
+    # fields agree bit for bit, beyond the float range and on the wire too
+    scale, centre = 2.0**k, np.array([0.75, -0.5, 0.25])
+    circle = Circle(centre * scale, 1.5 * scale, (0, 0, 1), orientation)
+    x = (centre + 1.5 * np.array(offset)) * scale
+    with np.errstate(all="ignore"):
+        for field in (circle_field, disk_sheet_field):
+            assert _outcome(lambda: field(circle, x)) == _outcome(lambda: field(circle, np.array([x, x]))[:1])
 
 
 def test_dipole_mesh_field_is_zero_beyond_reach():
